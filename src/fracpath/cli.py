@@ -26,13 +26,13 @@ import numpy as np
 from . import __version__
 from .errors import FracpathError, InvalidConfigError
 from .experiments import bump_decomposition, cantor_sweep
-from .follmer import ito_check, kernel_profile, remainder_kernel
+from .follmer import ito_check, kernel_profile, remainder_kernel, taylor_remainder
 from .fracops import FracOrder, caputo, local_frac_derivative, power_rule, rl_integral
 from .isometry import holder_exponent, isometry_check
 from .partitions import Partition, badic, cantor_value_grid, value_grid_partition
 from .paths import AnalyticPath, SampledPath, sample
 from .registry import abs_power, make_fn, make_path, make_phi
-from .variation import pth_variation_partial
+from .variation import phi_variation_partial, pth_variation_partial
 
 _COMMON_KEYS = {"command", "label", "expect", "tol"}
 
@@ -192,8 +192,6 @@ def _run_variation(cfg: dict, raw: str, cfg_path: Path):
     sums = []
     for label, path, part in _iter_stages(cfg, p, raw, cfg_path):
         if phi is not None:
-            from .variation import phi_variation_partial
-
             s = phi_variation_partial(path, part, phi)
         else:
             s = pth_variation_partial(path, part, p)
@@ -353,13 +351,9 @@ def _run_remainder(cfg: dict, raw: str, cfg_path: Path):
         row: list = [a, b]
         g_t = g_i = None
         if method in ("taylor", "both"):
-            th = np.arctan2(b, a)
-            r = float(np.hypot(a, b))
             # taylor-difference form evaluated at the raw pair
-            from .follmer import _taylor_gap
-
             g_t = float(
-                _taylor_gap(fn, np.array([a]), np.array([b]), int(np.floor(p)))[0]
+                taylor_remainder(fn, np.array([a]), np.array([b]), int(np.floor(p)))[0]
                 / abs(b - a) ** p
             )
             row.append(g_t)

@@ -17,7 +17,6 @@ from .fracops import SmoothFn
 from .follmer import (
     ItoReport,
     bump_atom_weights,
-    compensated_sum,
     ito_check,
     kernel_profile,
     quotient_measure,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import integrate as _sci_integrate
@@ -30,11 +30,12 @@ from .errors import (
     KernelSingularError,
 )
 from .fracops import SmoothFn
-from .partitions import Partition, osc
+from .partitions import Partition, osc, partition_values
 from .paths import SampledPath
 
 __all__ = [
     "compensated_sum",
+    "taylor_remainder",
     "remainder_kernel",
     "kernel_profile",
     "ito_check",
@@ -57,13 +58,6 @@ __all__ = [
 ]
 
 
-def _clipped_values(path: SampledPath, partition: Partition, t: float | None) -> np.ndarray:
-    times = partition.times
-    if t is not None:
-        times = np.minimum(times, t)
-    return path.value_at(times)
-
-
 def _require_derivs(fn: SmoothFn, m: int) -> None:
     if len(fn.derivs) < m:
         raise InsufficientDerivativesError(
@@ -72,8 +66,44 @@ def _require_derivs(fn: SmoothFn, m: int) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# compensated sums and the scalar check
+# the Taylor engine, compensated sums and the scalar check
 # --------------------------------------------------------------------------- #
+
+
+def _taylor_terms(
+    derivs: Iterable[np.ndarray], inc: np.ndarray, gap: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The one order-m Taylor loop behind every check.
+
+    ``derivs`` yields f^(1..m) at the left endpoints, ``inc`` holds the
+    increments and ``gap`` starts as f(right) - f(left), updated in place.
+    Returns the compensated sum and the per-increment Taylor gaps. Each
+    order is summed before it is divided by j! and leaves the gaps as
+    term / j!, one order at a time; the reported numbers rest on that order.
+    """
+    comp = 0.0
+    fact = 1.0
+    power = np.ones_like(inc)
+    for j, deriv in enumerate(derivs, start=1):
+        fact *= j
+        power *= inc
+        term = deriv * power
+        comp += float(np.sum(term)) / fact
+        term /= fact
+        gap -= term
+        del deriv, term  # free both before the next derivative is evaluated
+    return comp, gap
+
+
+def _kernel_sum(gap: np.ndarray, size: np.ndarray, p: float) -> tuple[float, int]:
+    """(sum of G |dS|^p, count of increments left out): G = gap / |dS|^p is
+    multiplied back by |dS|^p, so the identity residual measures the rounding
+    honestly. Increments whose |dS|^p is 0 -- zero, or small enough for the
+    power to underflow -- have no finite G and are left out."""
+    mag = size**p
+    keep = mag != 0.0
+    mag = mag[keep]
+    return float(np.sum(gap[keep] / mag * mag)), int(keep.size - np.count_nonzero(keep))
 
 
 def compensated_sum(
@@ -88,30 +118,17 @@ def compensated_sum(
     if m < 1:
         raise InvalidParameterError("Taylor order m must be >= 1")
     _require_derivs(fn, m)
-    vals = _clipped_values(path, partition, t)
-    left = vals[:-1]
+    _, vals = partition_values(path, partition, t)
     inc = np.diff(vals)
-    total = 0.0
-    fact = 1.0
-    power = np.ones_like(inc)
-    for j in range(1, m + 1):
-        fact *= j
-        power = power * inc
-        total += float(np.sum(fn.derivs[j - 1](left) * power)) / fact
-    return total
+    return _taylor_terms((d(vals[:-1]) for d in fn.derivs[:m]), inc, np.zeros_like(inc))[0]
 
 
-def _taylor_gap(fn: SmoothFn, left: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
-    """f(right) - sum_{k=0..m} f^(k)(left) (right-left)^k / k!, vectorized."""
-    inc = right - left
+def taylor_remainder(fn: SmoothFn, left: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
+    """f(right) - sum_{k=0..m} f^(k)(left) (right-left)^k / k!, vectorized;
+    the Taylor-difference form of |right - left|^p G(left, right)."""
+    _require_derivs(fn, m)
     gap = fn.fn(right) - fn.fn(left)
-    fact = 1.0
-    power = np.ones_like(inc)
-    for j in range(1, m + 1):
-        fact *= j
-        power = power * inc
-        gap = gap - fn.derivs[j - 1](left) * power / fact
-    return gap
+    return _taylor_terms((d(left) for d in fn.derivs[:m]), right - left, gap)[1]
 
 
 def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
@@ -179,8 +196,7 @@ def kernel_profile(
         return np.array([remainder_kernel(fn, p, ai, bi) for ai, bi in zip(a, b)])
     if method != "taylor":
         raise InvalidParameterError(f"unknown method {method!r}")
-    gap = _taylor_gap(fn, a, b, m)
-    return gap / np.abs(b - a) ** p
+    return taylor_remainder(fn, a, b, m) / np.abs(b - a) ** p
 
 
 @dataclass(frozen=True)
@@ -191,7 +207,7 @@ class ItoReport:
     compensated: float
     kernel_sum: float
     n_increments: int
-    n_zero_increments: int = 0
+    n_zero_increments: int = 0  # increments with |dS|^p == 0, outside the kernel sum
     time_integral: float = 0.0
     time_quadrature_gap: float = 0.0
     details: dict = field(default_factory=dict)
@@ -218,37 +234,30 @@ def ito_check(
 ) -> ItoReport:
     """Evaluate the order-m identity for f(S) along one partition.
 
-    The kernel sum goes through the normalized kernel G (divide by |dS|^p,
-    multiply back), so the reported identity residual honestly measures the
-    rounding accumulated over all increments instead of being zero by
-    algebra.
+    f is evaluated once on the partition values and each derivative once on
+    the left endpoints. The kernel sum goes through the normalized kernel G
+    (divide by |dS|^p, multiply back), so the reported identity residual
+    honestly measures the rounding accumulated over all increments instead
+    of being zero by algebra; see ``_kernel_sum``.
     """
     if p <= 1.0:
         raise InvalidParameterError(f"p must exceed 1, got {p}")
     m = int(math.floor(p))
     _require_derivs(fn, m)
-    vals = _clipped_values(path, partition, t)
-    left, right = vals[:-1], vals[1:]
-    inc = right - left
-    nonzero = inc != 0.0
-    lhs = float(fn.fn(vals[-1:]).item() - fn.fn(vals[:1]).item())
-    comp = 0.0
-    fact = 1.0
-    power = np.ones_like(inc)
-    for j in range(1, m + 1):
-        fact *= j
-        power = power * inc
-        comp += float(np.sum(fn.derivs[j - 1](left) * power)) / fact
-    gap = _taylor_gap(fn, left[nonzero], right[nonzero], m)
-    mag = np.abs(inc[nonzero]) ** p
-    g_vals = gap / mag
-    kernel_sum = float(np.sum(g_vals * mag))
+    _, vals = partition_values(path, partition, t)
+    inc = np.diff(vals)
+    f_vals = fn.fn(vals)
+    lhs = float(f_vals[-1] - f_vals[0])
+    gap = np.diff(f_vals)
+    del f_vals
+    comp, gap = _taylor_terms((d(vals[:-1]) for d in fn.derivs[:m]), inc, gap)
+    kernel_sum, n_zero = _kernel_sum(gap, np.abs(inc), p)
     return ItoReport(
         value_change=lhs,
         compensated=comp,
         kernel_sum=kernel_sum,
         n_increments=int(inc.size),
-        n_zero_increments=int(inc.size - np.count_nonzero(nonzero)),
+        n_zero_increments=n_zero,
     )
 
 
@@ -289,16 +298,15 @@ def ito_check_time(
     m = int(math.floor(p))
     if len(bundle.dx) < m:
         raise InsufficientDerivativesError(f"need {m} space derivatives, got {len(bundle.dx)}")
-    times = partition.times if t is None else np.minimum(partition.times, t)
-    vals = path.value_at(times)
+    times, vals = partition_values(path, partition, t)
     t_l, t_r = times[:-1], times[1:]
     s_l, s_r = vals[:-1], vals[1:]
     inc = s_r - s_l
-
-    lhs = float(bundle.fn(times[-1:], vals[-1:]).item() - bundle.fn(times[:1], vals[:1]).item())
+    f_knots = bundle.fn(times, vals)
+    f_cross = bundle.fn(t_l, s_r)
 
     # time part: exact differences, frozen at the right-endpoint value
-    time_exact = float(np.sum(bundle.fn(t_r, s_r) - bundle.fn(t_l, s_r)))
+    time_exact = float(np.sum(f_knots[1:] - f_cross))
     half = 0.5 * (t_r - t_l)
     mid = 0.5 * (t_r + t_l)
     time_gl = 0.0
@@ -306,29 +314,16 @@ def ito_check_time(
         time_gl += float(np.sum(weight * half * bundle.dt(mid + node * half, s_r)))
 
     # space part at the left-endpoint time
-    comp = 0.0
-    fact = 1.0
-    power = np.ones_like(inc)
-    for j in range(1, m + 1):
-        fact *= j
-        power = power * inc
-        comp += float(np.sum(bundle.dx[j - 1](t_l, s_l) * power)) / fact
-    space_gap = bundle.fn(t_l, s_r) - bundle.fn(t_l, s_l)
-    fact = 1.0
-    power = np.ones_like(inc)
-    for j in range(1, m + 1):
-        fact *= j
-        power = power * inc
-        space_gap = space_gap - bundle.dx[j - 1](t_l, s_l) * power / fact
-    nonzero = inc != 0.0
-    mag = np.abs(inc[nonzero]) ** p
-    kernel_sum = float(np.sum((space_gap[nonzero] / mag) * mag))
+    comp, space_gap = _taylor_terms(
+        (d(t_l, s_l) for d in bundle.dx[:m]), inc, f_cross - f_knots[:-1]
+    )
+    kernel_sum, n_zero = _kernel_sum(space_gap, np.abs(inc), p)
     return ItoReport(
-        value_change=lhs,
+        value_change=float(f_knots[-1] - f_knots[0]),
         compensated=comp,
         kernel_sum=kernel_sum,
         n_increments=int(inc.size),
-        n_zero_increments=int(inc.size - np.count_nonzero(nonzero)),
+        n_zero_increments=n_zero,
         time_integral=time_exact,
         time_quadrature_gap=abs(time_exact - time_gl),
     )
@@ -366,7 +361,7 @@ def ito_check_multi(
     for other in paths[1:]:
         if not np.array_equal(other.times, base):
             raise InvalidParameterError("component paths must share their time grid")
-    vals = np.stack([_clipped_values(q, partition, t) for q in paths], axis=1)  # (N+1, d)
+    vals = np.stack([partition_values(q, partition, t)[1] for q in paths], axis=1)  # (N+1, d)
     left = vals[:-1]
     inc = np.diff(vals, axis=0)  # (N, d)
     lhs = float(bundle.fn(vals[-1:]).item() - bundle.fn(vals[:1]).item())
@@ -380,15 +375,13 @@ def ito_check_multi(
     comp = float(np.sum(comp_terms))
     gap = bundle.fn(vals[1:]) - bundle.fn(left) - comp_terms
     norms = np.sqrt(np.einsum("nd,nd->n", inc, inc))
-    nonzero = norms != 0.0
-    mag = norms[nonzero] ** p
-    kernel_sum = float(np.sum((gap[nonzero] / mag) * mag))
+    kernel_sum, n_zero = _kernel_sum(gap, norms, p)
     return ItoReport(
         value_change=lhs,
         compensated=comp,
         kernel_sum=kernel_sum,
         n_increments=int(norms.size),
-        n_zero_increments=int(norms.size - np.count_nonzero(nonzero)),
+        n_zero_increments=n_zero,
     )
 
 
@@ -427,8 +420,7 @@ def quotient_measure(
     """
     if p <= 0.0:
         raise InvalidParameterError(f"p must be positive, got {p}")
-    times = partition.times if t is None else np.minimum(partition.times, t)
-    vals = path.value_at(times)
+    times, vals = partition_values(path, partition, t)
     left, right = vals[:-1], vals[1:]
     inc = right - left
     nonzero = inc != 0.0

@@ -22,6 +22,7 @@ __all__ = [
     "value_grid_partition",
     "cantor_value_grid",
     "osc",
+    "partition_values",
 ]
 
 
@@ -205,16 +206,38 @@ def cantor_value_grid(
 
 
 # --------------------------------------------------------------------------- #
-# oscillation
+# values along a partition, oscillation
 # --------------------------------------------------------------------------- #
+
+
+def _require_within(path: SampledPath, partition: Partition) -> None:
+    # past its last knot the interpolant is a constant extension, not the path
+    if partition.horizon > path.horizon + 1e-12:
+        raise InvalidParameterError(f"partition runs past the path horizon {path.horizon!r}")
+
+
+def partition_values(
+    path: SampledPath,
+    partition: Partition,
+    t: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(times, path values) along the partition, every time clipped at the
+    stop time ``t`` when given; the one entry point of all sums along a
+    partition. Rejects t < 0 and a partition that runs past the path."""
+    _require_within(path, partition)
+    times = partition.times
+    if t is not None:
+        if t < 0.0:
+            raise InvalidParameterError(f"stop time t must be nonnegative, got {t!r}")
+        times = np.minimum(times, t)
+    return times, path.value_at(times)
 
 
 def osc(path: SampledPath, partition: Partition) -> float:
     """Largest oscillation (max minus min of the path) over any single
     partition interval; the quantity that must vanish along a partition
     sequence for variation limits to be meaningful."""
-    if partition.horizon > path.horizon + 1e-12:
-        raise InvalidParameterError("partition extends past the path horizon")
+    _require_within(path, partition)
     grid = np.union1d(path.times, partition.times)
     vals = path.value_at(grid)
     starts = np.searchsorted(grid, partition.times)

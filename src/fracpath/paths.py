@@ -65,8 +65,11 @@ class SampledPath:
             raise InvalidParameterError("a sampled path needs at least two points")
         if times[0] != 0.0:
             raise InvalidParameterError("sampled paths start at time 0")
-        if np.any(np.diff(times) <= 0.0):
-            raise InvalidParameterError("times must be strictly increasing")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InvalidParameterError(f"value at index {bad[0]} is not finite ({values[bad[0]]})")
+        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0):
+            raise InvalidParameterError("times must be finite and strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -75,15 +78,10 @@ class SampledPath:
         return float(self.times[-1])
 
     def value_at(self, ts) -> np.ndarray:
-        """Evaluate the interpolant; exact (no arithmetic) at stored knots."""
-        ts = np.asarray(ts, dtype=float)
-        out = np.interp(ts, self.times, self.values)
-        idx = np.searchsorted(self.times, ts)
-        idx = np.minimum(idx, self.times.size - 1)
-        hit = self.times[idx] == ts
-        if np.any(hit):
-            out = np.where(hit, self.values[idx], out)
-        return out
+        """Evaluate the interpolant; exact (no arithmetic) at stored knots:
+        ``np.interp`` answers a query equal to a knot, the last one included,
+        with the stored value itself rather than ``slope * 0 + value``."""
+        return np.interp(np.asarray(ts, dtype=float), self.times, self.values)
 
 
 @dataclass(frozen=True)

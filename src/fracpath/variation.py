@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidPhiError
-from .partitions import Partition
+from .partitions import Partition, partition_values
 from .paths import SampledPath
 
 __all__ = [
@@ -28,15 +28,6 @@ __all__ = [
 ]
 
 
-def _clipped_values(path: SampledPath, partition: Partition, t: float | None) -> np.ndarray:
-    times = partition.times
-    if t is not None:
-        if t < 0.0:
-            raise InvalidParameterError("t must be nonnegative")
-        times = np.minimum(times, t)
-    return path.value_at(times)
-
-
 def phi_variation_partial(
     path: SampledPath,
     partition: Partition,
@@ -44,7 +35,7 @@ def phi_variation_partial(
     t: float | None = None,
 ) -> float:
     """sum_i phi(|S(min(t, t_{i+1})) - S(min(t, t_i))|) along the partition."""
-    vals = _clipped_values(path, partition, t)
+    _, vals = partition_values(path, partition, t)
     inc = np.abs(np.diff(vals))
     out = phi(inc)
     if np.any(out < 0.0) or not np.all(np.isfinite(out)):
@@ -78,8 +69,7 @@ def variation_table(
     if p <= 0.0:
         raise InvalidParameterError(f"p must be positive, got {p}")
     ts = np.asarray(ts, dtype=float)
-    grid = partition.times
-    vals = path.value_at(grid)
+    grid, vals = partition_values(path, partition)
     c = np.abs(np.diff(vals)) ** p
     csum = np.concatenate([[0.0], np.cumsum(c)])
     idx = np.searchsorted(grid, ts, side="right") - 1
@@ -96,7 +86,7 @@ def max_increment_share(path: SampledPath, partition: Partition, p: float) -> fl
     A sanity diagnostic: along an adequate partition sequence this must go to
     zero, otherwise one jump dominates and the 'limit' is an artifact.
     """
-    vals = path.value_at(partition.times)
+    _, vals = partition_values(path, partition)
     c = np.abs(np.diff(vals)) ** p
     total = float(np.sum(c))
     if total == 0.0:
@@ -179,7 +169,7 @@ def occupation_mass(
     """
     if eps <= 0.0:
         raise InvalidParameterError("eps must be positive")
-    vals = path.value_at(partition.times)
+    _, vals = partition_values(path, partition)
     left = vals[:-1]
     c = np.abs(np.diff(vals)) ** p
     out: dict[float, float] = {}

@@ -85,6 +85,37 @@ def test_ito_check_rejects_small_p(cantor8):
         ito_check(abs_power(P), path, part, 1.0)
 
 
+def test_negative_stop_time_rejected(hand_path):
+    part = Partition(hand_path.times)
+    fn = abs_power(P)
+    calls = (
+        lambda: ito_check(fn, hand_path, part, P, t=-1.0),
+        lambda: ito_check_time(moving_abs_power(P), hand_path, part, P, t=-1.0),
+        lambda: compensated_sum(fn, hand_path, part, 2, t=-1.0),
+        lambda: quotient_measure(hand_path, part, P, t=-1.0),
+        lambda: pth_variation_partial(hand_path, part, P, t=-1.0),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            call()
+
+
+def test_partition_past_path_horizon_rejected(hand_path):
+    # past its last knot the path would be read as a constant extension
+    part = badic(2.0, 4)
+    fn = abs_power(P)
+    calls = (
+        lambda: ito_check(fn, hand_path, part, P),
+        lambda: ito_check_time(moving_abs_power(P), hand_path, part, P),
+        lambda: compensated_sum(fn, hand_path, part, 2),
+        lambda: quotient_measure(hand_path, part, P),
+        lambda: pth_variation_partial(hand_path, part, P),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="past the path horizon"):
+            call()
+
+
 # --------------------------------------------------------------------------- #
 # remainder kernel
 # --------------------------------------------------------------------------- #

@@ -45,6 +45,14 @@ def test_sampled_path_validation():
         SampledPath(np.array([0.0]), np.zeros(1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sampled_path_rejects_non_finite(bad):
+    with pytest.raises(InvalidParameterError, match="value at index 2 is not finite"):
+        SampledPath(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.1, bad, 0.3, bad]))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        SampledPath(np.array([0.0, bad, 1.0]), np.zeros(3))
+
+
 def test_analytic_custom_and_sample():
     ap = AnalyticPath.custom(lambda t: t**2, horizon=2.0)
     grid = np.linspace(0.0, 2.0, 9)
