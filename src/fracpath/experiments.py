@@ -21,7 +21,7 @@ from .follmer import (
     kernel_profile,
     quotient_measure,
 )
-from .partitions import Partition, badic, cantor_value_grid
+from .partitions import Partition, _cantor_pattern, badic, cantor_value_grid
 from .paths import GaussianPathSpec, SampledPath, bump_count, fbm_path
 from .registry import abs_power
 from .variation import cantor_function, pth_variation_partial, variation_table
@@ -80,10 +80,34 @@ def cantor_compensated_formula(p: float, n: int, k_n: int) -> float:
 
 
 def cantor_stage(p: float, n: int, rounding: str = "floor") -> CantorStage:
-    path, part, k_n = cantor_value_grid(p, n, rounding)
+    """Stage-n numbers for the Cantor-distance path along its crossing grid
+    (see ``partitions.cantor_value_grid``), reduced level by level.
+
+    That grid is one block of 2 k_n increments per removed interval, the
+    blocks joined by 2**n zero increments. The 2**(i-1) intervals removed at
+    level i carry the same values, so one representative block per level --
+    times ``3**-i * frac_all`` from 0, values ``2**(-i/p) / k_n *
+    val_pattern`` -- goes through ``ito_check`` and
+    ``pth_variation_partial`` and counts 2**(i-1) times. Its increments are
+    the same floats as in the full grid and the zero increments add exactly
+    0, so only the order of summation differs from the materialized sums.
+    Cost and memory grow with n * k_n instead of 2**n * k_n.
+    """
+    k_n, frac_all, val_pattern = _cantor_pattern(p, n, rounding, n_gaps=1)
     fn = abs_power(p)
-    report = ito_check(fn, path, part, p)
-    total = pth_variation_partial(path, part, p)
+    value_change = compensated = kernel_sum = total = 0.0
+    n_increments = 1 << n  # the zero increments joining the blocks
+    for i in range(1, n + 1):
+        times = 3.0 ** (-i) * frac_all
+        path = SampledPath(times, 2.0 ** (-i / p) / k_n * val_pattern)
+        part = Partition(times)
+        report = ito_check(fn, path, part, p)
+        weight = 2.0 ** (i - 1)
+        value_change += weight * report.value_change
+        compensated += weight * report.compensated
+        kernel_sum += weight * report.kernel_sum
+        total += weight * pth_variation_partial(path, part, p)
+        n_increments += (1 << (i - 1)) * report.n_increments
     lower = 1.0
     upper = (1.0 - n ** (1.0 / (1.0 - p))) ** (1.0 - p) if k_n > 1 else math.inf
     return CantorStage(
@@ -92,11 +116,11 @@ def cantor_stage(p: float, n: int, rounding: str = "floor") -> CantorStage:
         total_variation=total,
         lower_bound=lower,
         upper_bound=upper,
-        compensated=report.compensated,
+        compensated=compensated,
         compensated_formula=cantor_compensated_formula(p, n, k_n),
-        kernel_sum=report.kernel_sum,
-        identity_residual=report.identity_residual,
-        n_increments=report.n_increments,
+        kernel_sum=kernel_sum,
+        identity_residual=value_change - compensated - kernel_sum,
+        n_increments=n_increments,
     )
 
 

@@ -36,6 +36,9 @@ class Partition:
         times = np.ascontiguousarray(self.times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise InvalidParameterError("a partition needs at least two points")
+        bad = np.flatnonzero(~np.isfinite(times))
+        if bad.size:
+            raise InvalidParameterError(f"time at index {bad[0]} is not finite ({times[bad[0]]})")
         if times[0] != 0.0:
             raise InvalidParameterError("partitions start at time 0")
         if np.any(np.diff(times) <= 0.0):
@@ -146,6 +149,52 @@ def value_grid_partition(
 # --------------------------------------------------------------------------- #
 
 
+# stage-n grids hold (2**n - 1) * (2 * k_n + 1) + 2 knots; 2**25 admits stage
+# 21 at p = 2.5 (31.5M knots, about 0.5 GB for times and values)
+_MAX_CANTOR_KNOTS = 2**25
+
+
+def _cantor_pattern(
+    p: float, n: int, rounding: str, n_gaps: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(k_n, frac_all, val_pattern): the crossing pattern that every interval
+    removed up to stage n carries, with ``k_n = n**(1/(p-1))`` rounded down
+    (rounding="floor") or to the nearest integer (rounding="nearest").
+
+    ``frac_all`` holds the 2 k_n + 1 crossing times as fractions of the
+    interval, ``val_pattern`` the values 0, 1, .., k_n, .., 1, 0 in units of
+    the level's value step. Refuses, before building anything, when
+    ``n_gaps`` such blocks between the end knots 0 and 1 would exceed
+    ``_MAX_CANTOR_KNOTS`` knots.
+    """
+    if p <= 1.0:
+        raise InvalidParameterError(f"p must exceed 1, got {p}")
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
+    raw = n ** (1.0 / (p - 1.0))
+    if rounding == "floor":
+        k_n = int(math.floor(raw + 1e-9))
+    elif rounding == "nearest":
+        k_n = int(round(raw))
+    else:
+        raise InvalidParameterError(f"unknown rounding {rounding!r}")
+    k_n = max(k_n, 1)
+    n_knots = n_gaps * (2 * k_n + 1) + 2
+    if n_knots > _MAX_CANTOR_KNOTS:
+        raise InvalidParameterError(
+            f"stage {n} at p={p}: {n_knots} knots exceed the limit of {_MAX_CANTOR_KNOTS}"
+        )
+
+    q = LN2_OVER_LN3 / p
+    ks = np.arange(k_n + 1, dtype=float)
+    s_frac = (ks / k_n) ** (1.0 / q) / 2.0  # crossing offsets on the rising half
+    frac_all = np.concatenate([s_frac, 1.0 - s_frac[:-1][::-1]])
+    val_pattern = np.concatenate(
+        [np.arange(k_n + 1, dtype=float), np.arange(k_n - 1, -1, -1, dtype=float)]
+    )
+    return k_n, frac_all, val_pattern
+
+
 def cantor_value_grid(
     p: float,
     n: int,
@@ -163,44 +212,31 @@ def cantor_value_grid(
     ``k_n`` is ``n**(1/(p-1))`` rounded down (rounding="floor") or to the
     nearest integer (rounding="nearest").
 
+    The grid is 0, one block of 2 k_n + 1 knots per removed interval, then 1.
+    The blocks are scattered straight into their sorted rows, no sort needed:
+    the interval at sorted position r (1-based, r < 2**n) was removed at level
+    n - v2(r), v2(r) being the number of times 2 divides r, so the
+    2**(i-1) intervals of level i, left to right, fill rows
+    (2j+1) 2**(n-i) - 1. The whole grid is refused when it would hold more
+    than 2**25 knots; ``experiments.cantor_stage`` needs one block per level
+    only and reaches far deeper stages.
+
     Returns (path, partition, k_n); the partition times are the path knots.
     """
-    if p <= 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    raw = n ** (1.0 / (p - 1.0))
-    if rounding == "floor":
-        k_n = int(math.floor(raw + 1e-9))
-    elif rounding == "nearest":
-        k_n = int(round(raw))
-    else:
-        raise InvalidParameterError(f"unknown rounding {rounding!r}")
-    k_n = max(k_n, 1)
-
-    q = LN2_OVER_LN3 / p
-    ks = np.arange(k_n + 1, dtype=float)
-    s_frac = (ks / k_n) ** (1.0 / q) / 2.0  # crossing offsets on the rising half
-    frac_all = np.concatenate([s_frac, 1.0 - s_frac[:-1][::-1]])
-    val_pattern = np.concatenate(
-        [np.arange(k_n + 1, dtype=float), np.arange(k_n - 1, -1, -1, dtype=float)]
-    )
-
-    all_t = [np.array([0.0]), np.array([1.0])]
-    all_v = [np.array([0.0]), np.array([0.0])]
+    n_gaps = (1 << max(n, 1)) - 1
+    k_n, frac_all, val_pattern = _cantor_pattern(p, n, rounding, n_gaps=n_gaps)
+    width = frac_all.size
+    t = np.empty(n_gaps * width + 2)
+    v = np.zeros_like(t)
+    t[0], t[-1] = 0.0, 1.0
+    t_rows = t[1:-1].reshape(n_gaps, width)
+    v_rows = v[1:-1].reshape(n_gaps, width)
     for i in range(1, n + 1):
-        lefts = cantor_gap_lefts(i)
+        rows = (2 * np.arange(1 << (i - 1)) + 1) * (1 << (n - i)) - 1
         glen = 3.0 ** (-i)
         delta = 2.0 ** (-i / p) / k_n
-        times_i = (lefts[:, None] + glen * frac_all[None, :]).ravel()
-        vals_i = np.tile(delta * val_pattern, lefts.size)
-        all_t.append(times_i)
-        all_v.append(vals_i)
-    t = np.concatenate(all_t)
-    v = np.concatenate(all_v)
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    v = v[order]
+        t_rows[rows] = cantor_gap_lefts(i)[:, None] + glen * frac_all[None, :]
+        v_rows[rows] = delta * val_pattern
     path = SampledPath(t, v)
     return path, Partition(t.copy()), k_n
 

@@ -1,0 +1,79 @@
+"""Level-reduced Cantor stages against the materialized crossing grid."""
+
+import numpy as np
+import pytest
+
+from fracpath.experiments import cantor_compensated_formula, cantor_stage
+from fracpath.follmer import ito_check
+from fracpath.partitions import cantor_value_grid
+from fracpath.paths import LN2_OVER_LN3, cantor_gap_lefts
+from fracpath.registry import abs_power
+from fracpath.variation import pth_variation_partial
+
+P = 2.5
+EPS = float(np.finfo(float).eps)
+
+
+def argsort_grid(p, n, k_n):
+    """The stage-n grid built the direct way: every level's blocks appended,
+    then one stable argsort of all knot times."""
+    q = LN2_OVER_LN3 / p
+    ks = np.arange(k_n + 1, dtype=float)
+    s_frac = (ks / k_n) ** (1.0 / q) / 2.0
+    frac_all = np.concatenate([s_frac, 1.0 - s_frac[:-1][::-1]])
+    val_pattern = np.concatenate(
+        [np.arange(k_n + 1, dtype=float), np.arange(k_n - 1, -1, -1, dtype=float)]
+    )
+    all_t = [np.array([0.0]), np.array([1.0])]
+    all_v = [np.array([0.0]), np.array([0.0])]
+    for i in range(1, n + 1):
+        lefts = cantor_gap_lefts(i)
+        delta = 2.0 ** (-i / p) / k_n
+        all_t.append((lefts[:, None] + 3.0 ** (-i) * frac_all[None, :]).ravel())
+        all_v.append(np.tile(delta * val_pattern, lefts.size))
+    t = np.concatenate(all_t)
+    v = np.concatenate(all_v)
+    order = np.argsort(t, kind="stable")
+    return t[order], v[order]
+
+
+@pytest.mark.parametrize("rounding", ["floor", "nearest"])
+@pytest.mark.parametrize("p", [P, 1.5])
+def test_cantor_value_grid_matches_argsort_construction(p, rounding):
+    for n in range(1, 13):
+        path, part, k_n = cantor_value_grid(p, n, rounding)
+        t, v = argsort_grid(p, n, k_n)
+        assert np.array_equal(path.times, t), f"times differ at n={n}"
+        assert np.array_equal(path.values, v), f"values differ at n={n}"
+        assert np.array_equal(part.times, t)
+
+
+@pytest.mark.parametrize("rounding", ["floor", "nearest"])
+def test_cantor_stage_matches_materialized_grid(rounding):
+    fn = abs_power(P)
+    for n in range(1, 17):
+        stage = cantor_stage(P, n, rounding)
+        path, part, k_n = cantor_value_grid(P, n, rounding)
+        rep = ito_check(fn, path, part, P)
+        total = pth_variation_partial(path, part, P)
+        assert stage.k_n == k_n
+        assert stage.n_increments == rep.n_increments
+        assert stage.total_variation == pytest.approx(total, rel=1e-12, abs=0.0)
+        assert stage.compensated == pytest.approx(rep.compensated, rel=0.0, abs=1e-13)
+        assert stage.kernel_sum == pytest.approx(rep.kernel_sum, rel=0.0, abs=1e-13)
+        limit = stage.n_increments * EPS * max(1.0, abs(stage.compensated))
+        assert abs(stage.identity_residual) <= limit
+
+
+def test_cantor_stage_83_crosses_the_criterion_level():
+    # the first stage with |L^n| < 0.02 at p = 2.5; its full grid would hold
+    # 2^83 - 1 blocks, the level reduction needs 83 blocks of 39 knots
+    stage = cantor_stage(P, 83)
+    assert stage.k_n == 19
+    assert stage.n_increments == 1 + (2**83 - 1) * (2 * 19 + 1)
+    assert abs(stage.compensated) < 0.02
+    formula = cantor_compensated_formula(P, 83, 19)
+    assert stage.compensated_formula == formula
+    assert stage.compensated == pytest.approx(formula, rel=1e-9)
+    assert stage.total_variation == pytest.approx(83 * 19.0 ** (1.0 - P), rel=1e-12)
+    assert abs(stage.identity_residual) < 1e-13

@@ -2,6 +2,7 @@
 partitions, and the closed-form Cantor crossing grid."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,15 @@ def test_partition_validation():
         Partition(np.array([0.1, 1.0]))
     with pytest.raises(InvalidParameterError):
         Partition(np.array([0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_partition_rejects_non_finite_times(bad):
+    # NaN passes the ordering comparisons and leaves a NaN horizon behind
+    with pytest.raises(InvalidParameterError, match="index 2 is not finite"):
+        Partition(np.array([0.0, 0.5, bad]))
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        Partition(np.array([bad, 0.5, 1.0]))
 
 
 def test_badic_shape_and_nesting():
@@ -87,6 +97,22 @@ def test_cantor_value_grid_rounding_modes():
         cantor_value_grid(2.5, 4, "up")
     with pytest.raises(InvalidParameterError):
         cantor_value_grid(0.9, 4)
+
+
+def test_cantor_value_grid_refuses_oversized_stages():
+    # p = 1.5, n = 20: k_n = 400, (2^20 - 1) * 801 + 2 knots, 13 GB of times and values
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="839908577 knots"):
+            cantor_value_grid(1.5, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(InvalidParameterError, match="62914547 knots"):
+        cantor_value_grid(2.5, 22)
+    path, _, k_n = cantor_value_grid(2.5, 1)
+    assert path.times.size == 2 * k_n + 3
 
 
 def test_cantor_value_grid_exact_totals():
