@@ -1,8 +1,9 @@
 """Fixed-order Gauss-Legendre panels with doubling until relative stabilization.
 
-All weakly singular integrals in this package are first transformed so the
-integrand is bounded (power substitutions at the singular endpoint), then fed
-to :func:`gl_adaptive`.
+All weakly singular or kinked integrals in this package are first split at
+their singular points and transformed so the integrand is bounded and smooth
+enough for the panels (power substitutions anchored at a singular point on or
+beyond a piece end, :func:`integrate_piece`), then fed to :func:`gl_adaptive`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["gl_adaptive", "left_power_substitution", "right_power_substitution"]
+__all__ = ["gl_adaptive", "integrate_piece", "power_substitution"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -52,35 +53,45 @@ def gl_adaptive(
     )
 
 
-def right_power_substitution(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, beta: float
+def power_substitution(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, beta: float, at: float
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float, float]:
-    """Transform ``\\int_lo^hi f(t) dt`` where ``f ~ (hi - t)**(beta - 1)``
-    near ``hi`` (0 < beta <= 1 integrable, beta may exceed 1 for mere kinks).
+    """Transform ``\\int_lo^hi f(t) dt`` where ``f ~ |t - at|**(beta - 1)``
+    near a point ``at <= lo`` or ``at >= hi`` (0 < beta <= 1 integrable, beta
+    may exceed 1 for mere kinks; beta < 1 also grades the panels toward ``at``).
 
-    Substitutes ``u = (hi - t)**beta`` so the image integrand is bounded.
-    Returns (g, 0, (hi - lo)**beta) with ``\\int g du`` equal to the original.
+    Substitutes ``u = |t - at|**beta`` so the image integrand is bounded.
+    Returns (g, u0, u1) with ``\\int_u0^u1 g du`` equal to the original.
     """
     inv = 1.0 / beta
+    side, near, far = (1.0, lo, hi) if at <= lo else (-1.0, hi, lo)
 
     def g(u: np.ndarray) -> np.ndarray:
         u = np.maximum(u, 1e-300)
-        t = hi - u**inv
-        return f(t) * (inv * u ** (inv - 1.0))
+        return f(at + side * u**inv) * (inv * u ** (inv - 1.0))
 
-    return g, 0.0, (hi - lo) ** beta
+    return g, abs(near - at) ** beta, abs(far - at) ** beta
 
 
-def left_power_substitution(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, beta: float
-) -> tuple[Callable[[np.ndarray], np.ndarray], float, float]:
-    """Same as :func:`right_power_substitution` for ``f ~ (t - lo)**(beta-1)``
-    near ``lo``: substitutes ``u = (t - lo)**beta``."""
-    inv = 1.0 / beta
-
-    def g(u: np.ndarray) -> np.ndarray:
-        u = np.maximum(u, 1e-300)
-        t = lo + u**inv
-        return f(t) * (inv * u ** (inv - 1.0))
-
-    return g, 0.0, (hi - lo) ** beta
+def integrate_piece(
+    g: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    rtol: float,
+    left: tuple[float, float] | None = None,
+    right: tuple[float, float] | None = None,
+) -> float:
+    """Integrate g over [lo, hi]. ``left`` / ``right`` = (beta, at) mark
+    g ~ |t - at|**(beta - 1) at a point ``at`` on or beyond that end, handled
+    by :func:`power_substitution`; None means the end is regular."""
+    if hi <= lo:
+        return 0.0
+    if left is not None and right is not None:
+        mid = 0.5 * (lo + hi)
+        return integrate_piece(g, lo, mid, rtol, left=left) + integrate_piece(
+            g, mid, hi, rtol, right=right
+        )
+    mark = left or right
+    if mark is not None:
+        g, lo, hi = power_substitution(g, lo, hi, *mark)
+    return gl_adaptive(g, lo, hi, rtol=rtol)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 
+from ._quad import integrate_piece
 from .errors import (
     InsufficientDerivativesError,
     InvalidBundleError,
@@ -137,9 +137,13 @@ def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
         G(a, b) = (1 / ((m-1)! |b-a|^p)) *
                   integral_a^b (f^(m)(x) - f^(m)(a)) (b-x)^(m-1) dx.
 
-    Computed through the integral form (declared kinks become quadrature
-    break points); the Taylor-difference form of the same quantity is what
-    the vectorized check routines use, so the two can be cross-validated.
+    Computed through the integral form by Gauss-Legendre panels to rtol
+    1e-12: declared kinks inside [a, b] are break points, and a piece end on
+    or near a kink k is integrated in t = k +- u**4, which makes c + |t-k|**s
+    smooth enough for the panels. Declare every kink on ``fn``: an undeclared
+    one leaves the panels unsettled and raises QuadratureError. The
+    vectorized check routines use the Taylor-difference form of the same
+    quantity, so the two can be cross-validated.
 
     At a == b the kernel is 0 when f is smoother than order p there, and has
     no finite value when a sits on a kink of exponent <= p.
@@ -155,17 +159,23 @@ def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
                     f"kernel diverges on the diagonal at {a!r} (kink exponent {expo})"
                 )
         return 0.0
-    fm = fn.derivs[m - 1] if m >= 1 else fn.fn
+    fm = fn.derivs[m - 1]
     fma = float(fm(np.asarray(a, dtype=float)))
 
     def integrand(x):
-        return (float(fm(np.asarray(x, dtype=float))) - fma) * (b - x) ** (m - 1)
+        return (fm(x) - fma) * (b - x) ** (m - 1)
 
     lo, hi = (a, b) if a < b else (b, a)
-    pts = sorted({k for k, _ in fn.kinks if lo < k < hi})
-    val, _err = _sci_integrate.quad(
-        integrand, lo, hi, points=pts or None, limit=200, epsabs=1e-14, epsrel=1e-11
-    )
+    kinks = [k for k, _ in fn.kinks]
+    edges = sorted({lo, hi, *(k for k in kinks if lo < k < hi)})
+    val = 0.0
+    for x0, x1 in zip(edges[:-1], edges[1:]):
+        # grade each end toward the nearest kink on it or within one piece
+        # length beyond it; a farther kink leaves the end smooth
+        span = x1 - x0
+        left = max(((0.25, k) for k in kinks if x0 - span < k <= x0), default=None)
+        right = min(((0.25, k) for k in kinks if x1 <= k < x1 + span), default=None)
+        val += integrate_piece(integrand, x0, x1, 1e-12, left, right)
     if a > b:
         val = -val
     return val / (math.factorial(m - 1) * abs(b - a) ** p)

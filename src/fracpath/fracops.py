@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quad import gl_adaptive, left_power_substitution, right_power_substitution
+from ._quad import gl_adaptive, integrate_piece
 from .errors import (
     InsufficientDerivativesError,
     InvalidParameterError,
@@ -64,8 +64,10 @@ class SmoothFn:
 
     ``derivs[k]`` is the (k+1)-th derivative. ``kinks`` lists points where the
     function behaves like c * |x - loc|**exponent plus something smoother;
-    integral operators split there. Derivatives beyond the supplied ones fall
-    back to central differences (one level of which is usable, more is not).
+    integral operators split there. Declare every kink: the quadrature does
+    not search for undeclared ones, and an integrand too rough for its panels
+    raises QuadratureError. Derivatives beyond the supplied ones fall back to
+    central differences (one level of which is usable, more is not).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -95,37 +97,6 @@ class SmoothFn:
 
 def _as_smooth(fn) -> SmoothFn:
     return fn if isinstance(fn, SmoothFn) else SmoothFn(fn=fn)
-
-
-# --------------------------------------------------------------------------- #
-# piecewise integration with one-sided power substitutions
-# --------------------------------------------------------------------------- #
-
-
-def _integrate_piece(
-    g: Callable,
-    lo: float,
-    hi: float,
-    left_beta: float | None,
-    right_beta: float | None,
-    rtol: float,
-) -> float:
-    """Integrate g over [lo, hi] where g ~ (t-lo)**(left_beta-1) at lo and/or
-    ~ (hi-t)**(right_beta-1) at hi (None means the end is regular)."""
-    if hi <= lo:
-        return 0.0
-    if left_beta is not None and right_beta is not None:
-        mid = 0.5 * (lo + hi)
-        return _integrate_piece(g, lo, mid, left_beta, None, rtol) + _integrate_piece(
-            g, mid, hi, None, right_beta, rtol
-        )
-    if left_beta is not None:
-        gg, u0, u1 = left_power_substitution(g, lo, hi, left_beta)
-        return gl_adaptive(gg, u0, u1, rtol=rtol)
-    if right_beta is not None:
-        gg, u0, u1 = right_power_substitution(g, lo, hi, right_beta)
-        return gl_adaptive(gg, u0, u1, rtol=rtol)
-    return gl_adaptive(g, lo, hi, rtol=rtol)
 
 
 # --------------------------------------------------------------------------- #
@@ -198,9 +169,9 @@ def _caputo_density_route(sm: SmoothFn, order: FracOrder, a: float, x: float, rt
     for lo, hi in zip(edges[:-1], edges[1:]):
         s_lo = strengths.get(lo)
         s_hi = strengths.get(hi)
-        left_beta = None if s_lo is None or s_lo >= 1.0 else s_lo + 1.0
-        right_beta = None if s_hi is None or s_hi >= 1.0 else s_hi + 1.0
-        total += _integrate_piece(g, lo, hi, left_beta, right_beta, rtol)
+        left = None if s_lo is None or s_lo >= 1.0 else (s_lo + 1.0, lo)
+        right = None if s_hi is None or s_hi >= 1.0 else (s_hi + 1.0, hi)
+        total += integrate_piece(g, lo, hi, rtol, left, right)
     return total / math.gamma(2.0 - alpha)
 
 
@@ -295,7 +266,7 @@ def caputo_power(
         s = np.asarray(s, dtype=float)
         return (x - k + s) ** (-alpha) * s ** (q - m - 1.0)
 
-    left_integral = _integrate_piece(g, 0.0, k - a, q - m, None, rtol)
+    left_integral = integrate_piece(g, 0.0, k - a, rtol, left=(q - m, 0.0))
     left_part = sgn * coeff / math.gamma(1.0 - alpha) * left_integral
     return plus_part + left_part
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as _sci_optimize
 
 from .errors import AdmissibilityError, InvalidParameterError, InvalidPhiError, NoLimitError
 from .fracops import SmoothFn, _ratio_limit
@@ -230,8 +229,12 @@ def isometry_check(
 
 
 def phi_inverse(spec: PhiSpec, y: float) -> float:
-    """Inverse of the gauge on its increasing branch, by bracketed root
-    finding; raises when y exceeds the gauge's reachable range."""
+    """Inverse of the gauge on its increasing branch; raises when y exceeds
+    the gauge's reachable range. Grid bisection: 65 gauge values shrink the
+    bracket 64-fold per step, down to a relative width of 8.9e-16 (brentq's
+    rtol; an absolute floor would leave phi(x) off y by ~1e-8 at p_phi < 1).
+    Returns the bracket's upper end: phi(x) >= y, and x is nondecreasing in
+    y up to that width."""
     if y < 0.0:
         raise InvalidPhiError("gauge values are nonnegative")
     if y == 0.0:
@@ -249,10 +252,14 @@ def phi_inverse(spec: PhiSpec, y: float) -> float:
             hi *= 2.0
             if hi > 1e300:
                 raise InvalidPhiError("failed to bracket the gauge inverse")
-    root = _sci_optimize.brentq(
-        lambda x: float(spec(np.asarray(x))) - y, 0.0, hi, xtol=1e-15, rtol=8.9e-16
-    )
-    return float(root)
+    lo = 0.0
+    while hi - lo > 8.9e-16 * hi:
+        xs = np.linspace(lo, hi, 65)
+        i = min(max(int(np.searchsorted(spec(xs), y)), 1), 64)  # phi(xs[i-1]) < y <= phi(xs[i])
+        if xs[i - 1] == lo and xs[i] == hi:
+            break  # subnormal floor: no float lies strictly inside the bracket
+        lo, hi = float(xs[i - 1]), float(xs[i])
+    return hi
 
 
 @dataclass(frozen=True)

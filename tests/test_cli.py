@@ -12,20 +12,31 @@ REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
 
 
-def run_cli(*args, cwd):
+def run_python(*args, cwd):
     # The child runs in ``cwd``, so a relative PYTHONPATH entry such as
     # ``src`` would no longer resolve there; put the absolute source tree first.
     pythonpath = os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", "fracpath.cli", *args],
+        [sys.executable, *args],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
         timeout=600,
     )
+
+
+def run_cli(*args, cwd):
+    return run_python("-m", "fracpath.cli", *args, cwd=cwd)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; a CLI start must not pay for scipy
+    proc = run_python("-c", "import sys, fracpath.cli; print('scipy' in sys.modules)", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_version_flag(tmp_path):

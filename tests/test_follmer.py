@@ -10,6 +10,7 @@ from fracpath.errors import (
     InsufficientDerivativesError,
     InvalidParameterError,
     KernelSingularError,
+    QuadratureError,
 )
 from fracpath.experiments import (
     bump_decomposition,
@@ -33,8 +34,10 @@ from fracpath.follmer import (
     quotient_measure,
     remainder_integral,
     remainder_kernel,
+    taylor_remainder,
     young_bound_check,
 )
+from fracpath.fracops import SmoothFn
 from fracpath.partitions import Partition, badic, value_grid_partition
 from fracpath.paths import SampledPath, cantor_bump_knots
 from fracpath.registry import abs_power, moving_abs_power, polynomial, product_bundle, sin_affine
@@ -73,8 +76,6 @@ def test_compensated_sum_contracts(cantor8):
     assert direct == rep.compensated
     with pytest.raises(InvalidParameterError):
         compensated_sum(fn, path, part, 0)
-    from fracpath.fracops import SmoothFn
-
     with pytest.raises(InsufficientDerivativesError):
         compensated_sum(SmoothFn(fn=np.sin), path, part, 1)
 
@@ -140,6 +141,18 @@ def test_kernel_smooth_and_diagonal():
         remainder_kernel(abs_power(P), P, 0.0, 0.0)
     with pytest.raises(InvalidParameterError):
         remainder_kernel(smooth, 0.9, 0.0, 1.0)
+
+
+def test_kernel_undeclared_kink_fails_loudly():
+    # f'' = c |x|^0.05 is too rough for plain panels; declared, the kink is a
+    # break point with a power substitution, undeclared it must raise
+    declared = abs_power(2.05)
+    bare = SmoothFn(fn=declared.fn, derivs=declared.derivs, kinks=())
+    # |b - a| = 1, so the kernel is the bare Taylor remainder
+    want = float(taylor_remainder(declared, np.array([-0.3]), np.array([0.7]), 2)[0])
+    assert remainder_kernel(declared, 2.05, -0.3, 0.7) == pytest.approx(want, abs=1e-12)
+    with pytest.raises(QuadratureError, match=r"16384 panels on \[-0.3, 0.7\]"):
+        remainder_kernel(bare, 2.05, -0.3, 0.7)
 
 
 def test_kernel_profile_axis_and_methods():

@@ -1,17 +1,27 @@
 """Property-based invariants on random piecewise-linear paths and partitions:
-exact knot lookup, the finite-stage identity at rounding level, and one
-compensated sum behind every check."""
+exact knot lookup, the finite-stage identity at rounding level, one
+compensated sum behind every check, the remainder kernel's two forms and the
+gauge inverse."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracpath.follmer import compensated_sum, ito_check, ito_check_time
+from fracpath.errors import InvalidPhiError
+from fracpath.follmer import (
+    compensated_sum,
+    ito_check,
+    ito_check_time,
+    remainder_kernel,
+    taylor_remainder,
+)
+from fracpath.isometry import PhiSpec, phi_inverse
 from fracpath.partitions import Partition
 from fracpath.paths import SampledPath
-from fracpath.registry import abs_power, moving_abs_power, sin_affine
+from fracpath.registry import abs_power, moving_abs_power, plus_power, sin_affine
 
 EPS = float(np.finfo(float).eps)
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -115,3 +125,64 @@ def test_ito_check_compensated_is_compensated_sum(case, p, t):
     got = ito_check(fn, path, part, p, t=t).compensated
     want = compensated_sum(fn, path, part, m, t=t)
     assert bits(got) == bits(want)
+
+
+@st.composite
+def kinked_kernel_cases(draw):
+    """(m, q, k, a, b): order q in (m + 0.05, m + 0.95), a kink k in (-1, 1)
+    and an interval at least 0.05 long, one of its ends sometimes on k."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    q = draw(st.floats(m + 0.05, m + 0.95))
+    k = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    a = draw(st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True))
+    b = draw(st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True))
+    on_kink = draw(st.sampled_from(["none", "a", "b"]))
+    if on_kink == "a":
+        a = k
+    elif on_kink == "b":
+        b = k
+    assume(abs(b - a) >= 0.05)
+    return m, q, k, a, b
+
+
+@PROPS
+@given(kinked_kernel_cases(), st.sampled_from(["abs", "plus"]))
+def test_remainder_kernel_matches_taylor_difference(case, kind):
+    m, q, k, a, b = case
+    fn = abs_power(q, k) if kind == "abs" else plus_power(q, k)
+    got = remainder_kernel(fn, q, a, b)
+    want = float(taylor_remainder(fn, np.array([a]), np.array([b]), m)[0]) / abs(b - a) ** q
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+gauges = st.one_of(
+    st.floats(0.5, 4.0).map(lambda p: PhiSpec(kind="power", p_phi=p)),
+    st.floats(0.1, 2.0, exclude_min=True, exclude_max=True).map(
+        lambda lp: PhiSpec(kind="log-modulated", p_phi=1.0, log_power=lp)
+    ),
+)
+
+
+def reachable(spec):
+    """Largest gauge value phi_inverse accepts: the value just below the
+    domain cap, or 10 for the unbounded power gauges."""
+    if math.isfinite(spec.domain_hi):
+        return float(spec(np.asarray(spec.domain_hi * (1.0 - 1e-12))))
+    return 10.0
+
+
+@PROPS
+@given(gauges, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_phi_inverse_roundtrips_and_is_monotone(spec, u, v):
+    top = reachable(spec)
+    y1, y2 = sorted((u * top, v * top))
+    x1, x2 = phi_inverse(spec, y1), phi_inverse(spec, y2)
+    assert float(spec(np.asarray(x1))) == pytest.approx(y1, abs=1e-12)
+    assert float(spec(np.asarray(x2))) == pytest.approx(y2, abs=1e-12)
+    # each root is the upper end of a bracket no wider than 8.9e-16 x
+    assert x1 <= x2 + 8.9e-16 * x1
+    with pytest.raises(InvalidPhiError):
+        phi_inverse(spec, -y2 - 1e-300)
+    if math.isfinite(spec.domain_hi):
+        with pytest.raises(InvalidPhiError):
+            phi_inverse(spec, top * (1.0 + 1e-9))
