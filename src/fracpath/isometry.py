@@ -81,6 +81,10 @@ class PhiSpec:
             raise InvalidPhiError(
                 f"input exceeds the gauge domain cap {self.domain_hi!r}; rescale first"
             )
+        return self._formula(x)
+
+    def _formula(self, x: np.ndarray) -> np.ndarray:
+        """The gauge on inputs known to lie in [0, domain_hi), unchecked."""
         if self.kind == "power":
             return x**self.p_phi
         if self.kind == "custom":
@@ -255,7 +259,7 @@ def phi_inverse(spec: PhiSpec, y: float) -> float:
     lo = 0.0
     while hi - lo > 8.9e-16 * hi:
         xs = np.linspace(lo, hi, 65)
-        i = min(max(int(np.searchsorted(spec(xs), y)), 1), 64)  # phi(xs[i-1]) < y <= phi(xs[i])
+        i = min(max(int(np.searchsorted(spec._formula(xs), y)), 1), 64)  # phi(xs[i-1]) < y <= phi(xs[i])
         if xs[i - 1] == lo and xs[i] == hi:
             break  # subnormal floor: no float lies strictly inside the bracket
         lo, hi = float(xs[i - 1]), float(xs[i])

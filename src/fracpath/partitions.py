@@ -74,6 +74,11 @@ def badic(horizon: float, n: int, base: int = 2) -> Partition:
 # value-crossing partitions
 # --------------------------------------------------------------------------- #
 
+# the most knots a grid builder materializes: value-grid crossings, or the
+# (2**n - 1) * (2 * k_n + 1) + 2 knots of a Cantor stage (2**25 admits stage
+# 21 at p = 2.5, 31.5M knots, about 0.5 GB for times and values)
+_MAX_KNOTS = 2**25
+
 
 def value_grid_partition(
     path: SampledPath,
@@ -81,64 +86,50 @@ def value_grid_partition(
     mode: str = "increment",
 ) -> Partition:
     """Times at which a piecewise-linear path crosses a value grid of
-    spacing ``delta``.
+    spacing ``delta``, from one lattice kernel with no Python loop.
 
+    mode="grid": crossings of the absolute levels ``k * delta``.
     mode="increment": successive hitting times of ``last recorded value
-    +- delta`` (the recorded values form a +-delta random walk started at
-    S(0)). mode="grid": crossings of the absolute levels ``k * delta``.
+    +- delta``. The recorded values stay on the lattice ``S(0) + k * delta``,
+    so this is grid mode on that lattice minus each crossing of the level
+    recorded just before it; S(0) itself is level 0 and counts as recorded.
 
-    0 and the horizon are always included. Exact hits at segment endpoints
-    count once; a crossing is only recorded strictly after the previous one.
+    Segment j crosses the levels between floor/ceil of ``(v - base) / delta
+    +- 1e-9`` at ``t[j] + (base + k * delta - v[j]) / slope``, clipped to the
+    segment. 0 and the horizon are always included; exact hits at segment
+    endpoints count once. More than 2**25 crossings are refused before any
+    is built.
     """
-    if delta <= 0.0:
-        raise InvalidParameterError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise InvalidParameterError("delta must be positive and finite")
     if mode not in ("increment", "grid"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    t = path.times
-    v = path.values
+    t, v0, v1 = path.times, path.values[:-1], path.values[1:]
+    base = float(v0[0]) if mode == "increment" else 0.0
     guard = 1e-9
-    chunks = [np.array([0.0])]
+    up = v1 > v0
+    step = np.where(up, 1.0, -1.0)  # rising segments cross k_lo..k_hi, falling k_hi..k_lo
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing v / delta is refused below
+        a0, a1 = (v0 - base) / delta, (v1 - base) / delta
+        first = np.where(up, np.floor(a0 + guard) + 1.0, np.ceil(a0 - guard) - 1.0)
+        last = np.where(up, np.floor(a1 + guard), np.ceil(a1 - guard))
+        count = np.maximum((last - first) * step + 1.0, 0.0)  # 0 on flat segments
+    total = float(count.sum())
+    if not total <= _MAX_KNOTS:  # inf or NaN when v / delta overflows
+        raise InvalidParameterError(
+            f"delta={delta!r} gives {total:.0f} crossings, more than the limit of {_MAX_KNOTS}"
+        )
+    count = count.astype(np.int64)
+    seg = np.repeat(np.arange(count.size), count)
+    rank = np.arange(int(total)) - np.repeat(np.cumsum(count) - count, count)
+    levels = first[seg] + step[seg] * rank
+    t_lo = t[seg]
+    times = t_lo + (base + levels * delta - v0[seg]) / ((v1 - v0) / np.diff(t))[seg]
+    np.clip(times, t_lo, t[seg + 1], out=times)
     if mode == "increment":
-        ref = v[0]
-        for j in range(t.size - 1):
-            v0, v1 = v[j], v[j + 1]
-            if v1 == v0:
-                continue
-            sgn = 1.0 if v1 > v0 else -1.0
-            count = int(math.floor((v1 - ref) * sgn / delta + guard))
-            if count <= 0:
-                continue
-            ks = np.arange(1, count + 1, dtype=float)
-            cross_vals = ref + sgn * delta * ks
-            slope = (v1 - v0) / (t[j + 1] - t[j])
-            times = t[j] + (cross_vals - v0) / slope
-            np.clip(times, t[j], t[j + 1], out=times)
-            chunks.append(times)
-            ref = float(cross_vals[-1])
-    else:
-        for j in range(t.size - 1):
-            v0, v1 = v[j], v[j + 1]
-            if v1 == v0:
-                continue
-            if v1 > v0:
-                k_lo = math.floor(v0 / delta + guard) + 1
-                k_hi = math.floor(v1 / delta + guard)
-            else:
-                k_hi = math.ceil(v0 / delta - guard) - 1
-                k_lo = math.ceil(v1 / delta - guard)
-            if k_hi < k_lo:
-                continue
-            ks = np.arange(k_lo, k_hi + 1, dtype=float)
-            if v1 < v0:
-                ks = ks[::-1]
-            slope = (v1 - v0) / (t[j + 1] - t[j])
-            times = t[j] + (ks * delta - v0) / slope
-            np.clip(times, t[j], t[j + 1], out=times)
-            chunks.append(times)
-    body = np.concatenate(chunks)
-    # drop accidental duplicates from exact endpoint hits, keep strict order
-    keep = np.concatenate([[True], np.diff(body) > 0.0])
-    body = body[keep]
+        times = times[np.diff(levels, prepend=0.0) != 0.0]
+    body = np.concatenate([[0.0], times])
+    body = body[np.concatenate([[True], np.diff(body) > 0.0])]  # endpoint hits count once
     if body[-1] < path.horizon:
         body = np.append(body, path.horizon)
     return Partition(body)
@@ -147,11 +138,6 @@ def value_grid_partition(
 # --------------------------------------------------------------------------- #
 # exact crossing grid for the Cantor-distance path
 # --------------------------------------------------------------------------- #
-
-
-# stage-n grids hold (2**n - 1) * (2 * k_n + 1) + 2 knots; 2**25 admits stage
-# 21 at p = 2.5 (31.5M knots, about 0.5 GB for times and values)
-_MAX_CANTOR_KNOTS = 2**25
 
 
 def _cantor_pattern(
@@ -165,7 +151,7 @@ def _cantor_pattern(
     interval, ``val_pattern`` the values 0, 1, .., k_n, .., 1, 0 in units of
     the level's value step. Refuses, before building anything, when
     ``n_gaps`` such blocks between the end knots 0 and 1 would exceed
-    ``_MAX_CANTOR_KNOTS`` knots.
+    ``_MAX_KNOTS`` knots.
     """
     if p <= 1.0:
         raise InvalidParameterError(f"p must exceed 1, got {p}")
@@ -180,9 +166,9 @@ def _cantor_pattern(
         raise InvalidParameterError(f"unknown rounding {rounding!r}")
     k_n = max(k_n, 1)
     n_knots = n_gaps * (2 * k_n + 1) + 2
-    if n_knots > _MAX_CANTOR_KNOTS:
+    if n_knots > _MAX_KNOTS:
         raise InvalidParameterError(
-            f"stage {n} at p={p}: {n_knots} knots exceed the limit of {_MAX_CANTOR_KNOTS}"
+            f"stage {n} at p={p}: {n_knots} knots exceed the limit of {_MAX_KNOTS}"
         )
 
     q = LN2_OVER_LN3 / p

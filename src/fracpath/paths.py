@@ -10,11 +10,13 @@ Three analytic families are provided:
 * ``takagi_path`` -- Takagi-van der Waerden type series over a b-adic wave.
 
 Gaussian paths (fractional Brownian motion) are sampled by circulant
-embedding (Davies-Harte) with a dense Cholesky fallback.
+embedding (Davies-Harte), whose square-root spectrum is computed once per
+(n, hurst) and reused for every seed, with a dense Cholesky fallback.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
@@ -346,16 +348,24 @@ def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
     return 0.5 * (np.abs(k + 1.0) ** h2 - 2.0 * np.abs(k) ** h2 + np.abs(k - 1.0) ** h2)
 
 
-def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit-spacing fGn of length n via Davies-Harte circulant embedding.
-
-    Returns None-like failure by raising; caller decides on fallback."""
+@functools.lru_cache(maxsize=2)
+def _circulant_sqrt_spectrum(n: int, hurst: float) -> np.ndarray:
+    """Square roots of the 2n circulant eigenvalues that embed the fGn
+    covariance (Davies-Harte), read-only and cached per (n, hurst); a failed
+    nonnegative-definiteness check is not cached and raises on every call."""
     g = _fgn_autocov(n, hurst)
     row = np.concatenate([g, g[-2:0:-1]])  # length 2n
     lam = np.fft.fft(row).real
     if lam.min() < -1e-8 * lam.max():
         raise SamplingInfeasibleError("circulant embedding is not nonnegative definite")
-    lam = np.clip(lam, 0.0, None)
+    root = np.sqrt(np.clip(lam, 0.0, None))
+    root.flags.writeable = False
+    return root
+
+
+def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """Unit-spacing fGn of length n via Davies-Harte circulant embedding."""
+    root = _circulant_sqrt_spectrum(n, hurst)
     z = np.empty(2 * n, dtype=complex)
     z[0] = rng.standard_normal()
     z[n] = rng.standard_normal()
@@ -363,7 +373,7 @@ def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray
     b = rng.standard_normal(n - 1)
     z[1:n] = (a + 1j * b) / math.sqrt(2.0)
     z[n + 1 :] = np.conj(z[n - 1 : 0 : -1])
-    x = np.fft.ifft(np.sqrt(lam) * z) * math.sqrt(2.0 * n)
+    x = np.fft.ifft(root * z) * math.sqrt(2.0 * n)
     return x[:n].real
 
 

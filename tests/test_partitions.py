@@ -9,6 +9,7 @@ import pytest
 
 from fracpath.errors import InvalidParameterError
 from fracpath.partitions import Partition, badic, cantor_value_grid, osc, value_grid_partition
+from fracpath.paths import SampledPath
 from fracpath.variation import pth_variation_partial
 
 
@@ -75,6 +76,36 @@ def test_value_grid_validation(hand_path):
         value_grid_partition(hand_path, -0.1)
     with pytest.raises(InvalidParameterError):
         value_grid_partition(hand_path, 0.1, mode="nope")
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_value_grid_rejects_non_finite_delta(hand_path, delta):
+    # NaN passes `delta <= 0`; inf used to return [0, horizon] silently
+    for mode in ("increment", "grid"):
+        with pytest.raises(InvalidParameterError, match="delta must be positive and finite"):
+            value_grid_partition(hand_path, delta, mode=mode)
+
+
+def test_value_grid_refuses_oversized_crossing_counts():
+    # one segment from 0 to 1 crosses 2^30 levels of a 2^-30 grid; the count
+    # is known before any crossing is built, so the refusal allocates nothing
+    rise = SampledPath(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="1073741824 crossings"):
+            value_grid_partition(rise, 2.0**-30, mode="grid")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # one past the 2**25 limit that cantor_value_grid shares, in both modes
+    steep = SampledPath(np.array([0.0, 1.0]), np.array([0.5, 2.0**25 + 1.5]))
+    for mode in ("increment", "grid"):
+        with pytest.raises(InvalidParameterError, match="33554433 crossings"):
+            value_grid_partition(steep, 1.0, mode=mode)
+    # v / delta overflows: no finite count at all
+    with pytest.raises(InvalidParameterError, match="more than the limit"):
+        value_grid_partition(rise, 5e-324)
 
 
 def test_osc_on_knot_partition(hand_path):

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from fracpath.errors import InvalidParameterError
+import fracpath.paths as paths_module
+from fracpath.errors import InvalidParameterError, SamplingInfeasibleError
 from fracpath.paths import (
     AnalyticPath,
     GaussianPathSpec,
     SampledPath,
+    _circulant_sqrt_spectrum,
     bump_count,
     cantor_bump_knots,
     cantor_bump_path,
@@ -163,6 +165,35 @@ def test_fbm_dense_route_non_pow2():
     path = fbm_path(GaussianPathSpec(hurst=0.6, n=600, seed=3))
     assert path.times.size == 601
     assert np.isfinite(path.values).all()
+
+
+def test_circulant_spectrum_is_cached_read_only():
+    _circulant_sqrt_spectrum.cache_clear()
+    spec = GaussianPathSpec(hurst=0.35, n=2**12, seed=4)
+    cold = fbm_path(spec).values
+    warm = fbm_path(spec).values
+    assert _circulant_sqrt_spectrum.cache_info().hits == 1
+    assert np.array_equal(cold.view(np.uint64), warm.view(np.uint64))
+    root = _circulant_sqrt_spectrum(2**12, 0.35)
+    assert not root.flags.writeable
+    with pytest.raises(ValueError):
+        root[0] = 0.0
+
+
+def test_circulant_failure_is_not_cached(monkeypatch):
+    # gamma(0) = 1, gamma(1) = 0.9: circulant eigenvalues 1 + 1.8 cos(theta)
+    # go down to -0.8; n > 4096 has no dense fallback, so every call must
+    # reach the check and raise
+    def not_definite(n, hurst):
+        return np.concatenate([[1.0, 0.9], np.zeros(n - 1)])
+
+    monkeypatch.setattr(paths_module, "_fgn_autocov", not_definite)
+    _circulant_sqrt_spectrum.cache_clear()
+    spec = GaussianPathSpec(hurst=0.45, n=2**13, seed=1)
+    for _ in range(2):
+        with pytest.raises(SamplingInfeasibleError, match="nonnegative definite"):
+            fbm_path(spec)
+    assert _circulant_sqrt_spectrum.cache_info().currsize == 0
 
 
 def test_gaussian_spec_validation():

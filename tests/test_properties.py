@@ -1,7 +1,8 @@
 """Property-based invariants on random piecewise-linear paths and partitions:
-exact knot lookup, the finite-stage identity at rounding level, one
-compensated sum behind every check, the remainder kernel's two forms and the
-gauge inverse."""
+exact knot lookup, the finite-stage identity at rounding level (scalar and
+multi-component), one compensated sum behind every check, the remainder
+kernel's two forms, the gauge inverse, the variation profile and the lattice
+form of value-grid partitions."""
 
 import math
 
@@ -12,16 +13,19 @@ from hypothesis import strategies as st
 
 from fracpath.errors import InvalidPhiError
 from fracpath.follmer import (
+    TensorFunctionBundle,
     compensated_sum,
     ito_check,
+    ito_check_multi,
     ito_check_time,
     remainder_kernel,
     taylor_remainder,
 )
 from fracpath.isometry import PhiSpec, phi_inverse
-from fracpath.partitions import Partition
+from fracpath.partitions import Partition, osc, value_grid_partition
 from fracpath.paths import SampledPath
-from fracpath.registry import abs_power, moving_abs_power, plus_power, sin_affine
+from fracpath.registry import abs_power, moving_abs_power, plus_power, product_bundle, sin_affine
+from fracpath.variation import pth_variation_partial, variation_table
 
 EPS = float(np.finfo(float).eps)
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -186,3 +190,182 @@ def test_phi_inverse_roundtrips_and_is_monotone(spec, u, v):
     if math.isfinite(spec.domain_hi):
         with pytest.raises(InvalidPhiError):
             phi_inverse(spec, top * (1.0 + 1e-9))
+
+
+@PROPS
+@given(path_and_partition(), st.sampled_from([0.7, 1.5, 2.5, 3.5]), st.data())
+def test_variation_table_is_pointwise_partial_variation(case, p, data):
+    path, part = case
+    fractions = data.draw(st.lists(st.floats(0.0, 1.2), min_size=1, max_size=20))
+    ts = np.concatenate([np.array(fractions) * path.horizon, part.times[:: max(part.n_intervals // 5, 1)]])
+    table = variation_table(path, part, p, ts)
+    # a cumulative sum against a pairwise one: both sums of n nonnegative terms
+    for t, got in zip(ts, table):
+        want = pth_variation_partial(path, part, p, float(t))
+        assert abs(got - want) <= 2 * part.n_intervals * EPS * want
+
+
+def sin_times_y():
+    """f(x, y) = sin(x) y + x^2 on R^2, with its gradient and Hessian."""
+
+    def f(v):
+        return np.sin(v[..., 0]) * v[..., 1] + v[..., 0] ** 2
+
+    def grad(v):
+        return np.stack([np.cos(v[..., 0]) * v[..., 1] + 2.0 * v[..., 0], np.sin(v[..., 0])], axis=-1)
+
+    def hess(v):
+        h = np.empty(v.shape[:-1] + (2, 2))
+        h[..., 0, 0] = 2.0 - np.sin(v[..., 0]) * v[..., 1]
+        h[..., 0, 1] = h[..., 1, 0] = np.cos(v[..., 0])
+        h[..., 1, 1] = 0.0
+        return h
+
+    return TensorFunctionBundle(fn=f, grad=grad, hess=hess, name="sin-times-y")
+
+
+@PROPS
+@given(
+    path_and_partition(),
+    st.lists(moderate, min_size=31, max_size=31),  # path_and_partition paths hold <= 31 knots
+    st.sampled_from([1.5, 2.5]),
+    st.sampled_from(["product", "sin"]),
+    st.one_of(st.none(), st.floats(0.0, 40.0)),
+)
+def test_ito_check_multi_identity_at_rounding_level(case, other, p, kind, t):
+    path, part = case
+    second = SampledPath(path.times, np.array(other[: path.times.size]))
+    bundle = product_bundle() if kind == "product" else sin_times_y()
+    m = int(math.floor(p))
+    rep = ito_check_multi(bundle, [path, second], part, p, t=t)
+    times = np.minimum(part.times, math.inf if t is None else t)
+    vals = np.stack([path.value_at(times), second.value_at(times)], axis=1)
+    inc = np.diff(vals, axis=0)
+    # largest summand: f at the knots, each gradient term g_k dS_k, each
+    # Hessian term h_jk dS_j dS_k / 2; a dot product of d = 2 terms adds one
+    # rounding per term on top of the scalar (m + 2) n eps budget
+    terms = [np.abs(bundle.fn(vals)), np.abs(bundle.grad(vals[:-1]) * inc)]
+    if m == 2:
+        terms.append(np.abs(0.5 * inc[:, :, None] * bundle.hess(vals[:-1]) * inc[:, None, :]))
+    scale = max(float(np.max(x)) for x in terms)
+    assert abs(rep.identity_residual) <= (m + 4) * rep.n_increments * EPS * scale
+
+
+# --------------------------------------------------------------------------- #
+# value-grid partitions: the lattice kernel against the per-segment loop
+# --------------------------------------------------------------------------- #
+
+
+def reference_value_grid(path, delta, mode):
+    """The per-segment loop that value_grid_partition replaced: increment
+    mode walks a running reference value ref +- delta, grid mode crosses the
+    levels k delta segment by segment."""
+    t, v = path.times, path.values
+    guard = 1e-9
+    chunks = [np.array([0.0])]
+    ref = v[0]
+    for j in range(t.size - 1):
+        v0, v1 = v[j], v[j + 1]
+        if v1 == v0:
+            continue
+        slope = (v1 - v0) / (t[j + 1] - t[j])
+        if mode == "increment":
+            sgn = 1.0 if v1 > v0 else -1.0
+            count = int(math.floor((v1 - ref) * sgn / delta + guard))
+            if count <= 0:
+                continue
+            cross_vals = ref + sgn * delta * np.arange(1, count + 1, dtype=float)
+            ref = float(cross_vals[-1])
+            times = t[j] + (cross_vals - v0) / slope
+        else:
+            if v1 > v0:
+                k_lo = math.floor(v0 / delta + guard) + 1
+                k_hi = math.floor(v1 / delta + guard)
+            else:
+                k_hi = math.ceil(v0 / delta - guard) - 1
+                k_lo = math.ceil(v1 / delta - guard)
+            if k_hi < k_lo:
+                continue
+            ks = np.arange(k_lo, k_hi + 1, dtype=float)
+            if v1 < v0:
+                ks = ks[::-1]
+            times = t[j] + (ks * delta - v0) / slope
+        np.clip(times, t[j], t[j + 1], out=times)
+        chunks.append(times)
+    body = np.concatenate(chunks)
+    body = body[np.concatenate([[True], np.diff(body) > 0.0])]
+    if body[-1] < path.horizon:
+        body = np.append(body, path.horizon)
+    return body
+
+
+@st.composite
+def crossing_paths(draw):
+    """(path, delta): a piecewise-linear path whose segments rise or fall by
+    at least 0.1 (no near-flat slopes to amplify rounding in the times), and
+    a grid spacing from 0.01 to 0.5."""
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=20))
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    start = draw(st.floats(-1.0, 1.0))
+    moves = draw(st.lists(st.floats(0.1, 1.0), min_size=len(steps), max_size=len(steps)))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(steps), max_size=len(steps)))
+    values = start + np.concatenate([[0.0], np.cumsum(np.array(moves) * np.array(signs))])
+    return SampledPath(times, values), draw(st.floats(0.01, 0.5))
+
+
+def lattice_offset(values, delta, base):
+    """Distance of each value from the nearest level base + k delta."""
+    r = (values - base) / delta
+    return np.abs(r - np.round(r)) * delta
+
+
+def off_lattice(values, delta, base):
+    """True when no knot after the first lies within 1e-6 delta of a level
+    base + k delta: continuous values, away from the 1e-9 guard."""
+    return bool(np.all(lattice_offset(values[1:], delta, base) > 1e-6 * delta))
+
+
+@PROPS
+@given(crossing_paths())
+def test_value_grid_lattice_matches_segment_loop(case):
+    path, delta = case
+    # crossings sit on their lattice up to the 1e-9 delta guard and rounding
+    on_level = 1e-9 * delta + 64 * EPS * (1.0 + np.max(np.abs(path.values)))
+    grid = value_grid_partition(path, delta, mode="grid")
+    assert np.array_equal(bits(grid.times), bits(reference_value_grid(path, delta, "grid")))
+    assert osc(path, grid) <= delta * (1.0 + 1e-8)
+    assert np.all(lattice_offset(path.value_at(grid.times[1:-1]), delta, 0.0) <= on_level)
+    inc = value_grid_partition(path, delta, mode="increment")
+    assert osc(path, inc) <= 2.0 * delta * (1.0 + 1e-8)
+    start = path.values[0]
+    assert np.all(lattice_offset(path.value_at(inc.times[1:-1]), delta, start) <= on_level)
+    if off_lattice(path.values, delta, path.values[0]):
+        # the loop's running ref += sgn delta count against S(0) + k delta
+        want = reference_value_grid(path, delta, "increment")
+        assert inc.times.size == want.size
+        assert np.max(np.abs(inc.times - want)) <= 1e-13 * path.horizon
+
+
+def test_value_grid_knots_on_the_lattice():
+    # values on multiples of 0.25 sit on the 0.1 lattice (0.25 = 2.5 delta
+    # misses it, 0.5 = 5 delta hits it); the loop's accumulated ref can put a
+    # crossing about 1e-15 before a knot the lattice form lands on exactly,
+    # so the two may differ by slivers, never by an interval of 1e-12 or more
+    rng = np.random.default_rng(11)
+    delta = 0.1
+    slivers = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        values = np.concatenate([[0.0], rng.integers(-8, 9, n - 1) * 0.25])
+        path = SampledPath(np.linspace(0.0, 1.0, n), values)
+        for mode in ("increment", "grid"):
+            got = value_grid_partition(path, delta, mode).times
+            want = reference_value_grid(path, delta, mode)
+            if mode == "grid":
+                assert np.array_equal(bits(got), bits(want))
+                continue
+            # every time of either form lies within 1e-12 of one of the other
+            assert np.max(np.min(np.abs(got[:, None] - want[None, :]), axis=1)) < 1e-12
+            assert np.max(np.min(np.abs(want[:, None] - got[None, :]), axis=1)) < 1e-12
+            slivers += got.size != want.size
+    assert slivers > 0  # the case does reach the sliver
