@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._quad import integrate_piece
+from ._quad import integrate_kinked
 from .errors import (
     InsufficientDerivativesError,
     InvalidBundleError,
@@ -137,13 +137,12 @@ def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
         G(a, b) = (1 / ((m-1)! |b-a|^p)) *
                   integral_a^b (f^(m)(x) - f^(m)(a)) (b-x)^(m-1) dx.
 
-    Computed through the integral form by Gauss-Legendre panels to rtol
-    1e-12: declared kinks inside [a, b] are break points, and a piece end on
-    or near a kink k is integrated in t = k +- u**4, which makes c + |t-k|**s
-    smooth enough for the panels. Declare every kink on ``fn``: an undeclared
-    one leaves the panels unsettled and raises QuadratureError. The
-    vectorized check routines use the Taylor-difference form of the same
-    quantity, so the two can be cross-validated.
+    Computed through the integral form by the kink-graded Gauss-Legendre
+    rule to rtol 1e-12; a kink (k, q) of f is one of exponent q - m of the
+    integrand. Declare every kink on ``fn``: an undeclared one leaves the
+    panels unsettled and raises QuadratureError. The vectorized check
+    routines use the Taylor-difference form of the same quantity, so the two
+    can be cross-validated.
 
     At a == b the kernel is 0 when f is smoother than order p there, and has
     no finite value when a sits on a kink of exponent <= p.
@@ -165,17 +164,8 @@ def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
     def integrand(x):
         return (fm(x) - fma) * (b - x) ** (m - 1)
 
-    lo, hi = (a, b) if a < b else (b, a)
-    kinks = [k for k, _ in fn.kinks]
-    edges = sorted({lo, hi, *(k for k in kinks if lo < k < hi)})
-    val = 0.0
-    for x0, x1 in zip(edges[:-1], edges[1:]):
-        # grade each end toward the nearest kink on it or within one piece
-        # length beyond it; a farther kink leaves the end smooth
-        span = x1 - x0
-        left = max(((0.25, k) for k in kinks if x0 - span < k <= x0), default=None)
-        right = min(((0.25, k) for k in kinks if x1 <= k < x1 + span), default=None)
-        val += integrate_piece(integrand, x0, x1, 1e-12, left, right)
+    kinks = [(k, q - m) for k, q in fn.kinks]
+    val = integrate_kinked(integrand, min(a, b), max(a, b), kinks, 1e-12)
     if a > b:
         val = -val
     return val / (math.factorial(m - 1) * abs(b - a) ** p)
@@ -520,8 +510,7 @@ class PrefixFamily:
         if mode not in ("step", "linear"):
             raise InvalidParameterError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.times = partition.times
-        self.values = path.value_at(self.times)
+        self.times, self.values = partition_values(path, partition)
         dt = np.diff(self.times)
         if mode == "step":
             seg = self.values[:-1] * dt
@@ -708,8 +697,7 @@ def young_bound_check(
     rhs_list: list[float] = []
     all_ok = True
     for part in partitions:
-        times = part.times
-        dv = np.stack([np.diff(sp.value_at(times)) for sp in paths], axis=1)
+        dv = np.stack([np.diff(partition_values(sp, part)[1]) for sp in paths], axis=1)
         lhs = float(np.sum(np.prod(np.abs(dv) ** np.array(alphas), axis=1)))
         rhs = 0.0
         for eps in patterns:

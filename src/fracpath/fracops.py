@@ -4,7 +4,8 @@ Orders are written p = m + alpha with integer part m and fractional part
 alpha in (0, 1). Integral operators are computed by Gauss-Legendre panels
 after a power substitution that absorbs the endpoint singularity of the
 kernel; known algebraic kinks of the integrand are declared on the function
-object and handled by splitting plus one-sided substitutions.
+object and passed, as (point, exponent) pairs of the integrand in the
+integration variable, to the one kink-graded rule ``_quad.integrate_kinked``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quad import gl_adaptive, integrate_piece
+from ._quad import integrate_kinked
 from .errors import (
     InsufficientDerivativesError,
     InvalidParameterError,
@@ -62,12 +63,18 @@ class FracOrder:
 class SmoothFn:
     """A scalar function with explicitly supplied derivatives.
 
-    ``derivs[k]`` is the (k+1)-th derivative. ``kinks`` lists points where the
-    function behaves like c * |x - loc|**exponent plus something smoother;
-    integral operators split there. Declare every kink: the quadrature does
-    not search for undeclared ones, and an integrand too rough for its panels
-    raises QuadratureError. Derivatives beyond the supplied ones fall back to
-    central differences (one level of which is usable, more is not).
+    ``derivs[k]`` is the (k+1)-th derivative. ``kinks`` holds (loc, q) pairs:
+    near loc the function is c * |x - loc|**q plus something smoother, and its
+    j-th derivative has exponent s = q - j. Integral operators break there and
+    grade the neighbouring piece ends by a substitution of strength s + 1 if
+    s < 0, else 1/4 (``_quad.integrate_kinked``). Declare every kink: an
+    undeclared one raises QuadratureError. Derivatives beyond the supplied
+    ones fall back to central differences (one level of which is usable).
+
+    Float64 floor: ``caputo`` of order m + alpha raises QuadratureError at a
+    kink with q - m below about 0.3 (sometimes up to 0.4): in the integration
+    variable the kink sits at u_k = (x - loc)**(1 - alpha) != 0, and graded
+    offsets v**(1/(q - m)) below eps * u_k are lost when added to u_k.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -91,9 +98,6 @@ class SmoothFn:
 
         return fd
 
-    def kinks_in(self, lo: float, hi: float) -> list[tuple[float, float]]:
-        return [(k, b) for (k, b) in self.kinks if lo < k < hi]
-
 
 def _as_smooth(fn) -> SmoothFn:
     return fn if isinstance(fn, SmoothFn) else SmoothFn(fn=fn)
@@ -111,7 +115,7 @@ def rl_integral(fn, alpha: float, a: float, x: float, rtol: float = 1e-9) -> flo
 
     The kernel singularity at t = x is absorbed by the substitution
     u = (x - t)**alpha, after which Gauss-Legendre panels apply; declared
-    kinks of f become interior break points of the u-integral.
+    kinks of f left of x keep their exponent at their image in u.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
@@ -127,13 +131,8 @@ def rl_integral(fn, alpha: float, a: float, x: float, rtol: float = 1e-9) -> flo
         u = np.asarray(u, dtype=float)
         return f(x - np.maximum(u, 0.0) ** inv_alpha)
 
-    upper = (x - a) ** alpha
-    breaks = sorted((x - k) ** alpha for k, _ in sm.kinks_in(a, x))
-    edges = [0.0] + breaks + [upper]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += gl_adaptive(g, lo, hi, rtol=rtol)
-    return total / math.gamma(alpha + 1.0)
+    kinks = [((x - k) ** alpha, q) for k, q in sm.kinks if k < x]
+    return integrate_kinked(g, 0.0, (x - a) ** alpha, kinks, rtol) / math.gamma(alpha + 1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -156,23 +155,8 @@ def _caputo_density_route(sm: SmoothFn, order: FracOrder, a: float, x: float, rt
         u = np.asarray(u, dtype=float)
         return g_t(x - np.maximum(u, 0.0) ** inv)
 
-    upper = (x - a) ** one_minus
-    # map algebraic kinks of f into u-space with the strength of f^(m+1) there
-    marks: list[tuple[float, float]] = []  # (u position, local exponent of f^(m+1))
-    for loc, expo in sm.kinks:
-        if a <= loc < x:
-            marks.append(((x - loc) ** one_minus, expo - order.m - 1.0))
-    marks.sort()
-    edges = [0.0] + [u for u, _ in marks] + [upper]
-    strengths = {u: s for u, s in marks}
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        s_lo = strengths.get(lo)
-        s_hi = strengths.get(hi)
-        left = None if s_lo is None or s_lo >= 1.0 else (s_lo + 1.0, lo)
-        right = None if s_hi is None or s_hi >= 1.0 else (s_hi + 1.0, hi)
-        total += integrate_piece(g, lo, hi, rtol, left, right)
-    return total / math.gamma(2.0 - alpha)
+    kinks = [((x - k) ** one_minus, q - order.m - 1.0) for k, q in sm.kinks if k < x]
+    return integrate_kinked(g, 0.0, (x - a) ** one_minus, kinks, rtol) / math.gamma(2.0 - alpha)
 
 
 def _caputo_fd_route(sm: SmoothFn, order: FracOrder, a: float, x: float, rtol: float) -> float:
@@ -243,8 +227,8 @@ def caputo_power(
     rule value regardless of a.
 
     kind="abs": f(t) = |t - k|**q. The plus part as above; the [a, k] part is
-    a one-dimensional integral made regular by the substitution v = (k-t)**(q-m)
-    and evaluated by Gauss-Legendre panels.
+    a one-dimensional integral whose integrand has exponent q - m - 1 at t = k,
+    evaluated by the kink-graded Gauss-Legendre rule.
 
     Requires q > m and a <= k < x.
     """
@@ -266,7 +250,7 @@ def caputo_power(
         s = np.asarray(s, dtype=float)
         return (x - k + s) ** (-alpha) * s ** (q - m - 1.0)
 
-    left_integral = integrate_piece(g, 0.0, k - a, rtol, left=(q - m, 0.0))
+    left_integral = integrate_kinked(g, 0.0, k - a, [(0.0, q - m - 1.0)], rtol)
     left_part = sgn * coeff / math.gamma(1.0 - alpha) * left_integral
     return plus_part + left_part
 

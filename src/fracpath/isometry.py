@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, InvalidParameterError, InvalidPhiError, NoLimitError
 from .fracops import SmoothFn, _ratio_limit
-from .partitions import Partition, badic
+from .partitions import Partition, badic, partition_values
 from .paths import SampledPath
 
 __all__ = [
@@ -209,7 +209,7 @@ def isometry_check(
     rhs_list: list[float] = []
     ratios: list[float] = []
     for part in partitions:
-        s_vals = path.value_at(part.times)
+        _, s_vals = partition_values(path, part)
         f_vals = fn.fn(s_vals)
         ds = np.abs(np.diff(s_vals))
         dfv = np.abs(np.diff(f_vals))

@@ -23,6 +23,7 @@ __all__ = [
     "cantor_value_grid",
     "osc",
     "partition_values",
+    "check_stop_times",
 ]
 
 
@@ -238,6 +239,17 @@ def _require_within(path: SampledPath, partition: Partition) -> None:
         raise InvalidParameterError(f"partition runs past the path horizon {path.horizon!r}")
 
 
+def check_stop_times(ts) -> None:
+    """Reject a stop time (or any of an array of them) that is negative or
+    not finite; NaN would pass a plain ``t < 0`` test."""
+    ts = np.asarray(ts, dtype=float)
+    bad = ~(np.isfinite(ts) & (ts >= 0.0))
+    if bad.any():
+        raise InvalidParameterError(
+            f"stop time t must be finite and nonnegative, got {float(ts[bad].flat[0])!r}"
+        )
+
+
 def partition_values(
     path: SampledPath,
     partition: Partition,
@@ -245,12 +257,12 @@ def partition_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(times, path values) along the partition, every time clipped at the
     stop time ``t`` when given; the one entry point of all sums along a
-    partition. Rejects t < 0 and a partition that runs past the path."""
+    partition. Rejects a negative or non-finite t and a partition that runs
+    past the path."""
     _require_within(path, partition)
     times = partition.times
     if t is not None:
-        if t < 0.0:
-            raise InvalidParameterError(f"stop time t must be nonnegative, got {t!r}")
+        check_stop_times(t)
         times = np.minimum(times, t)
     return times, path.value_at(times)
 

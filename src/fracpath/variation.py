@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidPhiError
-from .partitions import Partition, partition_values
+from .partitions import Partition, check_stop_times, partition_values
 from .paths import SampledPath
 
 __all__ = [
@@ -64,11 +64,13 @@ def variation_table(
     """Partial p-th variation evaluated at many times t in one pass.
 
     Equivalent to ``[pth_variation_partial(path, partition, p, t) for t in ts]``
-    but uses one cumulative sum plus a boundary fragment per query.
+    but uses one cumulative sum plus a boundary fragment per query, and
+    rejects the same query times.
     """
     if p <= 0.0:
         raise InvalidParameterError(f"p must be positive, got {p}")
     ts = np.asarray(ts, dtype=float)
+    check_stop_times(ts)
     grid, vals = partition_values(path, partition)
     c = np.abs(np.diff(vals)) ** p
     csum = np.concatenate([[0.0], np.cumsum(c)])

@@ -111,9 +111,25 @@ def test_partition_past_path_horizon_rejected(hand_path):
         lambda: compensated_sum(fn, hand_path, part, 2),
         lambda: quotient_measure(hand_path, part, P),
         lambda: pth_variation_partial(hand_path, part, P),
+        lambda: young_bound_check([hand_path], [P], [part]),
+        lambda: PrefixFamily(hand_path, part),
     )
     for call in calls:
         with pytest.raises(InvalidParameterError, match="past the path horizon"):
+            call()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_non_finite_stop_time_rejected(hand_path, t):
+    # NaN passes a plain `t < 0` test and used to surface as NaN sums or a
+    # misleading gauge error
+    part = Partition(hand_path.times)
+    calls = (
+        lambda: ito_check(sin_affine(), hand_path, part, 2.5, t=t),
+        lambda: pth_variation_partial(hand_path, part, P, t=t),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
             call()
 
 

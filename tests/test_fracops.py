@@ -20,7 +20,7 @@ from fracpath.fracops import (
     power_rule,
     rl_integral,
 )
-from fracpath.registry import abs_power, plus_power, polynomial, sin_affine
+from fracpath.registry import abs_power, abs_power_series, plus_power, polynomial, sin_affine
 
 
 def test_frac_order_split():
@@ -105,6 +105,52 @@ def test_caputo_matches_caputo_power(p, q, a, k, x, kind):
     direct = caputo(fn, order, a, x)
     closed = caputo_power(q, order, a, k, x, kind=kind)
     assert direct == pytest.approx(closed, rel=1e-7, abs=1e-12)
+
+
+def _sum_fn(f, g):
+    """f + g with the derivatives summed and both kink lists kept."""
+    return SmoothFn(
+        fn=lambda x: f.fn(x) + g.fn(x),
+        derivs=tuple((lambda x, df=df, dg=dg: df(x) + dg(x)) for df, dg in zip(f.derivs, g.derivs)),
+        kinks=f.kinks + g.kinks,
+    )
+
+
+def _seeded_order(rng):
+    p = rng.uniform(0.3, 2.7)
+    return FracOrder(p if abs(p - round(p)) > 1e-3 else p + 0.01)
+
+
+def test_caputo_matches_caputo_power_on_seeded_draws():
+    # one kink at the base point or inside [a, x); every kink exponent from
+    # q - m = 0.4 up is within reach of the graded panels
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        order = _seeded_order(rng)
+        q = order.m + rng.uniform(0.4, 2.5)
+        a = rng.uniform(-0.5, 0.2)
+        x = a + rng.uniform(0.3, 1.5)
+        k = a if rng.random() < 0.3 else rng.uniform(a, x)
+        kind = "abs" if rng.random() < 0.5 else "plus"
+        fn = abs_power(q, k) if kind == "abs" else plus_power(q, k)
+        closed = caputo_power(q, order, a, k, x, kind=kind)
+        assert caputo(fn, order, a, x) == pytest.approx(closed, rel=1e-8, abs=1e-12)
+
+
+def test_caputo_of_abs_power_series_settles():
+    # twelve kinks of exponent q > m + 1 inside [0, x)
+    rng = np.random.default_rng(0)
+    for _ in range(38):
+        order = _seeded_order(rng)
+        q = rng.uniform(order.m + 1.2, order.m + 3.0)
+        assert math.isfinite(caputo(abs_power_series(q), order, 0.0, rng.uniform(0.3, 1.0)))
+
+
+def test_caputo_is_linear_across_a_kink():
+    # a smooth part at the kink used to leave the panels unsettled
+    f, g, order = abs_power(2.45, 0.3), sin_affine(), FracOrder(1.5)
+    both = caputo(_sum_fn(f, g), order, 0.0, 1.0)
+    assert both == pytest.approx(caputo(f, order, 0.0, 1.0) + caputo(g, order, 0.0, 1.0), rel=1e-12)
 
 
 def test_caputo_power_validation():

@@ -18,8 +18,8 @@ from fracpath.isometry import (
     phi_hat_numeric,
     phi_inverse,
 )
-from fracpath.partitions import badic
-from fracpath.paths import AnalyticPath, sample
+from fracpath.partitions import Partition, badic
+from fracpath.paths import AnalyticPath, SampledPath, sample
 from fracpath.registry import abs_power
 
 
@@ -130,6 +130,15 @@ def test_isometry_exact_for_linear(fbm08):
     assert rep.final_gap < 1e-12
     assert all(abs(r - 1.0) < 1e-12 for r in rep.ratios)
     assert rep.levels == (2**6, 2**8, 2**10)
+
+
+def test_isometry_rejects_partition_past_horizon():
+    # past its last knot the path would be read as a constant extension
+    path = SampledPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.4]))
+    part = Partition(np.array([0.0, 0.5, 1.0, 2.0]))
+    spec = PhiSpec(kind="power", p_phi=1.25)
+    with pytest.raises(InvalidParameterError, match="past the path horizon"):
+        isometry_check(spec, _linear_fn(3.0), path, [part], holder_alpha=0.79)
 
 
 def test_isometry_gate_refuses(fbm08):

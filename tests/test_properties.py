@@ -1,8 +1,10 @@
 """Property-based invariants on random piecewise-linear paths and partitions:
 exact knot lookup, the finite-stage identity at rounding level (scalar and
 multi-component), one compensated sum behind every check, the remainder
-kernel's two forms, the gauge inverse, the variation profile and the lattice
-form of value-grid partitions."""
+kernel's two forms, the gauge inverse, the variation profile (and the query
+times it rejects), the Young bound as an equality for one component, the
+quotient-measure mass as the p-th variation and the lattice form of
+value-grid partitions."""
 
 import math
 
@@ -11,15 +13,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracpath.errors import InvalidPhiError
+from fracpath.errors import InvalidParameterError, InvalidPhiError
 from fracpath.follmer import (
     TensorFunctionBundle,
     compensated_sum,
     ito_check,
     ito_check_multi,
     ito_check_time,
+    quotient_measure,
     remainder_kernel,
     taylor_remainder,
+    young_bound_check,
 )
 from fracpath.isometry import PhiSpec, phi_inverse
 from fracpath.partitions import Partition, osc, value_grid_partition
@@ -203,6 +207,41 @@ def test_variation_table_is_pointwise_partial_variation(case, p, data):
     for t, got in zip(ts, table):
         want = pth_variation_partial(path, part, p, float(t))
         assert abs(got - want) <= 2 * part.n_intervals * EPS * want
+
+
+@PROPS
+@given(path_and_partition(), st.sampled_from([-0.5, -1e-300, math.nan, math.inf, -math.inf]), st.data())
+def test_variation_table_rejects_what_pointwise_rejects(case, bad, data):
+    path, part = case
+    ts = np.array(data.draw(st.lists(st.floats(0.0, 1.2), max_size=5))) * path.horizon
+    ts = np.insert(ts, data.draw(st.integers(0, ts.size)), bad)
+    with pytest.raises(InvalidParameterError) as pointwise:
+        pth_variation_partial(path, part, 2.0, bad)
+    with pytest.raises(InvalidParameterError) as table:
+        variation_table(path, part, 2.0, ts)
+    assert str(table.value) == str(pointwise.value)
+
+
+@PROPS
+@given(path_and_partition(), st.floats(0.3, 4.0))
+def test_young_bound_single_component_is_an_equality(case, p):
+    # d = 1: one sign pattern with weight alpha / p = 1, so both sides are
+    # the p-th power sum
+    path, part = case
+    rep = young_bound_check([path], [p], [part])
+    assert rep.all_ok
+    assert abs(rep.lhs[0] - rep.rhs[0]) <= 2 * EPS * rep.rhs[0]
+
+
+@PROPS
+@given(path_and_partition(), st.sampled_from([0.7, 1.5, 2.5, 3.5]), st.one_of(st.none(), st.floats(0.0, 40.0)))
+def test_quotient_measure_mass_is_pth_variation(case, p, t):
+    # the same nonnegative terms, minus the zero increments: only the
+    # summation order differs
+    path, part = case
+    atoms = quotient_measure(path, part, p, t=t)
+    want = pth_variation_partial(path, part, p, t)
+    assert abs(atoms.mass - want) <= 2 * part.n_intervals * EPS * want
 
 
 def sin_times_y():
