@@ -21,18 +21,13 @@ from .errors import InvalidParameterError, QuadratureError
 __all__ = ["gl_adaptive", "integrate_kinked"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
+_MAX_DOUBLINGS = 14
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 Kink = tuple[float, float]  # (point, s)
 
 
-def gl_adaptive(
-    g: Integrand,
-    lo: float,
-    hi: float,
-    rtol: float = 1e-9,
-    max_doublings: int = 14,
-) -> float:
+def gl_adaptive(g: Integrand, lo: float, hi: float, rtol: float = 1e-9) -> float:
     """Integrate ``g`` on [lo, hi] with 32-point panels, doubling the panel
     count until successive values agree to ``rtol`` (relative).
 
@@ -43,7 +38,7 @@ def gl_adaptive(
         return 0.0
     prev = None
     panels = 1
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         edges = np.linspace(lo, hi, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])

@@ -5,6 +5,14 @@ output directory, and exit with 0 (ran, expectation met or none stated),
 1 (bad config or invalid inputs) or 2 (the config said expect "converged"
 but the run's verdict was "not-converged").
 
+Every subcommand is one runner ``(cfg) -> (header, rows, gap)`` plus the
+top-level keys it allows and requires, declared in ``_RUNNERS``. ``_execute``
+does the shared work once: it rejects unknown keys (with their line) and
+missing or empty required ones, parses ``expect`` and ``tol``, and sets the
+verdict: "converged" iff gap <= tol, "unchecked" when the runner reports no
+gap or the config gives no tol, "not-converged" otherwise (a NaN gap
+included). Every config error a runner raises names the config file.
+
 CSV files are byte-stable across reruns of the same config; the manifest
 records the config digest, package version and wall time (the manifest is
 the one file allowed to differ between reruns).
@@ -16,6 +24,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -29,12 +38,13 @@ from .experiments import bump_decomposition, cantor_sweep
 from .follmer import ito_check, kernel_profile, remainder_kernel, taylor_remainder
 from .fracops import FracOrder, caputo, local_frac_derivative, power_rule, rl_integral
 from .isometry import holder_exponent, isometry_check
-from .partitions import Partition, badic, cantor_value_grid, value_grid_partition
+from .partitions import badic, cantor_value_grid, value_grid_partition
 from .paths import AnalyticPath, SampledPath, sample
 from .registry import abs_power, make_fn, make_path, make_phi
 from .variation import phi_variation_partial, pth_variation_partial
 
 _COMMON_KEYS = {"command", "label", "expect", "tol"}
+_REQUIRED = object()
 
 
 def _fmt(x: float) -> str:
@@ -43,13 +53,6 @@ def _fmt(x: float) -> str:
 
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _find_key_line(raw: str, key: str) -> int:
-    m = re.search(r'"{}"\s*:'.format(re.escape(key)), raw)
-    if m is None:
-        return 0
-    return raw.count("\n", 0, m.start()) + 1
 
 
 def _load_config(path: Path) -> tuple[dict, str]:
@@ -69,21 +72,70 @@ def _load_config(path: Path) -> tuple[dict, str]:
 def _check_keys(cfg: dict, allowed: set, raw: str, path: Path) -> None:
     for key in cfg:
         if key not in allowed and key not in _COMMON_KEYS:
-            line = _find_key_line(raw, key)
+            m = re.search(r'"{}"\s*:'.format(re.escape(key)), raw)
+            line = raw.count("\n", 0, m.start()) + 1 if m else 0
             raise InvalidConfigError(
                 f"{path}:{line}: unknown key {key!r}; allowed: {', '.join(sorted(allowed))}"
             )
+
+
+def _require(obj: dict, keys, owner: str) -> None:
+    for key in keys:
+        if obj.get(key) in (None, []):
+            raise InvalidConfigError(f"{owner} needs {key!r}")
+
+
+def _fill(obj, name: str, defaults: dict, required: tuple = ()) -> dict:
+    """The config's ``name`` object with ``defaults`` filled in; rejects a
+    non-object, unknown keys and a missing or empty required key."""
+    if not isinstance(obj, dict):
+        raise InvalidConfigError(f"{name!r} must be an object, got {obj!r}")
+    allowed = {*defaults, *required}
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise InvalidConfigError(
+            f"unknown {name} keys {unknown}; allowed: {', '.join(sorted(allowed))}"
+        )
+    _require(obj, required, name)
+    return {**defaults, **obj}
+
+
+def _number(value, key: str, kind=float):
+    try:
+        out = kind(value)
+        finite = math.isfinite(out)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise InvalidConfigError(f"{key!r} must be a finite number, got {value!r}")
+    return out
+
+
+def _num(obj: dict, key: str, default=_REQUIRED, kind=float):
+    """``obj[key]`` as a number; ``default`` when absent or null."""
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InvalidConfigError(f"missing {key!r}")
+        return default
+    return _number(value, key, kind)
+
+
+def _nums(obj: dict, key: str, kind=float) -> list:
+    """``obj[key]`` as a list of numbers; empty when absent."""
+    values = obj.get(key, [])
+    if not isinstance(values, list):
+        raise InvalidConfigError(f"{key!r} must be a list of numbers, got {values!r}")
+    return [_number(v, key, kind) for v in values]
 
 
 def _expectation(cfg: dict) -> tuple[str, float | None]:
     expect = cfg.get("expect", "any")
     if expect not in ("any", "converged"):
         raise InvalidConfigError(f"expect must be 'any' or 'converged', got {expect!r}")
-    tol = cfg.get("tol")
-    if tol is not None:
-        tol = float(tol)
-        if tol <= 0.0:
-            raise InvalidConfigError("tol must be positive")
+    tol = _num(cfg, "tol", None)
+    if tol is not None and tol <= 0.0:
+        raise InvalidConfigError("tol must be positive")
     if expect == "converged" and tol is None:
         raise InvalidConfigError("expect 'converged' requires a tol")
     return expect, tol
@@ -101,6 +153,13 @@ def _write_csv(out_path: Path, header: list[str], rows: list[list]) -> None:
 # stage assembly shared by variation / ito-check / isometry
 # --------------------------------------------------------------------------- #
 
+# partition kind -> (optional keys with defaults, the required key listing stages)
+_PARTITIONS = {
+    "cantor-crossing": ({"rounding": "floor"}, "ns"),
+    "badic": ({"base": 2}, "levels"),
+    "value-grid": ({"mode": "increment", "samples_level": 12}, "deltas"),
+}
+
 
 def _as_sampled(path_cfg: dict, levels_max: int, base: int) -> SampledPath:
     obj = make_path(path_cfg)
@@ -110,106 +169,71 @@ def _as_sampled(path_cfg: dict, levels_max: int, base: int) -> SampledPath:
     return obj
 
 
-def _iter_stages(cfg: dict, p: float, raw: str, cfg_path: Path):
+def _iter_stages(cfg: dict, p: float):
     """Yield (stage_label, sampled_path, partition) triples."""
-    part_cfg = cfg.get("partition")
-    if not isinstance(part_cfg, dict) or "kind" not in part_cfg:
-        raise InvalidConfigError(f"{cfg_path}: 'partition' must be an object with a 'kind'")
-    part_cfg = dict(part_cfg)
-    kind = part_cfg.pop("kind")
+    part = cfg["partition"]
+    kind = part.get("kind") if isinstance(part, dict) else None
+    if not isinstance(kind, str) or kind not in _PARTITIONS:
+        raise InvalidConfigError(
+            f"'partition' must be an object with a 'kind' of {', '.join(_PARTITIONS)}"
+        )
+    defaults, stages_key = _PARTITIONS[kind]
+    part = _fill(part, "partition", {"kind": kind, **defaults}, (stages_key,))
     if kind == "cantor-crossing":
-        ns = part_cfg.pop("ns", None)
-        rounding = part_cfg.pop("rounding", "floor")
-        if part_cfg:
-            raise InvalidConfigError(f"{cfg_path}: unknown partition keys {sorted(part_cfg)}")
-        if not ns:
-            raise InvalidConfigError(f"{cfg_path}: cantor-crossing needs 'ns'")
-        for n in ns:
-            path, part, _ = cantor_value_grid(p, int(n), rounding)
-            yield int(n), path, part
+        for n in _nums(part, "ns", int):
+            path, partition, _ = cantor_value_grid(p, n, part["rounding"])
+            yield n, path, partition
         return
     if "path" not in cfg:
-        raise InvalidConfigError(f"{cfg_path}: this partition kind needs a 'path'")
+        raise InvalidConfigError("this partition kind needs a 'path'")
     if kind == "badic":
-        levels = part_cfg.pop("levels", None)
-        base = int(part_cfg.pop("base", 2))
-        if part_cfg:
-            raise InvalidConfigError(f"{cfg_path}: unknown partition keys {sorted(part_cfg)}")
-        if not levels:
-            raise InvalidConfigError(f"{cfg_path}: badic partitions need 'levels'")
-        sampled = _as_sampled(cfg["path"], max(int(v) for v in levels), base)
+        levels, base = _nums(part, "levels", int), _num(part, "base", kind=int)
+        sampled = _as_sampled(cfg["path"], max(levels), base)
         for lev in levels:
-            yield int(lev), sampled, badic(sampled.horizon, int(lev), base)
+            yield lev, sampled, badic(sampled.horizon, lev, base)
         return
-    if kind == "value-grid":
-        deltas = part_cfg.pop("deltas", None)
-        mode = part_cfg.pop("mode", "increment")
-        samples_level = int(part_cfg.pop("samples_level", 12))
-        if part_cfg:
-            raise InvalidConfigError(f"{cfg_path}: unknown partition keys {sorted(part_cfg)}")
-        if not deltas:
-            raise InvalidConfigError(f"{cfg_path}: value-grid partitions need 'deltas'")
-        sampled = _as_sampled(cfg["path"], samples_level, 2)
-        for delta in deltas:
-            yield float(delta), sampled, value_grid_partition(sampled, float(delta), mode)
-        return
-    raise InvalidConfigError(f"{cfg_path}: unknown partition kind {kind!r}")
+    deltas = _nums(part, "deltas")
+    sampled = _as_sampled(cfg["path"], _num(part, "samples_level", kind=int), 2)
+    for delta in deltas:
+        yield delta, sampled, value_grid_partition(sampled, delta, part["mode"])
 
 
 # --------------------------------------------------------------------------- #
-# subcommand runners: each returns (verdict, header, rows)
+# subcommand runners: each returns (header, rows, gap)
 # --------------------------------------------------------------------------- #
 
 
-def _run_generate_path(cfg: dict, raw: str, cfg_path: Path):
-    _check_keys(cfg, {"path", "grid"}, raw, cfg_path)
-    obj = make_path(cfg.get("path", {}))
-    grid_cfg = cfg.get("grid")
-    if isinstance(obj, AnalyticPath):
-        if not grid_cfg:
-            raise InvalidConfigError(f"{cfg_path}: analytic paths need a 'grid'")
-        grid_cfg = dict(grid_cfg)
-        n = int(grid_cfg.pop("n"))
-        base = int(grid_cfg.pop("base", 2))
-        if grid_cfg:
-            raise InvalidConfigError(f"{cfg_path}: unknown grid keys {sorted(grid_cfg)}")
-        sampled = sample(obj, badic(obj.horizon, n, base).times)
-    else:
-        sampled = obj
+def _run_generate_path(cfg: dict):
+    sampled = make_path(cfg["path"])
+    if isinstance(sampled, AnalyticPath):
+        if "grid" not in cfg:
+            raise InvalidConfigError("analytic paths need a 'grid'")
+        grid = _fill(cfg["grid"], "grid", {"base": 2}, ("n",))
+        n, base = _num(grid, "n", kind=int), _num(grid, "base", kind=int)
+        sampled = sample(sampled, badic(sampled.horizon, n, base).times)
     rows = [[float(t), float(v)] for t, v in zip(sampled.times, sampled.values)]
-    return "unchecked", ["t", "value"], rows
+    return ["t", "value"], rows, None
 
 
-def _run_variation(cfg: dict, raw: str, cfg_path: Path):
-    _check_keys(cfg, {"path", "partition", "p", "phi"}, raw, cfg_path)
-    expect, tol = _expectation(cfg)
-    if "p" not in cfg:
-        raise InvalidConfigError(f"{cfg_path}: variation needs 'p'")
-    p = float(cfg["p"])
+def _run_variation(cfg: dict):
+    p = _num(cfg, "p")
     phi = make_phi(cfg["phi"]) if "phi" in cfg else None
-    header = ["stage", "n_increments", "sum"]
     rows = []
-    sums = []
-    for label, path, part in _iter_stages(cfg, p, raw, cfg_path):
+    for label, path, part in _iter_stages(cfg, p):
         if phi is not None:
             s = phi_variation_partial(path, part, phi)
         else:
             s = pth_variation_partial(path, part, p)
-        sums.append(s)
         rows.append([label, part.n_intervals, float(s)])
-    verdict = "unchecked"
-    if tol is not None and len(sums) >= 2:
-        gap = abs(sums[-1] - sums[-2]) / max(1.0, abs(sums[-1]))
-        verdict = "converged" if gap <= tol else "not-converged"
-    return verdict, header, rows
+    gap = None
+    if len(rows) >= 2:
+        last, prev = rows[-1][2], rows[-2][2]
+        gap = abs(last - prev) / max(1.0, abs(last))
+    return ["stage", "n_increments", "sum"], rows, gap
 
 
-def _run_ito_check(cfg: dict, raw: str, cfg_path: Path):
-    _check_keys(cfg, {"path", "partition", "p", "fn"}, raw, cfg_path)
-    expect, tol = _expectation(cfg)
-    if "p" not in cfg:
-        raise InvalidConfigError(f"{cfg_path}: ito-check needs 'p'")
-    p = float(cfg["p"])
+def _run_ito_check(cfg: dict):
+    p = _num(cfg, "p")
     fn = make_fn(cfg["fn"]) if "fn" in cfg else abs_power(p)
     header = [
         "stage",
@@ -221,187 +245,133 @@ def _run_ito_check(cfg: dict, raw: str, cfg_path: Path):
         "follmer_residual",
     ]
     rows = []
-    resids = []
-    for label, path, part in _iter_stages(cfg, p, raw, cfg_path):
+    for label, path, part in _iter_stages(cfg, p):
         rep = ito_check(fn, path, part, p)
-        resids.append(abs(rep.follmer_residual))
-        rows.append(
-            [
-                label,
-                rep.n_increments,
-                rep.value_change,
-                rep.compensated,
-                rep.kernel_sum,
-                rep.identity_residual,
-                rep.follmer_residual,
-            ]
-        )
-    verdict = "unchecked"
-    if tol is not None:
-        ok = resids[-1] <= tol
-        if len(resids) >= 3:
-            ok = ok and resids[-1] <= resids[-2] <= resids[-3]
-        verdict = "converged" if ok else "not-converged"
-    return verdict, header, rows
+        rows.append([label] + [getattr(rep, name) for name in header[1:]])
+    r = [abs(row[-1]) for row in rows]
+    gap = r[-1] if len(r) < 3 or r[-1] <= r[-2] <= r[-3] else math.inf
+    return header, rows, gap
 
 
-def _run_frac_deriv(cfg: dict, raw: str, cfg_path: Path):
-    _check_keys(cfg, {"fn", "op", "p", "alpha", "a", "xs", "side", "reference"}, raw, cfg_path)
-    expect, tol = _expectation(cfg)
-    op = cfg.get("op")
+def _run_frac_deriv(cfg: dict):
+    op = cfg["op"]
     if op not in ("rl", "caputo", "local"):
-        raise InvalidConfigError(f"{cfg_path}: op must be rl, caputo or local")
-    fn = make_fn(cfg.get("fn", {}))
-    xs = [float(x) for x in cfg.get("xs", [])]
-    if not xs:
-        raise InvalidConfigError(f"{cfg_path}: needs nonempty 'xs'")
-    a = float(cfg.get("a", 0.0))
-    rows = []
-    header = ["x", "value"]
-    ref_cfg = cfg.get("reference")
-    if ref_cfg is not None:
-        header += ["reference", "rel_err"]
+        raise InvalidConfigError("op must be rl, caputo or local")
+    fn = make_fn(cfg["fn"])
+    xs = _nums(cfg, "xs")
+    a = _num(cfg, "a", 0.0)
+    if op == "rl":
+        alpha = _num(cfg, "alpha")
+        values = [rl_integral(fn, alpha, a, x) for x in xs]
+    elif op == "caputo":
+        order = FracOrder(_num(cfg, "p"))
+        values = [caputo(fn, order, a, x) for x in xs]
+    else:
+        alpha, side = _num(cfg, "alpha"), _num(cfg, "side", 1, int)
+        values = [local_frac_derivative(fn.fn, alpha, x, side) for x in xs]
+    rows = [[x, float(v)] for x, v in zip(xs, values)]
+    if "reference" not in cfg:
+        return ["x", "value"], rows, None
+    ref_cfg = _fill(cfg["reference"], "reference", {"k": a}, ("kind", "q"))
+    if ref_cfg["kind"] != "power-rule":
+        raise InvalidConfigError(f"unknown reference kind {ref_cfg['kind']!r}")
+    q, order, k = _num(ref_cfg, "q"), FracOrder(_num(cfg, "p")), _num(ref_cfg, "k")
     rel_errs = []
-    for x in xs:
-        if op == "rl":
-            val = rl_integral(fn, float(cfg["alpha"]), a, x)
-        elif op == "caputo":
-            val = caputo(fn, FracOrder(float(cfg["p"])), a, x)
-        else:
-            val = local_frac_derivative(fn.fn, float(cfg["alpha"]), x, int(cfg.get("side", 1)))
-        row = [float(x), float(val)]
-        if ref_cfg is not None:
-            ref_cfg2 = dict(ref_cfg)
-            ref_kind = ref_cfg2.pop("kind", None)
-            if ref_kind != "power-rule":
-                raise InvalidConfigError(f"{cfg_path}: unknown reference kind {ref_kind!r}")
-            ref = power_rule(
-                float(ref_cfg2["q"]), FracOrder(float(cfg["p"])), float(ref_cfg2.get("k", a)), x
-            )
-            rel = abs(val - ref) / max(1e-300, abs(ref))
-            rel_errs.append(rel)
-            row += [float(ref), float(rel)]
-        rows.append(row)
-    verdict = "unchecked"
-    if tol is not None and rel_errs:
-        verdict = "converged" if max(rel_errs) <= tol else "not-converged"
-    return verdict, header, rows
+    for row, val in zip(rows, values):
+        ref = power_rule(q, order, k, row[0])
+        rel_errs.append(abs(val - ref) / max(1e-300, abs(ref)))
+        row += [float(ref), float(rel_errs[-1])]
+    return ["x", "value", "reference", "rel_err"], rows, max(rel_errs)
 
 
-def _run_remainder_atoms(cfg: dict, fn, p: float, tol: float | None):
+def _run_remainder_atoms(cfg: dict, fn, p: float):
     """Atom-weight table of the bump construction: finite-stage masses next
     to their closed-form limits, with the kernel sampled on both ray
     families."""
-    atoms = dict(cfg["atoms"])
-    kind = atoms.pop("kind", "cantor-bump")
-    if kind != "cantor-bump":
-        raise InvalidConfigError(f"unknown atoms kind {kind!r}")
-    n = int(atoms.pop("n"))
-    if atoms:
-        raise InvalidConfigError(f"unknown atoms keys: {sorted(atoms)}")
-    rep = bump_decomposition(p, n)
+    atoms = _fill(cfg["atoms"], "atoms", {"kind": "cantor-bump"}, ("n",))
+    if atoms["kind"] != "cantor-bump":
+        raise InvalidConfigError(f"unknown atoms kind {atoms['kind']!r}")
+    rep = bump_decomposition(p, _num(atoms, "n", kind=int))
     ks = rep.atom_ks
     up = np.arctan2(ks + 1.0, ks.astype(float))
     down = np.arctan2(ks.astype(float), ks + 1.0)
-    g_up = kernel_profile(fn, p, up)
-    g_down = kernel_profile(fn, p, down)
+    columns = np.column_stack(
+        [up, down, rep.atom_weights, rep.atom_weights_limit]
+        + [kernel_profile(fn, p, up), kernel_profile(fn, p, down)]
+    )
     header = ["k", "angle_up", "angle_down", "weight_finite", "weight_limit", "g_up", "g_down"]
-    rows = [
-        [int(k), float(u), float(d), float(wf), float(wl), float(gu), float(gd)]
-        for k, u, d, wf, wl, gu, gd in zip(
-            ks, up, down, rep.atom_weights, rep.atom_weights_limit, g_up, g_down
-        )
-    ]
-    verdict = "unchecked"
-    if tol is not None:
-        gap = abs(rep.kernel_from_atoms - rep.kernel_from_limit)
-        verdict = "converged" if gap <= tol else "not-converged"
-    return verdict, header, rows
+    rows = [[int(k), *cells] for k, cells in zip(ks, columns.tolist())]
+    return header, rows, abs(rep.kernel_from_atoms - rep.kernel_from_limit)
 
 
-def _run_remainder(cfg: dict, raw: str, cfg_path: Path):
-    _check_keys(cfg, {"fn", "p", "pairs", "thetas", "atoms", "method"}, raw, cfg_path)
-    expect, tol = _expectation(cfg)
-    fn = make_fn(cfg.get("fn", {}))
-    p = float(cfg["p"])
+def _run_remainder(cfg: dict):
+    fn = make_fn(cfg["fn"])
+    p = _num(cfg, "p")
     if "atoms" in cfg:
-        return _run_remainder_atoms(cfg, fn, p, tol)
+        return _run_remainder_atoms(cfg, fn, p)
     method = cfg.get("method", "taylor")
     if method not in ("taylor", "integral", "both"):
-        raise InvalidConfigError(f"{cfg_path}: method must be taylor, integral or both")
-    pairs: list[tuple[float, float]] = []
+        raise InvalidConfigError("method must be taylor, integral or both")
     if "pairs" in cfg:
-        pairs = [(float(a), float(b)) for a, b in cfg["pairs"]]
+        pairs = cfg["pairs"]
+        if not isinstance(pairs, list) or any(
+            not isinstance(ab, list) or len(ab) != 2 for ab in pairs
+        ):
+            raise InvalidConfigError(f"'pairs' must be a list of [a, b] pairs, got {pairs!r}")
+        a, b = (np.array([_number(ab[i], "pairs") for ab in pairs], dtype=float) for i in (0, 1))
     elif "thetas" in cfg:
-        count = int(cfg["thetas"].get("count", 64))
+        count = _num(_fill(cfg["thetas"], "thetas", {"count": 64}), "count", kind=int)
+        if count < 1:
+            raise InvalidConfigError(f"thetas 'count' must be >= 1, got {count}")
         th = (np.arange(count) + 0.5) * (2.0 * np.pi / count)
-        pairs = [(float(np.cos(t)), float(np.sin(t))) for t in th]
+        a, b = np.cos(th), np.sin(th)
     else:
-        raise InvalidConfigError(f"{cfg_path}: needs 'pairs', 'thetas' or 'atoms'")
-    header = ["a", "b"]
-    if method in ("taylor", "both"):
+        raise InvalidConfigError("needs 'pairs', 'thetas' or 'atoms'")
+    xs, ys = a.tolist(), b.tolist()
+    header, columns = ["a", "b"], [xs, ys]
+    if method != "integral":
+        # Taylor-difference form at the raw pairs; the norm is a Python pow,
+        # which numpy's vectorized power does not match in the last bit
+        taylor = taylor_remainder(fn, a, b, int(np.floor(p))).tolist()
+        g_t = [t / abs(y - x) ** p for t, x, y in zip(taylor, xs, ys)]
         header.append("g_taylor")
-    if method in ("integral", "both"):
+        columns.append(g_t)
+    if method != "taylor":
+        g_i = [float(remainder_kernel(fn, p, x, y)) for x, y in zip(xs, ys)]
         header.append("g_integral")
+        columns.append(g_i)
+    gap = None
     if method == "both":
+        gaps = [abs(t - i) for t, i in zip(g_t, g_i)]
         header.append("abs_gap")
-    rows = []
-    gaps = []
-    for a, b in pairs:
-        row: list = [a, b]
-        g_t = g_i = None
-        if method in ("taylor", "both"):
-            # taylor-difference form evaluated at the raw pair
-            g_t = float(
-                taylor_remainder(fn, np.array([a]), np.array([b]), int(np.floor(p)))[0]
-                / abs(b - a) ** p
-            )
-            row.append(g_t)
-        if method in ("integral", "both"):
-            g_i = remainder_kernel(fn, p, a, b)
-            row.append(float(g_i))
-        if method == "both":
-            gap = abs(g_t - g_i)
-            gaps.append(gap)
-            row.append(float(gap))
-        rows.append(row)
-    verdict = "unchecked"
-    if tol is not None and gaps:
-        verdict = "converged" if max(gaps) <= tol else "not-converged"
-    return verdict, header, rows
+        columns.append(gaps)
+        gap = max(gaps, default=None)
+    return header, [list(row) for row in zip(*columns)], gap
 
 
-def _run_isometry(cfg: dict, raw: str, cfg_path: Path):
-    _check_keys(cfg, {"path", "partition", "p", "fn", "phi", "holder_alpha"}, raw, cfg_path)
-    expect, tol = _expectation(cfg)
+def _run_isometry(cfg: dict):
     phi = make_phi(cfg.get("phi", {}))
-    fn = make_fn(cfg.get("fn", {}))
-    p = float(cfg.get("p", phi.p_phi))
-    stages = list(_iter_stages(cfg, p, raw, cfg_path))
-    labels = [s[0] for s in stages]
+    fn = make_fn(cfg["fn"])
+    stages = list(_iter_stages(cfg, _num(cfg, "p", phi.p_phi)))
     path = stages[-1][1]
-    parts = [s[2] for s in stages]
-    if "holder_alpha" in cfg:
-        alpha = float(cfg["holder_alpha"])
-    else:
+    if any(stage_path is not path for _, stage_path, _ in stages):
+        raise InvalidConfigError(
+            "isometry compares every stage on one path, but partition kind"
+            " 'cantor-crossing' builds a new path per stage"
+        )
+    alpha = _num(cfg, "holder_alpha", None)
+    if alpha is None:
         alpha = holder_exponent(path)
-    report = isometry_check(phi, fn, path, parts, alpha)
-    header = ["level", "lhs", "rhs", "rel_error"]
+    report = isometry_check(phi, fn, path, [part for _, _, part in stages], alpha)
     rows = [
-        [labels[i], report.lhs[i], report.rhs[i], abs(report.ratios[i] - 1.0)]
-        for i in range(len(labels))
+        [label, report.lhs[i], report.rhs[i], abs(report.ratios[i] - 1.0)]
+        for i, (label, _, _) in enumerate(stages)
     ]
-    verdict = "unchecked"
-    if tol is not None:
-        verdict = "converged" if report.final_gap <= tol else "not-converged"
-    return verdict, header, rows
+    return ["level", "lhs", "rhs", "rel_error"], rows, report.final_gap
 
 
-def _run_cantor_sweep(cfg: dict, raw: str, cfg_path: Path):
-    _check_keys(cfg, {"p", "ns", "rounding"}, raw, cfg_path)
-    expect, tol = _expectation(cfg)
-    p = float(cfg["p"])
-    stages = cantor_sweep(p, cfg.get("ns", []), cfg.get("rounding", "floor"))
+def _run_cantor_sweep(cfg: dict):
+    stages = cantor_sweep(_num(cfg, "p"), _nums(cfg, "ns", int), cfg.get("rounding", "floor"))
     header = [
         "n",
         "k_n",
@@ -413,62 +383,43 @@ def _run_cantor_sweep(cfg: dict, raw: str, cfg_path: Path):
         "compensated_formula",
         "identity_residual",
     ]
-    rows = [
-        [
-            s.n,
-            s.k_n,
-            s.n_increments,
-            s.total_variation,
-            s.lower_bound,
-            s.upper_bound,
-            s.compensated,
-            s.compensated_formula,
-            s.identity_residual,
-        ]
-        for s in stages
-    ]
-    verdict = "unchecked"
-    if tol is not None and stages:
-        ok = all(abs(s.identity_residual) <= tol for s in stages)
-        verdict = "converged" if ok else "not-converged"
-    return verdict, header, rows
+    rows = [[getattr(s, name) for name in header] for s in stages]
+    # np.max keeps a NaN residual, so it reads "not-converged"
+    residuals = np.abs([s.identity_residual for s in stages])
+    return header, rows, float(np.max(residuals)) if stages else None
 
 
-def _run_bump_decomposition(cfg: dict, raw: str, cfg_path: Path):
-    _check_keys(cfg, {"p", "ns"}, raw, cfg_path)
-    expect, tol = _expectation(cfg)
-    p = float(cfg["p"])
+def _run_bump_decomposition(cfg: dict):
+    p = _num(cfg, "p")
+    reports = [bump_decomposition(p, n) for n in _nums(cfg, "ns", int)]
     header = ["n", "n_increments", "compensated", "kernel_from_atoms", "kernel_from_limit", "mass"]
-    rows = []
-    gaps = []
-    for n in cfg.get("ns", []):
-        rep = bump_decomposition(p, int(n))
-        gaps.append(abs(rep.kernel_from_atoms - rep.kernel_from_limit))
-        rows.append(
-            [
-                rep.n,
-                rep.n_increments,
-                rep.compensated,
-                rep.kernel_from_atoms,
-                rep.kernel_from_limit,
-                rep.mass,
-            ]
-        )
-    verdict = "unchecked"
-    if tol is not None and gaps:
-        verdict = "converged" if gaps[-1] <= tol else "not-converged"
-    return verdict, header, rows
+    rows = [[getattr(rep, name) for name in header] for rep in reports]
+    gap = abs(reports[-1].kernel_from_atoms - reports[-1].kernel_from_limit) if reports else None
+    return header, rows, gap
 
 
+# command -> (runner, allowed top-level keys, required top-level keys)
 _RUNNERS = {
-    "generate-path": _run_generate_path,
-    "variation": _run_variation,
-    "ito-check": _run_ito_check,
-    "frac-deriv": _run_frac_deriv,
-    "remainder": _run_remainder,
-    "isometry": _run_isometry,
-    "cantor-sweep": _run_cantor_sweep,
-    "bump-decomposition": _run_bump_decomposition,
+    "generate-path": (_run_generate_path, {"path", "grid"}, ("path",)),
+    "variation": (_run_variation, {"path", "partition", "p", "phi"}, ("partition", "p")),
+    "ito-check": (_run_ito_check, {"path", "partition", "p", "fn"}, ("partition", "p")),
+    "frac-deriv": (
+        _run_frac_deriv,
+        {"fn", "op", "p", "alpha", "a", "xs", "side", "reference"},
+        ("op", "fn", "xs"),
+    ),
+    "remainder": (
+        _run_remainder,
+        {"fn", "p", "pairs", "thetas", "atoms", "method"},
+        ("fn", "p"),
+    ),
+    "isometry": (
+        _run_isometry,
+        {"path", "partition", "p", "fn", "phi", "holder_alpha"},
+        ("partition", "fn"),
+    ),
+    "cantor-sweep": (_run_cantor_sweep, {"p", "ns", "rounding"}, ("p",)),
+    "bump-decomposition": (_run_bump_decomposition, {"p", "ns"}, ("p",)),
 }
 
 
@@ -485,15 +436,24 @@ def _execute(command: str, cfg_path: Path, out_dir: Path) -> tuple[int, dict]:
         raise InvalidConfigError(
             f"{cfg_path}: config declares command {declared!r}, invoked as {command!r}"
         )
-    runner = _RUNNERS[command]
-    started = time.perf_counter()
-    verdict, header, rows = runner(cfg, raw, cfg_path)
-    wall = time.perf_counter() - started
+    runner, allowed, required = _RUNNERS[command]
+    _check_keys(cfg, allowed, raw, cfg_path)
+    try:
+        expect, tol = _expectation(cfg)
+        _require(cfg, required, command)
+        started = time.perf_counter()
+        header, rows, gap = runner(cfg)
+        wall = time.perf_counter() - started
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{cfg_path}: {exc}") from None
+    if gap is None or tol is None:
+        verdict = "unchecked"
+    else:
+        verdict = "converged" if gap <= tol else "not-converged"
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = str(cfg.get("label") or cfg_path.stem)
     csv_path = out_dir / f"{stem}.csv"
     _write_csv(csv_path, header, rows)
-    expect = cfg.get("expect", "any")
     manifest = {
         "command": command,
         "config": cfg_path.name,
@@ -510,8 +470,7 @@ def _execute(command: str, cfg_path: Path, out_dir: Path) -> tuple[int, dict]:
     return code, manifest
 
 
-def _run_one_fixture(args: tuple[Path, Path]) -> tuple[str, int, dict | str]:
-    fixture, out_dir = args
+def _run_one_fixture(fixture: Path, out_dir: Path) -> tuple[str, int, dict | str]:
     try:
         cfg, _raw = _load_config(fixture)
         command = cfg.get("command")
@@ -528,13 +487,8 @@ def _reproduce_all(fixtures_dir: Path, out_dir: Path, jobs: int) -> int:
     if not fixtures:
         print(f"error: no fixture configs in {fixtures_dir}", file=sys.stderr)
         return 1
-    tasks = [(f, out_dir) for f in fixtures]
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one_fixture, tasks))
-    else:
-        results = [_run_one_fixture(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(_run_one_fixture, fixtures, [out_dir] * len(fixtures)))
     summary = {}
     worst = 0
     for name, code, payload in results:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidParameterError
+from .errors import FracpathError, InvalidConfigError, InvalidParameterError
 from .follmer import TensorFunctionBundle, TimeFunctionBundle
 from .fracops import SmoothFn
 from .isometry import PhiSpec
@@ -273,42 +273,39 @@ TIME_FN_REGISTRY: dict[str, Callable[..., TimeFunctionBundle]] = {
 }
 
 
-def make_fn(cfg: dict) -> SmoothFn:
-    if not isinstance(cfg, dict) or "name" not in cfg:
-        raise InvalidConfigError("function config needs a 'name' key")
-    cfg = dict(cfg)
-    name = cfg.pop("name")
-    ctor = FN_REGISTRY.get(name)
+def _build(cfg, key: str, table: dict, what: str):
+    """``table[cfg[key]]`` called with the rest of ``cfg`` as keyword
+    arguments; a missing key, an unknown entry or bad arguments raise
+    InvalidConfigError."""
+    if not isinstance(cfg, dict) or key not in cfg:
+        raise InvalidConfigError(f"{what} config needs a {key!r} key")
+    args = dict(cfg)
+    name = args.pop(key)
+    ctor = table.get(name) if isinstance(name, str) else None
     if ctor is None:
-        if name in TIME_FN_REGISTRY:
-            raise InvalidConfigError(
-                f"{name!r} is a time-dependent bundle; it only fits the"
-                " time-aware checks, not a plain function slot"
-            )
         raise InvalidConfigError(
-            f"unknown function {name!r}; known: {', '.join(sorted(FN_REGISTRY))}"
+            f"unknown {what} {key} {name!r}; known: {', '.join(sorted(table))}"
         )
     try:
-        return ctor(**cfg)
-    except TypeError as exc:
-        raise InvalidConfigError(f"bad arguments for function {name!r}: {exc}") from None
+        return ctor(**args)
+    except FracpathError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"bad arguments for {what} {name!r}: {exc}") from None
+
+
+def make_fn(cfg: dict) -> SmoothFn:
+    name = cfg.get("name") if isinstance(cfg, dict) else None
+    if isinstance(name, str) and name in TIME_FN_REGISTRY:
+        raise InvalidConfigError(
+            f"{name!r} is a time-dependent bundle; it only fits the"
+            " time-aware checks, not a plain function slot"
+        )
+    return _build(cfg, "name", FN_REGISTRY, "function")
 
 
 def make_time_fn(cfg: dict) -> TimeFunctionBundle:
-    if not isinstance(cfg, dict) or "name" not in cfg:
-        raise InvalidConfigError("function config needs a 'name' key")
-    cfg = dict(cfg)
-    name = cfg.pop("name")
-    ctor = TIME_FN_REGISTRY.get(name)
-    if ctor is None:
-        raise InvalidConfigError(
-            f"unknown time-dependent function {name!r}; known:"
-            f" {', '.join(sorted(TIME_FN_REGISTRY))}"
-        )
-    try:
-        return ctor(**cfg)
-    except TypeError as exc:
-        raise InvalidConfigError(f"bad arguments for function {name!r}: {exc}") from None
+    return _build(cfg, "name", TIME_FN_REGISTRY, "time-dependent function")
 
 
 def make_phi(cfg: dict) -> PhiSpec:
@@ -323,24 +320,13 @@ def make_phi(cfg: dict) -> PhiSpec:
 
 
 def make_path(cfg: dict) -> AnalyticPath | SampledPath:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise InvalidConfigError("path config needs a 'kind' key")
-    cfg = dict(cfg)
-    kind = cfg.pop("kind")
-    try:
-        if kind == "cantor-distance":
-            return cantor_distance_path(**cfg)
-        if kind == "cantor-bump":
-            return cantor_bump_path(**cfg)
-        if kind == "cantor-bump-knots":
-            return cantor_bump_knots(**cfg)
-        if kind == "takagi":
-            return takagi_path(**cfg)
-        if kind == "fbm":
-            return fbm_path(GaussianPathSpec(**cfg))
-    except TypeError as exc:
-        raise InvalidConfigError(f"bad arguments for path {kind!r}: {exc}") from None
-    raise InvalidConfigError(
-        f"unknown path kind {kind!r}; known: cantor-distance, cantor-bump, "
-        "cantor-bump-knots, takagi, fbm"
-    )
+    # built per call, so the names resolve to whatever the module holds then
+    # (a profiler's wrappers included), as a plain call would
+    paths = {
+        "cantor-distance": cantor_distance_path,
+        "cantor-bump": cantor_bump_path,
+        "cantor-bump-knots": cantor_bump_knots,
+        "takagi": takagi_path,
+        "fbm": lambda **kw: fbm_path(GaussianPathSpec(**kw)),
+    }
+    return _build(cfg, "kind", paths, "path")

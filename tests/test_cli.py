@@ -1,12 +1,16 @@
-"""End-to-end runs of the command-line entry point in subprocesses."""
+"""End-to-end runs of the command-line entry point, in subprocesses and
+in-process through ``cli.main``."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from fracpath import cli
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -184,3 +188,118 @@ def test_reproduce_all_fixtures(tmp_path):
     summary = json.loads((out / "reproduce-all.manifest.json").read_text())
     assert set(summary["runs"]) == {f.name for f in fixtures}
     assert all(run["exit"] == 0 for run in summary["runs"].values())
+
+
+# --------------------------------------------------------------------------- #
+# in-process runs of cli.main
+# --------------------------------------------------------------------------- #
+
+SIN = {"name": "sin"}
+
+# (config, text the error line must contain)
+BAD_CONFIGS = {
+    "remainder-no-p": (
+        {"command": "remainder", "fn": SIN, "thetas": {"count": 4}},
+        "remainder needs 'p'",
+    ),
+    "cantor-sweep-no-p": ({"command": "cantor-sweep", "ns": [2]}, "cantor-sweep needs 'p'"),
+    "bump-no-p": ({"command": "bump-decomposition", "ns": [2]}, "bump-decomposition needs 'p'"),
+    "rl-no-alpha": (
+        {"command": "frac-deriv", "op": "rl", "fn": SIN, "xs": [0.5]},
+        "missing 'alpha'",
+    ),
+    "thetas-not-object": (
+        {"command": "remainder", "fn": SIN, "p": 2.5, "thetas": 16},
+        "'thetas' must be an object",
+    ),
+    "thetas-unknown-key": (
+        {"command": "remainder", "fn": SIN, "p": 2.5, "thetas": {"cnt": 3}},
+        "unknown thetas keys ['cnt']",
+    ),
+    "grid-empty": (
+        {"command": "generate-path", "path": {"kind": "cantor-distance", "p": 2.5}, "grid": {}},
+        "grid needs 'n'",
+    ),
+    "p-not-a-number": (
+        {"command": "cantor-sweep", "p": "abc", "ns": [2]},
+        "'p' must be a finite number, got 'abc'",
+    ),
+    "ns-empty": (
+        {"command": "ito-check", "partition": {"kind": "cantor-crossing", "ns": []}, "p": 2.5},
+        "partition needs 'ns'",
+    ),
+    "xs-empty": (
+        {"command": "frac-deriv", "op": "caputo", "fn": SIN, "p": 0.5, "xs": []},
+        "frac-deriv needs 'xs'",
+    ),
+    # each cantor-crossing stage has its own path; isometry needs one path
+    "isometry-over-cantor-crossing": (
+        {
+            "command": "isometry",
+            "partition": {"kind": "cantor-crossing", "ns": [3, 5]},
+            "fn": SIN,
+            "phi": {"kind": "power", "p_phi": 2.5},
+            "p": 2.5,
+            "holder_alpha": 0.4,
+        },
+        "'cantor-crossing' builds a new path per stage",
+    ),
+}
+
+
+def write_config(directory: Path, name: str, cfg: dict) -> Path:
+    path = directory / name
+    path.write_text(json.dumps(cfg, indent=2) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
+    cfg, message = BAD_CONFIGS[case]
+    path = write_config(tmp_path, "bad.json", cfg)
+    out = tmp_path / "o"
+    code = cli.main([cfg["command"], "--config", str(path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: {path}: "), err
+    assert message in err
+    assert not out.exists()  # nothing is written for a rejected config
+
+
+def test_reproduce_all_reports_a_bad_fixture_and_writes_the_manifest(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    good = ["frac-deriv-local.json", "generate-cantor-path.json"]
+    for name in good:
+        shutil.copyfile(FIXTURES / name, fixtures / name)
+    write_config(fixtures, "bad.json", BAD_CONFIGS["cantor-sweep-no-p"][0])
+    out = tmp_path / "runs"
+    code = cli.main(["reproduce-all", "--fixtures", str(fixtures), "--out-dir", str(out)])
+    assert code == 1
+    assert "bad.json: CONFIG ERROR" in capsys.readouterr().out
+    runs = json.loads((out / "reproduce-all.manifest.json").read_text())["runs"]
+    assert set(runs) == {"bad.json", *good}
+    assert "cantor-sweep needs 'p'" in runs["bad.json"]
+    assert all(runs[name]["exit"] == 0 for name in good)
+
+
+def _without_wall_time(manifest):
+    if isinstance(manifest, dict):
+        return {k: _without_wall_time(v) for k, v in manifest.items() if k != "wall_time_s"}
+    return manifest
+
+
+@pytest.mark.slow
+def test_reproduce_all_rerun_is_stable(tmp_path, capsys):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert cli.main(["reproduce-all", "--fixtures", str(FIXTURES), "--out-dir", str(out)]) == 0
+    names = sorted(f.name for f in runs[0].iterdir())
+    assert names == sorted(f.name for f in runs[1].iterdir())
+    assert sum(n.endswith(".csv") for n in names) == len(list(FIXTURES.glob("*.json")))
+    for name in names:
+        a, b = ((out / name).read_bytes() for out in runs)
+        if name.endswith(".csv"):
+            assert a == b, name
+        else:
+            assert _without_wall_time(json.loads(a)) == _without_wall_time(json.loads(b)), name
