@@ -11,7 +11,8 @@ does the shared work once: it rejects unknown keys (with their line) and
 missing or empty required ones, parses ``expect`` and ``tol``, and sets the
 verdict: "converged" iff gap <= tol, "unchecked" when the runner reports no
 gap or the config gives no tol, "not-converged" otherwise (a NaN gap
-included). Every config error a runner raises names the config file.
+included). Every error a runner raises, a library error included, names
+the config file.
 
 CSV files are byte-stable across reruns of the same config; the manifest
 records the config digest, package version and wall time (the manifest is
@@ -34,11 +35,17 @@ import numpy as np
 
 from . import __version__
 from .errors import FracpathError, InvalidConfigError
-from .experiments import bump_decomposition, cantor_sweep
-from .follmer import ito_check, kernel_profile, remainder_kernel, taylor_remainder
+from .experiments import (
+    block_sum,
+    bump_decomposition,
+    cantor_blocks,
+    cantor_sweep,
+    ito_check_blocks,
+)
+from .follmer import kernel_profile, remainder_kernel, taylor_remainder
 from .fracops import FracOrder, caputo, local_frac_derivative, power_rule, rl_integral
 from .isometry import holder_exponent, isometry_check
-from .partitions import badic, cantor_value_grid, value_grid_partition
+from .partitions import MAX_KNOTS, badic, value_grid_partition
 from .paths import AnalyticPath, SampledPath, sample
 from .registry import abs_power, make_fn, make_path, make_phi
 from .variation import phi_variation_partial, pth_variation_partial
@@ -170,7 +177,11 @@ def _as_sampled(path_cfg: dict, levels_max: int, base: int) -> SampledPath:
 
 
 def _iter_stages(cfg: dict, p: float):
-    """Yield (stage_label, sampled_path, partition) triples."""
+    """Yield (stage_label, blocks) per stage: the stage's partition as
+    weighted blocks ``(weight, sampled_path, partition)``, which the runners
+    sum with ``block_sum`` or ``ito_check_blocks``. badic and value-grid
+    stages are one block of weight 1; a cantor-crossing stage is the level
+    blocks of ``experiments.cantor_blocks``, so no 2**n grid is built."""
     part = cfg["partition"]
     kind = part.get("kind") if isinstance(part, dict) else None
     if not isinstance(kind, str) or kind not in _PARTITIONS:
@@ -181,8 +192,7 @@ def _iter_stages(cfg: dict, p: float):
     part = _fill(part, "partition", {"kind": kind, **defaults}, (stages_key,))
     if kind == "cantor-crossing":
         for n in _nums(part, "ns", int):
-            path, partition, _ = cantor_value_grid(p, n, part["rounding"])
-            yield n, path, partition
+            yield n, cantor_blocks(p, n, part["rounding"])[1]
         return
     if "path" not in cfg:
         raise InvalidConfigError("this partition kind needs a 'path'")
@@ -190,12 +200,12 @@ def _iter_stages(cfg: dict, p: float):
         levels, base = _nums(part, "levels", int), _num(part, "base", kind=int)
         sampled = _as_sampled(cfg["path"], max(levels), base)
         for lev in levels:
-            yield lev, sampled, badic(sampled.horizon, lev, base)
+            yield lev, [(1, sampled, badic(sampled.horizon, lev, base))]
         return
     deltas = _nums(part, "deltas")
     sampled = _as_sampled(cfg["path"], _num(part, "samples_level", kind=int), 2)
     for delta in deltas:
-        yield delta, sampled, value_grid_partition(sampled, delta, part["mode"])
+        yield delta, [(1, sampled, value_grid_partition(sampled, delta, part["mode"]))]
 
 
 # --------------------------------------------------------------------------- #
@@ -218,13 +228,15 @@ def _run_generate_path(cfg: dict):
 def _run_variation(cfg: dict):
     p = _num(cfg, "p")
     phi = make_phi(cfg["phi"]) if "phi" in cfg else None
-    rows = []
-    for label, path, part in _iter_stages(cfg, p):
+    def term(path, part):
         if phi is not None:
-            s = phi_variation_partial(path, part, phi)
-        else:
-            s = pth_variation_partial(path, part, p)
-        rows.append([label, part.n_intervals, float(s)])
+            return phi_variation_partial(path, part, phi)
+        return pth_variation_partial(path, part, p)
+
+    rows = []
+    for label, blocks in _iter_stages(cfg, p):
+        n_increments = block_sum(blocks, lambda _, part: part.n_intervals)
+        rows.append([label, n_increments, float(block_sum(blocks, term))])
     gap = None
     if len(rows) >= 2:
         last, prev = rows[-1][2], rows[-2][2]
@@ -245,8 +257,8 @@ def _run_ito_check(cfg: dict):
         "follmer_residual",
     ]
     rows = []
-    for label, path, part in _iter_stages(cfg, p):
-        rep = ito_check(fn, path, part, p)
+    for label, blocks in _iter_stages(cfg, p):
+        rep = ito_check_blocks(fn, blocks, p)
         rows.append([label] + [getattr(rep, name) for name in header[1:]])
     r = [abs(row[-1]) for row in rows]
     gap = r[-1] if len(r) < 3 or r[-1] <= r[-2] <= r[-3] else math.inf
@@ -321,8 +333,8 @@ def _run_remainder(cfg: dict):
         a, b = (np.array([_number(ab[i], "pairs") for ab in pairs], dtype=float) for i in (0, 1))
     elif "thetas" in cfg:
         count = _num(_fill(cfg["thetas"], "thetas", {"count": 64}), "count", kind=int)
-        if count < 1:
-            raise InvalidConfigError(f"thetas 'count' must be >= 1, got {count}")
+        if not 1 <= count <= MAX_KNOTS:
+            raise InvalidConfigError(f"thetas 'count' must be in [1, {MAX_KNOTS}], got {count}")
         th = (np.arange(count) + 0.5) * (2.0 * np.pi / count)
         a, b = np.cos(th), np.sin(th)
     else:
@@ -353,19 +365,20 @@ def _run_isometry(cfg: dict):
     phi = make_phi(cfg.get("phi", {}))
     fn = make_fn(cfg["fn"])
     stages = list(_iter_stages(cfg, _num(cfg, "p", phi.p_phi)))
-    path = stages[-1][1]
-    if any(stage_path is not path for _, stage_path, _ in stages):
+    blocks = [block for _, stage_blocks in stages for block in stage_blocks]
+    path = blocks[-1][1]
+    if len(blocks) > len(stages) or any(block_path is not path for _, block_path, _ in blocks):
         raise InvalidConfigError(
             "isometry compares every stage on one path, but partition kind"
-            " 'cantor-crossing' builds a new path per stage"
+            f" {cfg['partition']['kind']!r} builds a new path per stage"
         )
     alpha = _num(cfg, "holder_alpha", None)
     if alpha is None:
         alpha = holder_exponent(path)
-    report = isometry_check(phi, fn, path, [part for _, _, part in stages], alpha)
+    report = isometry_check(phi, fn, path, [part for _, _, part in blocks], alpha)
     rows = [
         [label, report.lhs[i], report.rhs[i], abs(report.ratios[i] - 1.0)]
-        for i, (label, _, _) in enumerate(stages)
+        for i, (label, _) in enumerate(stages)
     ]
     return ["level", "lhs", "rhs", "rel_error"], rows, report.final_gap
 
@@ -444,8 +457,8 @@ def _execute(command: str, cfg_path: Path, out_dir: Path) -> tuple[int, dict]:
         started = time.perf_counter()
         header, rows, gap = runner(cfg)
         wall = time.perf_counter() - started
-    except InvalidConfigError as exc:
-        raise InvalidConfigError(f"{cfg_path}: {exc}") from None
+    except FracpathError as exc:
+        raise type(exc)(f"{cfg_path}: {exc}") from None
     if gap is None or tol is None:
         verdict = "unchecked"
     else:

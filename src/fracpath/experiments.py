@@ -7,7 +7,9 @@ caches state, so identical inputs give identical outputs.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,14 +23,18 @@ from .follmer import (
     kernel_profile,
     quotient_measure,
 )
-from .partitions import Partition, _cantor_pattern, badic, cantor_value_grid
+from .partitions import MAX_KNOTS, Partition, _cantor_pattern, badic, check_stop_times
 from .paths import GaussianPathSpec, SampledPath, bump_count, fbm_path
 from .registry import abs_power
 from .variation import cantor_function, pth_variation_partial, variation_table
 
 __all__ = [
     "CantorStage",
+    "cantor_blocks",
+    "block_sum",
+    "ito_check_blocks",
     "cantor_stage",
+    "cantor_profile",
     "cantor_sweep",
     "cantor_compensated_formula",
     "cantor_function_gap",
@@ -79,35 +85,68 @@ def cantor_compensated_formula(p: float, n: int, k_n: int) -> float:
     return first + second
 
 
-def cantor_stage(p: float, n: int, rounding: str = "floor") -> CantorStage:
-    """Stage-n numbers for the Cantor-distance path along its crossing grid
-    (see ``partitions.cantor_value_grid``), reduced level by level.
+def cantor_blocks(
+    p: float, n: int, rounding: str = "floor"
+) -> tuple[int, list[tuple[int, SampledPath, Partition]]]:
+    """(k_n, blocks): the stage-n crossing grid of the Cantor-distance path
+    (see ``partitions.cantor_value_grid``) as weighted blocks
+    ``(weight, path, partition)``, without the 2**n grid.
 
     That grid is one block of 2 k_n increments per removed interval, the
     blocks joined by 2**n zero increments. The 2**(i-1) intervals removed at
-    level i carry the same values, so one representative block per level --
-    times ``3**-i * frac_all`` from 0, values ``2**(-i/p) / k_n *
-    val_pattern`` -- goes through ``ito_check`` and
-    ``pth_variation_partial`` and counts 2**(i-1) times. Its increments are
-    the same floats as in the full grid and the zero increments add exactly
-    0, so only the order of summation differs from the materialized sums.
-    Cost and memory grow with n * k_n instead of 2**n * k_n.
+    level i carry the same values, so entry i - 1 is one representative
+    block -- times ``3**-i * frac_all`` from 0, values ``2**(-i/p) / k_n *
+    val_pattern`` -- of weight 2**(i-1). The last entry is a flat
+    one-interval block of weight 2**n: the zero increments. Every increment
+    is the same float as in the full grid, so a sum over the grid is the
+    weighted sum over the blocks up to the order of summation. Memory grows
+    with n * k_n instead of 2**n * k_n; a stage whose level-n times
+    underflow float64 is refused before any block is built.
     """
     k_n, frac_all, val_pattern = _cantor_pattern(p, n, rounding, n_gaps=1)
-    fn = abs_power(p)
-    value_change = compensated = kernel_sum = total = 0.0
-    n_increments = 1 << n  # the zero increments joining the blocks
+    blocks = []
     for i in range(1, n + 1):
         times = 3.0 ** (-i) * frac_all
         path = SampledPath(times, 2.0 ** (-i / p) / k_n * val_pattern)
-        part = Partition(times)
-        report = ito_check(fn, path, part, p)
-        weight = 2.0 ** (i - 1)
-        value_change += weight * report.value_change
-        compensated += weight * report.compensated
-        kernel_sum += weight * report.kernel_sum
-        total += weight * pth_variation_partial(path, part, p)
-        n_increments += (1 << (i - 1)) * report.n_increments
+        blocks.append((1 << (i - 1), path, Partition(times)))
+    flat = np.array([0.0, 1.0])
+    blocks.append((1 << n, SampledPath(flat, np.zeros(2)), Partition(flat)))
+    return k_n, blocks
+
+
+def _weighted_total(pairs):
+    # the first term starts the sum: one pair of weight 1 gives its value
+    # itself, bit for bit (a signed zero included)
+    return functools.reduce(operator.add, (w * v for w, v in pairs))
+
+
+def block_sum(blocks, term):
+    """sum of ``weight * term(path, partition)`` over weighted blocks, in
+    block order; one block of weight 1 gives ``term``'s value itself."""
+    return _weighted_total((w, term(path, part)) for w, path, part in blocks)
+
+
+# the ItoReport terms that add up over the increments of a partition
+_ADDITIVE = ("value_change", "compensated", "kernel_sum", "n_increments", "n_zero_increments")
+
+
+def ito_check_blocks(fn: SmoothFn, blocks, p: float) -> ItoReport:
+    """``ito_check`` along a partition given as weighted blocks: each
+    additive term of the block reports summed as ``block_sum`` does."""
+    reports = [(w, ito_check(fn, path, part, p)) for w, path, part in blocks]
+    return ItoReport(
+        **{name: _weighted_total((w, getattr(r, name)) for w, r in reports) for name in _ADDITIVE}
+    )
+
+
+def cantor_stage(p: float, n: int, rounding: str = "floor") -> CantorStage:
+    """Stage-n numbers for the Cantor-distance path along its crossing grid,
+    summed over the level blocks of ``cantor_blocks``: only the order of
+    summation differs from sums over the materialized grid, and cost and
+    memory grow with n * k_n instead of 2**n * k_n."""
+    k_n, blocks = cantor_blocks(p, n, rounding)
+    report = ito_check_blocks(abs_power(p), blocks, p)
+    total = block_sum(blocks, lambda path, part: pth_variation_partial(path, part, p))
     lower = 1.0
     upper = (1.0 - n ** (1.0 / (1.0 - p))) ** (1.0 - p) if k_n > 1 else math.inf
     return CantorStage(
@@ -116,11 +155,11 @@ def cantor_stage(p: float, n: int, rounding: str = "floor") -> CantorStage:
         total_variation=total,
         lower_bound=lower,
         upper_bound=upper,
-        compensated=compensated,
+        compensated=report.compensated,
         compensated_formula=cantor_compensated_formula(p, n, k_n),
-        kernel_sum=kernel_sum,
-        identity_residual=value_change - compensated - kernel_sum,
-        n_increments=n_increments,
+        kernel_sum=report.kernel_sum,
+        identity_residual=report.identity_residual,
+        n_increments=report.n_increments,
     )
 
 
@@ -128,13 +167,44 @@ def cantor_sweep(p: float, ns, rounding: str = "floor") -> list[CantorStage]:
     return [cantor_stage(p, int(n), rounding) for n in ns]
 
 
+def cantor_profile(p: float, n: int, ts, rounding: str = "floor") -> np.ndarray:
+    """Stage-n partial p-th variation of the Cantor-distance path along its
+    crossing grid at each query time: ``variation_table`` over
+    ``cantor_value_grid``'s path and partition, without the 2**n grid, and
+    rejecting the same query times.
+
+    One pass over the levels walks the ternary digits of every t, keeping
+    ``lo``, the left end of the retained interval that holds t, and ``b``,
+    that interval's index (the number of level-i gaps left of it). Level i
+    adds ``b`` full blocks plus, when t has passed the gap's left end
+    ``lo + 3**-i``, the block's partial variation at the offset into the
+    gap. Memory is O(len(ts)) per level. ``b`` is a float, since 2**82
+    overflows int64.
+    """
+    ts = np.asarray(ts, dtype=float)
+    check_stop_times(ts)
+    _, blocks = cantor_blocks(p, n, rounding)
+    out = np.zeros_like(ts)
+    lo = np.zeros_like(ts)
+    b = np.zeros_like(ts)
+    for i, (_, path, part) in enumerate(blocks[:-1], start=1):
+        third = 3.0 ** (-i)
+        gap_lo = lo + third
+        full = variation_table(path, part, p, [path.horizon])[0]
+        partial = variation_table(path, part, p, np.maximum(ts - gap_lo, 0.0))
+        right = ts >= gap_lo
+        out += b * full + np.where(right, partial, 0.0)
+        b = np.where(right, 2.0 * b + 1.0, 2.0 * b)
+        # the gap's right end, summed as paths.cantor_gap_lefts sums it
+        lo = np.where(right, lo + 2.0 * third, lo)
+    return out
+
+
 def cantor_function_gap(p: float, n: int, ts, rounding: str = "floor") -> float:
     """Largest gap between the stage-n partial p-th variation profile of the
     Cantor-distance path and the Cantor function, over the query times."""
-    path, part, _k_n = cantor_value_grid(p, n, rounding)
     ts = np.asarray(ts, dtype=float)
-    table = variation_table(path, part, p, ts)
-    return float(np.max(np.abs(table - cantor_function(ts))))
+    return float(np.max(np.abs(cantor_profile(p, n, ts, rounding) - cantor_function(ts))))
 
 
 # --------------------------------------------------------------------------- #
@@ -169,11 +239,16 @@ class BumpReport:
 def bump_decomposition(p: float, n: int) -> BumpReport:
     """Exact stage-n sums for the bump path without materializing the
     partition (the full grid at depth 14 has billions of points; the
-    decomposition needs about 2^n arithmetic terms)."""
+    decomposition needs about 2^n arithmetic terms). Its 2**(n-1) atom
+    weights are refused past ``MAX_KNOTS``, before anything is built."""
     if not 2.0 < p < 3.0:
         raise InvalidParameterError(f"p must lie in (2, 3), got {p}")
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
+    if n - 1 > MAX_KNOTS.bit_length() - 1:
+        raise InvalidParameterError(
+            f"stage {n}: 2**{n - 1} atom weights exceed the limit of {MAX_KNOTS}"
+        )
     delta = 2.0**-n
     counts = np.array([0] + [bump_count(p, i) for i in range(1, n + 1)], dtype=float)
     total_l = 0.0

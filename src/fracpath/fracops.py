@@ -208,7 +208,12 @@ def power_rule(q: float, order: FracOrder, k: float, x: float) -> float:
         raise InvalidParameterError(f"power rule needs q > m = {order.m}, got q = {q}")
     if x <= k:
         raise InvalidParameterError("need x > k")
-    return math.gamma(q + 1.0) / math.gamma(q + 1.0 - order.p) * (x - k) ** (q - order.p)
+    try:
+        return math.gamma(q + 1.0) / math.gamma(q + 1.0 - order.p) * (x - k) ** (q - order.p)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"power rule overflows float64 at q = {q}, x - k = {x - k}"
+        ) from None
 
 
 def caputo_power(

@@ -21,6 +21,7 @@ __all__ = [
     "badic",
     "value_grid_partition",
     "cantor_value_grid",
+    "MAX_KNOTS",
     "osc",
     "partition_values",
     "check_stop_times",
@@ -59,26 +60,34 @@ class Partition:
         return float(np.max(np.diff(self.times)))
 
 
+# the most knots a grid builder materializes: b-adic knots, value-grid
+# crossings, or the (2**n - 1) * (2 * k_n + 1) + 2 knots of a Cantor stage
+# (2**25 admits stage 21 at p = 2.5, 31.5M knots, about 0.5 GB for times and
+# values)
+MAX_KNOTS = 2**25
+
+
 def badic(horizon: float, n: int, base: int = 2) -> Partition:
-    """Uniform b-adic partition of [0, horizon] with base**n intervals."""
+    """Uniform b-adic partition of [0, horizon] with base**n intervals.
+    More than ``MAX_KNOTS`` knots are refused before base**n is computed."""
     if base < 2 or int(base) != base:
         raise InvalidParameterError(f"base must be an integer >= 2, got {base}")
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
     if horizon <= 0.0:
         raise InvalidParameterError("horizon must be positive")
-    k = int(base) ** n
-    return Partition(np.linspace(0.0, horizon, k + 1))
+    base = int(base)
+    # base**n >= 2**(n * floor(log2 base)): a digit bound that needs no base**n
+    if n * (base.bit_length() - 1) >= MAX_KNOTS.bit_length() - 1 or base**n + 1 > MAX_KNOTS:
+        raise InvalidParameterError(
+            f"{base}**{n} intervals exceed the limit of {MAX_KNOTS} knots"
+        )
+    return Partition(np.linspace(0.0, horizon, base**n + 1))
 
 
 # --------------------------------------------------------------------------- #
 # value-crossing partitions
 # --------------------------------------------------------------------------- #
-
-# the most knots a grid builder materializes: value-grid crossings, or the
-# (2**n - 1) * (2 * k_n + 1) + 2 knots of a Cantor stage (2**25 admits stage
-# 21 at p = 2.5, 31.5M knots, about 0.5 GB for times and values)
-_MAX_KNOTS = 2**25
 
 
 def value_grid_partition(
@@ -116,9 +125,9 @@ def value_grid_partition(
         last = np.where(up, np.floor(a1 + guard), np.ceil(a1 - guard))
         count = np.maximum((last - first) * step + 1.0, 0.0)  # 0 on flat segments
     total = float(count.sum())
-    if not total <= _MAX_KNOTS:  # inf or NaN when v / delta overflows
+    if not total <= MAX_KNOTS:  # inf or NaN when v / delta overflows
         raise InvalidParameterError(
-            f"delta={delta!r} gives {total:.0f} crossings, more than the limit of {_MAX_KNOTS}"
+            f"delta={delta!r} gives {total:.0f} crossings, more than the limit of {MAX_KNOTS}"
         )
     count = count.astype(np.int64)
     seg = np.repeat(np.arange(count.size), count)
@@ -141,6 +150,10 @@ def value_grid_partition(
 # --------------------------------------------------------------------------- #
 
 
+# 3.0 ** -679 == 0.0: no stage this deep has a level-n block of distinct times
+_TERNARY_UNDERFLOW = 679
+
+
 def _cantor_pattern(
     p: float, n: int, rounding: str, n_gaps: int
 ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -152,30 +165,40 @@ def _cantor_pattern(
     interval, ``val_pattern`` the values 0, 1, .., k_n, .., 1, 0 in units of
     the level's value step. Refuses, before building anything, when
     ``n_gaps`` such blocks between the end knots 0 and 1 would exceed
-    ``_MAX_KNOTS`` knots.
+    ``MAX_KNOTS`` knots, and when the level-n block's crossing times
+    ``3**-n * frac_all`` are not distinct float64 numbers (they underflow).
     """
     if p <= 1.0:
         raise InvalidParameterError(f"p must exceed 1, got {p}")
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    raw = n ** (1.0 / (p - 1.0))
-    if rounding == "floor":
-        k_n = int(math.floor(raw + 1e-9))
-    elif rounding == "nearest":
-        k_n = int(round(raw))
-    else:
+    if rounding not in ("floor", "nearest"):
         raise InvalidParameterError(f"unknown rounding {rounding!r}")
-    k_n = max(k_n, 1)
-    n_knots = n_gaps * (2 * k_n + 1) + 2
-    if n_knots > _MAX_KNOTS:
+    too_deep = InvalidParameterError(
+        f"stage {n} at p={p} is too deep: the level-{n} crossing times 3**-{n} * s"
+        " underflow float64"
+    )
+    # cheap refusals first, so that a huge n or a p near 1 never reaches the power
+    if n >= _TERNARY_UNDERFLOW:
+        raise too_deep
+    if math.log(n) > (p - 1.0) * math.log(MAX_KNOTS):
         raise InvalidParameterError(
-            f"stage {n} at p={p}: {n_knots} knots exceed the limit of {_MAX_KNOTS}"
+            f"stage {n} at p={p}: k_n = n**(1/(p-1)) exceeds the limit of {MAX_KNOTS} knots"
+        )
+    raw = n ** (1.0 / (p - 1.0))
+    k_n = max(int(math.floor(raw + 1e-9)) if rounding == "floor" else int(round(raw)), 1)
+    n_knots = n_gaps * (2 * k_n + 1) + 2
+    if n_knots > MAX_KNOTS:
+        raise InvalidParameterError(
+            f"stage {n} at p={p}: {n_knots} knots exceed the limit of {MAX_KNOTS}"
         )
 
     q = LN2_OVER_LN3 / p
     ks = np.arange(k_n + 1, dtype=float)
     s_frac = (ks / k_n) ** (1.0 / q) / 2.0  # crossing offsets on the rising half
     frac_all = np.concatenate([s_frac, 1.0 - s_frac[:-1][::-1]])
+    if not np.all(np.diff(3.0 ** (-n) * frac_all) > 0.0):
+        raise too_deep
     val_pattern = np.concatenate(
         [np.arange(k_n + 1, dtype=float), np.arange(k_n - 1, -1, -1, dtype=float)]
     )
@@ -205,11 +228,20 @@ def cantor_value_grid(
     n - v2(r), v2(r) being the number of times 2 divides r, so the
     2**(i-1) intervals of level i, left to right, fill rows
     (2j+1) 2**(n-i) - 1. The whole grid is refused when it would hold more
-    than 2**25 knots; ``experiments.cantor_stage`` needs one block per level
-    only and reaches far deeper stages.
+    than ``MAX_KNOTS`` knots (stage 21 at p = 2.5 is the deepest).
+
+    Nothing outside the tests builds this grid: ``experiments.cantor_blocks``
+    gives the same increments as one block per level plus one flat block,
+    and ``cantor_stage``, ``cantor_profile`` and the CLI's
+    ``cantor-crossing`` partitions sum over those. The grid stays public as
+    their cross-check.
 
     Returns (path, partition, k_n); the partition times are the path knots.
     """
+    if n > MAX_KNOTS.bit_length():  # 2**n - 1 blocks of at least 3 knots each
+        raise InvalidParameterError(
+            f"stage {n} at p={p}: 2**{n} - 1 blocks exceed the limit of {MAX_KNOTS} knots"
+        )
     n_gaps = (1 << max(n, 1)) - 1
     k_n, frac_all, val_pattern = _cantor_pattern(p, n, rounding, n_gaps=n_gaps)
     width = frac_all.size

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from fracpath import cli
+from fracpath.experiments import cantor_stage
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -244,6 +245,38 @@ BAD_CONFIGS = {
         },
         "'cantor-crossing' builds a new path per stage",
     ),
+    # huge finite numbers are refused before anything is built
+    "grid-n-huge": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "cantor-distance", "p": 2.5},
+            "grid": {"n": 1e308},
+        },
+        "intervals exceed the limit of 33554432 knots",
+    ),
+    "atoms-n-huge": (
+        {"command": "remainder", "fn": SIN, "p": 2.25, "atoms": {"n": 1e308}},
+        "atom weights exceed the limit of 33554432",
+    ),
+    "thetas-count-huge": (
+        {"command": "remainder", "fn": SIN, "p": 2.5, "thetas": {"count": 1e308}},
+        "thetas 'count' must be in [1, 33554432]",
+    ),
+    "reference-q-huge": (
+        {
+            "command": "frac-deriv",
+            "op": "caputo",
+            "fn": {"name": "plus-power", "q": 3.2},
+            "p": 0.7,
+            "xs": [0.5],
+            "reference": {"kind": "power-rule", "q": 1e308},
+        },
+        "power rule overflows float64 at q = 1e+308",
+    ),
+    "cantor-crossing-too-deep": (
+        {"command": "ito-check", "partition": {"kind": "cantor-crossing", "ns": [663]}, "p": 2.5},
+        "stage 663 at p=2.5 is too deep",
+    ),
 }
 
 
@@ -264,6 +297,26 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
     assert err.startswith(f"error: {path}: "), err
     assert message in err
     assert not out.exists()  # nothing is written for a rejected config
+
+
+def test_ito_check_over_cantor_crossing_reaches_stage_83(tmp_path, capsys):
+    # level blocks, not the 2**n grid: stage 83 is the first with |L^n| < 0.02
+    cfg = {
+        "command": "ito-check",
+        "label": "deep",
+        "partition": {"kind": "cantor-crossing", "ns": [20, 83]},
+        "p": 2.5,
+    }
+    path = write_config(tmp_path, "deep.json", cfg)
+    out = tmp_path / "o"
+    code = cli.main(["ito-check", "--config", str(path), "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    header, *rows = [line.split(",") for line in (out / "deep.csv").read_text().splitlines()]
+    row = dict(zip(header, rows[-1]))
+    stage = cantor_stage(2.5, 83)
+    assert row["stage"] == "83"
+    assert int(row["n_increments"]) == stage.n_increments == 1 + (2**83 - 1) * 39
+    assert float(row["compensated"]) == stage.compensated
 
 
 def test_reproduce_all_reports_a_bad_fixture_and_writes_the_manifest(tmp_path, capsys):

@@ -1,9 +1,19 @@
-"""Level-reduced Cantor stages against the materialized crossing grid."""
+"""Level-reduced Cantor stages and profiles against the materialized
+crossing grid, and the depth where float64 stops them."""
 
 import numpy as np
 import pytest
 
-from fracpath.experiments import cantor_compensated_formula, cantor_stage
+from fracpath.errors import InvalidParameterError
+from fracpath.experiments import (
+    block_sum,
+    bump_decomposition,
+    cantor_blocks,
+    cantor_compensated_formula,
+    cantor_profile,
+    cantor_stage,
+    ito_check_blocks,
+)
 from fracpath.follmer import ito_check
 from fracpath.partitions import cantor_value_grid
 from fracpath.paths import LN2_OVER_LN3, cantor_gap_lefts
@@ -77,3 +87,49 @@ def test_cantor_stage_83_crosses_the_criterion_level():
     assert stage.compensated == pytest.approx(formula, rel=1e-9)
     assert stage.total_variation == pytest.approx(83 * 19.0 ** (1.0 - P), rel=1e-12)
     assert abs(stage.identity_residual) < 1e-13
+
+
+@pytest.mark.parametrize("rounding", ["floor", "nearest"])
+def test_cantor_blocks_count_every_increment_of_the_grid(rounding):
+    # the flat block of weight 2**n stands for the zero increments joining
+    # the removed intervals, so both counts come out of the weighted sum
+    fn = abs_power(P)
+    for n in range(1, 11):
+        _, blocks = cantor_blocks(P, n, rounding)
+        path, part, _ = cantor_value_grid(P, n, rounding)
+        rep = ito_check(fn, path, part, P)
+        summed = ito_check_blocks(fn, blocks, P)
+        assert block_sum(blocks, lambda _, b_part: b_part.n_intervals) == part.n_intervals
+        assert summed.n_increments == rep.n_increments
+        assert summed.n_zero_increments == rep.n_zero_increments == 2**n
+
+
+def test_cantor_profile_83_ends_at_the_stage_total():
+    stage = cantor_stage(P, 83)
+    ts = np.array([0.0, 1.0, 2.0])
+    profile = cantor_profile(P, 83, ts)
+    assert profile[0] == 0.0
+    assert profile[1] == pytest.approx(stage.total_variation, rel=1e-12, abs=0.0)
+    assert profile[2] == profile[1]
+
+
+def test_deep_stages_are_refused_where_float64_ends():
+    # at p = 2.5 the level-663 crossing times 3**-663 * s collide in the
+    # subnormal range; stage 662 is the deepest whose blocks are distinct
+    deepest = cantor_stage(P, 662)
+    assert deepest.compensated == pytest.approx(deepest.compensated_formula, rel=1e-9)
+    for n in (663, 680, int(1e308)):
+        with pytest.raises(InvalidParameterError, match=f"stage {n} at p=2.5 is too deep"):
+            cantor_stage(P, n)
+        with pytest.raises(InvalidParameterError, match="too deep"):
+            cantor_profile(P, n, [0.5])
+    # a p near 1 makes k_n = n**(1/(p-1)) overflow; refused without the power
+    with pytest.raises(InvalidParameterError, match="k_n = n"):
+        cantor_stage(1.0 + 1e-12, 600)
+
+
+def test_bump_decomposition_refuses_oversized_atom_tables():
+    with pytest.raises(InvalidParameterError, match="2\\*\\*26 atom weights exceed the limit"):
+        bump_decomposition(2.25, 27)
+    with pytest.raises(InvalidParameterError, match="atom weights exceed the limit"):
+        bump_decomposition(2.25, int(1e308))

@@ -47,6 +47,21 @@ def test_badic_shape_and_nesting():
         badic(-1.0, 3)
 
 
+def test_badic_refuses_oversized_grids_before_building_them():
+    # 2**25 + 1 knots is one past the limit; 2**30 would be 8 GiB of times,
+    # and n = 1e308 must not build base**n either
+    tracemalloc.start()
+    try:
+        for n, base in [(25, 2), (5, 32), (30, 2), (int(1e308), 2), (1, 2**25)]:
+            with pytest.raises(InvalidParameterError, match="exceed the limit of 33554432 knots"):
+                badic(1.0, n, base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert badic(1.0, 3, base=2**7).n_intervals == 2**21
+
+
 # --------------------------------------------------------------------------- #
 # value-crossing partitions
 # --------------------------------------------------------------------------- #
@@ -142,6 +157,11 @@ def test_cantor_value_grid_refuses_oversized_stages():
     assert peak < 1 << 20
     with pytest.raises(InvalidParameterError, match="62914547 knots"):
         cantor_value_grid(2.5, 22)
+    # past 26 levels the block count alone is over; 2**n is never formed
+    with pytest.raises(InvalidParameterError, match="2\\*\\*27 - 1 blocks"):
+        cantor_value_grid(2.5, 27)
+    with pytest.raises(InvalidParameterError, match="blocks exceed the limit"):
+        cantor_value_grid(2.5, int(1e308))
     path, _, k_n = cantor_value_grid(2.5, 1)
     assert path.times.size == 2 * k_n + 3
 

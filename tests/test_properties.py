@@ -2,7 +2,8 @@
 exact knot lookup, the finite-stage identity at rounding level (scalar and
 multi-component), one compensated sum behind every check, the remainder
 kernel's two forms, the gauge inverse, the variation profile (and the query
-times it rejects), the Young bound as an equality for one component, the
+times it rejects), the level-reduced Cantor profile against the materialized
+grid, the Young bound as an equality for one component, the
 quotient-measure mass as the p-th variation and the lattice form of
 value-grid partitions."""
 
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracpath.errors import InvalidParameterError, InvalidPhiError
+from fracpath.experiments import cantor_profile
 from fracpath.follmer import (
     TensorFunctionBundle,
     compensated_sum,
@@ -26,8 +28,8 @@ from fracpath.follmer import (
     young_bound_check,
 )
 from fracpath.isometry import PhiSpec, phi_inverse
-from fracpath.partitions import Partition, osc, value_grid_partition
-from fracpath.paths import SampledPath
+from fracpath.partitions import Partition, cantor_value_grid, osc, value_grid_partition
+from fracpath.paths import SampledPath, cantor_gap_lefts
 from fracpath.registry import abs_power, moving_abs_power, plus_power, product_bundle, sin_affine
 from fracpath.variation import pth_variation_partial, variation_table
 
@@ -220,6 +222,34 @@ def test_variation_table_rejects_what_pointwise_rejects(case, bad, data):
     with pytest.raises(InvalidParameterError) as table:
         variation_table(path, part, 2.0, ts)
     assert str(table.value) == str(pointwise.value)
+    with pytest.raises(InvalidParameterError) as profile:
+        cantor_profile(2.5, 3, ts)
+    assert str(profile.value) == str(pointwise.value)
+
+
+@PROPS
+@given(
+    st.integers(1, 12),
+    st.sampled_from(["floor", "nearest"]),
+    st.sampled_from([1.5, 2.5, 3.5]),
+    st.data(),
+)
+def test_cantor_profile_is_the_materialized_variation_table(n, rounding, p, data):
+    # the level walk against variation_table over the full stage-n grid, at
+    # knots, inside gaps of every level, at 0, 1 and past the horizon
+    path, part, _ = cantor_value_grid(p, n, rounding)
+    knots = data.draw(st.lists(st.sampled_from(list(part.times)), max_size=20))
+    level = data.draw(st.integers(1, n))
+    lefts = cantor_gap_lefts(level)
+    picks = data.draw(st.lists(st.integers(0, lefts.size - 1), max_size=10))
+    offsets = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(picks), max_size=len(picks)))
+    inside = lefts[picks] + 3.0 ** (-level) * np.array(offsets)
+    anywhere = data.draw(st.lists(st.floats(0.0, 1.5), max_size=20))
+    ts = np.concatenate([knots, inside, anywhere, [0.0, 1.0, 1.25]])
+    want = variation_table(path, part, p, ts)
+    got = cantor_profile(p, n, ts, rounding)
+    limit = part.n_intervals * EPS * np.maximum(1.0, want)
+    assert np.all(np.abs(got - want) <= limit), np.max(np.abs(got - want) / limit)
 
 
 @PROPS
