@@ -42,7 +42,7 @@ from .experiments import (
     cantor_sweep,
     ito_check_blocks,
 )
-from .follmer import kernel_profile, remainder_kernel, taylor_remainder
+from .follmer import kernel_profile, remainder_kernel, taylor_order, taylor_remainder
 from .fracops import FracOrder, caputo, local_frac_derivative, power_rule, rl_integral
 from .isometry import holder_exponent, isometry_check
 from .partitions import MAX_KNOTS, badic, value_grid_partition
@@ -115,6 +115,10 @@ def _number(value, key: str, kind=float):
         finite = False
     if not finite:
         raise InvalidConfigError(f"{key!r} must be a finite number, got {value!r}")
+    # a JSON true, or 2.7 given for an integer key
+    if isinstance(value, bool) or (isinstance(value, float) and out != value):
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidConfigError(f"{key!r} must be {noun}, got {value!r}")
     return out
 
 
@@ -304,9 +308,7 @@ def _run_remainder_atoms(cfg: dict, fn, p: float):
     if atoms["kind"] != "cantor-bump":
         raise InvalidConfigError(f"unknown atoms kind {atoms['kind']!r}")
     rep = bump_decomposition(p, _num(atoms, "n", kind=int))
-    ks = rep.atom_ks
-    up = np.arctan2(ks + 1.0, ks.astype(float))
-    down = np.arctan2(ks.astype(float), ks + 1.0)
+    ks, up, down = rep.limit.ks, rep.limit.up_angles, rep.limit.down_angles
     columns = np.column_stack(
         [up, down, rep.atom_weights, rep.atom_weights_limit]
         + [kernel_profile(fn, p, up), kernel_profile(fn, p, down)]
@@ -344,7 +346,7 @@ def _run_remainder(cfg: dict):
     if method != "integral":
         # Taylor-difference form at the raw pairs; the norm is a Python pow,
         # which numpy's vectorized power does not match in the last bit
-        taylor = taylor_remainder(fn, a, b, int(np.floor(p))).tolist()
+        taylor = taylor_remainder(fn, a, b, taylor_order(p)).tolist()
         g_t = [t / abs(y - x) ** p for t, x, y in zip(taylor, xs, ys)]
         header.append("g_taylor")
         columns.append(g_t)

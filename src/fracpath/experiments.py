@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .fracops import SmoothFn
 from .follmer import (
+    BumpAtomTable,
     ItoReport,
     bump_atom_weights,
     ito_check,
@@ -225,11 +226,14 @@ class BumpReport:
     compensated: float
     kernel_sum: float
     n_increments: int
-    atom_ks: np.ndarray = field(repr=False)
     atom_weights: np.ndarray = field(repr=False)
-    atom_weights_limit: np.ndarray = field(repr=False)
+    limit: BumpAtomTable = field(repr=False)  # closed-form atoms, angles included
     kernel_from_atoms: float = 0.0
     kernel_from_limit: float = 0.0
+
+    @property
+    def atom_weights_limit(self) -> np.ndarray:
+        return self.limit.weights
 
     @property
     def mass(self) -> float:
@@ -270,10 +274,8 @@ def bump_decomposition(p: float, n: int) -> BumpReport:
         w_fin[:big_k] += mult * delta**p
     limit_table = bump_atom_weights(p, k_top - 1)
     fn = abs_power(p)
-    up = np.arctan2(np.arange(1, k_top + 1, dtype=float), np.arange(k_top, dtype=float))
-    down = np.arctan2(np.arange(k_top, dtype=float), np.arange(1, k_top + 1, dtype=float))
-    g_up = kernel_profile(fn, p, up)
-    g_down = kernel_profile(fn, p, down)
+    g_up = kernel_profile(fn, p, limit_table.up_angles)
+    g_down = kernel_profile(fn, p, limit_table.down_angles)
     kernel_from_atoms = float(np.sum((g_up + g_down) * w_fin))
     kernel_from_limit = float(np.sum((g_up + g_down) * limit_table.weights))
     return BumpReport(
@@ -283,9 +285,8 @@ def bump_decomposition(p: float, n: int) -> BumpReport:
         compensated=total_l,
         kernel_sum=-total_l,
         n_increments=n_inc,
-        atom_ks=np.arange(k_top),
         atom_weights=w_fin,
-        atom_weights_limit=limit_table.weights.copy(),
+        limit=limit_table,
         kernel_from_atoms=kernel_from_atoms,
         kernel_from_limit=kernel_from_limit,
     )

@@ -11,14 +11,18 @@ and that is what the check routines report.
 
 Variants cover time dependence f(t, x), several driving components, and
 functionals of the whole path prefix (with vertical bumps and horizontal
-flat extensions of a piecewise-constant prefix).
+flat extensions of a piecewise-constant prefix). Every variant feeds its
+order-j directional terms D^j f(left)[dS^j] to the one Taylor engine,
+``_taylor_terms``, and takes m from ``taylor_order``; the scalar,
+time-dependent and multi-component checks also build their reports in one
+place, ``_split``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +38,7 @@ from .partitions import Partition, osc, partition_values
 from .paths import SampledPath
 
 __all__ = [
+    "taylor_order",
     "compensated_sum",
     "taylor_remainder",
     "remainder_kernel",
@@ -58,11 +63,16 @@ __all__ = [
 ]
 
 
-def _require_derivs(fn: SmoothFn, m: int) -> None:
-    if len(fn.derivs) < m:
-        raise InsufficientDerivativesError(
-            f"need {m} derivatives for Taylor order {m}, got {len(fn.derivs)}"
-        )
+def taylor_order(p: float) -> int:
+    """Taylor order m = floor(p) of the order-p identity; p must exceed 1."""
+    if not p > 1.0:
+        raise InvalidParameterError(f"p must exceed 1, got {p}")
+    return int(math.floor(p))
+
+
+def _require_derivs(count: int, m: int, noun: str = "derivatives") -> None:
+    if count < m:
+        raise InsufficientDerivativesError(f"need {m} {noun} for Taylor order {m}, got {count}")
 
 
 # --------------------------------------------------------------------------- #
@@ -70,29 +80,36 @@ def _require_derivs(fn: SmoothFn, m: int) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def _taylor_terms(
-    derivs: Iterable[np.ndarray], inc: np.ndarray, gap: np.ndarray
-) -> tuple[float, np.ndarray]:
+def _taylor_terms(terms: Iterable[np.ndarray], gap: np.ndarray) -> tuple[float, np.ndarray]:
     """The one order-m Taylor loop behind every check.
 
-    ``derivs`` yields f^(1..m) at the left endpoints, ``inc`` holds the
-    increments and ``gap`` starts as f(right) - f(left), updated in place.
-    Returns the compensated sum and the per-increment Taylor gaps. Each
-    order is summed before it is divided by j! and leaves the gaps as
-    term / j!, one order at a time; the reported numbers rest on that order.
+    ``terms`` yields, for j = 1..m, the order-j directional derivative
+    D^j f(left)[dS^j] per increment, not yet divided by j!, as a fresh
+    array the loop may overwrite; ``gap`` starts as f(right) - f(left) and is
+    updated in place. Returns the compensated sum and the per-increment
+    Taylor gaps. Each order is summed before it is divided by j! and leaves
+    the gaps as term / j!, one order at a time; the reported numbers rest
+    on that order. Each term is freed before the next one is drawn.
     """
     comp = 0.0
     fact = 1.0
-    power = np.ones_like(inc)
-    for j, deriv in enumerate(derivs, start=1):
+    for j, term in enumerate(terms, start=1):
         fact *= j
-        power *= inc
-        term = deriv * power
         comp += float(np.sum(term)) / fact
         term /= fact
         gap -= term
-        del deriv, term  # free both before the next derivative is evaluated
+        del term  # free it before the next derivative is evaluated
     return comp, gap
+
+
+def _power_terms(derivs: Sequence[Callable], inc: np.ndarray, *at: np.ndarray) -> Iterator:
+    """f^(j)(at) * inc**j for each f^(j) in ``derivs``, the power kept as a
+    running product; each derivative is evaluated only when its term is
+    drawn, and no reference to it outlives the term."""
+    power = np.ones_like(inc)
+    for d in derivs:
+        power *= inc
+        yield d(*at) * power
 
 
 def _kernel_sum(gap: np.ndarray, size: np.ndarray, p: float) -> tuple[float, int]:
@@ -117,18 +134,18 @@ def compensated_sum(
     with all times clipped at t when given."""
     if m < 1:
         raise InvalidParameterError("Taylor order m must be >= 1")
-    _require_derivs(fn, m)
+    _require_derivs(len(fn.derivs), m)
     _, vals = partition_values(path, partition, t)
     inc = np.diff(vals)
-    return _taylor_terms((d(vals[:-1]) for d in fn.derivs[:m]), inc, np.zeros_like(inc))[0]
+    return _taylor_terms(_power_terms(fn.derivs[:m], inc, vals[:-1]), np.zeros_like(inc))[0]
 
 
 def taylor_remainder(fn: SmoothFn, left: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
     """f(right) - sum_{k=0..m} f^(k)(left) (right-left)^k / k!, vectorized;
     the Taylor-difference form of |right - left|^p G(left, right)."""
-    _require_derivs(fn, m)
+    _require_derivs(len(fn.derivs), m)
     gap = fn.fn(right) - fn.fn(left)
-    return _taylor_terms((d(left) for d in fn.derivs[:m]), right - left, gap)[1]
+    return _taylor_terms(_power_terms(fn.derivs[:m], right - left, left), gap)[1]
 
 
 def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
@@ -147,10 +164,8 @@ def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
     At a == b the kernel is 0 when f is smoother than order p there, and has
     no finite value when a sits on a kink of exponent <= p.
     """
-    if p <= 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
-    m = int(math.floor(p))
-    _require_derivs(fn, m)
+    m = taylor_order(p)
+    _require_derivs(len(fn.derivs), m)
     if a == b:
         for loc, expo in fn.kinks:
             if loc == a and expo <= p:
@@ -183,8 +198,8 @@ def kernel_profile(
     method="integral" calls remainder_kernel per angle.
     """
     thetas = np.asarray(thetas, dtype=float)
-    m = int(math.floor(p))
-    _require_derivs(fn, m)
+    m = taylor_order(p)
+    _require_derivs(len(fn.derivs), m)
     a = np.cos(thetas)
     b = np.sin(thetas)
     # snap the axis angles: cos(pi/2) rounds to 6.1e-17, and a derivative
@@ -210,7 +225,6 @@ class ItoReport:
     n_zero_increments: int = 0  # increments with |dS|^p == 0, outside the kernel sum
     time_integral: float = 0.0
     time_quadrature_gap: float = 0.0
-    details: dict = field(default_factory=dict)
 
     @property
     def identity_residual(self) -> float:
@@ -223,6 +237,15 @@ class ItoReport:
         """value change minus the compensated (and time) parts; the quantity
         whose limit behaviour along partition sequences is of interest."""
         return self.value_change - self.time_integral - self.compensated
+
+
+def _split(value_change: float, gap, terms, size: np.ndarray, p: float, **time_parts) -> ItoReport:
+    """Split ``value_change`` into the compensated sum of ``terms`` and the
+    kernel sum of the Taylor gaps left over, ``size`` holding |dS|; the
+    time parts, if any, pass through to the report."""
+    comp, gap = _taylor_terms(terms, gap)
+    kernel_sum, n_zero = _kernel_sum(gap, size, p)
+    return ItoReport(value_change, comp, kernel_sum, int(size.size), n_zero, **time_parts)
 
 
 def ito_check(
@@ -240,25 +263,15 @@ def ito_check(
     honestly measures the rounding accumulated over all increments instead
     of being zero by algebra; see ``_kernel_sum``.
     """
-    if p <= 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
-    m = int(math.floor(p))
-    _require_derivs(fn, m)
+    m = taylor_order(p)
+    _require_derivs(len(fn.derivs), m)
     _, vals = partition_values(path, partition, t)
     inc = np.diff(vals)
     f_vals = fn.fn(vals)
     lhs = float(f_vals[-1] - f_vals[0])
     gap = np.diff(f_vals)
     del f_vals
-    comp, gap = _taylor_terms((d(vals[:-1]) for d in fn.derivs[:m]), inc, gap)
-    kernel_sum, n_zero = _kernel_sum(gap, np.abs(inc), p)
-    return ItoReport(
-        value_change=lhs,
-        compensated=comp,
-        kernel_sum=kernel_sum,
-        n_increments=int(inc.size),
-        n_zero_increments=n_zero,
-    )
+    return _split(lhs, gap, _power_terms(fn.derivs[:m], inc, vals[:-1]), np.abs(inc), p)
 
 
 # --------------------------------------------------------------------------- #
@@ -293,11 +306,8 @@ def ito_check_time(
     Gauss rule on each interval) and the gap between the exact differences
     and the quadrature is reported separately.
     """
-    if p <= 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
-    m = int(math.floor(p))
-    if len(bundle.dx) < m:
-        raise InsufficientDerivativesError(f"need {m} space derivatives, got {len(bundle.dx)}")
+    m = taylor_order(p)
+    _require_derivs(len(bundle.dx), m, "space derivatives")
     times, vals = partition_values(path, partition, t)
     t_l, t_r = times[:-1], times[1:]
     s_l, s_r = vals[:-1], vals[1:]
@@ -314,16 +324,12 @@ def ito_check_time(
         time_gl += float(np.sum(weight * half * bundle.dt(mid + node * half, s_r)))
 
     # space part at the left-endpoint time
-    comp, space_gap = _taylor_terms(
-        (d(t_l, s_l) for d in bundle.dx[:m]), inc, f_cross - f_knots[:-1]
-    )
-    kernel_sum, n_zero = _kernel_sum(space_gap, np.abs(inc), p)
-    return ItoReport(
-        value_change=float(f_knots[-1] - f_knots[0]),
-        compensated=comp,
-        kernel_sum=kernel_sum,
-        n_increments=int(inc.size),
-        n_zero_increments=n_zero,
+    return _split(
+        float(f_knots[-1] - f_knots[0]),
+        f_cross - f_knots[:-1],
+        _power_terms(bundle.dx[:m], inc, t_l, s_l),
+        np.abs(inc),
+        p,
         time_integral=time_exact,
         time_quadrature_gap=abs(time_exact - time_gl),
     )
@@ -350,13 +356,8 @@ def ito_check_multi(
     """Identity for f(S^1, ..., S^d) along a shared partition; increment
     magnitudes use the euclidean norm. Taylor order m = floor(p) must be 1
     or 2 (a Hessian is required for m = 2)."""
-    if p <= 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
-    m = int(math.floor(p))
-    if m > 2:
-        raise InsufficientDerivativesError("multi-component checks support m in {1, 2}")
-    if m == 2 and bundle.hess is None:
-        raise InsufficientDerivativesError("m = 2 requires a Hessian")
+    m = taylor_order(p)
+    _require_derivs(1 + (bundle.hess is not None), m, "derivatives (gradient, Hessian)")
     base = paths[0].times
     for other in paths[1:]:
         if not np.array_equal(other.times, base):
@@ -365,24 +366,14 @@ def ito_check_multi(
     left = vals[:-1]
     inc = np.diff(vals, axis=0)  # (N, d)
     lhs = float(bundle.fn(vals[-1:]).item() - bundle.fn(vals[:1]).item())
-    g = bundle.grad(left)
-    first = np.einsum("nd,nd->n", g, inc)
-    comp_terms = first
-    if m == 2:
-        h = bundle.hess(left)
-        second = 0.5 * np.einsum("nd,nde,ne->n", inc, h, inc)
-        comp_terms = comp_terms + second
-    comp = float(np.sum(comp_terms))
-    gap = bundle.fn(vals[1:]) - bundle.fn(left) - comp_terms
-    norms = np.sqrt(np.einsum("nd,nd->n", inc, inc))
-    kernel_sum, n_zero = _kernel_sum(gap, norms, p)
-    return ItoReport(
-        value_change=lhs,
-        compensated=comp,
-        kernel_sum=kernel_sum,
-        n_increments=int(norms.size),
-        n_zero_increments=n_zero,
-    )
+
+    def terms():  # gradient, then Hessian contraction along each increment
+        yield np.einsum("nd,nd->n", bundle.grad(left), inc)
+        if m == 2:
+            yield np.einsum("nd,nde,ne->n", inc, bundle.hess(left), inc)
+
+    gap = bundle.fn(vals[1:]) - bundle.fn(left)
+    return _split(lhs, gap, terms(), np.sqrt(np.einsum("nd,nd->n", inc, inc)), p)
 
 
 # --------------------------------------------------------------------------- #
@@ -574,6 +565,20 @@ class FunctionalBundle:
     name: str = ""
 
 
+def _vertical(bundle: FunctionalBundle, order: int, pre: PathPrefix, step: float) -> float:
+    """Order-1 or order-2 derivative of the functional in a bump of the
+    endpoint of ``pre``: the bundle's own when it has one, else a centered
+    difference with ``step``."""
+    if len(bundle.vertical) >= order:
+        return bundle.vertical[order - 1](pre)
+    fam, F = pre.family, bundle.evaluate
+    up = F(fam.prefix(pre.j, pre.bump + step, pre.extend_to))
+    dn = F(fam.prefix(pre.j, pre.bump - step, pre.extend_to))
+    if order == 1:
+        return (up - dn) / (2.0 * step)
+    return (up - 2.0 * F(pre) + dn) / step**2
+
+
 def ito_check_functional(
     bundle: FunctionalBundle,
     path: SampledPath,
@@ -588,62 +593,33 @@ def ito_check_functional(
     endpoint (vertical difference, expanded to Taylor order m = floor(p) in
     the bump size). Missing vertical derivatives are replaced by centered
     differences with step ``fd_step`` (default: half the oscillation of the
-    path along the partition).
+    path along the partition, or 1e-6 where its m-th power is 0). The
+    kernel sum is the plain sum of the vertical Taylor gaps: a functional's
+    gap need not vanish at a zero increment, so none is left out.
     """
-    if p <= 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
-    m = int(math.floor(p))
+    m = taylor_order(p)
     if m > 2:
         raise InvalidBundleError("functional checks support m in {1, 2}")
     fam = PrefixFamily(path, partition, mode="step")
     n = fam.times.size - 1
     if fd_step is None:
         fd_step = 0.5 * osc(path, partition)
-        if fd_step == 0.0:
+        if fd_step**m == 0.0:  # nothing to difference over, or too little to square
             fd_step = 1e-6
+    elif not 0.0 < fd_step < math.inf or fd_step**m == 0.0:
+        raise InvalidParameterError(f"fd_step {fd_step!r} is no usable step for order {m}")
     F = bundle.evaluate
-
-    def vert1(prefix: PathPrefix) -> float:
-        if len(bundle.vertical) >= 1:
-            return bundle.vertical[0](prefix)
-        up = F(fam.prefix(prefix.j, prefix.bump + fd_step, prefix.extend_to))
-        dn = F(fam.prefix(prefix.j, prefix.bump - fd_step, prefix.extend_to))
-        return (up - dn) / (2.0 * fd_step)
-
-    def vert2(prefix: PathPrefix) -> float:
-        if len(bundle.vertical) >= 2:
-            return bundle.vertical[1](prefix)
-        up = F(fam.prefix(prefix.j, prefix.bump + fd_step, prefix.extend_to))
-        mid = F(prefix)
-        dn = F(fam.prefix(prefix.j, prefix.bump - fd_step, prefix.extend_to))
-        return (up - 2.0 * mid + dn) / fd_step**2
-
-    lhs = F(fam.prefix(n)) - F(fam.prefix(0))
-    horizontal = 0.0
-    vertical_taylor = 0.0
-    vertical_exact = 0.0
-    for i in range(n):
-        plain = fam.prefix(i)
-        extended = fam.prefix(i, 0.0, float(fam.times[i + 1]))
-        f_plain = F(plain)
-        f_ext = F(extended)
-        horizontal += f_ext - f_plain
-        ds = float(fam.values[i + 1] - fam.values[i])
-        jumped = F(fam.prefix(i + 1))
-        vertical_exact += jumped - f_ext
-        term = vert1(extended) * ds
-        if m >= 2:
-            term += 0.5 * vert2(extended) * ds * ds
-        vertical_taylor += term
-    kernel_sum = vertical_exact - vertical_taylor
-    return ItoReport(
-        value_change=lhs,
-        compensated=vertical_taylor,
-        kernel_sum=kernel_sum,
-        n_increments=n,
-        time_integral=horizontal,
-        details={"vertical_exact": vertical_exact, "fd_step": fd_step},
+    f_knots = np.array([F(fam.prefix(i)) for i in range(n + 1)])
+    extended = [fam.prefix(i, 0.0, float(fam.times[i + 1])) for i in range(n)]
+    f_ext = np.array([F(pre) for pre in extended])
+    ds = np.diff(fam.values)
+    terms = (
+        np.array([_vertical(bundle, j, pre, fd_step) for pre in extended]) * ds**j
+        for j in range(1, m + 1)
     )
+    comp, gap = _taylor_terms(terms, f_knots[1:] - f_ext)
+    lhs, horizontal = float(f_knots[-1] - f_knots[0]), float(np.sum(f_ext - f_knots[:-1]))
+    return ItoReport(lhs, comp, float(np.sum(gap)), n, time_integral=horizontal)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,7 @@ integration variable, to the one kink-graded rule ``_quad.integrate_kinked``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -334,7 +334,6 @@ class FracTaylorReport:
     max_resid: float
     pure_power: bool
     fit_points: int = 0
-    details: dict = field(default_factory=dict)
 
 
 def frac_taylor_check(

@@ -273,6 +273,31 @@ BAD_CONFIGS = {
         },
         "power rule overflows float64 at q = 1e+308",
     ),
+    # integer keys take integral numbers only, never a truncated float or a boolean
+    "ns-not-integral": (
+        {"command": "cantor-sweep", "p": 2.5, "ns": [2.7, 3]},
+        "'ns' must be an integer, got 2.7",
+    ),
+    "ns-boolean": (
+        {"command": "cantor-sweep", "p": 2.5, "ns": [True, 3]},
+        "'ns' must be an integer, got True",
+    ),
+    "grid-n-not-integral": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "cantor-distance", "p": 2.5},
+            "grid": {"n": 3.9},
+        },
+        "'n' must be an integer, got 3.9",
+    ),
+    "tol-boolean": (
+        {"command": "cantor-sweep", "p": 2.5, "ns": [2], "expect": "converged", "tol": True},
+        "'tol' must be a number, got True",
+    ),
+    "remainder-p-at-most-one": (
+        {"command": "remainder", "fn": SIN, "p": 0.5, "thetas": {"count": 4}},
+        "p must exceed 1, got 0.5",
+    ),
     "cantor-crossing-too-deep": (
         {"command": "ito-check", "partition": {"kind": "cantor-crossing", "ns": [663]}, "p": 2.5},
         "stage 663 at p=2.5 is too deep",

@@ -34,6 +34,7 @@ from fracpath.follmer import (
     quotient_measure,
     remainder_integral,
     remainder_kernel,
+    taylor_order,
     taylor_remainder,
     young_bound_check,
 )
@@ -84,6 +85,33 @@ def test_ito_check_rejects_small_p(cantor8):
     path, part, _ = cantor8
     with pytest.raises(InvalidParameterError):
         ito_check(abs_power(P), path, part, 1.0)
+
+
+def test_taylor_order_is_floor_p():
+    orders = [taylor_order(p) for p in (1.000001, 1.5, 2.0, 2.999, 3.5)]
+    assert orders == [1, 1, 2, 2, 3]
+    assert all(type(m) is int for m in orders)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.nan])
+def test_every_order_p_entry_rejects_p_at_most_one(hand_path, p):
+    part = Partition(hand_path.times)
+    fn = sin_affine()
+    thetas = np.linspace(0.1, 6.0, 5)
+    calls = (
+        lambda: taylor_order(p),
+        lambda: kernel_profile(fn, p, thetas),
+        lambda: kernel_profile(fn, p, thetas, method="integral"),
+        lambda: remainder_integral(fn, p, thetas, np.ones_like(thetas)),
+        lambda: remainder_kernel(fn, p, 0.2, 0.7),
+        lambda: ito_check(fn, hand_path, part, p),
+        lambda: ito_check_time(moving_abs_power(P), hand_path, part, p),
+        lambda: ito_check_multi(product_bundle(), [hand_path, hand_path], part, p),
+        lambda: ito_check_functional(FunctionalBundle(lambda pre: pre.current), hand_path, part, p),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match=f"p must exceed 1, got {p}"):
+            call()
 
 
 def test_negative_stop_time_rejected(hand_path):
@@ -245,6 +273,23 @@ def test_bump_decomposition_stage_numbers():
         bump_decomposition(1.9, 4)
     with pytest.raises(InvalidParameterError):
         bump_decomposition(p, 0)
+
+
+def test_bump_decomposition_carries_its_limit_table():
+    # the kernel is sampled at the table's own ray angles, the atan2 of the
+    # rung pairs (k + 1, k) and (k, k + 1)
+    p, n = 2.25, 6
+    rep = bump_decomposition(p, n)
+    table = bump_atom_weights(p, 2 ** (n - 1) - 1)
+    ks = np.arange(2 ** (n - 1), dtype=float)
+    assert np.array_equal(rep.limit.ks, table.ks)
+    assert np.array_equal(rep.atom_weights_limit, table.weights)
+    assert np.array_equal(rep.limit.up_angles, np.arctan2(ks + 1.0, ks))
+    assert np.array_equal(rep.limit.down_angles, np.arctan2(ks, ks + 1.0))
+    g = kernel_profile(abs_power(p), p, rep.limit.up_angles) + kernel_profile(
+        abs_power(p), p, rep.limit.down_angles
+    )
+    assert rep.kernel_from_atoms == float(np.sum(g * rep.atom_weights))
 
 
 def test_bump_direct_stage_matches_decomposition():
@@ -425,6 +470,22 @@ def test_functional_product_with_endpoint(fbm04):
     fd = FunctionalBundle(evaluate=lambda pre: pre.integral() * pre.current)
     rep_fd = ito_check_functional(fd, fbm04, part, P)
     assert rep_fd.compensated == pytest.approx(rep.compensated, abs=1e-9)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, 1e-200])
+def test_functional_rejects_unusable_fd_step(hand_path, step):
+    # 1e-200 squares to 0, so the order-2 centered difference has no divisor
+    fd = FunctionalBundle(evaluate=lambda pre: pre.integral() * pre.current)
+    with pytest.raises(InvalidParameterError, match="no usable step for order 2"):
+        ito_check_functional(fd, hand_path, Partition(hand_path.times), P, fd_step=step)
+
+
+def test_functional_default_fd_step_survives_a_subnormal_path():
+    # half the oscillation is 2.4e-299 here, whose square is 0
+    tiny = SampledPath(np.array([0.0, 1.0]), np.array([0.0, 4.7e-299]))
+    fd = FunctionalBundle(evaluate=lambda pre: float(abs_power(P).fn(np.asarray(pre.current))))
+    rep = ito_check_functional(fd, tiny, Partition(tiny.times), P)
+    assert math.isfinite(rep.compensated) and rep.identity_residual == 0.0
 
 
 def test_prefix_family_mechanics(fbm04):

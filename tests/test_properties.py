@@ -1,11 +1,11 @@
 """Property-based invariants on random piecewise-linear paths and partitions:
-exact knot lookup, the finite-stage identity at rounding level (scalar and
-multi-component), one compensated sum behind every check, the remainder
-kernel's two forms, the gauge inverse, the variation profile (and the query
-times it rejects), the level-reduced Cantor profile against the materialized
-grid, the Young bound as an equality for one component, the
-quotient-measure mass as the p-th variation and the lattice form of
-value-grid partitions."""
+exact knot lookup, the finite-stage identity at rounding level (scalar,
+time-dependent, multi-component and path functional), one compensated sum
+behind every check, the remainder kernel's two forms, the gauge inverse, the
+variation profile (and the query times it rejects), the level-reduced Cantor
+profile against the materialized grid, the Young bound as an equality for
+one component, the quotient-measure mass as the p-th variation and the
+lattice form of value-grid partitions."""
 
 import math
 
@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from fracpath.errors import InvalidParameterError, InvalidPhiError
 from fracpath.experiments import cantor_profile
 from fracpath.follmer import (
+    FunctionalBundle,
+    PrefixFamily,
     TensorFunctionBundle,
     compensated_sum,
     ito_check,
+    ito_check_functional,
     ito_check_multi,
     ito_check_time,
     quotient_measure,
@@ -318,6 +321,67 @@ def test_ito_check_multi_identity_at_rounding_level(case, other, p, kind, t):
         terms.append(np.abs(0.5 * inc[:, :, None] * bundle.hess(vals[:-1]) * inc[:, None, :]))
     scale = max(float(np.max(x)) for x in terms)
     assert abs(rep.identity_residual) <= (m + 4) * rep.n_increments * EPS * scale
+
+
+def prefix_functional(kind, p):
+    """(evaluate, (first, second vertical derivative)) of a cylinder
+    functional f(current) or of the area-times-endpoint functional; a flat
+    extension of length L carries the bumped endpoint, so the latter's bump
+    derivatives are I + L c and 2 L."""
+    if kind == "area-times-endpoint":
+        def ext_len(pre):
+            return pre.end_time - float(pre.family.times[pre.j])
+
+        return (
+            lambda pre: pre.integral() * pre.current,
+            (
+                lambda pre: pre.integral() + ext_len(pre) * pre.current,
+                lambda pre: 2.0 * ext_len(pre),
+            ),
+        )
+    fn = abs_power(p) if kind == "abs" else sin_affine(1.3, 2.0, 0.2)
+
+    def at_current(g):
+        return lambda pre: float(g(np.asarray(pre.current)))
+
+    return at_current(fn.fn), (at_current(fn.derivs[0]), at_current(fn.derivs[1]))
+
+
+@PROPS
+@given(
+    path_and_partition(),
+    st.sampled_from([1.5, 2.5]),
+    st.sampled_from(["abs", "sin", "area-times-endpoint"]),
+    st.booleans(),
+)
+def test_ito_check_functional_identity_at_rounding_level(case, p, kind, analytic):
+    path, part = case
+    evaluate, vertical = prefix_functional(kind, p)
+    bundle = FunctionalBundle(evaluate=evaluate, vertical=vertical if analytic else ())
+    m = int(math.floor(p))
+    rep = ito_check_functional(bundle, path, part, p)
+    # largest summand: the functional at the knots and at the flat
+    # extensions, and each vertical Taylor term D^j F [ds^j] / j!, with the
+    # centered differences of the default step when no derivative is given
+    fam = PrefixFamily(path, part)
+    step = 0.5 * osc(path, part)
+    step = step if step**m > 0.0 else 1e-6
+    ds = np.diff(fam.values)
+    scale = max(abs(evaluate(fam.prefix(i))) for i in range(rep.n_increments + 1))
+    for i in range(rep.n_increments):
+        pre = fam.prefix(i, 0.0, float(fam.times[i + 1]))
+        mid = evaluate(pre)
+        if analytic:
+            derivs = [g(pre) for g in vertical[:m]]
+        else:
+            up = evaluate(fam.prefix(i, step, pre.extend_to))
+            dn = evaluate(fam.prefix(i, -step, pre.extend_to))
+            derivs = [(up - dn) / (2.0 * step)]
+            if m == 2:
+                derivs.append((up - 2.0 * mid + dn) / step**2)
+        terms = [abs(d * ds[i] ** j) / math.factorial(j) for j, d in enumerate(derivs, start=1)]
+        scale = max(scale, abs(mid), *terms)
+    assert abs(rep.identity_residual) <= (m + 3) * rep.n_increments * EPS * scale
 
 
 # --------------------------------------------------------------------------- #
