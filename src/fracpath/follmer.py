@@ -64,9 +64,12 @@ __all__ = [
 
 
 def taylor_order(p: float) -> int:
-    """Taylor order m = floor(p) of the order-p identity; p must exceed 1."""
+    """Taylor order m = floor(p) of the order-p identity; p must be finite
+    and exceed 1."""
     if not p > 1.0:
         raise InvalidParameterError(f"p must exceed 1, got {p}")
+    if p == math.inf:
+        raise InvalidParameterError(f"p must be finite, got {p}")
     return int(math.floor(p))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .paths import LN2_OVER_LN3, SampledPath, cantor_gap_lefts
+from .paths import LN2_OVER_LN3, MAX_KNOTS, SampledPath, cantor_gap_lefts
 
 __all__ = [
     "Partition",
@@ -58,13 +58,6 @@ class Partition:
     @property
     def mesh(self) -> float:
         return float(np.max(np.diff(self.times)))
-
-
-# the most knots a grid builder materializes: b-adic knots, value-grid
-# crossings, or the (2**n - 1) * (2 * k_n + 1) + 2 knots of a Cantor stage
-# (2**25 admits stage 21 at p = 2.5, 31.5M knots, about 0.5 GB for times and
-# values)
-MAX_KNOTS = 2**25
 
 
 def badic(horizon: float, n: int, base: int = 2) -> Partition:

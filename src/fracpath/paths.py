@@ -9,15 +9,16 @@ Three analytic families are provided:
   with a level-dependent bump count that grows geometrically.
 * ``takagi_path`` -- Takagi-van der Waerden type series over a b-adic wave.
 
-Gaussian paths (fractional Brownian motion) are sampled by circulant
-embedding (Davies-Harte), whose square-root spectrum is computed once per
-(n, hurst) and reused for every seed, with a dense Cholesky fallback.
+Gaussian paths (fractional Brownian motion) are sampled for every n by
+real-FFT circulant embedding (Davies-Harte), whose square-root spectrum is
+computed once per (n, hurst) and reused for every seed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -40,6 +41,12 @@ __all__ = [
 ]
 
 LN2_OVER_LN3 = math.log(2.0) / math.log(3.0)
+
+# the most knots a grid builder materializes: fBm samples, b-adic knots,
+# value-grid crossings, or the (2**n - 1) * (2 * k_n + 1) + 2 knots of a Cantor
+# stage (2**25 admits stage 21 at p = 2.5, 31.5M knots, about 0.5 GB for times
+# and values)
+MAX_KNOTS = 2**25
 
 
 # --------------------------------------------------------------------------- #
@@ -108,8 +115,8 @@ class AnalyticPath:
 class GaussianPathSpec:
     """Parameters of a fractional Brownian motion sample.
 
-    ``n`` is the number of increments; a power of two enables the circulant
-    embedding, otherwise a dense factorization is used (``n <= 4096`` only).
+    ``n`` is the number of increments, any integer from 2 up to
+    ``MAX_KNOTS - 1``; ``horizon`` must be positive and finite.
     """
 
     hurst: float
@@ -120,12 +127,26 @@ class GaussianPathSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.hurst < 1.0:
             raise InvalidParameterError(f"hurst must lie in (0, 1), got {self.hurst}")
-        if self.n < 2:
+        n, seed = _integer(self.n, "n"), _integer(self.seed, "seed")
+        if n < 2:
             raise InvalidParameterError("need at least 2 increments")
-        if self.horizon <= 0.0:
-            raise InvalidParameterError("horizon must be positive")
-        if not 0 <= int(self.seed) < 2**64:
+        if n + 1 > MAX_KNOTS:
+            raise InvalidParameterError(f"n={n} increments exceed the limit of {MAX_KNOTS} knots")
+        if not 0.0 < self.horizon < math.inf:
+            raise InvalidParameterError(f"horizon must be positive and finite, got {self.horizon}")
+        if not 0 <= seed < 2**64:
             raise InvalidParameterError("seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a boolean or a non-integral number is refused."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # --------------------------------------------------------------------------- #
@@ -350,12 +371,13 @@ def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=2)
 def _circulant_sqrt_spectrum(n: int, hurst: float) -> np.ndarray:
-    """Square roots of the 2n circulant eigenvalues that embed the fGn
-    covariance (Davies-Harte), read-only and cached per (n, hurst); a failed
-    nonnegative-definiteness check is not cached and raises on every call."""
+    """Square roots of the n + 1 distinct eigenvalues of the 2n circulant that
+    embeds the fGn covariance (Davies-Harte), read-only and cached per
+    (n, hurst); a failed nonnegative-definiteness check is not cached and
+    raises on every call."""
     g = _fgn_autocov(n, hurst)
-    row = np.concatenate([g, g[-2:0:-1]])  # length 2n
-    lam = np.fft.fft(row).real
+    row = np.concatenate([g, g[-2:0:-1]])  # length 2n, symmetric
+    lam = np.fft.rfft(row).real
     if lam.min() < -1e-8 * lam.max():
         raise SamplingInfeasibleError("circulant embedding is not nonnegative definite")
     root = np.sqrt(np.clip(lam, 0.0, None))
@@ -364,55 +386,25 @@ def _circulant_sqrt_spectrum(n: int, hurst: float) -> np.ndarray:
 
 
 def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit-spacing fGn of length n via Davies-Harte circulant embedding."""
+    """Unit-spacing fGn of length n via Davies-Harte circulant embedding: the
+    n + 1 Hermitian coefficients z[0..n] through one real inverse FFT."""
     root = _circulant_sqrt_spectrum(n, hurst)
-    z = np.empty(2 * n, dtype=complex)
+    z = np.empty(n + 1, dtype=complex)
     z[0] = rng.standard_normal()
     z[n] = rng.standard_normal()
     a = rng.standard_normal(n - 1)
     b = rng.standard_normal(n - 1)
     z[1:n] = (a + 1j * b) / math.sqrt(2.0)
-    z[n + 1 :] = np.conj(z[n - 1 : 0 : -1])
-    x = np.fft.ifft(root * z) * math.sqrt(2.0 * n)
-    return x[:n].real
-
-
-def _fgn_dense(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit-spacing fGn of length n via dense Cholesky factorization."""
-    g = _fgn_autocov(n - 1, hurst)
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    cov = g[idx]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        cov = cov + 1e-12 * np.eye(n)
-        chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(n)
+    return np.fft.irfft(root * z, 2 * n)[:n] * math.sqrt(2.0 * n)
 
 
 def fbm_path(spec: GaussianPathSpec) -> SampledPath:
     """Sample fractional Brownian motion on the uniform grid with ``spec.n``
-    increments over [0, horizon]; deterministic per seed.
-
-    Power-of-two ``n`` uses the circulant embedding; otherwise (or if the
-    embedding fails) a dense factorization is used for ``n <= 4096``.
+    increments over [0, horizon] by circulant embedding, for every n;
+    deterministic per seed.
     """
     n, hurst = spec.n, spec.hurst
-    rng = np.random.default_rng(spec.seed)
-    power_of_two = n & (n - 1) == 0
-    if power_of_two:
-        try:
-            fgn = _fgn_circulant(n, hurst, rng)
-        except SamplingInfeasibleError:
-            if n > 4096:
-                raise
-            fgn = _fgn_dense(n, hurst, np.random.default_rng(spec.seed))
-    elif n <= 4096:
-        fgn = _fgn_dense(n, hurst, rng)
-    else:
-        raise SamplingInfeasibleError(
-            f"n={n} is not a power of two and exceeds the dense-factorization cap 4096"
-        )
+    fgn = _fgn_circulant(n, hurst, np.random.default_rng(spec.seed))
     fgn = fgn * (spec.horizon / n) ** hurst
     values = np.concatenate([[0.0], np.cumsum(fgn)])
     times = np.linspace(0.0, spec.horizon, n + 1)

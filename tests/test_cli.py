@@ -298,6 +298,15 @@ BAD_CONFIGS = {
         {"command": "remainder", "fn": SIN, "p": 0.5, "thetas": {"count": 4}},
         "p must exceed 1, got 0.5",
     ),
+    # the fBm spec refuses a fractional or oversized n before sampling
+    "fbm-n-not-integral": (
+        {"command": "generate-path", "path": {"kind": "fbm", "hurst": 0.4, "n": 100.5}},
+        "n must be an integer, got 100.5",
+    ),
+    "fbm-n-huge": (
+        {"command": "generate-path", "path": {"kind": "fbm", "hurst": 0.4, "n": 1099511627776}},
+        "n=1099511627776 increments exceed the limit of 33554432 knots",
+    ),
     "cantor-crossing-too-deep": (
         {"command": "ito-check", "partition": {"kind": "cantor-crossing", "ns": [663]}, "p": 2.5},
         "stage 663 at p=2.5 is too deep",

@@ -93,24 +93,35 @@ def test_taylor_order_is_floor_p():
     assert all(type(m) is int for m in orders)
 
 
-@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.nan])
-def test_every_order_p_entry_rejects_p_at_most_one(hand_path, p):
-    part = Partition(hand_path.times)
+def _order_p_entries(path, p):
+    """Every public entry that takes the order p, as zero-argument calls."""
+    part = Partition(path.times)
     fn = sin_affine()
     thetas = np.linspace(0.1, 6.0, 5)
-    calls = (
+    return (
         lambda: taylor_order(p),
         lambda: kernel_profile(fn, p, thetas),
         lambda: kernel_profile(fn, p, thetas, method="integral"),
         lambda: remainder_integral(fn, p, thetas, np.ones_like(thetas)),
         lambda: remainder_kernel(fn, p, 0.2, 0.7),
-        lambda: ito_check(fn, hand_path, part, p),
-        lambda: ito_check_time(moving_abs_power(P), hand_path, part, p),
-        lambda: ito_check_multi(product_bundle(), [hand_path, hand_path], part, p),
-        lambda: ito_check_functional(FunctionalBundle(lambda pre: pre.current), hand_path, part, p),
+        lambda: ito_check(fn, path, part, p),
+        lambda: ito_check_time(moving_abs_power(P), path, part, p),
+        lambda: ito_check_multi(product_bundle(), [path, path], part, p),
+        lambda: ito_check_functional(FunctionalBundle(lambda pre: pre.current), path, part, p),
     )
-    for call in calls:
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.nan])
+def test_every_order_p_entry_rejects_p_at_most_one(hand_path, p):
+    for call in _order_p_entries(hand_path, p):
         with pytest.raises(InvalidParameterError, match=f"p must exceed 1, got {p}"):
+            call()
+
+
+def test_every_order_p_entry_rejects_infinite_p(hand_path):
+    # floor(inf) has no integer value: refused by name, not an OverflowError
+    for call in _order_p_entries(hand_path, math.inf):
+        with pytest.raises(InvalidParameterError, match="p must be finite, got inf"):
             call()
 
 

@@ -2,6 +2,7 @@
 sanity where they do not."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,11 +161,42 @@ def test_fbm_lag_one_correlation(fbm04):
     assert corr == pytest.approx(2.0 ** (2 * 0.4 - 1.0) - 1.0, abs=0.02)
 
 
-def test_fbm_dense_route_non_pow2():
-    # non-power-of-two sizes fall back to the dense factorization
-    path = fbm_path(GaussianPathSpec(hurst=0.6, n=600, seed=3))
-    assert path.times.size == 601
+@pytest.mark.parametrize("n", [600, 10007])
+def test_fbm_non_power_of_two_sizes(n):
+    # every n takes the circulant embedding, 10007 (prime) included
+    path = fbm_path(GaussianPathSpec(hurst=0.6, n=n, seed=3))
+    assert path.times.size == n + 1
     assert np.isfinite(path.values).all()
+
+
+def _davies_harte_reference(spec):
+    """fBm by the textbook complex-FFT Davies-Harte construction: the full 2n
+    Hermitian vector through ``np.fft.ifft``, drawing from the seeded rng in
+    the order z[0], z[n], real parts, imaginary parts."""
+    n, h = spec.n, spec.hurst
+    k = np.arange(n + 1, dtype=float)
+    g = 0.5 * (np.abs(k + 1.0) ** (2 * h) - 2.0 * k ** (2 * h) + np.abs(k - 1.0) ** (2 * h))
+    lam = np.fft.fft(np.concatenate([g, g[-2:0:-1]])).real
+    assert lam.min() >= -1e-8 * lam.max()
+    rng = np.random.default_rng(spec.seed)
+    z = np.empty(2 * n, dtype=complex)
+    z[0] = rng.standard_normal()
+    z[n] = rng.standard_normal()
+    a = rng.standard_normal(n - 1)
+    b = rng.standard_normal(n - 1)
+    z[1:n] = (a + 1j * b) / math.sqrt(2.0)
+    z[n + 1 :] = np.conj(z[n - 1 : 0 : -1])
+    fgn = (np.fft.ifft(np.sqrt(np.clip(lam, 0.0, None)) * z) * math.sqrt(2.0 * n))[:n].real
+    return np.concatenate([[0.0], np.cumsum(fgn * (spec.horizon / n) ** h)])
+
+
+@pytest.mark.parametrize("n", [2**12, 3000])
+@pytest.mark.parametrize("hurst", [0.1, 0.4, 0.8])
+def test_fbm_matches_complex_fft_reference(n, hurst):
+    spec = GaussianPathSpec(hurst=hurst, n=n, horizon=2.0, seed=5)
+    values = fbm_path(spec).values
+    ref = _davies_harte_reference(spec)
+    assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_circulant_spectrum_is_cached_read_only():
@@ -182,8 +214,8 @@ def test_circulant_spectrum_is_cached_read_only():
 
 def test_circulant_failure_is_not_cached(monkeypatch):
     # gamma(0) = 1, gamma(1) = 0.9: circulant eigenvalues 1 + 1.8 cos(theta)
-    # go down to -0.8; n > 4096 has no dense fallback, so every call must
-    # reach the check and raise
+    # go down to -0.8; there is no fallback, so every call must reach the
+    # check and raise
     def not_definite(n, hurst):
         return np.concatenate([[1.0, 0.9], np.zeros(n - 1)])
 
@@ -203,3 +235,33 @@ def test_gaussian_spec_validation():
         GaussianPathSpec(hurst=0.5, n=1)
     with pytest.raises(InvalidParameterError):
         GaussianPathSpec(hurst=0.5, n=64, horizon=-1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n": 1000.5}, "n must be an integer, got 1000.5"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"n": "64"}, "n must be an integer, got '64'"),
+        ({"n": math.inf}, "n must be an integer, got inf"),
+        ({"n": 2**40}, "n=1099511627776 increments exceed the limit of 33554432 knots"),
+        ({"n": 2**25}, "n=33554432 increments exceed the limit of 33554432 knots"),
+        ({"n": 64, "horizon": math.inf}, "horizon must be positive and finite, got inf"),
+        ({"n": 64, "horizon": math.nan}, "horizon must be positive and finite, got nan"),
+        ({"n": 64, "seed": 2.7}, "seed must be an integer, got 2.7"),
+        ({"n": 64, "seed": True}, "seed must be an integer, got True"),
+        ({"n": 64, "seed": -0.5}, "seed must be an integer, got -0.5"),
+    ],
+)
+def test_gaussian_spec_refuses_bad_input_by_value(kwargs, message):
+    # refused in the spec, before any array is built
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        GaussianPathSpec(hurst=0.5, **kwargs)
+
+
+def test_gaussian_spec_takes_integral_sizes_up_to_the_knot_cap():
+    assert GaussianPathSpec(hurst=0.5, n=2**25 - 1).n == 2**25 - 1
+    spec = GaussianPathSpec(hurst=0.5, n=1024.0)
+    assert spec.n == 1024 and type(spec.n) is int
+    assert GaussianPathSpec(hurst=0.5, n=np.int64(64), seed=np.uint64(2**64 - 1)).n == 64
+    assert GaussianPathSpec(hurst=0.5, n=64, seed=3.0).seed == 3

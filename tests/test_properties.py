@@ -4,8 +4,8 @@ time-dependent, multi-component and path functional), one compensated sum
 behind every check, the remainder kernel's two forms, the gauge inverse, the
 variation profile (and the query times it rejects), the level-reduced Cantor
 profile against the materialized grid, the Young bound as an equality for
-one component, the quotient-measure mass as the p-th variation and the
-lattice form of value-grid partitions."""
+one component, the quotient-measure mass as the p-th variation, the
+lattice form of value-grid partitions and the fBm sampler at every size."""
 
 import math
 
@@ -32,7 +32,7 @@ from fracpath.follmer import (
 )
 from fracpath.isometry import PhiSpec, phi_inverse
 from fracpath.partitions import Partition, cantor_value_grid, osc, value_grid_partition
-from fracpath.paths import SampledPath, cantor_gap_lefts
+from fracpath.paths import GaussianPathSpec, SampledPath, cantor_gap_lefts, fbm_path
 from fracpath.registry import abs_power, moving_abs_power, plus_power, product_bundle, sin_affine
 from fracpath.variation import pth_variation_partial, variation_table
 
@@ -502,3 +502,12 @@ def test_value_grid_knots_on_the_lattice():
             assert np.max(np.min(np.abs(want[:, None] - got[None, :]), axis=1)) < 1e-12
             slivers += got.size != want.size
     assert slivers > 0  # the case does reach the sliver
+
+
+@PROPS
+@given(st.integers(2, 5000), st.floats(0.01, 0.99), st.integers(0, 2**32))
+def test_fbm_path_samples_every_size(n, hurst, seed):
+    # one circulant route for every n: no size or roughness is refused
+    path = fbm_path(GaussianPathSpec(hurst=hurst, n=n, seed=seed))
+    assert path.values.size == path.times.size == n + 1
+    assert np.isfinite(path.values).all()
