@@ -94,9 +94,9 @@ def _taylor_terms(terms: Iterable[np.ndarray], gap: np.ndarray) -> tuple[float, 
     the gaps as term / j!, one order at a time; the reported numbers rest
     on that order. Each term is freed before the next one is drawn.
     """
-    comp = 0.0
-    fact = 1.0
-    for j, term in enumerate(terms, start=1):
+    comp, fact, j = 0.0, 1.0, 0
+    for term in terms:  # no enumerate: its reused result tuple would keep the last term alive
+        j += 1
         fact *= j
         comp += float(np.sum(term)) / fact
         term /= fact
@@ -118,12 +118,17 @@ def _power_terms(derivs: Sequence[Callable], inc: np.ndarray, *at: np.ndarray) -
 def _kernel_sum(gap: np.ndarray, size: np.ndarray, p: float) -> tuple[float, int]:
     """(sum of G |dS|^p, count of increments left out): G = gap / |dS|^p is
     multiplied back by |dS|^p, so the identity residual measures the rounding
-    honestly. Increments whose |dS|^p is 0 -- zero, or small enough for the
-    power to underflow -- have no finite G and are left out."""
-    mag = size**p
-    keep = mag != 0.0
-    mag = mag[keep]
-    return float(np.sum(gap[keep] / mag * mag)), int(keep.size - np.count_nonzero(keep))
+    honestly; a subnormal G would lose the gap's bits, so there the gap stands.
+    Increments whose |dS|^p is 0 -- zero, or small enough for the power to
+    underflow -- have no finite G and are left out. Overwrites both arrays."""
+    size **= p
+    keep = size != 0.0
+    n_zero = int(keep.size - np.count_nonzero(keep))
+    if n_zero:
+        gap, size = gap[keep], size[keep]
+    kernel = gap / size
+    np.multiply(kernel, size, out=gap, where=np.abs(kernel) >= np.finfo(float).tiny)
+    return float(np.sum(gap)), n_zero
 
 
 def compensated_sum(
@@ -242,13 +247,14 @@ class ItoReport:
         return self.value_change - self.time_integral - self.compensated
 
 
-def _split(value_change: float, gap, terms, size: np.ndarray, p: float, **time_parts) -> ItoReport:
+def _split(value_change: float, gap, terms, inc: np.ndarray, p: float, norm=None, **time_parts) -> ItoReport:
     """Split ``value_change`` into the compensated sum of ``terms`` and the
-    kernel sum of the Taylor gaps left over, ``size`` holding |dS|; the
-    time parts, if any, pass through to the report."""
+    kernel sum of the Taylor gaps left over, |dS| formed only then, as
+    ``norm(inc)`` or as |inc| in inc's buffer; time parts pass to the report."""
     comp, gap = _taylor_terms(terms, gap)
+    size = np.abs(inc, out=inc) if norm is None else norm(inc)
     kernel_sum, n_zero = _kernel_sum(gap, size, p)
-    return ItoReport(value_change, comp, kernel_sum, int(size.size), n_zero, **time_parts)
+    return ItoReport(value_change, comp, kernel_sum, int(gap.size), n_zero, **time_parts)
 
 
 def ito_check(
@@ -274,7 +280,7 @@ def ito_check(
     lhs = float(f_vals[-1] - f_vals[0])
     gap = np.diff(f_vals)
     del f_vals
-    return _split(lhs, gap, _power_terms(fn.derivs[:m], inc, vals[:-1]), np.abs(inc), p)
+    return _split(lhs, gap, _power_terms(fn.derivs[:m], inc, vals[:-1]), inc, p)
 
 
 # --------------------------------------------------------------------------- #
@@ -331,7 +337,7 @@ def ito_check_time(
         float(f_knots[-1] - f_knots[0]),
         f_cross - f_knots[:-1],
         _power_terms(bundle.dx[:m], inc, t_l, s_l),
-        np.abs(inc),
+        inc,
         p,
         time_integral=time_exact,
         time_quadrature_gap=abs(time_exact - time_gl),
@@ -376,7 +382,7 @@ def ito_check_multi(
             yield np.einsum("nd,nde,ne->n", inc, bundle.hess(left), inc)
 
     gap = bundle.fn(vals[1:]) - bundle.fn(left)
-    return _split(lhs, gap, terms(), np.sqrt(np.einsum("nd,nd->n", inc, inc)), p)
+    return _split(lhs, gap, terms(), inc, p, lambda d: np.sqrt(np.einsum("nd,nd->n", d, d)))
 
 
 # --------------------------------------------------------------------------- #

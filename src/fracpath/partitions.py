@@ -283,12 +283,17 @@ def partition_values(
     """(times, path values) along the partition, every time clipped at the
     stop time ``t`` when given; the one entry point of all sums along a
     partition. Rejects a negative or non-finite t and a partition that runs
-    past the path."""
+    past the path. On the path's own grid with no stop time the values are
+    a read-only view of ``path.values``, which the lookup would return."""
     _require_within(path, partition)
     times = partition.times
     if t is not None:
         check_stop_times(t)
         times = np.minimum(times, t)
+    elif times is path.times or (times.size == path.times.size and np.array_equal(times, path.times)):
+        vals = path.values.view()
+        vals.flags.writeable = False
+        return times, vals
     return times, path.value_at(times)
 
 

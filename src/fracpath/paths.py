@@ -224,7 +224,7 @@ def cantor_distance_path(p: float, depth: int = 30) -> AnalyticPath:
     """
     if p <= 1.0:
         raise InvalidParameterError(f"p must exceed 1, got {p}")
-    if depth < 1:
+    if (depth := _integer(depth, "depth")) < 1:
         raise InvalidParameterError("depth must be >= 1")
     q = LN2_OVER_LN3 / p
 
@@ -255,7 +255,7 @@ def cantor_bump_path(p: float, depth: int = 14) -> AnalyticPath:
     """
     if not 2.0 < p < 3.0:
         raise InvalidParameterError(f"p must lie in (2, 3), got {p}")
-    if depth < 1:
+    if (depth := _integer(depth, "depth")) < 1:
         raise InvalidParameterError("depth must be >= 1")
     counts = np.array([bump_count(p, i) for i in range(depth + 1)], dtype=float)
 
@@ -288,7 +288,7 @@ def cantor_bump_knots(p: float, depth: int) -> SampledPath:
         raise InvalidParameterError(f"p must lie in (2, 3), got {p}")
     all_t = [np.array([0.0, 1.0])]
     all_v = [np.array([0.0, 0.0])]
-    for i in range(1, depth + 1):
+    for i in range(1, _integer(depth, "depth") + 1):
         lefts = cantor_gap_lefts(i)
         r = bump_count(p, i)
         glen = 3.0 ** (-i)
@@ -334,7 +334,7 @@ def takagi_path(
     b = int(b)
     if abs(abs(alpha) * b - 1.0) > 1e-12:
         raise InvalidParameterError(f"|alpha| must equal 1/b = {1.0 / b!r}, got {alpha!r}")
-    if depth < 1:
+    if (depth := _integer(depth, "depth")) < 1:
         raise InvalidParameterError("depth must be >= 1")
     if wave not in ("triangle", "sinusoid"):
         raise InvalidParameterError(f"unknown wave {wave!r}")
@@ -364,9 +364,8 @@ def takagi_path(
 
 def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
     """Autocovariance gamma(0..n) of unit-spacing fractional Gaussian noise."""
-    k = np.arange(n + 1, dtype=float)
-    h2 = 2.0 * hurst
-    return 0.5 * (np.abs(k + 1.0) ** h2 - 2.0 * np.abs(k) ** h2 + np.abs(k - 1.0) ** h2)
+    pw = np.arange(n + 2, dtype=float) ** (2.0 * hurst)  # k**2H, read at k + 1, k and |k - 1|
+    return 0.5 * (pw[1:] - 2.0 * pw[:-1] + np.concatenate([pw[1:2], pw[:-2]]))
 
 
 @functools.lru_cache(maxsize=2)
@@ -387,26 +386,35 @@ def _circulant_sqrt_spectrum(n: int, hurst: float) -> np.ndarray:
 
 def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     """Unit-spacing fGn of length n via Davies-Harte circulant embedding: the
-    n + 1 Hermitian coefficients z[0..n] through one real inverse FFT."""
+    n + 1 Hermitian coefficients z[0..n] through one real inverse FFT. One
+    draw of 2n normals (z[0], z[n], real parts, imaginary parts) is scaled
+    into z, weighted and transformed in place; the result is a view of the
+    first n of the transform's 2n points."""
     root = _circulant_sqrt_spectrum(n, hurst)
+    draws = rng.standard_normal(2 * n)
     z = np.empty(n + 1, dtype=complex)
-    z[0] = rng.standard_normal()
-    z[n] = rng.standard_normal()
-    a = rng.standard_normal(n - 1)
-    b = rng.standard_normal(n - 1)
-    z[1:n] = (a + 1j * b) / math.sqrt(2.0)
-    return np.fft.irfft(root * z, 2 * n)[:n] * math.sqrt(2.0 * n)
+    z[0], z[n] = draws[0], draws[1]
+    half = 1.0 / math.sqrt(2.0)  # complex division by sqrt(2) multiplies by this
+    np.multiply(draws[2 : n + 1], half, out=z.real[1:n])
+    np.multiply(draws[n + 1 :], half, out=z.imag[1:n])
+    del draws
+    z *= root
+    fgn = np.fft.irfft(z, 2 * n)[:n]
+    fgn *= math.sqrt(2.0 * n)
+    return fgn
 
 
 def fbm_path(spec: GaussianPathSpec) -> SampledPath:
     """Sample fractional Brownian motion on the uniform grid with ``spec.n``
     increments over [0, horizon] by circulant embedding, for every n;
-    deterministic per seed.
-    """
+    deterministic per seed; the noise is scaled and summed into the values
+    in place and freed before the times are built."""
     n, hurst = spec.n, spec.hurst
     fgn = _fgn_circulant(n, hurst, np.random.default_rng(spec.seed))
-    fgn = fgn * (spec.horizon / n) ** hurst
-    values = np.concatenate([[0.0], np.cumsum(fgn)])
+    fgn *= (spec.horizon / n) ** hurst
+    values = np.zeros(n + 1)
+    np.cumsum(fgn, out=values[1:])
+    del fgn
     times = np.linspace(0.0, spec.horizon, n + 1)
     return SampledPath(times, values)
 

@@ -307,6 +307,39 @@ BAD_CONFIGS = {
         {"command": "generate-path", "path": {"kind": "fbm", "hurst": 0.4, "n": 1099511627776}},
         "n=1099511627776 increments exceed the limit of 33554432 knots",
     ),
+    # so do the analytic paths' construction depths
+    "cantor-distance-depth-not-integral": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "cantor-distance", "p": 2.5, "depth": 2.5},
+            "grid": {"n": 3},
+        },
+        "depth must be an integer, got 2.5",
+    ),
+    "takagi-depth-not-integral": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "takagi", "b": 2, "alpha": 0.5, "depth": 3.5},
+            "grid": {"n": 3},
+        },
+        "depth must be an integer, got 3.5",
+    ),
+    "cantor-bump-depth-boolean": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "cantor-bump", "p": 2.5, "depth": True},
+            "grid": {"n": 3},
+        },
+        "depth must be an integer, got True",
+    ),
+    "cantor-bump-knots-depth-not-integral": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "cantor-bump-knots", "p": 2.5, "depth": 2.5},
+            "grid": {"n": 3},
+        },
+        "depth must be an integer, got 2.5",
+    ),
     "cantor-crossing-too-deep": (
         {"command": "ito-check", "partition": {"kind": "cantor-crossing", "ns": [663]}, "p": 2.5},
         "stage 663 at p=2.5 is too deep",

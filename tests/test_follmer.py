@@ -2,6 +2,7 @@
 time / multi-component / functional identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from fracpath.follmer import (
 )
 from fracpath.fracops import SmoothFn
 from fracpath.partitions import Partition, badic, value_grid_partition
-from fracpath.paths import SampledPath, cantor_bump_knots
+from fracpath.paths import GaussianPathSpec, SampledPath, cantor_bump_knots, fbm_path
 from fracpath.registry import abs_power, moving_abs_power, polynomial, product_bundle, sin_affine
 from fracpath.variation import pth_variation_partial
 
@@ -420,6 +421,35 @@ def test_multi_needs_hessian(fbm04):
     )
     with pytest.raises(InsufficientDerivativesError):
         ito_check_multi(nohess, [fbm04, fbm04], badic(1.0, 6), P)
+
+
+def test_multi_keeps_a_subnormal_gap_exact():
+    # the product's gap 2 * 5e-324 over |dS|^1.5 = 2**1.5 gives a subnormal
+    # G; the divide-and-multiply round trip would report 5e-324 (1.5e-323
+    # before), 5e-324 off the identity, so the gap stands for itself
+    times = np.arange(5.0)
+    x = SampledPath(times, [0.0, 0.0, 0.0, 0.0, 2.0])
+    y = SampledPath(times, [0.0, 0.0, 0.0, 0.0, 5e-324])
+    rep = ito_check_multi(product_bundle(), [x, y], Partition([0.0, 4.0]), 1.5)
+    assert rep.kernel_sum == rep.value_change == 1e-323
+    assert rep.identity_residual == 0.0
+
+
+def test_ito_check_on_the_path_grid_transient_memory_is_bounded():
+    # sin at p = 2.5 on the 2**18 knots of the path itself: 40 bytes per
+    # increment (64 with the values copied by the lookup and |dS| held
+    # through the Taylor loop)
+    n = 2**18
+    path = fbm_path(GaussianPathSpec(hurst=0.4, n=n, seed=7))
+    part = Partition(path.times)
+    tracemalloc.start()
+    try:
+        rep = ito_check(sin_affine(), path, part, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_increments == n
+    assert peak <= 48 * n, f"{peak / n:.1f} bytes per increment"
 
 
 # --------------------------------------------------------------------------- #

@@ -5,7 +5,8 @@ behind every check, the remainder kernel's two forms, the gauge inverse, the
 variation profile (and the query times it rejects), the level-reduced Cantor
 profile against the materialized grid, the Young bound as an equality for
 one component, the quotient-measure mass as the p-th variation, the
-lattice form of value-grid partitions and the fBm sampler at every size."""
+lattice form of value-grid partitions, the fBm sampler at every size and
+the read-only on-grid values of ``partition_values``."""
 
 import math
 
@@ -31,7 +32,13 @@ from fracpath.follmer import (
     young_bound_check,
 )
 from fracpath.isometry import PhiSpec, phi_inverse
-from fracpath.partitions import Partition, cantor_value_grid, osc, value_grid_partition
+from fracpath.partitions import (
+    Partition,
+    cantor_value_grid,
+    osc,
+    partition_values,
+    value_grid_partition,
+)
 from fracpath.paths import GaussianPathSpec, SampledPath, cantor_gap_lefts, fbm_path
 from fracpath.registry import abs_power, moving_abs_power, plus_power, product_bundle, sin_affine
 from fracpath.variation import pth_variation_partial, variation_table
@@ -94,6 +101,25 @@ def test_value_at_returns_stored_floats_at_knots(grid, data):
     idx = data.draw(st.lists(st.integers(0, times.size - 1), max_size=50))
     idx = np.array(idx + [times.size - 1, times.size - 1], dtype=int)
     assert np.array_equal(bits(path.value_at(times[idx])), bits(values[idx]))
+
+
+@PROPS
+@given(knot_grids(), st.booleans(), st.floats(0.0, 1e300))
+def test_partition_values_on_the_path_grid_is_a_read_only_lookup(grid, same_array, t):
+    times, values = grid
+    path = SampledPath(times, values)
+    part = Partition(path.times if same_array else path.times.copy())
+    _, vals = partition_values(path, part)
+    assert np.array_equal(bits(vals), bits(path.value_at(part.times)))
+    assert not vals.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+    assert path.values.flags.writeable  # the view locks only itself
+    # a stop time still clips the times and interpolates fresh values
+    clipped, vals = partition_values(path, part, t)
+    assert np.array_equal(clipped, np.minimum(part.times, t))
+    assert np.array_equal(bits(vals), bits(path.value_at(clipped)))
+    assert vals.flags.writeable
 
 
 @PROPS
