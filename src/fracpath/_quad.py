@@ -11,6 +11,7 @@ beta = 1/4 otherwise (c + |t - point|**s becomes smooth enough for the panels).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -18,13 +19,23 @@ import numpy as np
 
 from .errors import InvalidParameterError, QuadratureError
 
-__all__ = ["gl_adaptive", "integrate_kinked"]
+__all__ = ["gauss_legendre", "gl_adaptive", "integrate_kinked"]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 _MAX_DOUBLINGS = 14
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 Kink = tuple[float, float]  # (point, s)
+
+
+@functools.cache
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the ``order``-point Gauss-Legendre rule
+    on [-1, 1], built on first use, so ``numpy.polynomial`` loads only when
+    something integrates."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for table in rule:
+        table.flags.writeable = False
+    return rule
 
 
 def gl_adaptive(g: Integrand, lo: float, hi: float, rtol: float = 1e-9) -> float:
@@ -36,14 +47,15 @@ def gl_adaptive(g: Integrand, lo: float, hi: float, rtol: float = 1e-9) -> float
     """
     if hi == lo:
         return 0.0
+    nodes, weights = gauss_legendre(32)
     prev = None
     panels = 1
     for _ in range(_MAX_DOUBLINGS + 1):
         edges = np.linspace(lo, hi, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
-        pts = mid[:, None] + half * _NODES[None, :]
-        val = half * float(np.sum(_WEIGHTS[None, :] * g(pts)))
+        pts = mid[:, None] + half * nodes[None, :]
+        val = half * float(np.sum(weights[None, :] * g(pts)))
         if not math.isfinite(val):
             raise QuadratureError(f"panel sum is {val} with {panels} panels on [{lo:g}, {hi:g}]")
         if prev is not None:

@@ -6,7 +6,9 @@ output directory, and exit with 0 (ran, expectation met or none stated),
 but the run's verdict was "not-converged").
 
 Every subcommand is one runner ``(cfg) -> (header, rows, gap)`` plus the
-top-level keys it allows and requires, declared in ``_RUNNERS``. ``_execute``
+top-level keys it allows and requires, declared in ``_RUNNERS``. A runner
+imports the library modules it calls in its own body, so a process loads
+only what its subcommand runs. ``_execute``
 does the shared work once: it rejects unknown keys (with their line) and
 missing or empty required ones, parses ``expect`` and ``tol``, and sets the
 verdict: "converged" iff gap <= tol, "unchecked" when the runner reports no
@@ -22,7 +24,6 @@ the one file allowed to differ between reruns).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -35,20 +36,8 @@ import numpy as np
 
 from . import __version__
 from .errors import FracpathError, InvalidConfigError
-from .experiments import (
-    block_sum,
-    bump_decomposition,
-    cantor_blocks,
-    cantor_sweep,
-    ito_check_blocks,
-)
-from .follmer import kernel_profile, remainder_kernel, taylor_order, taylor_remainder
-from .fracops import FracOrder, caputo, local_frac_derivative, power_rule, rl_integral
-from .isometry import holder_exponent, isometry_check
-from .partitions import MAX_KNOTS, badic, value_grid_partition
+from .partitions import MAX_KNOTS, badic, block_sum, cantor_blocks, value_grid_partition
 from .paths import AnalyticPath, SampledPath, sample
-from .registry import abs_power, make_fn, make_path, make_phi
-from .variation import phi_variation_partial, pth_variation_partial
 
 _COMMON_KEYS = {"command", "label", "expect", "tol"}
 _REQUIRED = object()
@@ -173,6 +162,8 @@ _PARTITIONS = {
 
 
 def _as_sampled(path_cfg: dict, levels_max: int, base: int) -> SampledPath:
+    from .registry import make_path
+
     obj = make_path(path_cfg)
     if isinstance(obj, AnalyticPath):
         grid = badic(obj.horizon, levels_max, base)
@@ -185,7 +176,7 @@ def _iter_stages(cfg: dict, p: float):
     weighted blocks ``(weight, sampled_path, partition)``, which the runners
     sum with ``block_sum`` or ``ito_check_blocks``. badic and value-grid
     stages are one block of weight 1; a cantor-crossing stage is the level
-    blocks of ``experiments.cantor_blocks``, so no 2**n grid is built."""
+    blocks of ``partitions.cantor_blocks``, so no 2**n grid is built."""
     part = cfg["partition"]
     kind = part.get("kind") if isinstance(part, dict) else None
     if not isinstance(kind, str) or kind not in _PARTITIONS:
@@ -218,6 +209,8 @@ def _iter_stages(cfg: dict, p: float):
 
 
 def _run_generate_path(cfg: dict):
+    from .registry import make_path
+
     sampled = make_path(cfg["path"])
     if isinstance(sampled, AnalyticPath):
         if "grid" not in cfg:
@@ -230,6 +223,9 @@ def _run_generate_path(cfg: dict):
 
 
 def _run_variation(cfg: dict):
+    from .registry import make_phi
+    from .variation import phi_variation_partial, pth_variation_partial
+
     p = _num(cfg, "p")
     phi = make_phi(cfg["phi"]) if "phi" in cfg else None
     def term(path, part):
@@ -249,6 +245,9 @@ def _run_variation(cfg: dict):
 
 
 def _run_ito_check(cfg: dict):
+    from .follmer import ito_check_blocks
+    from .registry import abs_power, make_fn
+
     p = _num(cfg, "p")
     fn = make_fn(cfg["fn"]) if "fn" in cfg else abs_power(p)
     header = [
@@ -270,6 +269,9 @@ def _run_ito_check(cfg: dict):
 
 
 def _run_frac_deriv(cfg: dict):
+    from .fracops import FracOrder, caputo, local_frac_derivative, power_rule, rl_integral
+    from .registry import make_fn
+
     op = cfg["op"]
     if op not in ("rl", "caputo", "local"):
         raise InvalidConfigError("op must be rl, caputo or local")
@@ -304,6 +306,9 @@ def _run_remainder_atoms(cfg: dict, fn, p: float):
     """Atom-weight table of the bump construction: finite-stage masses next
     to their closed-form limits, with the kernel sampled on both ray
     families."""
+    from .experiments import bump_decomposition
+    from .follmer import kernel_profile
+
     atoms = _fill(cfg["atoms"], "atoms", {"kind": "cantor-bump"}, ("n",))
     if atoms["kind"] != "cantor-bump":
         raise InvalidConfigError(f"unknown atoms kind {atoms['kind']!r}")
@@ -319,6 +324,9 @@ def _run_remainder_atoms(cfg: dict, fn, p: float):
 
 
 def _run_remainder(cfg: dict):
+    from .follmer import remainder_kernel, taylor_order, taylor_remainder
+    from .registry import make_fn
+
     fn = make_fn(cfg["fn"])
     p = _num(cfg, "p")
     if "atoms" in cfg:
@@ -364,6 +372,9 @@ def _run_remainder(cfg: dict):
 
 
 def _run_isometry(cfg: dict):
+    from .isometry import holder_exponent, isometry_check
+    from .registry import make_fn, make_phi
+
     phi = make_phi(cfg.get("phi", {}))
     fn = make_fn(cfg["fn"])
     stages = list(_iter_stages(cfg, _num(cfg, "p", phi.p_phi)))
@@ -386,6 +397,8 @@ def _run_isometry(cfg: dict):
 
 
 def _run_cantor_sweep(cfg: dict):
+    from .experiments import cantor_sweep
+
     stages = cantor_sweep(_num(cfg, "p"), _nums(cfg, "ns", int), cfg.get("rounding", "floor"))
     header = [
         "n",
@@ -405,6 +418,8 @@ def _run_cantor_sweep(cfg: dict):
 
 
 def _run_bump_decomposition(cfg: dict):
+    from .experiments import bump_decomposition
+
     p = _num(cfg, "p")
     reports = [bump_decomposition(p, n) for n in _nums(cfg, "ns", int)]
     header = ["n", "n_increments", "compensated", "kernel_from_atoms", "kernel_from_limit", "mass"]
@@ -498,6 +513,8 @@ def _run_one_fixture(fixture: Path, out_dir: Path) -> tuple[str, int, dict | str
 
 
 def _reproduce_all(fixtures_dir: Path, out_dir: Path, jobs: int) -> int:
+    import concurrent.futures
+
     fixtures = sorted(fixtures_dir.glob("*.json"))
     if not fixtures:
         print(f"error: no fixture configs in {fixtures_dir}", file=sys.stderr)

@@ -7,9 +7,7 @@ caches state, so identical inputs give identical outputs.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,19 +19,23 @@ from .follmer import (
     ItoReport,
     bump_atom_weights,
     ito_check,
+    ito_check_blocks,
     kernel_profile,
-    quotient_measure,
 )
-from .partitions import MAX_KNOTS, Partition, _cantor_pattern, badic, check_stop_times
-from .paths import GaussianPathSpec, SampledPath, bump_count, fbm_path
+from .partitions import (
+    MAX_KNOTS,
+    Partition,
+    badic,
+    block_sum,
+    cantor_blocks,
+    check_stop_times,
+)
+from .paths import GaussianPathSpec, bump_count, fbm_path
 from .registry import abs_power
 from .variation import cantor_function, pth_variation_partial, variation_table
 
 __all__ = [
     "CantorStage",
-    "cantor_blocks",
-    "block_sum",
-    "ito_check_blocks",
     "cantor_stage",
     "cantor_profile",
     "cantor_sweep",
@@ -84,60 +86,6 @@ def cantor_compensated_formula(p: float, n: int, k_n: int) -> float:
     first = -n * p / (2.0 * k_n)
     second = n * p * (p - 1.0) / 4.0 * ladder / float(k_n) ** p
     return first + second
-
-
-def cantor_blocks(
-    p: float, n: int, rounding: str = "floor"
-) -> tuple[int, list[tuple[int, SampledPath, Partition]]]:
-    """(k_n, blocks): the stage-n crossing grid of the Cantor-distance path
-    (see ``partitions.cantor_value_grid``) as weighted blocks
-    ``(weight, path, partition)``, without the 2**n grid.
-
-    That grid is one block of 2 k_n increments per removed interval, the
-    blocks joined by 2**n zero increments. The 2**(i-1) intervals removed at
-    level i carry the same values, so entry i - 1 is one representative
-    block -- times ``3**-i * frac_all`` from 0, values ``2**(-i/p) / k_n *
-    val_pattern`` -- of weight 2**(i-1). The last entry is a flat
-    one-interval block of weight 2**n: the zero increments. Every increment
-    is the same float as in the full grid, so a sum over the grid is the
-    weighted sum over the blocks up to the order of summation. Memory grows
-    with n * k_n instead of 2**n * k_n; a stage whose level-n times
-    underflow float64 is refused before any block is built.
-    """
-    k_n, frac_all, val_pattern = _cantor_pattern(p, n, rounding, n_gaps=1)
-    blocks = []
-    for i in range(1, n + 1):
-        times = 3.0 ** (-i) * frac_all
-        path = SampledPath(times, 2.0 ** (-i / p) / k_n * val_pattern)
-        blocks.append((1 << (i - 1), path, Partition(times)))
-    flat = np.array([0.0, 1.0])
-    blocks.append((1 << n, SampledPath(flat, np.zeros(2)), Partition(flat)))
-    return k_n, blocks
-
-
-def _weighted_total(pairs):
-    # the first term starts the sum: one pair of weight 1 gives its value
-    # itself, bit for bit (a signed zero included)
-    return functools.reduce(operator.add, (w * v for w, v in pairs))
-
-
-def block_sum(blocks, term):
-    """sum of ``weight * term(path, partition)`` over weighted blocks, in
-    block order; one block of weight 1 gives ``term``'s value itself."""
-    return _weighted_total((w, term(path, part)) for w, path, part in blocks)
-
-
-# the ItoReport terms that add up over the increments of a partition
-_ADDITIVE = ("value_change", "compensated", "kernel_sum", "n_increments", "n_zero_increments")
-
-
-def ito_check_blocks(fn: SmoothFn, blocks, p: float) -> ItoReport:
-    """``ito_check`` along a partition given as weighted blocks: each
-    additive term of the block reports summed as ``block_sum`` does."""
-    reports = [(w, ito_check(fn, path, part, p)) for w, path, part in blocks]
-    return ItoReport(
-        **{name: _weighted_total((w, getattr(r, name)) for w, r in reports) for name in _ADDITIVE}
-    )
 
 
 def cantor_stage(p: float, n: int, rounding: str = "floor") -> CantorStage:
@@ -392,18 +340,3 @@ def fbm_ito_experiment(
         residuals=tuple(residuals),
         reports=tuple(reports),
     )
-
-
-# --------------------------------------------------------------------------- #
-# direct (materialized) bump-path stage, for cross-checking the decomposition
-# --------------------------------------------------------------------------- #
-
-
-def bump_direct_stage(p: float, n: int, knots: SampledPath, partition: Partition):
-    """Kernel/compensated/measure numbers for a materialized bump path along
-    a concrete value-step partition; small n only. Returns the ito report
-    and the quotient measure."""
-    fn = abs_power(p)
-    report = ito_check(fn, knots, partition, p)
-    atoms = quotient_measure(knots, partition, p)
-    return report, atoms

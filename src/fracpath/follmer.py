@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._quad import integrate_kinked
+from ._quad import gauss_legendre, integrate_kinked
 from .errors import (
     InsufficientDerivativesError,
     InvalidBundleError,
@@ -34,7 +34,7 @@ from .errors import (
     KernelSingularError,
 )
 from .fracops import SmoothFn
-from .partitions import Partition, osc, partition_values
+from .partitions import Partition, _weighted_total, osc, partition_values
 from .paths import SampledPath
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "remainder_kernel",
     "kernel_profile",
     "ito_check",
+    "ito_check_blocks",
     "ItoReport",
     "TimeFunctionBundle",
     "ito_check_time",
@@ -283,6 +284,19 @@ def ito_check(
     return _split(lhs, gap, _power_terms(fn.derivs[:m], inc, vals[:-1]), inc, p)
 
 
+# the ItoReport terms that add up over the increments of a partition
+_ADDITIVE = ("value_change", "compensated", "kernel_sum", "n_increments", "n_zero_increments")
+
+
+def ito_check_blocks(fn: SmoothFn, blocks, p: float) -> ItoReport:
+    """``ito_check`` along a partition given as weighted blocks: each
+    additive term of the block reports summed as ``block_sum`` does."""
+    reports = [(w, ito_check(fn, path, part, p)) for w, path, part in blocks]
+    return ItoReport(
+        **{name: _weighted_total((w, getattr(r, name)) for w, r in reports) for name in _ADDITIVE}
+    )
+
+
 # --------------------------------------------------------------------------- #
 # time-dependent and multi-component variants
 # --------------------------------------------------------------------------- #
@@ -297,9 +311,6 @@ class TimeFunctionBundle:
     dt: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dx: tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], ...]
     name: str = ""
-
-
-_GL4_NODES, _GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
 def ito_check_time(
@@ -329,7 +340,7 @@ def ito_check_time(
     half = 0.5 * (t_r - t_l)
     mid = 0.5 * (t_r + t_l)
     time_gl = 0.0
-    for node, weight in zip(_GL4_NODES, _GL4_WEIGHTS):
+    for node, weight in zip(*gauss_legendre(4)):
         time_gl += float(np.sum(weight * half * bundle.dt(mid + node * half, s_r)))
 
     # space part at the left-endpoint time

@@ -28,7 +28,6 @@ __all__ = [
     "PhiSpec",
     "phi_hat",
     "phi_hat_numeric",
-    "p_phi_estimate",
     "admissibility_threshold",
     "isometry_check",
     "IsometryReport",
@@ -48,8 +47,7 @@ class PhiSpec:
                            increasing up to exp(-log_power / p_phi), which
                            becomes the domain cap.
     kind="custom":         any callable; p_phi is the caller's claim about
-                           its index and can be cross-checked by
-                           p_phi_estimate.
+                           its index.
     """
 
     kind: str = "power"
@@ -141,24 +139,6 @@ def phi_hat_numeric(spec: PhiSpec, a: float, j_lo: int = 8, j_hi: int = 26) -> f
     if status == "no-limit":
         raise NoLimitError(f"conjugate weight ratio does not settle at a = {a!r}")
     return value
-
-
-def p_phi_estimate(spec: PhiSpec, j_lo: int = 6, j_hi: int = 20) -> float:
-    """Regular-variation index of the gauge, by local log-log slopes on the
-    dyadic ladder extrapolated linearly in 1/j (slowly varying corrections
-    enter at exactly that order)."""
-    js = np.arange(j_lo, j_hi + 1, dtype=float)
-    xs = 2.0**-js
-    cap = spec.domain_hi
-    usable = xs < cap
-    js, xs = js[usable], xs[usable]
-    if xs.size < 4:
-        raise InvalidPhiError("not enough ladder points inside the gauge domain")
-    ln_phi = np.log(spec(xs))
-    slopes = (ln_phi[1:] - ln_phi[:-1]) / (-math.log(2.0))
-    inv_j = 1.0 / js[:-1]
-    coeffs = np.polyfit(inv_j, slopes, 1)
-    return float(coeffs[1])
 
 
 def admissibility_threshold(p_phi: float) -> float:

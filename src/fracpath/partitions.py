@@ -8,7 +8,9 @@ limits to make sense.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,8 @@ __all__ = [
     "badic",
     "value_grid_partition",
     "cantor_value_grid",
+    "cantor_blocks",
+    "block_sum",
     "MAX_KNOTS",
     "osc",
     "partition_values",
@@ -223,7 +227,7 @@ def cantor_value_grid(
     (2j+1) 2**(n-i) - 1. The whole grid is refused when it would hold more
     than ``MAX_KNOTS`` knots (stage 21 at p = 2.5 is the deepest).
 
-    Nothing outside the tests builds this grid: ``experiments.cantor_blocks``
+    Nothing outside the tests builds this grid: ``cantor_blocks``
     gives the same increments as one block per level plus one flat block,
     and ``cantor_stage``, ``cantor_profile`` and the CLI's
     ``cantor-crossing`` partitions sum over those. The grid stays public as
@@ -251,6 +255,47 @@ def cantor_value_grid(
         v_rows[rows] = delta * val_pattern
     path = SampledPath(t, v)
     return path, Partition(t.copy()), k_n
+
+
+def cantor_blocks(
+    p: float, n: int, rounding: str = "floor"
+) -> tuple[int, list[tuple[int, SampledPath, Partition]]]:
+    """(k_n, blocks): the stage-n crossing grid of the Cantor-distance path
+    (see ``cantor_value_grid``) as weighted blocks
+    ``(weight, path, partition)``, without the 2**n grid.
+
+    That grid is one block of 2 k_n increments per removed interval, the
+    blocks joined by 2**n zero increments. The 2**(i-1) intervals removed at
+    level i carry the same values, so entry i - 1 is one representative
+    block -- times ``3**-i * frac_all`` from 0, values ``2**(-i/p) / k_n *
+    val_pattern`` -- of weight 2**(i-1). The last entry is a flat
+    one-interval block of weight 2**n: the zero increments. Every increment
+    is the same float as in the full grid, so a sum over the grid is the
+    weighted sum over the blocks up to the order of summation. Memory grows
+    with n * k_n instead of 2**n * k_n; a stage whose level-n times
+    underflow float64 is refused before any block is built.
+    """
+    k_n, frac_all, val_pattern = _cantor_pattern(p, n, rounding, n_gaps=1)
+    blocks = []
+    for i in range(1, n + 1):
+        times = 3.0 ** (-i) * frac_all
+        path = SampledPath(times, 2.0 ** (-i / p) / k_n * val_pattern)
+        blocks.append((1 << (i - 1), path, Partition(times)))
+    flat = np.array([0.0, 1.0])
+    blocks.append((1 << n, SampledPath(flat, np.zeros(2)), Partition(flat)))
+    return k_n, blocks
+
+
+def _weighted_total(pairs):
+    # the first term starts the sum: one pair of weight 1 gives its value
+    # itself, bit for bit (a signed zero included)
+    return functools.reduce(operator.add, (w * v for w, v in pairs))
+
+
+def block_sum(blocks, term):
+    """sum of ``weight * term(path, partition)`` over weighted blocks, in
+    block order; one block of weight 1 gives ``term``'s value itself."""
+    return _weighted_total((w, term(path, part)) for w, path, part in blocks)
 
 
 # --------------------------------------------------------------------------- #

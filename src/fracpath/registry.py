@@ -12,14 +12,12 @@ into sums).
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import FracpathError, InvalidConfigError, InvalidParameterError
-from .follmer import TensorFunctionBundle, TimeFunctionBundle
 from .fracops import SmoothFn
-from .isometry import PhiSpec
 from .paths import (
     AnalyticPath,
     GaussianPathSpec,
@@ -31,6 +29,12 @@ from .paths import (
     takagi_path,
 )
 
+# the bundle and gauge types load with the constructors that build them, so
+# a command that never builds one never imports follmer or isometry
+if TYPE_CHECKING:
+    from .follmer import TensorFunctionBundle, TimeFunctionBundle
+    from .isometry import PhiSpec
+
 __all__ = [
     "abs_power",
     "plus_power",
@@ -40,7 +44,6 @@ __all__ = [
     "abs_power_series",
     "moving_abs_power",
     "product_bundle",
-    "sum_of_squares_bundle",
     "FN_REGISTRY",
     "TIME_FN_REGISTRY",
     "make_fn",
@@ -107,19 +110,23 @@ def plus_power(q: float, k: float = 0.0) -> SmoothFn:
 
 
 def sin_affine(amp: float = 1.0, freq: float = 1.0, shift: float = 0.0) -> SmoothFn:
-    def f(x):
-        return amp * np.sin(freq * np.asarray(x, dtype=float) + shift)
+    def wave(trig: Callable, coeff: float) -> Callable:
+        def dj(x):
+            # one buffer per call: the phase, then trig(phase) and its scaling in place
+            out = np.array(x, dtype=float)
+            out *= freq
+            out += shift
+            trig(out, out=out)
+            out *= coeff
+            return out[()]  # a 0-d input gives a scalar, as np.sin does
 
-    def d1(x):
-        return amp * freq * np.cos(freq * np.asarray(x, dtype=float) + shift)
+        return dj
 
-    def d2(x):
-        return -amp * freq**2 * np.sin(freq * np.asarray(x, dtype=float) + shift)
-
-    def d3(x):
-        return -amp * freq**3 * np.cos(freq * np.asarray(x, dtype=float) + shift)
-
-    return SmoothFn(fn=f, derivs=(d1, d2, d3), name="sin-affine")
+    return SmoothFn(
+        fn=wave(np.sin, amp),
+        derivs=(wave(np.cos, amp * freq), wave(np.sin, -amp * freq**2), wave(np.cos, -amp * freq**3)),
+        name="sin-affine",
+    )
 
 
 def exp_fn(rate: float = 1.0) -> SmoothFn:
@@ -197,6 +204,8 @@ def abs_power_series(q: float, count: int = 12) -> SmoothFn:
 
 def moving_abs_power(q: float, speed: float = 1.0) -> TimeFunctionBundle:
     """f(t, x) = |x - speed * t|^q, a kink sliding through the value range."""
+    from .follmer import TimeFunctionBundle
+
     if q <= 0.0:
         raise InvalidParameterError(f"q must be positive, got {q}")
 
@@ -216,6 +225,7 @@ def moving_abs_power(q: float, speed: float = 1.0) -> TimeFunctionBundle:
 
 def product_bundle() -> TensorFunctionBundle:
     """f(x, y) = x * y on R^2."""
+    from .follmer import TensorFunctionBundle
 
     def f(v):
         v = np.asarray(v, dtype=float)
@@ -233,24 +243,6 @@ def product_bundle() -> TensorFunctionBundle:
         return h
 
     return TensorFunctionBundle(fn=f, grad=grad, hess=hess, name="product")
-
-
-def sum_of_squares_bundle(d: int = 2) -> TensorFunctionBundle:
-    def f(v):
-        v = np.asarray(v, dtype=float)
-        return np.sum(v * v, axis=-1)
-
-    def grad(v):
-        return 2.0 * np.asarray(v, dtype=float)
-
-    def hess(v):
-        v = np.asarray(v, dtype=float)
-        eye = np.zeros(v.shape[:-1] + (d, d))
-        idx = np.arange(d)
-        eye[..., idx, idx] = 2.0
-        return eye
-
-    return TensorFunctionBundle(fn=f, grad=grad, hess=hess, name="sum-of-squares")
 
 
 # --------------------------------------------------------------------------- #
@@ -309,6 +301,8 @@ def make_time_fn(cfg: dict) -> TimeFunctionBundle:
 
 
 def make_phi(cfg: dict) -> PhiSpec:
+    from .isometry import PhiSpec
+
     if not isinstance(cfg, dict):
         raise InvalidConfigError("gauge config must be an object")
     cfg = dict(cfg)

@@ -21,10 +21,8 @@ __all__ = [
     "pth_variation_partial",
     "phi_variation_partial",
     "variation_table",
-    "max_increment_share",
     "cantor_function",
     "multidim_variation",
-    "occupation_mass",
 ]
 
 
@@ -82,20 +80,6 @@ def variation_table(
     return csum[idx] + frag
 
 
-def max_increment_share(path: SampledPath, partition: Partition, p: float) -> float:
-    """Largest single increment's share of the total p-th power sum.
-
-    A sanity diagnostic: along an adequate partition sequence this must go to
-    zero, otherwise one jump dominates and the 'limit' is an artifact.
-    """
-    _, vals = partition_values(path, partition)
-    c = np.abs(np.diff(vals)) ** p
-    total = float(np.sum(c))
-    if total == 0.0:
-        return 0.0
-    return float(np.max(c) / total)
-
-
 # --------------------------------------------------------------------------- #
 # reference values
 # --------------------------------------------------------------------------- #
@@ -130,7 +114,7 @@ def cantor_function(ts) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# vector paths and occupation diagnostics
+# vector paths
 # --------------------------------------------------------------------------- #
 
 
@@ -153,29 +137,3 @@ def multidim_variation(
     for w, comp in zip(weights, paths):
         combo = combo + float(w) * comp.values
     return pth_variation_partial(SampledPath(base, combo), partition, p, t)
-
-
-def occupation_mass(
-    path: SampledPath,
-    partition: Partition,
-    p: float,
-    level: float,
-    eps: float,
-) -> dict[float, float]:
-    """p-th power mass carried by increments starting within a value band.
-
-    For each band half-width in (eps, eps/2, eps/4), sums |increment|**p over
-    the partition intervals whose left-endpoint value lies within that
-    distance of ``level``. Comparing the three probes how the mass scales
-    with the band width.
-    """
-    if eps <= 0.0:
-        raise InvalidParameterError("eps must be positive")
-    _, vals = partition_values(path, partition)
-    left = vals[:-1]
-    c = np.abs(np.diff(vals)) ** p
-    out: dict[float, float] = {}
-    for e in (eps, eps / 2.0, eps / 4.0):
-        mask = np.abs(left - level) <= e
-        out[e] = float(np.sum(c[mask]))
-    return out

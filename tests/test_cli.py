@@ -37,11 +37,48 @@ def run_cli(*args, cwd):
     return run_python("-m", "fracpath.cli", *args, cwd=cwd)
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    # numpy is the only runtime dependency; a CLI start must not pay for scipy
-    proc = run_python("-c", "import sys, fracpath.cli; print('scipy' in sys.modules)", cwd=tmp_path)
+def loaded_modules(tmp_path, fixture=None) -> set:
+    """sys.modules of a fresh interpreter after ``import fracpath.cli`` and,
+    given a fixture, ``cli.main`` on it."""
+    run = ""
+    if fixture is not None:
+        config = FIXTURES / fixture
+        command = json.loads(config.read_text())["command"]
+        argv = [command, "--config", str(config), "--out-dir", "out"]
+        run = f"assert cli.main({argv!r}) == 0\n"
+    script = (
+        "import json, sys\n"
+        "import fracpath.cli as cli\n"
+        f"{run}"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = run_python("-c", script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; a CLI start must not pay for
+    # scipy, nor for the modules that only some subcommands run
+    loaded = loaded_modules(tmp_path)
+    assert "scipy" not in loaded
+    unwanted = {f"fracpath.{m}" for m in ("follmer", "fracops", "isometry", "experiments", "variation")}
+    unwanted |= {"numpy.polynomial", "concurrent.futures"}
+    assert not loaded & unwanted
+
+
+@pytest.mark.parametrize(
+    "fixture, unloaded",
+    [
+        ("generate-cantor-path.json", ("follmer", "isometry", "experiments", "variation")),
+        ("frac-deriv-caputo.json", ("follmer", "isometry", "experiments")),
+        ("variation-cantor.json", ("follmer", "isometry", "experiments")),
+        ("ito-fbm-sin.json", ("isometry", "experiments", "variation")),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(tmp_path, fixture, unloaded):
+    loaded = loaded_modules(tmp_path, fixture)
+    assert not loaded & {f"fracpath.{m}" for m in unloaded}
 
 
 def test_version_flag(tmp_path):

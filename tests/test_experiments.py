@@ -6,16 +6,13 @@ import pytest
 
 from fracpath.errors import InvalidParameterError
 from fracpath.experiments import (
-    block_sum,
     bump_decomposition,
-    cantor_blocks,
     cantor_compensated_formula,
     cantor_profile,
     cantor_stage,
-    ito_check_blocks,
 )
-from fracpath.follmer import ito_check
-from fracpath.partitions import cantor_value_grid
+from fracpath.follmer import ito_check, ito_check_blocks
+from fracpath.partitions import block_sum, cantor_blocks, cantor_value_grid
 from fracpath.paths import LN2_OVER_LN3, cantor_gap_lefts
 from fracpath.registry import abs_power
 from fracpath.variation import pth_variation_partial

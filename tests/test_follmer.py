@@ -15,7 +15,6 @@ from fracpath.errors import (
 )
 from fracpath.experiments import (
     bump_decomposition,
-    bump_direct_stage,
     bump_limit_value,
     cantor_compensated_formula,
     cantor_stage,
@@ -309,7 +308,8 @@ def test_bump_direct_stage_matches_decomposition():
     p, n = 2.25, 5
     knots = cantor_bump_knots(p, n)
     part = value_grid_partition(knots, 2.0**-n, mode="increment")
-    rep, atoms = bump_direct_stage(p, n, knots, part)
+    rep = ito_check(abs_power(p), knots, part, p)
+    atoms = quotient_measure(knots, part, p)
     dec = bump_decomposition(p, n)
     assert rep.compensated == pytest.approx(dec.compensated, abs=1e-12)
     assert atoms.mass == pytest.approx(2.0 * float(np.sum(dec.atom_weights)), abs=1e-12)
@@ -450,6 +450,22 @@ def test_ito_check_on_the_path_grid_transient_memory_is_bounded():
         tracemalloc.stop()
     assert rep.n_increments == n
     assert peak <= 48 * n, f"{peak / n:.1f} bytes per increment"
+
+
+def test_sin_affine_holds_one_buffer_per_call():
+    # the phase, sin and scaling share one array: 8 bytes per point (16
+    # with the phase and sin(phase) as separate temporaries)
+    n = 2**18
+    x = np.linspace(0.0, 10.0, n)
+    fn = sin_affine(amp=1.5, freq=2.0, shift=0.3)
+    tracemalloc.start()
+    try:
+        out = fn.derivs[0](x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, 1.5 * 2.0 * np.cos(2.0 * x + 0.3))
+    assert peak <= 9 * n, f"{peak / n:.1f} bytes per point"
 
 
 # --------------------------------------------------------------------------- #

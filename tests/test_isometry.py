@@ -13,7 +13,6 @@ from fracpath.isometry import (
     generalized_minkowski_check,
     holder_exponent,
     isometry_check,
-    p_phi_estimate,
     phi_hat,
     phi_hat_numeric,
     phi_inverse,
@@ -79,12 +78,6 @@ def test_phi_hat_numeric_custom():
     assert float(hat(np.array(2.0))) == pytest.approx(4.0, abs=1e-5)
     with pytest.raises(InvalidPhiError):
         phi_hat_numeric(spec, -1.0)
-
-
-def test_p_phi_estimate():
-    assert p_phi_estimate(PhiSpec(kind="power", p_phi=2.5)) == pytest.approx(2.5, abs=1e-9)
-    est = p_phi_estimate(PhiSpec(kind="log-modulated", p_phi=1.0, log_power=0.5))
-    assert est == pytest.approx(1.0, abs=0.01)
 
 
 def test_phi_inverse_roundtrips():

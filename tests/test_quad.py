@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracpath._quad import integrate_kinked
+from fracpath._quad import gauss_legendre, integrate_kinked
 from fracpath.errors import InvalidParameterError, QuadratureError
 
 
@@ -51,3 +51,12 @@ def test_non_integrable_kink_rejected():
         integrate_kinked(lambda t: np.abs(t) ** -1.0, 0.0, 1.0, [(0.0, -1.0)], 1e-9)
     assert integrate_kinked(np.cos, 1.0, 1.0, [(0.0, -1.0)], 1e-9) == 0.0
     assert integrate_kinked(np.cos, 0.0, math.pi / 2, [], 1e-12) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_lazy_node_table_is_numpys_bit_for_bit():
+    nodes, weights = gauss_legendre(32)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(32)
+    assert np.array_equal(nodes.view(np.uint64), ref_nodes.view(np.uint64))
+    assert np.array_equal(weights.view(np.uint64), ref_weights.view(np.uint64))
+    assert gauss_legendre(32)[0] is nodes  # built once
+    assert not nodes.flags.writeable and not weights.flags.writeable

@@ -1,16 +1,14 @@
-"""Variation sums, the Cantor function oracle, and occupation diagnostics."""
+"""Variation sums, the Cantor function oracle, and vector combinations."""
 
 import numpy as np
 import pytest
 
 from fracpath.errors import InvalidParameterError, InvalidPhiError
-from fracpath.partitions import Partition, badic
+from fracpath.partitions import Partition
 from fracpath.paths import SampledPath
 from fracpath.variation import (
     cantor_function,
-    max_increment_share,
     multidim_variation,
-    occupation_mass,
     phi_variation_partial,
     pth_variation_partial,
     variation_table,
@@ -82,14 +80,6 @@ def test_variation_table_matches_loop(cantor8):
     assert np.all(np.diff(table) >= -1e-15)
 
 
-def test_max_increment_share(hand_path):
-    part = Partition(hand_path.times)
-    c = np.abs(np.diff(hand_path.values)) ** 2.0
-    assert max_increment_share(hand_path, part, 2.0) == pytest.approx(np.max(c) / np.sum(c))
-    flat = SampledPath(np.array([0.0, 1.0]), np.array([0.3, 0.3]))
-    assert max_increment_share(flat, Partition(flat.times), 2.0) == 0.0
-
-
 def test_phi_variation_matches_power(cantor8):
     path, part, _ = cantor8
     p = 2.5
@@ -101,7 +91,7 @@ def test_phi_variation_matches_power(cantor8):
 
 
 # --------------------------------------------------------------------------- #
-# vector combinations and occupation mass
+# vector combinations
 # --------------------------------------------------------------------------- #
 
 
@@ -116,16 +106,3 @@ def test_multidim_variation_reduction_and_cancellation(hand_path):
     other = SampledPath(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(InvalidParameterError):
         multidim_variation([hand_path, other], [1.0, 1.0], part, 2.5)
-
-
-def test_occupation_mass_bands(fbm04):
-    bands = occupation_mass(fbm04, badic(1.0, 10), 2.5, 0.0, 0.25)
-    assert set(bands) == {0.25, 0.125, 0.0625}
-    # frozen values for H=0.4, n=2^16, seed=2 at dyadic level 10
-    assert bands[0.25] == pytest.approx(0.3072347351340835, rel=1e-12)
-    assert bands[0.125] == pytest.approx(0.11707288523793494, rel=1e-12)
-    assert bands[0.0625] == pytest.approx(0.06798411275397863, rel=1e-12)
-    # narrower bands carry less mass
-    assert bands[0.25] >= bands[0.125] >= bands[0.0625] > 0.0
-    with pytest.raises(InvalidParameterError):
-        occupation_mass(fbm04, badic(1.0, 6), 2.5, 0.0, 0.0)
