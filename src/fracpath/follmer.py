@@ -164,17 +164,16 @@ def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
                   integral_a^b (f^(m)(x) - f^(m)(a)) (b-x)^(m-1) dx.
 
     Computed through the integral form by the kink-graded Gauss-Legendre
-    rule to rtol 1e-12; a kink (k, q) of f is one of exponent q - m of the
-    integrand. Declare every kink on ``fn``: an undeclared one leaves the
-    panels unsettled and raises QuadratureError. The vectorized check
-    routines use the Taylor-difference form of the same quantity, so the two
-    can be cross-validated.
+    rule to rtol 1e-12, at the kinks of ``fn.derivative(m)``. Declare every
+    kink on ``fn``: an undeclared one leaves the panels unsettled and raises
+    QuadratureError. The vectorized check routines use the Taylor-difference
+    form of the same quantity, so the two can be cross-validated.
 
     At a == b the kernel is 0 when f is smoother than order p there, and has
     no finite value when a sits on a kink of exponent <= p.
     """
     m = taylor_order(p)
-    _require_derivs(len(fn.derivs), m)
+    fm = fn.derivative(m)
     if a == b:
         for loc, expo in fn.kinks:
             if loc == a and expo <= p:
@@ -182,14 +181,12 @@ def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
                     f"kernel diverges on the diagonal at {a!r} (kink exponent {expo})"
                 )
         return 0.0
-    fm = fn.derivs[m - 1]
-    fma = float(fm(np.asarray(a, dtype=float)))
+    fma = float(fm.fn(np.asarray(a, dtype=float)))
 
     def integrand(x):
-        return (fm(x) - fma) * (b - x) ** (m - 1)
+        return (fm.fn(x) - fma) * (b - x) ** (m - 1)
 
-    kinks = [(k, q - m) for k, q in fn.kinks]
-    val = integrate_kinked(integrand, min(a, b), max(a, b), kinks, 1e-12)
+    val = integrate_kinked(integrand, min(a, b), max(a, b), fm.kinks, 1e-12)
     if a > b:
         val = -val
     return val / (math.factorial(m - 1) * abs(b - a) ** p)

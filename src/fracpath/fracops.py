@@ -64,17 +64,11 @@ class SmoothFn:
     """A scalar function with explicitly supplied derivatives.
 
     ``derivs[k]`` is the (k+1)-th derivative. ``kinks`` holds (loc, q) pairs:
-    near loc the function is c * |x - loc|**q plus something smoother, and its
-    j-th derivative has exponent s = q - j. Integral operators break there and
-    grade the neighbouring piece ends by a substitution of strength s + 1 if
-    s < 0, else 1/4 (``_quad.integrate_kinked``). Declare every kink: an
-    undeclared one raises QuadratureError. Derivatives beyond the supplied
-    ones fall back to central differences (one level of which is usable).
-
-    Float64 floor: ``caputo`` of order m + alpha raises QuadratureError at a
-    kink with q - m below about 0.3 (sometimes up to 0.4): in the integration
-    variable the kink sits at u_k = (x - loc)**(1 - alpha) != 0, and graded
-    offsets v**(1/(q - m)) below eps * u_k are lost when added to u_k.
+    near loc the function is c * |x - loc|**q plus something smoother.
+    Integral operators break there and grade the neighbouring piece ends by
+    a substitution of strength q + 1 if q < 0, else 1/4
+    (``_quad.integrate_kinked``). Declare every kink: an undeclared one
+    raises QuadratureError.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -82,21 +76,22 @@ class SmoothFn:
     kinks: tuple[tuple[float, float], ...] = ()
     name: str = ""
 
-    def deriv(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
-        if k < 0:
+    def derivative(self, j: int) -> SmoothFn:
+        """f^(j) with the supplied derivatives above it; the j-th derivative
+        of a kink of exponent q has exponent q - j."""
+        if j < 0:
             raise InvalidParameterError("derivative order must be >= 0")
-        if k == 0:
-            return self.fn
-        if k <= len(self.derivs):
-            return self.derivs[k - 1]
-        lower = self.deriv(k - 1)
-
-        def fd(x):
-            x = np.asarray(x, dtype=float)
-            h = _FD_REL_STEP * np.maximum(1.0, np.abs(x))
-            return (lower(x + h) - lower(x - h)) / (2.0 * h)
-
-        return fd
+        if j == 0:
+            return self
+        if j > len(self.derivs):
+            raise InsufficientDerivativesError(
+                f"the order-{j} derivative is not supplied ({len(self.derivs)} given)"
+            )
+        return SmoothFn(
+            fn=self.derivs[j - 1],
+            derivs=self.derivs[j:],
+            kinks=tuple((loc, q - j) for loc, q in self.kinks),
+        )
 
 
 def _as_smooth(fn) -> SmoothFn:
@@ -140,65 +135,38 @@ def rl_integral(fn, alpha: float, a: float, x: float, rtol: float = 1e-9) -> flo
 # --------------------------------------------------------------------------- #
 
 
-def _caputo_density_route(sm: SmoothFn, order: FracOrder, a: float, x: float, rtol: float) -> float:
-    """Caputo via the (m+1)-th derivative:
-
-        (1 / Gamma(2 - alpha)) * integral_0^{(x-a)^{1-alpha}}
-            f^(m+1)(x - u**(1/(1-alpha))) du
-    """
-    alpha = order.alpha
-    g_t = sm.deriv(order.m + 1)
-    one_minus = 1.0 - alpha
-    inv = 1.0 / one_minus
-
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        return g_t(x - np.maximum(u, 0.0) ** inv)
-
-    kinks = [((x - k) ** one_minus, q - order.m - 1.0) for k, q in sm.kinks if k < x]
-    return integrate_kinked(g, 0.0, (x - a) ** one_minus, kinks, rtol) / math.gamma(2.0 - alpha)
-
-
-def _caputo_fd_route(sm: SmoothFn, order: FracOrder, a: float, x: float, rtol: float) -> float:
-    """Caputo via a centered difference of the (1-alpha)-integral of the
-    centered m-th derivative; used when no (m+1)-th derivative is supplied."""
-    alpha = order.alpha
-    fm = sm.deriv(order.m)
-    fma = float(fm(np.asarray(a, dtype=float)))
-    centered = SmoothFn(
-        fn=lambda t: fm(t) - fma,
-        kinks=tuple((k, b - order.m) for k, b in sm.kinks),
-    )
-    h = _FD_REL_STEP * max(1.0, abs(x))
-    lo_x, hi_x = x - h, x + h
-    if lo_x <= a:
-        lo_x = a + (hi_x - a) * 0.5
-    up = rl_integral(centered, 1.0 - alpha, a, hi_x, rtol=min(rtol, 1e-11))
-    dn = rl_integral(centered, 1.0 - alpha, a, lo_x, rtol=min(rtol, 1e-11))
-    return (up - dn) / (hi_x - lo_x)
-
-
 def caputo(fn, order: FracOrder, a: float, x: float, rtol: float = 1e-9) -> float:
-    """Caputo derivative of non-integer order p = m + alpha on [a, x]:
+    """Caputo derivative of non-integer order p = m + alpha on [a, x]: the
+    (1 - alpha)-order Riemann-Liouville integral of f^(m+1),
 
-        (1 / Gamma(1 - alpha)) * integral_a^x (x - t)**(-alpha) f^(m+1)(t) dt
+        (1 / Gamma(1 - alpha)) * integral_a^x (x - t)**(-alpha) f^(m+1)(t) dt,
 
-    when an (m+1)-th derivative is available; otherwise the equivalent
-    derivative-of-fractional-integral form of the m-th derivative, by finite
-    differences. Requires at least m supplied derivatives.
+    when an (m+1)-th derivative is supplied; otherwise the centered
+    difference in x of the (1 - alpha)-integral of f^(m) - f^(m)(a).
+    Requires at least m supplied derivatives.
+
+    Float64 floor of the first branch: a kink (loc, q) with q - m below
+    about 0.3 (sometimes up to 0.4) raises QuadratureError: in the
+    integration variable the kink sits at u_k = (x - loc)**(1 - alpha) != 0, and graded offsets
+    v**(1/(q - m)) below eps * u_k are lost when added to u_k.
     """
     if x < a:
         raise InvalidParameterError("need x >= a")
     if x == a:
         return 0.0
-    sm = _as_smooth(fn)
-    if len(sm.derivs) < order.m:
-        raise InsufficientDerivativesError(
-            f"order {order.p} needs {order.m} derivatives, got {len(sm.derivs)}"
-        )
-    if len(sm.derivs) >= order.m + 1:
-        return _caputo_density_route(sm, order, a, x, rtol)
-    return _caputo_fd_route(sm, order, a, x, rtol)
+    fm = _as_smooth(fn).derivative(order.m)
+    beta = 1.0 - order.alpha
+    if fm.derivs:
+        return rl_integral(fm.derivative(1), beta, a, x, rtol)
+    fma = float(fm.fn(np.asarray(a, dtype=float)))
+    centered = SmoothFn(fn=lambda t: fm.fn(t) - fma, kinks=fm.kinks)
+    h = _FD_REL_STEP * max(1.0, abs(x))
+    lo_x, hi_x = x - h, x + h
+    if lo_x <= a:
+        lo_x = a + (hi_x - a) * 0.5
+    up = rl_integral(centered, beta, a, hi_x, rtol=min(rtol, 1e-11))
+    dn = rl_integral(centered, beta, a, lo_x, rtol=min(rtol, 1e-11))
+    return (up - dn) / (hi_x - lo_x)
 
 
 def power_rule(q: float, order: FracOrder, k: float, x: float) -> float:
@@ -354,10 +322,6 @@ def frac_taylor_check(
     rounding level reports pure_power=True with infinite slope.
     """
     sm = _as_smooth(fn)
-    if len(sm.derivs) < order.m:
-        raise InsufficientDerivativesError(
-            f"order {order.p} needs {order.m} derivatives at the base point"
-        )
     m, p = order.m, order.p
     hs = 2.0 ** -np.arange(j_lo, j_hi + 1, dtype=float)
     xs = a + hs
@@ -366,7 +330,7 @@ def frac_taylor_check(
     fact = 1.0
     for k in range(1, m + 1):
         fact *= k
-        dk = float(sm.deriv(k)(np.asarray(a, dtype=float)))
+        dk = float(sm.derivative(k).fn(np.asarray(a, dtype=float)))
         taylor += dk * hs**k / fact
     fvals = np.array([float(sm.fn(np.asarray(x, dtype=float))) for x in xs])
     gp1 = math.gamma(p + 1.0)

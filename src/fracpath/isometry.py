@@ -175,8 +175,7 @@ def isometry_check(
     it must clear admissibility_threshold(p_phi), otherwise the comparison
     has no limit to converge to and the check refuses to run.
     """
-    if len(fn.derivs) < 1:
-        raise InvalidParameterError("the transform needs a first derivative")
+    df = fn.derivative(1).fn
     gate = admissibility_threshold(spec.p_phi)
     if holder_alpha <= gate:
         raise AdmissibilityError(
@@ -194,7 +193,7 @@ def isometry_check(
         ds = np.abs(np.diff(s_vals))
         dfv = np.abs(np.diff(f_vals))
         lhs = float(np.sum(spec(dfv)))
-        rhs = float(np.sum(hat(np.abs(fn.derivs[0](s_vals[:-1]))) * spec(ds)))
+        rhs = float(np.sum(hat(np.abs(df(s_vals[:-1]))) * spec(ds)))
         levels.append(part.n_intervals)
         lhs_list.append(lhs)
         rhs_list.append(rhs)

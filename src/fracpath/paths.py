@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -97,18 +97,12 @@ class SampledPath:
 class AnalyticPath:
     """A deterministic path given by a closed-form, vectorized evaluator."""
 
-    kind: str
     horizon: float
-    params: dict = field(default_factory=dict)
-    fn: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
+    fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return self.fn(ts)
-
-    @classmethod
-    def custom(cls, fn: Callable[[np.ndarray], np.ndarray], horizon: float = 1.0) -> "AnalyticPath":
-        return cls(kind="custom", horizon=horizon, params={}, fn=fn)
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,7 @@ def cantor_distance_path(p: float, depth: int = 30) -> AnalyticPath:
         d = _cantor_distance(ts, depth)
         return (2.0 * d) ** q
 
-    return AnalyticPath(kind="cantor-distance", horizon=1.0, params={"p": p, "depth": depth}, fn=fn)
+    return AnalyticPath(horizon=1.0, fn=fn)
 
 
 def bump_count(p: float, level: int) -> int:
@@ -274,7 +268,7 @@ def cantor_bump_path(p: float, depth: int = 14) -> AnalyticPath:
             out[in_gap] = 2.0 ** (-i.astype(float)) * (1.0 - np.abs(2.0 * frac - 1.0))
         return out
 
-    return AnalyticPath(kind="cantor-bump", horizon=1.0, params={"p": p, "depth": depth}, fn=fn)
+    return AnalyticPath(horizon=1.0, fn=fn)
 
 
 def cantor_bump_knots(p: float, depth: int) -> SampledPath:
@@ -353,8 +347,7 @@ def takagi_path(
             coeff *= alpha
         return out
 
-    params = {"b": b, "alpha": alpha, "wave": wave, "depth": depth, "nu": nu, "rho": rho}
-    return AnalyticPath(kind="takagi", horizon=1.0, params=params, fn=fn)
+    return AnalyticPath(horizon=1.0, fn=fn)
 
 
 # --------------------------------------------------------------------------- #

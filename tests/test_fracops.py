@@ -33,9 +33,15 @@ def test_frac_order_split():
         FracOrder(-0.5)
 
 
-def test_smoothfn_fd_fallback():
-    f = SmoothFn(fn=np.sin)
-    assert float(f.deriv(1)(np.array(0.3))) == pytest.approx(math.cos(0.3), abs=1e-7)
+def test_smoothfn_derivative_shifts_kinks():
+    f = abs_power(2.5, 0.3)
+    d2 = f.derivative(2)
+    assert d2.kinks == ((0.3, 0.5),)
+    assert d2.fn is f.derivs[1]
+    assert d2.derivs == f.derivs[2:] and len(d2.derivs) == 1
+    assert f.derivative(0) is f
+    with pytest.raises(InsufficientDerivativesError):
+        f.derivative(4)
 
 
 # --------------------------------------------------------------------------- #
@@ -97,6 +103,9 @@ def test_caputo_annihilates_constants():
         (1.4, 2.8, -0.2, 0.2, 1.0, "abs"),
         (2.3, 3.6, 0.1, 0.4, 1.1, "plus"),
         (2.3, 3.6, 0.0, 0.5, 1.3, "abs"),
+        # exactly m derivatives supplied: the centered-difference branch
+        (3.3, 4.5, 0.0, 0.2, 1.0, "plus"),
+        (3.7, 5.2, 0.0, 0.2, 1.0, "abs"),
     ],
 )
 def test_caputo_matches_caputo_power(p, q, a, k, x, kind):
@@ -105,6 +114,14 @@ def test_caputo_matches_caputo_power(p, q, a, k, x, kind):
     direct = caputo(fn, order, a, x)
     closed = caputo_power(q, order, a, k, x, kind=kind)
     assert direct == pytest.approx(closed, rel=1e-7, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+def test_caputo_without_derivatives_matches_supplied(p):
+    # a bare callable takes the centered-difference branch, sin_affine()
+    # the integral of its supplied first derivative
+    bare = caputo(np.sin, FracOrder(p), 0.0, 1.3)
+    assert bare == pytest.approx(caputo(sin_affine(), FracOrder(p), 0.0, 1.3), rel=1e-9)
 
 
 def _sum_fn(f, g):

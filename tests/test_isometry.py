@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from fracpath.errors import AdmissibilityError, InvalidParameterError, InvalidPhiError
+from fracpath.errors import (
+    AdmissibilityError,
+    InsufficientDerivativesError,
+    InvalidParameterError,
+    InvalidPhiError,
+)
 from fracpath.fracops import SmoothFn
 from fracpath.isometry import (
     PhiSpec,
@@ -138,7 +143,11 @@ def test_isometry_gate_refuses(fbm08):
     spec = PhiSpec(kind="power", p_phi=1.25)
     with pytest.raises(AdmissibilityError):
         isometry_check(spec, _linear_fn(1.0), fbm08, [badic(1.0, 6)], holder_alpha=0.4)
-    with pytest.raises(InvalidParameterError):
+
+
+def test_isometry_needs_a_first_derivative(fbm08):
+    spec = PhiSpec(kind="power", p_phi=1.25)
+    with pytest.raises(InsufficientDerivativesError):
         isometry_check(spec, SmoothFn(fn=np.sin), fbm08, [badic(1.0, 6)], holder_alpha=0.79)
 
 
@@ -179,7 +188,8 @@ def test_minkowski_seeded_vectors():
 
 def test_holder_exponent_pure_power():
     path = sample(
-        AnalyticPath.custom(lambda t: np.abs(t) ** 0.7), np.linspace(0.0, 1.0, 2**14 + 1)
+        AnalyticPath(horizon=1.0, fn=lambda t: np.abs(t) ** 0.7),
+        np.linspace(0.0, 1.0, 2**14 + 1),
     )
     assert holder_exponent(path) == pytest.approx(0.7, abs=1e-6)
 

@@ -58,7 +58,7 @@ def test_sampled_path_rejects_non_finite(bad):
 
 
 def test_analytic_custom_and_sample():
-    ap = AnalyticPath.custom(lambda t: t**2, horizon=2.0)
+    ap = AnalyticPath(horizon=2.0, fn=lambda t: t**2)
     grid = np.linspace(0.0, 2.0, 9)
     sp = sample(ap, grid)
     assert np.allclose(sp.values, grid**2)
