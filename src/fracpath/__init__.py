@@ -52,7 +52,6 @@ _EXPORTS = {
         "fracops": (
             "FracOrder",
             "FracTaylorReport",
-            "SmoothFn",
             "caputo",
             "caputo_power",
             "frac_taylor_check",
@@ -85,6 +84,7 @@ _EXPORTS = {
             "sample",
             "takagi_path",
         ),
+        "smooth": ("SmoothFn",),
         "variation": (
             "cantor_function",
             "multidim_variation",

@@ -56,8 +56,16 @@ def _load_config(path: Path) -> tuple[dict, str]:
         raw = path.read_text()
     except OSError as exc:
         raise InvalidConfigError(f"cannot read config {path}: {exc}") from None
+
+    def finite(literal: str) -> float:
+        # NaN, Infinity, -Infinity and literals such as 1e400 that overflow
+        value = float(literal)
+        if not math.isfinite(value):
+            raise InvalidConfigError(f"{path}: non-finite number {literal} in the config")
+        return value
+
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"{path}:{exc.lineno}: {exc.msg}") from None
     if not isinstance(cfg, dict):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .fracops import SmoothFn
 from .follmer import (
     BumpAtomTable,
     ItoReport,
@@ -32,6 +31,7 @@ from .partitions import (
 )
 from .paths import GaussianPathSpec, bump_count, fbm_path
 from .registry import abs_power
+from .smooth import SmoothFn
 from .variation import cantor_function, pth_variation_partial, variation_table
 
 __all__ = [

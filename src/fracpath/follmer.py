@@ -33,9 +33,9 @@ from .errors import (
     InvalidParameterError,
     KernelSingularError,
 )
-from .fracops import SmoothFn
 from .partitions import Partition, _weighted_total, osc, partition_values
 from .paths import SampledPath
+from .smooth import SmoothFn
 
 __all__ = [
     "taylor_order",
@@ -149,11 +149,15 @@ def compensated_sum(
     return _taylor_terms(_power_terms(fn.derivs[:m], inc, vals[:-1]), np.zeros_like(inc))[0]
 
 
-def taylor_remainder(fn: SmoothFn, left: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
+def taylor_remainder(
+    fn: SmoothFn, left: np.ndarray, right: np.ndarray, m: int, gap: np.ndarray | None = None
+) -> np.ndarray:
     """f(right) - sum_{k=0..m} f^(k)(left) (right-left)^k / k!, vectorized;
-    the Taylor-difference form of |right - left|^p G(left, right)."""
+    the Taylor-difference form of |right - left|^p G(left, right). A caller
+    that has f(right) - f(left) already passes it as ``gap`` (overwritten)."""
     _require_derivs(len(fn.derivs), m)
-    gap = fn.fn(right) - fn.fn(left)
+    if gap is None:
+        gap = fn.fn(right) - fn.fn(left)
     return _taylor_terms(_power_terms(fn.derivs[:m], right - left, left), gap)[1]
 
 
@@ -561,10 +565,6 @@ class PathPrefix:
         if self.extend_to is not None:
             base += (self.extend_to - float(self.family.times[self.j])) * self.current
         return base
-
-    def past_values(self) -> np.ndarray:
-        """Samples strictly before the endpoint (bump not applied)."""
-        return self.family.values[: self.j]
 
 
 @dataclass(frozen=True)

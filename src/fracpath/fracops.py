@@ -12,20 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._quad import integrate_kinked
-from .errors import (
-    InsufficientDerivativesError,
-    InvalidParameterError,
-    NoLimitError,
-)
+from .errors import InvalidParameterError
+from .smooth import SmoothFn, ratio_limit
 
 __all__ = [
     "FracOrder",
-    "SmoothFn",
     "rl_integral",
     "caputo",
     "caputo_power",
@@ -36,6 +32,8 @@ __all__ = [
 ]
 
 _FD_REL_STEP = 1e-5
+# the dyadic ladder h_j = 2**-j, j = 4..20, of the pointwise limits
+_LADDER = 2.0 ** -np.arange(4, 21, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -57,41 +55,6 @@ class FracOrder:
     @property
     def alpha(self) -> float:
         return self.p - self.m
-
-
-@dataclass(frozen=True)
-class SmoothFn:
-    """A scalar function with explicitly supplied derivatives.
-
-    ``derivs[k]`` is the (k+1)-th derivative. ``kinks`` holds (loc, q) pairs:
-    near loc the function is c * |x - loc|**q plus something smoother.
-    Integral operators break there and grade the neighbouring piece ends by
-    a substitution of strength q + 1 if q < 0, else 1/4
-    (``_quad.integrate_kinked``). Declare every kink: an undeclared one
-    raises QuadratureError.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    derivs: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
-    kinks: tuple[tuple[float, float], ...] = ()
-    name: str = ""
-
-    def derivative(self, j: int) -> SmoothFn:
-        """f^(j) with the supplied derivatives above it; the j-th derivative
-        of a kink of exponent q has exponent q - j."""
-        if j < 0:
-            raise InvalidParameterError("derivative order must be >= 0")
-        if j == 0:
-            return self
-        if j > len(self.derivs):
-            raise InsufficientDerivativesError(
-                f"the order-{j} derivative is not supplied ({len(self.derivs)} given)"
-            )
-        return SmoothFn(
-            fn=self.derivs[j - 1],
-            derivs=self.derivs[j:],
-            kinks=tuple((loc, q - j) for loc, q in self.kinks),
-        )
 
 
 def _as_smooth(fn) -> SmoothFn:
@@ -233,42 +196,15 @@ def caputo_power(
 # --------------------------------------------------------------------------- #
 
 
-def _ratio_limit(ratios: np.ndarray) -> tuple[str, float]:
-    """Classify a sequence of ratio estimates r_j (computed at h_j = 2**-j):
-    'converged' with the tail mean, 'zero' when the sequence decays
-    geometrically, or 'no-limit'."""
-    r = np.asarray(ratios, dtype=float)
-    tail = r[-3:]
-    med = float(np.median(tail))
-    spread = float(np.max(tail) - np.min(tail))
-    if spread <= 0.2 * abs(med):
-        return "converged", float(np.mean(tail))
-    y = np.abs(r)
-    floor_val = 1e-300
-    y = np.maximum(y, floor_val)
-    nonincreasing = bool(np.all(y[1:] <= y[:-1] * 1.05))
-    total_drop = math.log2(y[0] / y[-1]) / (y.size - 1) if y.size > 1 else 0.0
-    if nonincreasing and total_drop >= 0.1:
-        return "zero", 0.0
-    return "no-limit", math.nan
-
-
-def local_frac_derivative(
-    fn: Callable,
-    alpha: float,
-    at: float,
-    side: int = 1,
-    j_lo: int = 4,
-    j_hi: int = 20,
-) -> float:
+def local_frac_derivative(fn: Callable, alpha: float, at: float, side: int = 1) -> float:
     """Pointwise fractional derivative of non-integer order alpha:
 
         lim_{h -> 0+} Gamma(1 + alpha) * (f(at + side*h) - f(at)) / h**alpha
 
-    evaluated on the dyadic ladder h = 2**-j. Returns the limit when the tail
-    stabilizes, exactly 0.0 when the ratios decay geometrically (the function
-    is too smooth at the point to see order alpha), and raises NoLimitError
-    otherwise (for instance under log-periodic oscillation).
+    evaluated on the dyadic ladder h = 2**-j, j = 4..20. Returns the limit
+    when the tail stabilizes, exactly 0.0 when the ratios decay geometrically
+    (the function is too smooth at the point to see order alpha), and raises
+    NoLimitError otherwise (for instance under log-periodic oscillation).
 
     For alpha > 1 the plain increment ratio is used without subtracting lower
     Taylor terms, so the limit exists only where the derivatives of integer
@@ -281,16 +217,12 @@ def local_frac_derivative(
         )
     if side not in (1, -1):
         raise InvalidParameterError("side must be +1 or -1")
-    hs = 2.0 ** -np.arange(j_lo, j_hi + 1, dtype=float)
     f0 = float(fn(np.asarray(at, dtype=float)))
-    vals = np.array([float(fn(np.asarray(at + side * h, dtype=float))) for h in hs])
-    ratios = math.gamma(1.0 + alpha) * (vals - f0) / hs**alpha
-    status, value = _ratio_limit(ratios)
-    if status == "no-limit":
-        raise NoLimitError(
-            f"ratio sequence at {at!r} neither stabilizes nor decays (order {alpha})"
-        )
-    return value
+    vals = np.array([float(fn(np.asarray(at + side * h, dtype=float))) for h in _LADDER])
+    ratios = math.gamma(1.0 + alpha) * (vals - f0) / _LADDER**alpha
+    return ratio_limit(
+        ratios, f"ratio sequence at {at!r} neither stabilizes nor decays (order {alpha})"
+    )
 
 
 @dataclass(frozen=True)
@@ -301,50 +233,40 @@ class FracTaylorReport:
     slope: float
     max_resid: float
     pure_power: bool
-    fit_points: int = 0
 
 
-def frac_taylor_check(
-    fn,
-    order: FracOrder,
-    a: float,
-    j_lo: int = 4,
-    j_hi: int = 20,
-) -> FracTaylorReport:
+def frac_taylor_check(fn, order: FracOrder, a: float) -> FracTaylorReport:
     """Expand f at a to integer order m, extract the order-p coefficient, and
     measure how fast the remainder after removing it vanishes.
 
     Steps: (1) r_j = Gamma(p+1) * (f(a+h_j) - T_m(h_j)) / h_j**p on the dyadic
-    ladder; the ratio-limit rules give the coefficient (exactly 0.0 for
-    functions smoother than order p). (2) the residual after subtracting
+    ladder h_j = 2**-j, j = 4..20, with the gaps f(a+h_j) - T_m(h_j) from
+    ``follmer.taylor_remainder``; the ratio-limit rules give the coefficient
+    (exactly 0.0 for functions smoother than order p). (2) the residual after subtracting
     coeff * h**p / Gamma(p+1) is fit in log-log over the reliable window; its
     slope must exceed p for the expansion to be meaningful. A residual at
     rounding level reports pure_power=True with infinite slope.
     """
+    from .follmer import taylor_remainder
+
     sm = _as_smooth(fn)
-    m, p = order.m, order.p
-    hs = 2.0 ** -np.arange(j_lo, j_hi + 1, dtype=float)
+    p, hs = order.p, _LADDER
     xs = a + hs
     fa = float(sm.fn(np.asarray(a, dtype=float)))
-    taylor = np.full_like(hs, fa)
-    fact = 1.0
-    for k in range(1, m + 1):
-        fact *= k
-        dk = float(sm.derivative(k).fn(np.asarray(a, dtype=float)))
-        taylor += dk * hs**k / fact
-    fvals = np.array([float(sm.fn(np.asarray(x, dtype=float))) for x in xs])
+    fvals = np.asarray(sm.fn(xs), dtype=float)
+    diffs = taylor_remainder(sm, a, xs, order.m, gap=fvals - fa)
     gp1 = math.gamma(p + 1.0)
-    diffs = fvals - taylor
-    # pointwise cancellation floor: f(a+h) - T_m(h) is a difference of
-    # quantities of this magnitude, so below ~100 eps of it the ratios are
-    # rounding noise and must not enter the limit classification
-    cancel_scale = np.abs(fvals) + np.abs(taylor) + abs(fa)
+    # pointwise cancellation floor: the gap f(a+h) - T_m(h) is a difference
+    # of quantities of this magnitude (T_m read back as f(a+h) - gap), so
+    # below ~100 eps of it the ratios are rounding noise and must not enter
+    # the limit classification
+    cancel_scale = np.abs(fvals) + np.abs(fvals - diffs) + abs(fa)
     noise = 1e2 * np.finfo(float).eps * cancel_scale
     reliable = np.abs(diffs) > noise
     ratios = gp1 * diffs / hs**p
-    status, coeff = _ratio_limit(ratios[reliable] if reliable.sum() >= 4 else ratios)
-    if status == "no-limit":
-        raise NoLimitError(f"no order-{p} coefficient at {a!r}")
+    coeff = ratio_limit(
+        ratios[reliable] if reliable.sum() >= 4 else ratios, f"no order-{p} coefficient at {a!r}"
+    )
 
     resid = diffs - coeff * hs**p / gp1
     scale = max(1.0, abs(fa), float(np.max(np.abs(fvals))))
@@ -365,10 +287,4 @@ def frac_taylor_check(
     lx = np.log2(hs[pick])
     ly = np.log2(np.abs(resid[pick]))
     slope = float(np.polyfit(lx, ly, 1)[0])
-    return FracTaylorReport(
-        coeff=coeff,
-        slope=slope,
-        max_resid=max_resid,
-        pure_power=False,
-        fit_points=int(pick.size),
-    )
+    return FracTaylorReport(coeff=coeff, slope=slope, max_resid=max_resid, pure_power=False)

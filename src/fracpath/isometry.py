@@ -19,10 +19,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError, InvalidParameterError, InvalidPhiError, NoLimitError
-from .fracops import SmoothFn, _ratio_limit
+from .errors import AdmissibilityError, InvalidParameterError, InvalidPhiError
 from .partitions import Partition, badic, partition_values
 from .paths import SampledPath
+from .smooth import SmoothFn, ratio_limit
 
 __all__ = [
     "PhiSpec",
@@ -58,8 +58,10 @@ class PhiSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("power", "log-modulated", "custom"):
             raise InvalidPhiError(f"unknown gauge kind {self.kind!r}")
-        if self.p_phi <= 0.0:
-            raise InvalidPhiError(f"p_phi must be positive, got {self.p_phi}")
+        if not (math.isfinite(self.p_phi) and self.p_phi > 0.0):
+            raise InvalidPhiError(f"p_phi must be positive and finite, got {self.p_phi}")
+        if not math.isfinite(self.log_power):
+            raise InvalidPhiError(f"log_power must be finite, got {self.log_power}")
         if self.kind == "log-modulated" and self.log_power <= 0.0:
             raise InvalidPhiError("log-modulated gauges need log_power > 0")
         if self.kind == "custom" and self.custom_fn is None:
@@ -120,14 +122,15 @@ def phi_hat(spec: PhiSpec) -> Callable[[np.ndarray], np.ndarray]:
     return numeric
 
 
-def phi_hat_numeric(spec: PhiSpec, a: float, j_lo: int = 8, j_hi: int = 26) -> float:
+def phi_hat_numeric(spec: PhiSpec, a: float) -> float:
     """Numeric conjugate weight at one point, by the dyadic ratio ladder
-    phi(a * 2^-j) / phi(2^-j) with the usual stabilize/decay/no-limit rules."""
+    phi(a * 2^-j) / phi(2^-j), j = 8..26, with the stabilize/decay/no-limit
+    rules of ``smooth.ratio_limit``."""
     if a < 0.0:
         raise InvalidPhiError("conjugate weights act on magnitudes")
     if a == 0.0:
         return 0.0
-    bs = 2.0 ** -np.arange(j_lo, j_hi + 1, dtype=float)
+    bs = 2.0 ** -np.arange(8, 27, dtype=float)
     # keep both arguments inside the gauge domain
     cap = spec.domain_hi
     usable = (bs < cap) & (a * bs < cap)
@@ -135,10 +138,7 @@ def phi_hat_numeric(spec: PhiSpec, a: float, j_lo: int = 8, j_hi: int = 26) -> f
     if bs.size < 5:
         raise InvalidPhiError("not enough usable ladder points inside the gauge domain")
     ratios = spec(a * bs) / spec(bs)
-    status, value = _ratio_limit(ratios)
-    if status == "no-limit":
-        raise NoLimitError(f"conjugate weight ratio does not settle at a = {a!r}")
-    return value
+    return ratio_limit(ratios, f"conjugate weight ratio does not settle at a = {a!r}")
 
 
 def admissibility_threshold(p_phi: float) -> float:
@@ -279,20 +279,18 @@ def generalized_minkowski_check(spec: PhiSpec, a: np.ndarray, b: np.ndarray) -> 
 # --------------------------------------------------------------------------- #
 
 
-def holder_exponent(path: SampledPath, j_lo: int = 4, j_hi: int = 10, base: int = 2) -> float:
+def holder_exponent(path: SampledPath) -> float:
     """Slope estimate of the path's Holder exponent: largest increments over
-    b-adic grids shrink like base**(-alpha j); fit log(max increment)
-    against j."""
-    if j_hi <= j_lo:
-        raise InvalidParameterError("need j_hi > j_lo")
-    js = np.arange(j_lo, j_hi + 1, dtype=float)
+    the dyadic grids of levels j = 4..10 shrink like 2**(-alpha j); fit
+    log2(max increment) against j."""
+    js = np.arange(4, 11, dtype=float)
     logs = []
     for j in js:
-        part = badic(path.horizon, int(j), base)
+        part = badic(path.horizon, int(j))
         vals = path.value_at(part.times)
         m = float(np.max(np.abs(np.diff(vals))))
         if m <= 0.0:
             raise InvalidParameterError("path is flat at this resolution")
-        logs.append(math.log(m) / math.log(base))
+        logs.append(math.log(m) / math.log(2))
     slope = float(np.polyfit(js, np.array(logs), 1)[0])
     return -slope

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import FracpathError, InvalidConfigError, InvalidParameterError
-from .fracops import SmoothFn
 from .paths import (
     AnalyticPath,
     GaussianPathSpec,
@@ -28,6 +27,7 @@ from .paths import (
     fbm_path,
     takagi_path,
 )
+from .smooth import SmoothFn
 
 # the bundle and gauge types load with the constructors that build them, so
 # a command that never builds one never imports follmer or isometry
@@ -53,60 +53,46 @@ __all__ = [
 ]
 
 
-def _abs_pow(y: np.ndarray, e: float) -> np.ndarray:
-    out = np.zeros_like(y)
-    nz = y != 0.0
-    out[nz] = np.abs(y[nz]) ** e
-    return out
+def _power_rule(q: float, kind: str) -> list[tuple[float, Callable]]:
+    """(c_j, g_j) for j = 0..3 with j-th derivative c_j * g_j(x, k) of
+    |x - k|^q (kind "abs") or of (x - k)_+^q (kind "plus"):
+    c_j = q (q-1) ... (q-j+1), and g_j(x, k) is |x - k|^(q-j), signed like
+    (x - k)^j for "abs" and zero for x < k for "plus"; g_j(k, k) = 0 by the
+    convention of the module docstring."""
+    if not (math.isfinite(q) and q > 0.0):
+        raise InvalidParameterError(f"q must be positive and finite, got {q}")
+    plus, rule, c = kind == "plus", [], 1.0
+    for j in range(4):
+
+        def g(x, k, e=q - j, signed=not plus and j % 2 == 1):
+            y = np.asarray(x, dtype=float) - k
+            out = np.zeros_like(y)
+            on = y > 0.0 if plus else y != 0.0
+            out[on] = np.abs(y[on]) ** e
+            return np.copysign(out, y, out=out) if signed else out
+
+        rule.append((c, g))
+        c *= q - j
+    return rule
 
 
-def _signed_pow(y: np.ndarray, e: float) -> np.ndarray:
-    out = np.zeros_like(y)
-    nz = y != 0.0
-    out[nz] = np.sign(y[nz]) * np.abs(y[nz]) ** e
-    return out
+def _single_kink(q: float, k: float, kind: str) -> SmoothFn:
+    (_, g0), *rule = _power_rule(q, kind)
+    if not math.isfinite(k):
+        raise InvalidParameterError(f"k must be finite, got {k}")
+    # c_0 = 1: f is g_0's own buffer, with no scaling pass
+    derivs = tuple((lambda x, c=c, g=g: c * g(x, k)) for c, g in rule)
+    return SmoothFn(fn=lambda x: g0(x, k), derivs=derivs, kinks=((k, q),), name=f"{kind}-power({q})")
 
 
 def abs_power(q: float, k: float = 0.0) -> SmoothFn:
     """f(x) = |x - k|^q with three derivatives and the kink declared."""
-    if q <= 0.0:
-        raise InvalidParameterError(f"q must be positive, got {q}")
-
-    def f(x):
-        return _abs_pow(np.asarray(x, dtype=float) - k, q)
-
-    def d1(x):
-        return q * _signed_pow(np.asarray(x, dtype=float) - k, q - 1.0)
-
-    def d2(x):
-        return q * (q - 1.0) * _abs_pow(np.asarray(x, dtype=float) - k, q - 2.0)
-
-    def d3(x):
-        return q * (q - 1.0) * (q - 2.0) * _signed_pow(np.asarray(x, dtype=float) - k, q - 3.0)
-
-    return SmoothFn(fn=f, derivs=(d1, d2, d3), kinks=((k, q),), name=f"abs-power({q})")
+    return _single_kink(q, k, "abs")
 
 
 def plus_power(q: float, k: float = 0.0) -> SmoothFn:
     """f(x) = (x - k)_+^q, zero left of the kink."""
-    if q <= 0.0:
-        raise InvalidParameterError(f"q must be positive, got {q}")
-
-    def make(j: int) -> Callable:
-        coeff = 1.0
-        for i in range(j):
-            coeff *= q - i
-
-        def dj(x, coeff=coeff, e=q - j):
-            y = np.asarray(x, dtype=float) - k
-            out = np.zeros_like(y)
-            pos = y > 0.0
-            out[pos] = coeff * y[pos] ** e
-            return out
-
-        return dj
-
-    return SmoothFn(fn=make(0), derivs=(make(1), make(2), make(3)), kinks=((k, q),), name=f"plus-power({q})")
+    return _single_kink(q, k, "plus")
 
 
 def sin_affine(amp: float = 1.0, freq: float = 1.0, shift: float = 0.0) -> SmoothFn:
@@ -171,30 +157,19 @@ def abs_power_series(q: float, count: int = 12) -> SmoothFn:
     """f(x) = sum_j (j+1)^-2 |x - r_j|^q over the first ``count`` canonical
     rationals r_j in (0, 1); a function kinked on a spreading set while still
     summable enough for order-q behaviour at each kink."""
-    if q <= 0.0:
-        raise InvalidParameterError(f"q must be positive, got {q}")
+    (_, g0), *rule = _power_rule(q, "abs")
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     locs = _canonical_rationals(count)
     w = (np.arange(1, count + 1, dtype=float)) ** -2.0
 
-    def spread(x):
-        return np.asarray(x, dtype=float)[..., None] - locs
+    def total(g, x):
+        return np.sum(w * g(np.asarray(x, dtype=float)[..., None], locs), axis=-1)
 
-    def f(x):
-        return np.sum(w * _abs_pow(spread(x), q), axis=-1)
-
-    def d1(x):
-        return q * np.sum(w * _signed_pow(spread(x), q - 1.0), axis=-1)
-
-    def d2(x):
-        return q * (q - 1.0) * np.sum(w * _abs_pow(spread(x), q - 2.0), axis=-1)
-
-    def d3(x):
-        return q * (q - 1.0) * (q - 2.0) * np.sum(w * _signed_pow(spread(x), q - 3.0), axis=-1)
-
+    derivs = tuple((lambda x, c=c, g=g: c * total(g, x)) for c, g in rule)
     kinks = tuple((float(loc), q) for loc in locs)
-    return SmoothFn(fn=f, derivs=(d1, d2, d3), kinks=kinks, name=f"abs-power-series({q},{count})")
+    name = f"abs-power-series({q},{count})"
+    return SmoothFn(fn=lambda x: total(g0, x), derivs=derivs, kinks=kinks, name=name)
 
 
 # --------------------------------------------------------------------------- #
@@ -206,19 +181,15 @@ def moving_abs_power(q: float, speed: float = 1.0) -> TimeFunctionBundle:
     """f(t, x) = |x - speed * t|^q, a kink sliding through the value range."""
     from .follmer import TimeFunctionBundle
 
-    if q <= 0.0:
-        raise InvalidParameterError(f"q must be positive, got {q}")
+    (_, g0), (c1, g1), (c2, g2), _ = _power_rule(q, "abs")
 
-    def y(t, x):
-        return np.asarray(x, dtype=float) - speed * np.asarray(t, dtype=float)
+    def kink(t):
+        return speed * np.asarray(t, dtype=float)
 
     return TimeFunctionBundle(
-        fn=lambda t, x: _abs_pow(y(t, x), q),
-        dt=lambda t, x: -speed * q * _signed_pow(y(t, x), q - 1.0),
-        dx=(
-            lambda t, x: q * _signed_pow(y(t, x), q - 1.0),
-            lambda t, x: q * (q - 1.0) * _abs_pow(y(t, x), q - 2.0),
-        ),
+        fn=lambda t, x: g0(x, kink(t)),
+        dt=lambda t, x: -speed * c1 * g1(x, kink(t)),
+        dx=(lambda t, x: c1 * g1(x, kink(t)), lambda t, x: c2 * g2(x, kink(t))),
         name=f"moving-abs-power({q})",
     )
 

@@ -45,7 +45,7 @@ from fracpath.isometry import (
     isometry_check,
     phi_hat,
 )
-from fracpath.fracops import SmoothFn
+from fracpath.smooth import SmoothFn
 from fracpath.partitions import badic
 from fracpath.paths import GaussianPathSpec, fbm_path
 from fracpath.registry import abs_power, plus_power, polynomial, sin_affine

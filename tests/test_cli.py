@@ -2,6 +2,7 @@
 in-process through ``cli.main``."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -70,15 +71,29 @@ def test_cli_import_loads_no_scipy(tmp_path):
 @pytest.mark.parametrize(
     "fixture, unloaded",
     [
-        ("generate-cantor-path.json", ("follmer", "isometry", "experiments", "variation")),
+        (
+            "generate-cantor-path.json",
+            ("follmer", "isometry", "experiments", "variation", "fracops", "_quad"),
+        ),
         ("frac-deriv-caputo.json", ("follmer", "isometry", "experiments")),
-        ("variation-cantor.json", ("follmer", "isometry", "experiments")),
-        ("ito-fbm-sin.json", ("isometry", "experiments", "variation")),
+        ("variation-cantor.json", ("follmer", "isometry", "experiments", "fracops", "_quad")),
+        ("ito-fbm-sin.json", ("isometry", "experiments", "variation", "fracops")),
+        ("isometry-fbm.json", ("follmer", "experiments", "variation", "fracops", "_quad")),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(tmp_path, fixture, unloaded):
     loaded = loaded_modules(tmp_path, fixture)
     assert not loaded & {f"fracpath.{m}" for m in unloaded}
+
+
+def test_smooth_functions_load_no_operator_code(tmp_path):
+    proc = run_python(
+        "-c", "import json, sys\nimport fracpath.smooth\nprint(json.dumps(sorted(sys.modules)))",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m for m in json.loads(proc.stdout) if m.split(".")[0] == "fracpath"}
+    assert loaded == {"fracpath", "fracpath.errors", "fracpath.smooth"}
 
 
 def test_version_flag(tmp_path):
@@ -381,12 +396,46 @@ BAD_CONFIGS = {
         {"command": "ito-check", "partition": {"kind": "cantor-crossing", "ns": [663]}, "p": 2.5},
         "stage 663 at p=2.5 is too deep",
     ),
+    # non-finite JSON constants are refused when the config is parsed, also
+    # inside the nested constructor objects (json.dumps writes NaN, Infinity)
+    "phi-p-phi-nan": (
+        {
+            "command": "isometry",
+            "path": {"kind": "fbm", "hurst": 0.8, "n": 1024, "seed": 9},
+            "partition": {"kind": "badic", "levels": [4, 6]},
+            "fn": SIN,
+            "phi": {"kind": "power", "p_phi": math.nan},
+            "holder_alpha": 0.79,
+        },
+        "non-finite number NaN",
+    ),
+    "fn-q-nan": (
+        {
+            "command": "frac-deriv",
+            "op": "caputo",
+            "fn": {"name": "plus-power", "q": math.nan},
+            "p": 0.7,
+            "xs": [0.5],
+        },
+        "non-finite number NaN",
+    ),
+    "takagi-nu-infinity": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "takagi", "b": 2, "alpha": 0.5, "wave": "sinusoid", "nu": math.inf},
+            "grid": {"n": 3},
+        },
+        "non-finite number Infinity",
+    ),
+    # a literal that overflows float64, written as raw config text
+    "p-overflows": ('{"command": "cantor-sweep", "p": 1e400, "ns": [2]}', "non-finite number 1e400"),
 }
 
 
-def write_config(directory: Path, name: str, cfg: dict) -> Path:
+def write_config(directory: Path, name: str, cfg: dict | str) -> Path:
+    """Write ``cfg`` as JSON, or as it is when it is already config text."""
     path = directory / name
-    path.write_text(json.dumps(cfg, indent=2) + "\n")
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg, indent=2) + "\n")
     return path
 
 
@@ -394,8 +443,9 @@ def write_config(directory: Path, name: str, cfg: dict) -> Path:
 def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
     cfg, message = BAD_CONFIGS[case]
     path = write_config(tmp_path, "bad.json", cfg)
+    command = json.loads(path.read_text())["command"]
     out = tmp_path / "o"
-    code = cli.main([cfg["command"], "--config", str(path), "--out-dir", str(out)])
+    code = cli.main([command, "--config", str(path), "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith(f"error: {path}: "), err

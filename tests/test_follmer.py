@@ -38,7 +38,7 @@ from fracpath.follmer import (
     taylor_remainder,
     young_bound_check,
 )
-from fracpath.fracops import SmoothFn
+from fracpath.smooth import SmoothFn
 from fracpath.partitions import Partition, badic, value_grid_partition
 from fracpath.paths import GaussianPathSpec, SampledPath, cantor_bump_knots, fbm_path
 from fracpath.registry import abs_power, moving_abs_power, polynomial, product_bundle, sin_affine
@@ -91,6 +91,14 @@ def test_taylor_order_is_floor_p():
     orders = [taylor_order(p) for p in (1.000001, 1.5, 2.0, 2.999, 3.5)]
     assert orders == [1, 1, 2, 2, 3]
     assert all(type(m) is int for m in orders)
+
+
+def test_taylor_remainder_takes_an_evaluated_gap():
+    fn = abs_power(2.5, 0.1)
+    left, right = np.array([-0.4, 0.1, 0.3]), np.array([0.2, 0.35, -0.6])
+    gap = fn.fn(right) - fn.fn(left)
+    want = taylor_remainder(fn, left, right, 2)
+    assert np.array_equal(taylor_remainder(fn, left, right, 2, gap=gap), want)
 
 
 def _order_p_entries(path, p):

@@ -12,7 +12,6 @@ from fracpath.errors import (
 )
 from fracpath.fracops import (
     FracOrder,
-    SmoothFn,
     caputo,
     caputo_power,
     frac_taylor_check,
@@ -21,6 +20,7 @@ from fracpath.fracops import (
     rl_integral,
 )
 from fracpath.registry import abs_power, abs_power_series, plus_power, polynomial, sin_affine
+from fracpath.smooth import SmoothFn
 
 
 def test_frac_order_split():

@@ -11,7 +11,7 @@ from fracpath.errors import (
     InvalidParameterError,
     InvalidPhiError,
 )
-from fracpath.fracops import SmoothFn
+from fracpath.smooth import SmoothFn
 from fracpath.isometry import (
     PhiSpec,
     admissibility_threshold,
@@ -46,6 +46,12 @@ def test_phi_spec_power_and_validation():
         PhiSpec(kind="custom")
     with pytest.raises(InvalidPhiError):
         PhiSpec(kind="log-modulated", p_phi=1.0, log_power=0.0)
+    for p_phi in (math.nan, math.inf):
+        with pytest.raises(InvalidPhiError, match="p_phi must be positive and finite"):
+            PhiSpec(kind="power", p_phi=p_phi)
+    for log_power in (math.nan, math.inf):
+        with pytest.raises(InvalidPhiError, match="log_power must be finite"):
+            PhiSpec(kind="log-modulated", p_phi=1.0, log_power=log_power)
 
 
 def test_phi_spec_log_modulated_domain():
@@ -201,9 +207,7 @@ def test_holder_exponent_fbm_ballpark(fbm04):
     assert 0.2 < est < 0.45
 
 
-def test_holder_exponent_validation(fbm04):
-    with pytest.raises(InvalidParameterError):
-        holder_exponent(fbm04, j_lo=8, j_hi=8)
+def test_holder_exponent_validation():
     from fracpath.paths import SampledPath
 
     flat = SampledPath(np.array([0.0, 0.5, 1.0]), np.zeros(3))

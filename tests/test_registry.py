@@ -14,6 +14,7 @@ from fracpath.registry import (
     make_path,
     make_phi,
     make_time_fn,
+    moving_abs_power,
     plus_power,
     polynomial,
     sin_affine,
@@ -28,6 +29,42 @@ def test_abs_power_derivatives():
     assert f.kinks == ((0.3, 2.5),)
     with pytest.raises(InvalidParameterError):
         abs_power(-1.0)
+
+
+def closed_form(q: float, j: int, y: float, kind: str) -> float:
+    """j-th derivative of |y|^q (kind "abs") or (y)_+^q (kind "plus") as a
+    Python float: q (q-1) ... (q-j+1) |y|^(q-j), signed like y^j for "abs",
+    and 0 at the kink."""
+    if y == 0.0 or (kind == "plus" and y < 0.0):
+        return 0.0
+    coeff = math.prod(q - i for i in range(j))
+    power = abs(y) ** (q - j)
+    return coeff * (math.copysign(power, y) if kind == "abs" and j % 2 else power)
+
+
+@pytest.mark.parametrize("q", (0.5, 1.5, 2.5, 3.2))
+def test_kinked_power_derivatives_match_the_closed_form(q):
+    k = 0.3
+    xs = np.array([-0.9, -0.05, 0.3, 0.31, 1.7])
+    for kind, f in (("abs", abs_power(q, k)), ("plus", plus_power(q, k))):
+        for j in range(4):
+            got = f.derivative(j).fn(xs)
+            for x, value in zip(xs, got):
+                want = closed_form(q, j, float(x) - k, kind)
+                if want == 0.0:  # at the kink, and left of it for plus
+                    assert value == 0.0, (kind, j, x)
+                else:
+                    assert value == pytest.approx(want, rel=1e-14), (kind, j, x)
+
+
+def test_kinked_powers_refuse_non_finite_parameters():
+    for bad in (math.nan, math.inf):
+        for build in (abs_power, plus_power, abs_power_series, moving_abs_power):
+            with pytest.raises(InvalidParameterError, match="q must be positive and finite"):
+                build(bad)
+        for build in (abs_power, plus_power):
+            with pytest.raises(InvalidParameterError, match="k must be finite"):
+                build(2.5, bad)
 
 
 def test_plus_power_one_sided():
@@ -68,6 +105,11 @@ def test_abs_power_series_brute_sum():
     for x in (0.5, 0.8, 0.137):
         brute = sum((j + 1) ** -2.0 * abs(x - r) ** q for j, r in enumerate(locs))
         assert float(f.fn(np.array(x))) == pytest.approx(brute, rel=1e-14)
+        for order in (1, 2, 3):
+            brute = sum(
+                (j + 1) ** -2.0 * closed_form(q, order, x - r, "abs") for j, r in enumerate(locs)
+            )
+            assert float(f.derivative(order).fn(np.array(x))) == pytest.approx(brute, rel=1e-12)
     assert len(f.kinks) == count
 
 
