@@ -70,7 +70,7 @@ _EXPORTS = {
             "phi_hat",
             "phi_inverse",
         ),
-        "partitions": ("Partition", "badic", "cantor_value_grid", "osc", "value_grid_partition"),
+        "partitions": ("Partition", "badic", "osc", "value_grid_partition"),
         "paths": (
             "AnalyticPath",
             "GaussianPathSpec",
@@ -87,7 +87,6 @@ _EXPORTS = {
         "smooth": ("SmoothFn",),
         "variation": (
             "cantor_function",
-            "multidim_variation",
             "phi_variation_partial",
             "pth_variation_partial",
             "variation_table",

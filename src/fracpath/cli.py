@@ -310,21 +310,25 @@ def _run_frac_deriv(cfg: dict):
     return ["x", "value", "reference", "rel_err"], rows, max(rel_errs)
 
 
-def _run_remainder_atoms(cfg: dict, fn, p: float):
+def _run_remainder_atoms(cfg: dict, p: float):
     """Atom-weight table of the bump construction: finite-stage masses next
-    to their closed-form limits, with the kernel sampled on both ray
-    families."""
+    to their closed-form limits, with the kernel of f(x) = |x|^p sampled on
+    both ray families. The atom identity holds for that f only, so any other
+    ``fn`` is refused."""
     from .experiments import bump_decomposition
-    from .follmer import kernel_profile
 
+    fn_cfg = cfg["fn"]
+    if fn_cfg.get("name") != "abs-power" or fn_cfg.get("q") != p or fn_cfg.get("k", 0.0) != 0.0:
+        raise InvalidConfigError(
+            f"atoms need fn abs-power with q = p and k = 0, got fn {fn_cfg!r} at p = {p!r}"
+        )
     atoms = _fill(cfg["atoms"], "atoms", {"kind": "cantor-bump"}, ("n",))
     if atoms["kind"] != "cantor-bump":
         raise InvalidConfigError(f"unknown atoms kind {atoms['kind']!r}")
     rep = bump_decomposition(p, _num(atoms, "n", kind=int))
     ks, up, down = rep.limit.ks, rep.limit.up_angles, rep.limit.down_angles
     columns = np.column_stack(
-        [up, down, rep.atom_weights, rep.atom_weights_limit]
-        + [kernel_profile(fn, p, up), kernel_profile(fn, p, down)]
+        [up, down, rep.atom_weights, rep.atom_weights_limit, rep.g_up, rep.g_down]
     )
     header = ["k", "angle_up", "angle_down", "weight_finite", "weight_limit", "g_up", "g_down"]
     rows = [[int(k), *cells] for k, cells in zip(ks, columns.tolist())]
@@ -338,7 +342,7 @@ def _run_remainder(cfg: dict):
     fn = make_fn(cfg["fn"])
     p = _num(cfg, "p")
     if "atoms" in cfg:
-        return _run_remainder_atoms(cfg, fn, p)
+        return _run_remainder_atoms(cfg, p)
     method = cfg.get("method", "taylor")
     if method not in ("taylor", "integral", "both"):
         raise InvalidConfigError("method must be taylor, integral or both")

@@ -118,8 +118,8 @@ def cantor_sweep(p: float, ns, rounding: str = "floor") -> list[CantorStage]:
 
 def cantor_profile(p: float, n: int, ts, rounding: str = "floor") -> np.ndarray:
     """Stage-n partial p-th variation of the Cantor-distance path along its
-    crossing grid at each query time: ``variation_table`` over
-    ``cantor_value_grid``'s path and partition, without the 2**n grid, and
+    crossing grid at each query time: ``variation_table`` over the grid
+    that ``cantor_blocks`` describes, without building its 2**n blocks, and
     rejecting the same query times.
 
     One pass over the levels walks the ternary digits of every t, keeping
@@ -176,6 +176,8 @@ class BumpReport:
     n_increments: int
     atom_weights: np.ndarray = field(repr=False)
     limit: BumpAtomTable = field(repr=False)  # closed-form atoms, angles included
+    g_up: np.ndarray = field(repr=False)  # |x|^p kernel on the limit's up angles
+    g_down: np.ndarray = field(repr=False)  # and on its down angles
     kernel_from_atoms: float = 0.0
     kernel_from_limit: float = 0.0
 
@@ -235,6 +237,8 @@ def bump_decomposition(p: float, n: int) -> BumpReport:
         n_increments=n_inc,
         atom_weights=w_fin,
         limit=limit_table,
+        g_up=g_up,
+        g_down=g_down,
         kernel_from_atoms=kernel_from_atoms,
         kernel_from_limit=kernel_from_limit,
     )

@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._quad import gauss_legendre, integrate_kinked
 from .errors import (
     InsufficientDerivativesError,
     InvalidBundleError,
@@ -176,6 +175,8 @@ def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
     At a == b the kernel is 0 when f is smoother than order p there, and has
     no finite value when a sits on a kink of exponent <= p.
     """
+    from ._quad import integrate_kinked
+
     m = taylor_order(p)
     fm = fn.derivative(m)
     if a == b:
@@ -327,6 +328,8 @@ def ito_check_time(
     Gauss rule on each interval) and the gap between the exact differences
     and the quadrature is reported separately.
     """
+    from ._quad import gauss_legendre
+
     m = taylor_order(p)
     _require_derivs(len(bundle.dx), m, "space derivatives")
     times, vals = partition_values(path, partition, t)

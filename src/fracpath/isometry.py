@@ -64,8 +64,8 @@ class PhiSpec:
             raise InvalidPhiError(f"log_power must be finite, got {self.log_power}")
         if self.kind == "log-modulated" and self.log_power <= 0.0:
             raise InvalidPhiError("log-modulated gauges need log_power > 0")
-        if self.kind == "custom" and self.custom_fn is None:
-            raise InvalidPhiError("custom gauges need a callable")
+        if self.kind == "custom" and not callable(self.custom_fn):
+            raise InvalidPhiError(f"custom gauges need a callable, got {self.custom_fn!r}")
 
     @property
     def domain_hi(self) -> float:

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .paths import LN2_OVER_LN3, MAX_KNOTS, SampledPath, cantor_gap_lefts
+from .paths import LN2_OVER_LN3, MAX_KNOTS, SampledPath
 
 __all__ = [
     "Partition",
     "badic",
     "value_grid_partition",
-    "cantor_value_grid",
     "cantor_blocks",
     "block_sum",
     "MAX_KNOTS",
@@ -151,18 +150,16 @@ def value_grid_partition(
 _TERNARY_UNDERFLOW = 679
 
 
-def _cantor_pattern(
-    p: float, n: int, rounding: str, n_gaps: int
-) -> tuple[int, np.ndarray, np.ndarray]:
+def _cantor_pattern(p: float, n: int, rounding: str) -> tuple[int, np.ndarray, np.ndarray]:
     """(k_n, frac_all, val_pattern): the crossing pattern that every interval
     removed up to stage n carries, with ``k_n = n**(1/(p-1))`` rounded down
     (rounding="floor") or to the nearest integer (rounding="nearest").
 
     ``frac_all`` holds the 2 k_n + 1 crossing times as fractions of the
     interval, ``val_pattern`` the values 0, 1, .., k_n, .., 1, 0 in units of
-    the level's value step. Refuses, before building anything, when
-    ``n_gaps`` such blocks between the end knots 0 and 1 would exceed
-    ``MAX_KNOTS`` knots, and when the level-n block's crossing times
+    the level's value step. Refuses, before building anything, when one
+    such block between the end knots 0 and 1 would exceed ``MAX_KNOTS``
+    knots, and when the level-n block's crossing times
     ``3**-n * frac_all`` are not distinct float64 numbers (they underflow).
     """
     if p <= 1.0:
@@ -184,7 +181,7 @@ def _cantor_pattern(
         )
     raw = n ** (1.0 / (p - 1.0))
     k_n = max(int(math.floor(raw + 1e-9)) if rounding == "floor" else int(round(raw)), 1)
-    n_knots = n_gaps * (2 * k_n + 1) + 2
+    n_knots = 2 * k_n + 3
     if n_knots > MAX_KNOTS:
         raise InvalidParameterError(
             f"stage {n} at p={p}: {n_knots} knots exceed the limit of {MAX_KNOTS}"
@@ -202,80 +199,28 @@ def _cantor_pattern(
     return k_n, frac_all, val_pattern
 
 
-def cantor_value_grid(
-    p: float,
-    n: int,
-    rounding: str = "floor",
-) -> tuple[SampledPath, Partition, int]:
-    """Stage-n value-crossing construction for the Cantor-distance path with
-    exponent ``p``, in closed form.
-
-    Each interval removed at level ``i <= n`` carries a uniform value grid of
-    ``k_n`` levels between 0 and its peak ``2**(-i/p)``; the returned path
-    stores the crossing times together with the exactly quantized values
-    ``k * 2**(-i/p) / k_n``, so increment magnitudes are exact and the p-th
-    power sum of level i is ``k_n**(1-p)`` to rounding error.
-
-    ``k_n`` is ``n**(1/(p-1))`` rounded down (rounding="floor") or to the
-    nearest integer (rounding="nearest").
-
-    The grid is 0, one block of 2 k_n + 1 knots per removed interval, then 1.
-    The blocks are scattered straight into their sorted rows, no sort needed:
-    the interval at sorted position r (1-based, r < 2**n) was removed at level
-    n - v2(r), v2(r) being the number of times 2 divides r, so the
-    2**(i-1) intervals of level i, left to right, fill rows
-    (2j+1) 2**(n-i) - 1. The whole grid is refused when it would hold more
-    than ``MAX_KNOTS`` knots (stage 21 at p = 2.5 is the deepest).
-
-    Nothing outside the tests builds this grid: ``cantor_blocks``
-    gives the same increments as one block per level plus one flat block,
-    and ``cantor_stage``, ``cantor_profile`` and the CLI's
-    ``cantor-crossing`` partitions sum over those. The grid stays public as
-    their cross-check.
-
-    Returns (path, partition, k_n); the partition times are the path knots.
-    """
-    if n > MAX_KNOTS.bit_length():  # 2**n - 1 blocks of at least 3 knots each
-        raise InvalidParameterError(
-            f"stage {n} at p={p}: 2**{n} - 1 blocks exceed the limit of {MAX_KNOTS} knots"
-        )
-    n_gaps = (1 << max(n, 1)) - 1
-    k_n, frac_all, val_pattern = _cantor_pattern(p, n, rounding, n_gaps=n_gaps)
-    width = frac_all.size
-    t = np.empty(n_gaps * width + 2)
-    v = np.zeros_like(t)
-    t[0], t[-1] = 0.0, 1.0
-    t_rows = t[1:-1].reshape(n_gaps, width)
-    v_rows = v[1:-1].reshape(n_gaps, width)
-    for i in range(1, n + 1):
-        rows = (2 * np.arange(1 << (i - 1)) + 1) * (1 << (n - i)) - 1
-        glen = 3.0 ** (-i)
-        delta = 2.0 ** (-i / p) / k_n
-        t_rows[rows] = cantor_gap_lefts(i)[:, None] + glen * frac_all[None, :]
-        v_rows[rows] = delta * val_pattern
-    path = SampledPath(t, v)
-    return path, Partition(t.copy()), k_n
-
-
 def cantor_blocks(
     p: float, n: int, rounding: str = "floor"
 ) -> tuple[int, list[tuple[int, SampledPath, Partition]]]:
-    """(k_n, blocks): the stage-n crossing grid of the Cantor-distance path
-    (see ``cantor_value_grid``) as weighted blocks
-    ``(weight, path, partition)``, without the 2**n grid.
+    """(k_n, blocks): the stage-n value-crossing grid of the Cantor-distance
+    path with exponent ``p`` as weighted blocks ``(weight, path,
+    partition)``, without the 2**n grid; ``k_n`` is ``n**(1/(p-1))`` rounded
+    down (rounding="floor") or to the nearest integer (rounding="nearest").
 
-    That grid is one block of 2 k_n increments per removed interval, the
-    blocks joined by 2**n zero increments. The 2**(i-1) intervals removed at
-    level i carry the same values, so entry i - 1 is one representative
-    block -- times ``3**-i * frac_all`` from 0, values ``2**(-i/p) / k_n *
-    val_pattern`` -- of weight 2**(i-1). The last entry is a flat
-    one-interval block of weight 2**n: the zero increments. Every increment
-    is the same float as in the full grid, so a sum over the grid is the
-    weighted sum over the blocks up to the order of summation. Memory grows
-    with n * k_n instead of 2**n * k_n; a stage whose level-n times
+    In that grid each interval removed at level ``i <= n`` crosses a uniform
+    value grid of ``k_n`` levels up to its peak ``2**(-i/p)`` and back: the
+    grid is 0, one block of 2 k_n + 1 knots per removed interval, then 1,
+    the blocks joined by 2**n zero increments. The 2**(i-1) intervals
+    removed at level i carry the same values, so entry i - 1 is one
+    representative block -- times ``3**-i * frac_all`` from 0, values
+    ``2**(-i/p) / k_n * val_pattern`` -- of weight 2**(i-1). The last entry
+    is a flat one-interval block of weight 2**n: the zero increments. Every
+    increment is the same float as in the full grid, so a sum over the grid
+    is the weighted sum over the blocks up to the order of summation. Memory
+    grows with n * k_n instead of 2**n * k_n; a stage whose level-n times
     underflow float64 is refused before any block is built.
     """
-    k_n, frac_all, val_pattern = _cantor_pattern(p, n, rounding, n_gaps=1)
+    k_n, frac_all, val_pattern = _cantor_pattern(p, n, rounding)
     blocks = []
     for i in range(1, n + 1):
         times = 3.0 ** (-i) * frac_all

@@ -43,9 +43,8 @@ __all__ = [
 LN2_OVER_LN3 = math.log(2.0) / math.log(3.0)
 
 # the most knots a grid builder materializes: fBm samples, b-adic knots,
-# value-grid crossings, or the (2**n - 1) * (2 * k_n + 1) + 2 knots of a Cantor
-# stage (2**25 admits stage 21 at p = 2.5, 31.5M knots, about 0.5 GB for times
-# and values)
+# value-grid crossings, the bump path's knots, or the 2 k_n + 3 knots of one
+# Cantor crossing block (2**25 knots hold about 0.5 GB of times and values)
 MAX_KNOTS = 2**25
 
 
@@ -276,13 +275,27 @@ def cantor_bump_knots(p: float, depth: int) -> SampledPath:
     at ``depth``: every bump foot and peak is a knot, so linear interpolation
     reproduces the path with no error.
 
-    Knot count grows like ``2**(p * depth)``; keep ``depth`` moderate.
+    The 2**(i-1) intervals of level i hold 2 bump_count(p, i) + 1 knots
+    each, so the count grows like ``2**(p * depth)``; more than
+    ``MAX_KNOTS`` (depth 11 at p = 2.5) are refused before any is built.
     """
     if not 2.0 < p < 3.0:
         raise InvalidParameterError(f"p must lie in (2, 3), got {p}")
+    depth = _integer(depth, "depth")
+    # every level adds at least 2**(i-1) knots, 2**depth + 1 in all: this
+    # deep, the limit is passed before any bump count is formed
+    if depth >= MAX_KNOTS.bit_length():
+        raise InvalidParameterError(
+            f"depth {depth} at p={p}: more than 2**{depth} knots exceed the limit of {MAX_KNOTS}"
+        )
+    n_knots = 2 + sum((1 << (i - 1)) * (2 * bump_count(p, i) + 1) for i in range(1, depth + 1))
+    if n_knots > MAX_KNOTS:
+        raise InvalidParameterError(
+            f"depth {depth} at p={p}: {n_knots} knots exceed the limit of {MAX_KNOTS}"
+        )
     all_t = [np.array([0.0, 1.0])]
     all_v = [np.array([0.0, 0.0])]
-    for i in range(1, _integer(depth, "depth") + 1):
+    for i in range(1, depth + 1):
         lefts = cantor_gap_lefts(i)
         r = bump_count(p, i)
         glen = 3.0 ** (-i)
@@ -326,6 +339,10 @@ def takagi_path(
     if int(b) != b or b < 2:
         raise InvalidParameterError(f"b must be an integer >= 2, got {b}")
     b = int(b)
+    # NaN would pass the comparison below, and nu or rho the whole check
+    for name, value in (("alpha", alpha), ("nu", nu), ("rho", rho)):
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     if abs(abs(alpha) * b - 1.0) > 1e-12:
         raise InvalidParameterError(f"|alpha| must equal 1/b = {1.0 / b!r}, got {alpha!r}")
     if (depth := _integer(depth, "depth")) < 1:

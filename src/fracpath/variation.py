@@ -9,7 +9,7 @@ partition sequences and check Cauchy behaviour.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "phi_variation_partial",
     "variation_table",
     "cantor_function",
-    "multidim_variation",
 ]
 
 
@@ -111,29 +110,3 @@ def cantor_function(ts) -> np.ndarray:
         out[~done & (d == 2.0)] += half
         half *= 0.5
     return out[0] if scalar else out
-
-
-# --------------------------------------------------------------------------- #
-# vector paths
-# --------------------------------------------------------------------------- #
-
-
-def multidim_variation(
-    paths: Sequence[SampledPath],
-    weights: Sequence[float],
-    partition: Partition,
-    p: float,
-    t: float | None = None,
-) -> float:
-    """p-th variation of the scalar combination ``sum_j w_j S_j`` of
-    components sharing one time grid."""
-    if len(paths) == 0 or len(paths) != len(weights):
-        raise InvalidParameterError("need one weight per component path")
-    base = paths[0].times
-    for other in paths[1:]:
-        if other.times.size != base.size or not np.array_equal(other.times, base):
-            raise InvalidParameterError("component paths must share their time grid")
-    combo = np.zeros_like(paths[0].values)
-    for w, comp in zip(weights, paths):
-        combo = combo + float(w) * comp.values
-    return pth_variation_partial(SampledPath(base, combo), partition, p, t)

@@ -77,7 +77,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
         ),
         ("frac-deriv-caputo.json", ("follmer", "isometry", "experiments")),
         ("variation-cantor.json", ("follmer", "isometry", "experiments", "fracops", "_quad")),
-        ("ito-fbm-sin.json", ("isometry", "experiments", "variation", "fracops")),
+        ("ito-fbm-sin.json", ("isometry", "experiments", "variation", "fracops", "_quad")),
         ("isometry-fbm.json", ("follmer", "experiments", "variation", "fracops", "_quad")),
     ],
 )
@@ -307,8 +307,17 @@ BAD_CONFIGS = {
         "intervals exceed the limit of 33554432 knots",
     ),
     "atoms-n-huge": (
-        {"command": "remainder", "fn": SIN, "p": 2.25, "atoms": {"n": 1e308}},
+        {
+            "command": "remainder",
+            "fn": {"name": "abs-power", "q": 2.25},
+            "p": 2.25,
+            "atoms": {"n": 1e308},
+        },
         "atom weights exceed the limit of 33554432",
+    ),
+    "cantor-bump-knots-depth-huge": (
+        {"command": "generate-path", "path": {"kind": "cantor-bump-knots", "p": 2.5, "depth": 16}},
+        "depth 16 at p=2.5: 863405543735 knots exceed the limit of 33554432",
     ),
     "thetas-count-huge": (
         {"command": "remainder", "fn": SIN, "p": 2.5, "thetas": {"count": 1e308}},
@@ -426,6 +435,41 @@ BAD_CONFIGS = {
             "grid": {"n": 3},
         },
         "non-finite number Infinity",
+    ),
+    # the atom identity holds for f(x) = |x|^p only, with the bump path's own p
+    "atoms-fn-not-abs-power": (
+        {"command": "remainder", "fn": SIN, "p": 2.25, "atoms": {"n": 10}},
+        "atoms need fn abs-power with q = p and k = 0, got fn {'name': 'sin'} at p = 2.25",
+    ),
+    "atoms-fn-q-not-p": (
+        {
+            "command": "remainder",
+            "fn": {"name": "abs-power", "q": 2.5},
+            "p": 2.25,
+            "atoms": {"n": 10},
+        },
+        "atoms need fn abs-power with q = p and k = 0",
+    ),
+    # a config holds no callable, so a custom gauge is refused by name
+    "isometry-custom-phi-not-callable": (
+        {
+            "command": "isometry",
+            "path": {"kind": "fbm", "hurst": 0.8, "n": 1024, "seed": 9},
+            "partition": {"kind": "badic", "levels": [4, 6]},
+            "fn": SIN,
+            "phi": {"kind": "custom", "custom_fn": 3},
+            "holder_alpha": 0.79,
+        },
+        "custom gauges need a callable, got 3",
+    ),
+    "variation-custom-phi-not-callable": (
+        {
+            "command": "variation",
+            "partition": {"kind": "cantor-crossing", "ns": [3]},
+            "p": 2.5,
+            "phi": {"kind": "custom", "custom_fn": "x"},
+        },
+        "custom gauges need a callable, got 'x'",
     ),
     # a literal that overflows float64, written as raw config text
     "p-overflows": ('{"command": "cantor-sweep", "p": 1e400, "ns": [2]}', "non-finite number 1e400"),

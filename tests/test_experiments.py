@@ -3,6 +3,7 @@ crossing grid, and the depth where float64 stops them."""
 
 import numpy as np
 import pytest
+from conftest import argsort_grid
 
 from fracpath.errors import InvalidParameterError
 from fracpath.experiments import (
@@ -12,8 +13,7 @@ from fracpath.experiments import (
     cantor_stage,
 )
 from fracpath.follmer import ito_check, ito_check_blocks
-from fracpath.partitions import block_sum, cantor_blocks, cantor_value_grid
-from fracpath.paths import LN2_OVER_LN3, cantor_gap_lefts
+from fracpath.partitions import block_sum, cantor_blocks
 from fracpath.registry import abs_power
 from fracpath.variation import pth_variation_partial
 
@@ -21,46 +21,12 @@ P = 2.5
 EPS = float(np.finfo(float).eps)
 
 
-def argsort_grid(p, n, k_n):
-    """The stage-n grid built the direct way: every level's blocks appended,
-    then one stable argsort of all knot times."""
-    q = LN2_OVER_LN3 / p
-    ks = np.arange(k_n + 1, dtype=float)
-    s_frac = (ks / k_n) ** (1.0 / q) / 2.0
-    frac_all = np.concatenate([s_frac, 1.0 - s_frac[:-1][::-1]])
-    val_pattern = np.concatenate(
-        [np.arange(k_n + 1, dtype=float), np.arange(k_n - 1, -1, -1, dtype=float)]
-    )
-    all_t = [np.array([0.0]), np.array([1.0])]
-    all_v = [np.array([0.0]), np.array([0.0])]
-    for i in range(1, n + 1):
-        lefts = cantor_gap_lefts(i)
-        delta = 2.0 ** (-i / p) / k_n
-        all_t.append((lefts[:, None] + 3.0 ** (-i) * frac_all[None, :]).ravel())
-        all_v.append(np.tile(delta * val_pattern, lefts.size))
-    t = np.concatenate(all_t)
-    v = np.concatenate(all_v)
-    order = np.argsort(t, kind="stable")
-    return t[order], v[order]
-
-
-@pytest.mark.parametrize("rounding", ["floor", "nearest"])
-@pytest.mark.parametrize("p", [P, 1.5])
-def test_cantor_value_grid_matches_argsort_construction(p, rounding):
-    for n in range(1, 13):
-        path, part, k_n = cantor_value_grid(p, n, rounding)
-        t, v = argsort_grid(p, n, k_n)
-        assert np.array_equal(path.times, t), f"times differ at n={n}"
-        assert np.array_equal(path.values, v), f"values differ at n={n}"
-        assert np.array_equal(part.times, t)
-
-
 @pytest.mark.parametrize("rounding", ["floor", "nearest"])
 def test_cantor_stage_matches_materialized_grid(rounding):
     fn = abs_power(P)
     for n in range(1, 17):
         stage = cantor_stage(P, n, rounding)
-        path, part, k_n = cantor_value_grid(P, n, rounding)
+        path, part, k_n = argsort_grid(P, n, rounding)
         rep = ito_check(fn, path, part, P)
         total = pth_variation_partial(path, part, P)
         assert stage.k_n == k_n
@@ -93,7 +59,7 @@ def test_cantor_blocks_count_every_increment_of_the_grid(rounding):
     fn = abs_power(P)
     for n in range(1, 11):
         _, blocks = cantor_blocks(P, n, rounding)
-        path, part, _ = cantor_value_grid(P, n, rounding)
+        path, part, _ = argsort_grid(P, n, rounding)
         rep = ito_check(fn, path, part, P)
         summed = ito_check_blocks(fn, blocks, P)
         assert block_sum(blocks, lambda _, b_part: b_part.n_intervals) == part.n_intervals
@@ -123,6 +89,9 @@ def test_deep_stages_are_refused_where_float64_ends():
     # a p near 1 makes k_n = n**(1/(p-1)) overflow; refused without the power
     with pytest.raises(InvalidParameterError, match="k_n = n"):
         cantor_stage(1.0 + 1e-12, 600)
+    # k_n = 65**4 passes that test, but one block would hold 2 k_n + 3 knots
+    with pytest.raises(InvalidParameterError, match="stage 65 at p=1.25: 35701253 knots exceed"):
+        cantor_stage(1.25, 65)
 
 
 def test_bump_decomposition_refuses_oversized_atom_tables():

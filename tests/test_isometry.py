@@ -42,8 +42,9 @@ def test_phi_spec_power_and_validation():
         PhiSpec(kind="power", p_phi=0.0)
     with pytest.raises(InvalidPhiError):
         PhiSpec(kind="wavelet")
-    with pytest.raises(InvalidPhiError):
-        PhiSpec(kind="custom")
+    for custom_fn in (None, 3, "x"):
+        with pytest.raises(InvalidPhiError, match=f"need a callable, got {custom_fn!r}"):
+            PhiSpec(kind="custom", custom_fn=custom_fn)
     with pytest.raises(InvalidPhiError):
         PhiSpec(kind="log-modulated", p_phi=1.0, log_power=0.0)
     for p_phi in (math.nan, math.inf):

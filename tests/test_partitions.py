@@ -1,16 +1,14 @@
 """Partition builders: uniform b-adic grids, value-crossing (Lebesgue)
-partitions, and the closed-form Cantor crossing grid."""
+partitions, and the level blocks of the Cantor crossing grid."""
 
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracpath.errors import InvalidParameterError
-from fracpath.partitions import Partition, badic, cantor_value_grid, osc, value_grid_partition
+from fracpath.partitions import Partition, badic, cantor_blocks, osc, value_grid_partition
 from fracpath.paths import SampledPath
-from fracpath.variation import pth_variation_partial
 
 
 def test_partition_validation():
@@ -113,7 +111,7 @@ def test_value_grid_refuses_oversized_crossing_counts():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # one past the 2**25 limit that cantor_value_grid shares, in both modes
+    # one past the 2**25 knot limit, in both modes
     steep = SampledPath(np.array([0.0, 1.0]), np.array([0.5, 2.0**25 + 1.5]))
     for mode in ("increment", "grid"):
         with pytest.raises(InvalidParameterError, match="33554433 crossings"):
@@ -133,48 +131,16 @@ def test_osc_on_knot_partition(hand_path):
 # --------------------------------------------------------------------------- #
 
 
-def test_cantor_value_grid_rounding_modes():
+def test_cantor_blocks_rounding_modes():
     # n = 18, p = 2.5: n^(1/(p-1)) = 18^(2/3) = 6.868...
-    _, _, k_floor = cantor_value_grid(2.5, 18, "floor")
-    _, _, k_near = cantor_value_grid(2.5, 18, "nearest")
+    k_floor, _ = cantor_blocks(2.5, 18, "floor")
+    k_near, _ = cantor_blocks(2.5, 18, "nearest")
     assert k_floor == 6
     assert k_near == 7
-    with pytest.raises(InvalidParameterError):
-        cantor_value_grid(2.5, 4, "up")
-    with pytest.raises(InvalidParameterError):
-        cantor_value_grid(0.9, 4)
-
-
-def test_cantor_value_grid_refuses_oversized_stages():
-    # p = 1.5, n = 20: k_n = 400, (2^20 - 1) * 801 + 2 knots, 13 GB of times and values
-    tracemalloc.start()
-    try:
-        with pytest.raises(InvalidParameterError, match="839908577 knots"):
-            cantor_value_grid(1.5, 20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    with pytest.raises(InvalidParameterError, match="62914547 knots"):
-        cantor_value_grid(2.5, 22)
-    # past 26 levels the block count alone is over; 2**n is never formed
-    with pytest.raises(InvalidParameterError, match="2\\*\\*27 - 1 blocks"):
-        cantor_value_grid(2.5, 27)
-    with pytest.raises(InvalidParameterError, match="blocks exceed the limit"):
-        cantor_value_grid(2.5, int(1e308))
-    path, _, k_n = cantor_value_grid(2.5, 1)
-    assert path.times.size == 2 * k_n + 3
-
-
-def test_cantor_value_grid_exact_totals():
-    # stage total is n * k_n^(1-p) by construction; n=4 gives sqrt(2), n=8 gives 1
-    p = 2.5
-    path4, part4, k4 = cantor_value_grid(p, 4)
-    assert k4 == 2
-    assert pth_variation_partial(path4, part4, p) == pytest.approx(math.sqrt(2.0), rel=1e-13)
-    path8, part8, k8 = cantor_value_grid(p, 8)
-    assert k8 == 4
-    assert pth_variation_partial(path8, part8, p) == pytest.approx(1.0, rel=1e-13)
+    with pytest.raises(InvalidParameterError, match="unknown rounding 'up'"):
+        cantor_blocks(2.5, 4, "up")
+    with pytest.raises(InvalidParameterError, match="p must exceed 1, got 0.9"):
+        cantor_blocks(0.9, 4)
 
 
 def test_cantor_value_grid_increment_magnitudes(cantor8):

@@ -103,6 +103,28 @@ def test_cantor_bump_path_envelope():
     assert bump_count(p, 6) >= bump_count(p, 3)
 
 
+def test_cantor_bump_knots_refuses_oversized_depths():
+    # depth 16 at p = 2.5 would hold 863405543735 knots; the count is summed
+    # over the levels before any knot is built, so the refusal allocates nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="depth 16 at p=2.5: 863405543735 knots"):
+            cantor_bump_knots(2.5, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the first depth past the limit at each p
+    for p, depth in ((2.5, 11), (2.25, 12), (2.9, 9)):
+        with pytest.raises(InvalidParameterError, match=f"depth {depth} at p={p}: "):
+            cantor_bump_knots(p, depth)
+    # past 25 levels the 2**depth floor alone is over the limit
+    with pytest.raises(InvalidParameterError, match="more than 2\\*\\*26 knots"):
+        cantor_bump_knots(2.5, 26)
+    with pytest.raises(InvalidParameterError, match="exceed the limit"):
+        cantor_bump_knots(2.5, 10**308)
+
+
 # --------------------------------------------------------------------------- #
 # Takagi family
 # --------------------------------------------------------------------------- #
@@ -125,6 +147,12 @@ def test_takagi_validation_and_sinusoid():
         takagi_path(2, 0.4)
     with pytest.raises(InvalidParameterError):
         takagi_path(1, 1.0)
+    # NaN passes the |alpha| * b == 1 comparison, and nu and rho are not
+    # compared at all: each is refused by name before any sampling
+    for name, bad in (("alpha", math.nan), ("nu", math.inf), ("rho", math.nan)):
+        kwargs = {"alpha": 0.5, "wave": "sinusoid", name: bad}
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite, got {bad!r}"):
+            takagi_path(2, **kwargs)
     snake = takagi_path(3, 1 / 3, "sinusoid", depth=10)
     assert np.isfinite(snake(np.linspace(0, 1, 17))).all()
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import argsort_grid
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,6 @@ from fracpath.follmer import (
 from fracpath.isometry import PhiSpec, phi_inverse
 from fracpath.partitions import (
     Partition,
-    cantor_value_grid,
     osc,
     partition_values,
     value_grid_partition,
@@ -266,7 +266,7 @@ def test_variation_table_rejects_what_pointwise_rejects(case, bad, data):
 def test_cantor_profile_is_the_materialized_variation_table(n, rounding, p, data):
     # the level walk against variation_table over the full stage-n grid, at
     # knots, inside gaps of every level, at 0, 1 and past the horizon
-    path, part, _ = cantor_value_grid(p, n, rounding)
+    path, part, _ = argsort_grid(p, n, rounding)
     knots = data.draw(st.lists(st.sampled_from(list(part.times)), max_size=20))
     level = data.draw(st.integers(1, n))
     lefts = cantor_gap_lefts(level)

@@ -1,4 +1,4 @@
-"""Variation sums, the Cantor function oracle, and vector combinations."""
+"""Variation sums and the Cantor function oracle."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from fracpath.partitions import Partition
 from fracpath.paths import SampledPath
 from fracpath.variation import (
     cantor_function,
-    multidim_variation,
     phi_variation_partial,
     pth_variation_partial,
     variation_table,
@@ -88,21 +87,3 @@ def test_phi_variation_matches_power(cantor8):
     assert a == b
     with pytest.raises(InvalidPhiError):
         phi_variation_partial(path, part, lambda x: x - 1.0)
-
-
-# --------------------------------------------------------------------------- #
-# vector combinations
-# --------------------------------------------------------------------------- #
-
-
-def test_multidim_variation_reduction_and_cancellation(hand_path):
-    part = Partition(hand_path.times)
-    solo = multidim_variation([hand_path], [1.0], part, 2.5)
-    assert solo == pytest.approx(pth_variation_partial(hand_path, part, 2.5), rel=1e-15)
-    anti = SampledPath(hand_path.times, -hand_path.values)
-    assert multidim_variation([hand_path, anti], [1.0, 1.0], part, 2.5) == 0.0
-    with pytest.raises(InvalidParameterError):
-        multidim_variation([hand_path], [1.0, 2.0], part, 2.5)
-    other = SampledPath(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    with pytest.raises(InvalidParameterError):
-        multidim_variation([hand_path, other], [1.0, 1.0], part, 2.5)
