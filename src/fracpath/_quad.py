@@ -1,5 +1,6 @@
 """Fixed-order Gauss-Legendre panels with doubling until relative stabilization,
-and the one rule for integrands with declared algebraic kinks.
+and the one rule for integrands with declared algebraic kinks, both for a
+batch of rows at once: a row is one interval (plain or graded) of one integral.
 
 A kink is a (point, s) pair: near ``point`` the integrand behaves like
 c * |t - point|**s (s > -1) plus something smoother. :func:`integrate_kinked`
@@ -12,18 +13,21 @@ beta = 1/4 otherwise (c + |t - point|**s becomes smooth enough for the panels).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, QuadratureError
+from .errors import FracpathError, InvalidParameterError, QuadratureError
 
 __all__ = ["gauss_legendre", "gl_adaptive", "integrate_kinked"]
 
 _MAX_DOUBLINGS = 14
+_MAX_POINTS = 32 << _MAX_DOUBLINGS  # one row at the cap: the most one integrand call sees
+_BLOCK = 1024  # integrals whose rows are built and integrated together
 
-Integrand = Callable[[np.ndarray], np.ndarray]
+Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]  # g(points (k, n), rows i (k, 1))
 Kink = tuple[float, float]  # (point, s)
 
 
@@ -38,46 +42,75 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def gl_adaptive(g: Integrand, lo: float, hi: float, rtol: float = 1e-9) -> float:
-    """Integrate ``g`` on [lo, hi] with 32-point panels, doubling the panel
-    count until successive values agree to ``rtol`` (relative).
+def gl_adaptive(g: Integrand, lo, hi, rtol: float = 1e-9) -> np.ndarray:
+    """Integrate each row r of ``g`` on [lo[r], hi[r]] (1-D) with 32-point
+    panels, doubling the panels of the unsettled rows until successive values
+    agree to ``rtol`` (relative); an empty row is 0. ``g`` sees chunks of whole
+    rows, at most ``_MAX_POINTS`` points, and a row's value is bit for bit its
+    value alone. Raises QuadratureError at once on a non-finite panel sum or
+    when the doubling cap is hit unsettled."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    out, rows = np.zeros(lo.shape), (hi != lo).nonzero()[0]
+    x0, x1, (nodes, weights) = lo[rows], hi[rows], gauss_legendre(32)
+    prev, panels = (), 1
+    while rows.size:
+        if panels > 1 << _MAX_DOUBLINGS:
+            raise QuadratureError(
+                f"Gauss-Legendre panels did not stabilize to rtol={rtol:g} "
+                f"after {panels // 2} panels on [{x0[0]:g}, {x1[0]:g}]"
+            )
+        grid, width, val = np.arange(panels + 1.0), (x1 - x0) / panels, []
+        for c in range(0, rows.size, step := _MAX_POINTS // (32 * panels)):
+            r = slice(c, c + step)
+            edges = grid * width[r, None] + x0[r, None]  # np.linspace's, row by row
+            edges[:, -1] = x1[r]
+            mid, half = 0.5 * (edges[:, :-1] + edges[:, 1:]), 0.5 * (edges[:, 1] - edges[:, 0])
+            pts = mid[:, :, None] + (half[:, None] * nodes)[:, None, :]
+            fx = g(pts.reshape(half.size, -1), rows[r, None]).reshape(pts.shape) * weights
+            # a row's panels are one contiguous block: np.sum's pairwise order
+            val += (half * np.add.reduce(fx.reshape(half.size, -1), axis=1)).tolist()
+            del pts, fx  # not held through the next chunk's integrand call
+        if not all(map(math.isfinite, val)):
+            j = [math.isfinite(v) for v in val].index(False)
+            raise QuadratureError(
+                f"panel sum is {val[j]} with {panels} panels on [{x0[j]:g}, {x1[j]:g}]"
+            )
+        done = [abs(v - w) <= rtol * max(abs(v), 1e-300) + 1e-15 * rtol for v, w in zip(val, prev)]
+        if any(done):
+            out[rows[done]] = list(itertools.compress(val, done))
+            go = np.logical_not(done)
+            rows, x0, x1, val = rows[go], x0[go], x1[go], list(itertools.compress(val, go))
+        prev, panels = val, 2 * panels
+    return out
 
-    ``g`` must accept ndarray input. Raises QuadratureError if the doubling
-    cap is hit without stabilizing, or at once on a non-finite panel sum.
-    """
-    if hi == lo:
-        return 0.0
-    nodes, weights = gauss_legendre(32)
-    prev = None
-    panels = 1
-    for _ in range(_MAX_DOUBLINGS + 1):
-        edges = np.linspace(lo, hi, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        pts = mid[:, None] + half * nodes[None, :]
-        val = half * float(np.sum(weights[None, :] * g(pts)))
-        if not math.isfinite(val):
-            raise QuadratureError(f"panel sum is {val} with {panels} panels on [{lo:g}, {hi:g}]")
-        if prev is not None:
-            if abs(val - prev) <= rtol * max(abs(val), 1e-300) + 1e-15 * rtol:
-                return val
-        prev = val
-        panels *= 2
-    raise QuadratureError(
-        f"Gauss-Legendre panels did not stabilize to rtol={rtol:g} "
-        f"after {panels // 2} panels on [{lo:g}, {hi:g}]"
-    )
+
+def integrate_kinked(g: Integrand, lo, hi, kinks: Sequence[Kink], rtol: float) -> np.ndarray:
+    """Integrate ``g`` over [lo[i], hi[i]] for each entry i of ``lo`` and ``hi``
+    (one shape; hi <= lo gives 0), with ``g ~ |t - point|**s`` near each
+    ``(point, s)`` of ``kinks``, inside, on or beyond the ends. The pieces of
+    ``_BLOCK`` integrals are the rows of one batch, summed in order per
+    integral; when a batch raises, its rows rerun alone for the first error."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    shape, lo, hi, out = lo.shape, lo.ravel(), hi.ravel(), np.empty(lo.size)
+    for first in range(0, lo.size, _BLOCK):
+        s = slice(first, first + _BLOCK)
+        ends = zip(lo[s].tolist(), hi[s].tolist(), strict=True)
+        block = [list(_pieces(a, b, kinks)) for a, b in ends]
+        rows = [(i, *part) for i, ps in enumerate(block, first) for piece in ps for part in piece]
+        try:
+            vals = rows and _integrate_rows(g, rows, rtol)
+        except FracpathError:
+            vals = None  # rerun outside the handler: its traceback holds the batch's arrays
+        vals = iter(vals if vals is not None else [_integrate_rows(g, [r], rtol)[0] for r in rows])
+        for i, pieces in enumerate(block, first):
+            out[i] = sum((sum(itertools.islice(vals, len(piece))) for piece in pieces), 0.0)
+    return out.reshape(shape)
 
 
-def integrate_kinked(
-    g: Integrand, lo: float, hi: float, kinks: Sequence[Kink], rtol: float
-) -> float:
-    """Integrate ``g`` over [lo, hi] with ``g ~ |t - point|**s`` near each
-    ``(point, s)`` of ``kinks``, which may lie inside, on or beyond the ends."""
-    if hi <= lo:
-        return 0.0
-    edges = sorted({lo, hi, *(k for k, _ in kinks if lo < k < hi)})
-    total = 0.0
+def _pieces(lo: float, hi: float, kinks: Sequence[Kink]) -> Iterator[list[tuple]]:
+    """The pieces of [lo, hi] between the kinks inside it, each as its
+    non-empty parts (x0, x1, kink), graded toward ``kink`` or plain (None)."""
+    edges = sorted({lo, hi, *(k for k, _ in kinks if lo < k < hi)}) if lo < hi else []
     for x0, x1 in zip(edges[:-1], edges[1:]):
         span = x1 - x0
         # the nearest kink per end; the more singular of two at one point
@@ -85,44 +118,44 @@ def integrate_kinked(
         right = _nearest([k for k in kinks if x1 <= k[0] < x1 + span], x1)
         # a piece graded at both ends is split at its midpoint
         mid = 0.5 * (x0 + x1) if left and right else (x1 if left else x0)
-        total += _graded(g, x0, mid, left, rtol) + _graded(g, mid, x1, right, rtol)
-    return total
+        yield [part for part in ((x0, mid, left), (mid, x1, right)) if part[0] != part[1]]
 
 
 def _nearest(kinks: list[Kink], end: float) -> Kink | None:
     return min(kinks, key=lambda k: (abs(k[0] - end), k[1]), default=None)
 
 
-def _graded(g: Integrand, lo: float, hi: float, kink: Kink | None, rtol: float) -> float:
-    """One piece, graded toward ``kink`` = (point, s) on or beyond one of its
-    ends, or plain when ``kink`` is None."""
-    if kink is None:
-        return gl_adaptive(g, lo, hi, rtol=rtol)
-    at, s = kink
-    if s <= -1.0:
-        raise InvalidParameterError(f"|t - {at:g}|**{s:g} is not integrable (need s > -1)")
-    beta = s + 1.0 if s < 0.0 else 0.25
+def _integrate_rows(g: Integrand, rows: list[tuple], rtol: float) -> list[float]:
+    """Rows (i, x0, x1, kink) of the integrals i, by panels in u = |t - point|**beta
+    toward ``kink``, or in u = t (t = 0 + 1 * u**1, exact) for a plain row. A value
+    all rows share is passed as a number: numpy's scalar path, as for one row alone."""
+    plain = (0.0, 1.0, 1.0, -math.inf)  # at, side, 1/beta and the floor of u
+    u0, u1, *maps = zip(*(_substitution(a, b, *k) if k else (a, b, *plain) for _, a, b, k in rows))
+    maps = [c[0] if c.count(c[0]) == len(c) else np.array(c) for c in ([r[0] for r in rows], *maps)]
+
+    def sub(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+        i, at, side, e, floor = (c[r] if isinstance(c, np.ndarray) else c for c in maps)
+        np.maximum(u, floor, out=u)  # in place: gl_adaptive is done with its points
+        return g(at + side * u**e, i) * (e * u ** (e - 1.0))
+
     try:
-        return gl_adaptive(*_power_substitution(g, lo, hi, beta, at), rtol=rtol)
+        return gl_adaptive(sub, u0, u1, rtol).tolist()
     except QuadratureError as err:
+        if len(rows) > 1 or not rows[0][3]:
+            raise  # integrate_kinked reruns the rows one at a time
+        ((_, x0, x1, (at, s)),) = rows
         raise QuadratureError(
-            f"{err}; that is the substituted variable of the piece [{lo:g}, {hi:g}], "
+            f"{err}; that is the substituted variable of the piece [{x0:g}, {x1:g}], "
             f"graded toward the kink at {at:g} with exponent s = {s:g}"
         ) from err
 
 
-def _power_substitution(
-    f: Integrand, lo: float, hi: float, beta: float, at: float
-) -> tuple[Integrand, float, float]:
-    """Transform ``\\int_lo^hi f(t) dt`` by ``u = |t - at|**beta`` for a
-    point ``at <= lo`` or ``at >= hi``; beta < 1 grades the panels toward
-    ``at``. Returns (g, u0, u1) with ``\\int_u0^u1 g du`` equal to the original.
-    """
-    inv = 1.0 / beta
+def _substitution(lo: float, hi: float, at: float, s: float) -> tuple[float, ...]:
+    """Map the piece [lo, hi] by ``u = |t - at|**beta`` for a point ``at <= lo``
+    or ``at >= hi`` (beta < 1 grades the panels toward ``at``): (u0, u1, at, side,
+    1/beta, floor) with t = at + side * u**(1/beta) on [u0, u1] and u above floor."""
+    if s <= -1.0:
+        raise InvalidParameterError(f"|t - {at:g}|**{s:g} is not integrable (need s > -1)")
+    beta = s + 1.0 if s < 0.0 else 0.25
     side, near, far = (1.0, lo, hi) if at <= lo else (-1.0, hi, lo)
-
-    def g(u: np.ndarray) -> np.ndarray:
-        u = np.maximum(u, 1e-300)
-        return f(at + side * u**inv) * (inv * u ** (inv - 1.0))
-
-    return g, abs(near - at) ** beta, abs(far - at) ** beta
+    return abs(near - at) ** beta, abs(far - at) ** beta, at, side, 1.0 / beta, 1e-300

@@ -371,7 +371,7 @@ def _run_remainder(cfg: dict):
         header.append("g_taylor")
         columns.append(g_t)
     if method != "taylor":
-        g_i = [float(remainder_kernel(fn, p, x, y)) for x, y in zip(xs, ys)]
+        g_i = remainder_kernel(fn, p, a, b).tolist()
         header.append("g_integral")
         columns.append(g_i)
     gap = None

@@ -160,41 +160,47 @@ def taylor_remainder(
     return _taylor_terms(_power_terms(fn.derivs[:m], right - left, left), gap)[1]
 
 
-def remainder_kernel(fn: SmoothFn, p: float, a: float, b: float) -> float:
+def remainder_kernel(fn: SmoothFn, p: float, a, b):
     """Normalized Taylor remainder kernel of order m = floor(p):
 
         G(a, b) = (1 / ((m-1)! |b-a|^p)) *
-                  integral_a^b (f^(m)(x) - f^(m)(a)) (b-x)^(m-1) dx.
+                  integral_a^b (f^(m)(x) - f^(m)(a)) (b-x)^(m-1) dx,
 
-    Computed through the integral form by the kink-graded Gauss-Legendre
-    rule to rtol 1e-12, at the kinks of ``fn.derivative(m)``. Declare every
-    kink on ``fn``: an undeclared one leaves the panels unsettled and raises
-    QuadratureError. The vectorized check routines use the Taylor-difference
-    form of the same quantity, so the two can be cross-validated.
+    per entry of the broadcast ``a`` and ``b`` (a float for scalars), in one
+    batch of the kink-graded Gauss-Legendre rule to rtol 1e-12 at the kinks
+    of ``fn.derivative(m)``. Declare every kink on ``fn``: an undeclared one
+    leaves the panels unsettled and raises QuadratureError. The vectorized
+    check routines use the Taylor-difference form of the same quantity, so
+    the two can be cross-validated.
 
     At a == b the kernel is 0 when f is smoother than order p there, and has
-    no finite value when a sits on a kink of exponent <= p.
+    no finite value when a sits on a kink of exponent <= p: the first such
+    entry raises KernelSingularError once the entries before it integrate.
     """
     from ._quad import integrate_kinked
 
     m = taylor_order(p)
     fm = fn.derivative(m)
-    if a == b:
-        for loc, expo in fn.kinks:
-            if loc == a and expo <= p:
-                raise KernelSingularError(
-                    f"kernel diverges on the diagonal at {a!r} (kink exponent {expo})"
-                )
-        return 0.0
-    fma = float(fm.fn(np.asarray(a, dtype=float)))
+    shape = np.broadcast(a, b).shape
+    xs, ys = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))
+    # a point's first listed kink of exponent <= p names the divergence
+    poles = {loc: expo for loc, expo in reversed(fn.kinks) if expo <= p}
+    singular = np.flatnonzero((xs == ys) & np.isin(xs, list(poles)))
+    n = singular[0] if singular.size else xs.size
+    x, y, fma = xs[:n], ys[:n], fm.fn(xs[:n])
 
-    def integrand(x):
-        return (fm.fn(x) - fma) * (b - x) ** (m - 1)
+    def integrand(t, i):
+        return (fm.fn(t) - fma[i]) * (y[i] - t) ** (m - 1)
 
-    val = integrate_kinked(integrand, min(a, b), max(a, b), fm.kinks, 1e-12)
-    if a > b:
-        val = -val
-    return val / (math.factorial(m - 1) * abs(b - a) ** p)
+    val = integrate_kinked(integrand, np.minimum(x, y), np.maximum(x, y), fm.kinks, 1e-12)
+    if singular.size:
+        raise KernelSingularError(
+            f"kernel diverges on the diagonal at {float(xs[n])!r} (kink exponent {poles[xs[n]]})"
+        )
+    # the norm is a Python pow per entry: numpy's vector power differs in the last bit
+    norm = [abs(yi - xi) ** p if xi != yi else 1.0 for xi, yi in zip(x.tolist(), y.tolist())]
+    val = np.where(x > y, -val, val) / (math.factorial(m - 1) * np.array(norm))
+    return val.reshape(shape) if shape else float(val[0])
 
 
 def kernel_profile(
@@ -206,7 +212,7 @@ def kernel_profile(
     """Kernel restricted to the unit circle, G(cos theta, sin theta).
 
     method="taylor" uses the Taylor-difference form (fast, vectorized);
-    method="integral" calls remainder_kernel per angle.
+    method="integral" makes one batched remainder_kernel call for all angles.
     """
     thetas = np.asarray(thetas, dtype=float)
     m = taylor_order(p)
@@ -219,7 +225,7 @@ def kernel_profile(
     a = np.where(np.abs(a) < 4e-16, 0.0, a)
     b = np.where(np.abs(b) < 4e-16, 0.0, b)
     if method == "integral":
-        return np.array([remainder_kernel(fn, p, ai, bi) for ai, bi in zip(a, b)])
+        return remainder_kernel(fn, p, a, b)
     if method != "taylor":
         raise InvalidParameterError(f"unknown method {method!r}")
     return taylor_remainder(fn, a, b, m) / np.abs(b - a) ** p

@@ -85,12 +85,11 @@ def rl_integral(fn, alpha: float, a: float, x: float, rtol: float = 1e-9) -> flo
     f = sm.fn
     inv_alpha = 1.0 / alpha
 
-    def g(u):
-        u = np.asarray(u, dtype=float)
+    def g(u, _):
         return f(x - np.maximum(u, 0.0) ** inv_alpha)
 
     kinks = [((x - k) ** alpha, q) for k, q in sm.kinks if k < x]
-    return integrate_kinked(g, 0.0, (x - a) ** alpha, kinks, rtol) / math.gamma(alpha + 1.0)
+    return float(integrate_kinked(g, 0.0, (x - a) ** alpha, kinks, rtol)) / math.gamma(alpha + 1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -182,11 +181,10 @@ def caputo_power(
     sgn = (-1.0) ** (m + 1)
 
     # integral_a^k (x-t)^(-alpha) (k-t)^(q-m-1) dt, with s = k - t
-    def g(s):
-        s = np.asarray(s, dtype=float)
+    def g(s, _):
         return (x - k + s) ** (-alpha) * s ** (q - m - 1.0)
 
-    left_integral = integrate_kinked(g, 0.0, k - a, [(0.0, q - m - 1.0)], rtol)
+    left_integral = float(integrate_kinked(g, 0.0, k - a, [(0.0, q - m - 1.0)], rtol))
     left_part = sgn * coeff / math.gamma(1.0 - alpha) * left_integral
     return plus_part + left_part
 

@@ -66,6 +66,8 @@ class PhiSpec:
             raise InvalidPhiError("log-modulated gauges need log_power > 0")
         if self.kind == "custom" and not callable(self.custom_fn):
             raise InvalidPhiError(f"custom gauges need a callable, got {self.custom_fn!r}")
+        if self.kind != "custom" and self.custom_fn is not None:
+            raise InvalidPhiError(f"custom_fn needs kind 'custom', got kind {self.kind!r}")
 
     @property
     def domain_hi(self) -> float:

@@ -281,7 +281,8 @@ def cantor_bump_knots(p: float, depth: int) -> SampledPath:
     """
     if not 2.0 < p < 3.0:
         raise InvalidParameterError(f"p must lie in (2, 3), got {p}")
-    depth = _integer(depth, "depth")
+    if (depth := _integer(depth, "depth")) < 1:
+        raise InvalidParameterError("depth must be >= 1")
     # every level adds at least 2**(i-1) knots, 2**depth + 1 in all: this
     # deep, the limit is passed before any bump count is formed
     if depth >= MAX_KNOTS.bit_length():

@@ -319,6 +319,21 @@ BAD_CONFIGS = {
         {"command": "generate-path", "path": {"kind": "cantor-bump-knots", "p": 2.5, "depth": 16}},
         "depth 16 at p=2.5: 863405543735 knots exceed the limit of 33554432",
     ),
+    "cantor-bump-knots-depth-zero": (
+        {"command": "generate-path", "path": {"kind": "cantor-bump-knots", "p": 2.5, "depth": 0}},
+        "depth must be >= 1",
+    ),
+    "isometry-custom-fn-without-custom-kind": (
+        {
+            "command": "isometry",
+            "path": {"kind": "fbm", "hurst": 0.8, "n": 64, "seed": 9},
+            "partition": {"kind": "badic", "levels": [2, 3]},
+            "fn": SIN,
+            "phi": {"kind": "power", "p_phi": 2, "custom_fn": 3},
+            "p": 2,
+        },
+        "custom_fn needs kind 'custom', got kind 'power'",
+    ),
     "thetas-count-huge": (
         {"command": "remainder", "fn": SIN, "p": 2.5, "thetas": {"count": 1e308}},
         "thetas 'count' must be in [1, 33554432]",

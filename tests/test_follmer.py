@@ -218,6 +218,24 @@ def test_kernel_undeclared_kink_fails_loudly():
         remainder_kernel(bare, 2.05, -0.3, 0.7)
 
 
+def test_kernel_profile_batch_fails_in_angle_order_within_bounded_memory():
+    # 64 angles without the kink declared: the one batch raises what the
+    # per-angle loop raised first (angle 16, the first interval across 0),
+    # and integrand calls of at most 2**19 points keep the peak near that
+    # of one failing scalar kernel
+    declared = abs_power(2.05)
+    bare = SmoothFn(fn=declared.fn, derivs=declared.derivs, kinks=())
+    thetas = (np.arange(64) + 0.5) * (2.0 * np.pi / 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match=r"16384 panels on \[-0.0490677, 0.998795\]$"):
+            kernel_profile(bare, 2.05, thetas, method="integral")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20
+
+
 def test_kernel_profile_axis_and_methods():
     fn = abs_power(2.25)
     thetas = np.array([np.pi / 2, 0.35, 1.1, 2.4, 4.0])

@@ -45,6 +45,9 @@ def test_phi_spec_power_and_validation():
     for custom_fn in (None, 3, "x"):
         with pytest.raises(InvalidPhiError, match=f"need a callable, got {custom_fn!r}"):
             PhiSpec(kind="custom", custom_fn=custom_fn)
+    for kind in ("power", "log-modulated"):
+        with pytest.raises(InvalidPhiError, match=f"needs kind 'custom', got kind '{kind}'"):
+            PhiSpec(kind=kind, log_power=0.5, custom_fn=3)
     with pytest.raises(InvalidPhiError):
         PhiSpec(kind="log-modulated", p_phi=1.0, log_power=0.0)
     for p_phi in (math.nan, math.inf):

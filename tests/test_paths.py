@@ -125,6 +125,13 @@ def test_cantor_bump_knots_refuses_oversized_depths():
         cantor_bump_knots(2.5, 10**308)
 
 
+def test_cantor_bump_knots_refuses_depth_below_one():
+    # as cantor_bump_path does: depth 0 would be the flat two-knot path
+    for depth in (0, -3):
+        with pytest.raises(InvalidParameterError, match="depth must be >= 1"):
+            cantor_bump_knots(2.5, depth)
+
+
 # --------------------------------------------------------------------------- #
 # Takagi family
 # --------------------------------------------------------------------------- #

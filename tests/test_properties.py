@@ -9,6 +9,7 @@ lattice form of value-grid partitions, the fBm sampler at every size and
 the read-only on-grid values of ``partition_values``."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from conftest import argsort_grid
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracpath.errors import InvalidParameterError, InvalidPhiError
+from fracpath.errors import (
+    InvalidParameterError,
+    InvalidPhiError,
+    KernelSingularError,
+    QuadratureError,
+)
 from fracpath.experiments import cantor_profile
 from fracpath.follmer import (
     FunctionalBundle,
@@ -192,6 +198,47 @@ def test_remainder_kernel_matches_taylor_difference(case, kind):
     got = remainder_kernel(fn, q, a, b)
     want = float(taylor_remainder(fn, np.array([a]), np.array([b]), m)[0]) / abs(b - a) ** q
     assert got == pytest.approx(want, abs=1e-9)
+
+
+@st.composite
+def kernel_batches(draw):
+    """(fn, p, a, b): a kinked function and up to six pairs, some on the
+    diagonal, some with an end on the kink and some with the kink beyond an
+    end by less than the interval's length."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    q, p = draw(st.floats(m + 0.05, m + 0.95)), draw(st.floats(m + 0.05, m + 0.95))
+    k = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    fn = draw(st.sampled_from([abs_power, plus_power]))(q, k)
+    pairs = []
+    for mode in draw(st.lists(st.sampled_from(["free", "diagonal", "on", "beyond"]), max_size=6)):
+        x = draw(st.floats(-1.5, 1.5))
+        length = draw(st.floats(0.05, 1.0))
+        gap = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * length
+        if mode == "free":
+            pairs.append(draw(st.sampled_from([(x, x + length), (x, x - length)])))
+        elif mode == "diagonal":
+            pairs.append(draw(st.sampled_from([(x, x), (k, k)])))
+        elif mode == "on":
+            pairs.append(draw(st.sampled_from([(k, k + length), (k - length, k), (k, k - length)])))
+        else:
+            pairs.append(draw(st.sampled_from([(k + gap, k + gap + length), (k - gap, k - gap - length)])))
+    a, b = (np.array([ab[i] for ab in pairs], dtype=float) for i in (0, 1))
+    return fn, p, a, b
+
+
+@PROPS
+@given(kernel_batches())
+def test_remainder_kernel_batch_is_the_per_entry_loop(case):
+    # values bit for bit, or the error the loop raised first (a diagonal
+    # entry on the kink when q <= p, which has no finite kernel)
+    fn, p, a, b = case
+    try:
+        want = [remainder_kernel(fn, p, x, y).hex() for x, y in zip(a.tolist(), b.tolist())]
+    except (KernelSingularError, QuadratureError) as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            remainder_kernel(fn, p, a, b)
+        return
+    assert [v.hex() for v in remainder_kernel(fn, p, a, b).tolist()] == want
 
 
 gauges = st.one_of(
