@@ -38,6 +38,7 @@ _EXPORTS = {
             "TimeFunctionBundle",
             "YoungReport",
             "bump_atom_weights",
+            "circle_points",
             "compensated_sum",
             "ito_check",
             "ito_check_functional",
@@ -45,7 +46,6 @@ _EXPORTS = {
             "ito_check_time",
             "kernel_profile",
             "quotient_measure",
-            "remainder_integral",
             "remainder_kernel",
             "young_bound_check",
         ),

@@ -336,7 +336,7 @@ def _run_remainder_atoms(cfg: dict, p: float):
 
 
 def _run_remainder(cfg: dict):
-    from .follmer import remainder_kernel, taylor_order, taylor_remainder
+    from .follmer import circle_points, remainder_kernel
     from .registry import make_fn
 
     fn = make_fn(cfg["fn"])
@@ -357,26 +357,16 @@ def _run_remainder(cfg: dict):
         count = _num(_fill(cfg["thetas"], "thetas", {"count": 64}), "count", kind=int)
         if not 1 <= count <= MAX_KNOTS:
             raise InvalidConfigError(f"thetas 'count' must be in [1, {MAX_KNOTS}], got {count}")
-        th = (np.arange(count) + 0.5) * (2.0 * np.pi / count)
-        a, b = np.cos(th), np.sin(th)
+        a, b = circle_points((np.arange(count) + 0.5) * (2.0 * np.pi / count))
     else:
         raise InvalidConfigError("needs 'pairs', 'thetas' or 'atoms'")
-    xs, ys = a.tolist(), b.tolist()
-    header, columns = ["a", "b"], [xs, ys]
-    if method != "integral":
-        # Taylor-difference form at the raw pairs; the norm is a Python pow,
-        # which numpy's vectorized power does not match in the last bit
-        taylor = taylor_remainder(fn, a, b, taylor_order(p)).tolist()
-        g_t = [t / abs(y - x) ** p for t, x, y in zip(taylor, xs, ys)]
-        header.append("g_taylor")
-        columns.append(g_t)
-    if method != "taylor":
-        g_i = remainder_kernel(fn, p, a, b).tolist()
-        header.append("g_integral")
-        columns.append(g_i)
+    header, columns = ["a", "b"], [a.tolist(), b.tolist()]
+    for form in ("taylor", "integral") if method == "both" else (method,):
+        header.append(f"g_{form}")
+        columns.append(remainder_kernel(fn, p, a, b, method=form).tolist())
     gap = None
     if method == "both":
-        gaps = [abs(t - i) for t, i in zip(g_t, g_i)]
+        gaps = [abs(t - i) for t, i in zip(*columns[2:])]
         header.append("abs_gap")
         columns.append(gaps)
         gap = max(gaps, default=None)

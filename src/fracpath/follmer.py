@@ -41,6 +41,7 @@ __all__ = [
     "compensated_sum",
     "taylor_remainder",
     "remainder_kernel",
+    "circle_points",
     "kernel_profile",
     "ito_check",
     "ito_check_blocks",
@@ -51,7 +52,6 @@ __all__ = [
     "ito_check_multi",
     "quotient_measure",
     "MeasureAtoms",
-    "remainder_integral",
     "bump_atom_weights",
     "BumpAtomTable",
     "PrefixFamily",
@@ -160,75 +160,85 @@ def taylor_remainder(
     return _taylor_terms(_power_terms(fn.derivs[:m], right - left, left), gap)[1]
 
 
-def remainder_kernel(fn: SmoothFn, p: float, a, b):
-    """Normalized Taylor remainder kernel of order m = floor(p):
+def _refuse_non_finite(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, why: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        pair = f"({float(xs[bad[0]])!r}, {float(ys[bad[0]])!r})"
+        raise InvalidParameterError(f"kernel at (a, b) = {pair} is not a finite number: {why}")
 
-        G(a, b) = (1 / ((m-1)! |b-a|^p)) *
-                  integral_a^b (f^(m)(x) - f^(m)(a)) (b-x)^(m-1) dx,
 
-    per entry of the broadcast ``a`` and ``b`` (a float for scalars), in one
-    batch of the kink-graded Gauss-Legendre rule to rtol 1e-12 at the kinks
-    of ``fn.derivative(m)``. Declare every kink on ``fn``: an undeclared one
-    leaves the panels unsettled and raises QuadratureError. The vectorized
-    check routines use the Taylor-difference form of the same quantity, so
-    the two can be cross-validated.
+def remainder_kernel(fn: SmoothFn, p: float, a, b, method: str = "integral"):
+    """Normalized Taylor remainder kernel of order m = floor(p), per entry
+    of the broadcast ``a`` and ``b`` (a float for scalars):
+
+        G(a, b) = (f(b) - sum_{k=0..m} f^(k)(a) (b-a)^k / k!) / |b-a|^p
+                = integral_a^b (f^(m)(x) - f^(m)(a)) (b-x)^(m-1) dx / ((m-1)! |b-a|^p).
+
+    method="taylor" is the vectorized Taylor difference; method="integral"
+    is one batch of the kink-graded Gauss-Legendre rule to rtol 1e-12 at the
+    kinks of ``fn.derivative(m)`` (an undeclared kink leaves the panels
+    unsettled and raises QuadratureError). Both divide by one norm
+    |b - a|^p, a numpy array power, taken as 1 on the diagonal.
 
     At a == b the kernel is 0 when f is smoother than order p there, and has
     no finite value when a sits on a kink of exponent <= p: the first such
-    entry raises KernelSingularError once the entries before it integrate.
+    entry raises KernelSingularError (once the entries before it are done).
+    A norm that overflows is refused before anything is evaluated, a Taylor
+    value that is not finite after it, each naming its pair.
     """
-    from ._quad import integrate_kinked
-
     m = taylor_order(p)
-    fm = fn.derivative(m)
+    _require_derivs(len(fn.derivs), m)
+    if method not in ("integral", "taylor"):
+        raise InvalidParameterError(f"unknown method {method!r}")
     shape = np.broadcast(a, b).shape
     xs, ys = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))
+    diagonal = xs == ys
+    with np.errstate(over="ignore"):
+        norm = np.abs(ys - xs) ** p
+    norm[diagonal] = 1.0
+    _refuse_non_finite(norm, xs, ys, f"|b - a|^{p!r} overflows")
     # a point's first listed kink of exponent <= p names the divergence
     poles = {loc: expo for loc, expo in reversed(fn.kinks) if expo <= p}
-    singular = np.flatnonzero((xs == ys) & np.isin(xs, list(poles)))
+    singular = np.flatnonzero(diagonal & np.isin(xs, list(poles)))
     n = singular[0] if singular.size else xs.size
-    x, y, fma = xs[:n], ys[:n], fm.fn(xs[:n])
+    x, y = xs[:n], ys[:n]
+    if method == "taylor":
+        with np.errstate(all="ignore"):
+            val = taylor_remainder(fn, x, y, m) / norm[:n]
+        _refuse_non_finite(val, x, y, "the Taylor remainder is not finite")
+    else:
+        from ._quad import integrate_kinked
 
-    def integrand(t, i):
-        return (fm.fn(t) - fma[i]) * (y[i] - t) ** (m - 1)
+        fm = fn.derivative(m)
+        fma = fm.fn(x)
 
-    val = integrate_kinked(integrand, np.minimum(x, y), np.maximum(x, y), fm.kinks, 1e-12)
+        def integrand(t, i):
+            return (fm.fn(t) - fma[i]) * (y[i] - t) ** (m - 1)
+
+        val = integrate_kinked(integrand, np.minimum(x, y), np.maximum(x, y), fm.kinks, 1e-12)
+        val = np.where(x > y, -val, val) / (math.factorial(m - 1) * norm[:n])
     if singular.size:
         raise KernelSingularError(
             f"kernel diverges on the diagonal at {float(xs[n])!r} (kink exponent {poles[xs[n]]})"
         )
-    # the norm is a Python pow per entry: numpy's vector power differs in the last bit
-    norm = [abs(yi - xi) ** p if xi != yi else 1.0 for xi, yi in zip(x.tolist(), y.tolist())]
-    val = np.where(x > y, -val, val) / (math.factorial(m - 1) * np.array(norm))
     return val.reshape(shape) if shape else float(val[0])
 
 
-def kernel_profile(
-    fn: SmoothFn,
-    p: float,
-    thetas: np.ndarray,
-    method: str = "taylor",
-) -> np.ndarray:
-    """Kernel restricted to the unit circle, G(cos theta, sin theta).
-
-    method="taylor" uses the Taylor-difference form (fast, vectorized);
-    method="integral" makes one batched remainder_kernel call for all angles.
-    """
+def circle_points(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) = (cos theta, sin theta), snapped where rounding would show: a
+    coordinate below 4e-16 becomes 0 (cos(pi/2) rounds to 6.1e-17, which a
+    fractional-power derivative at 0 amplifies to ~1e-4), and a point with
+    |b - a| < 4e-16 becomes diagonal, b = a (cos and sin of pi/4 round 1 ulp
+    apart, and the Taylor form divides by that ulp to the power p)."""
     thetas = np.asarray(thetas, dtype=float)
-    m = taylor_order(p)
-    _require_derivs(len(fn.derivs), m)
-    a = np.cos(thetas)
-    b = np.sin(thetas)
-    # snap the axis angles: cos(pi/2) rounds to 6.1e-17, and a derivative
-    # with a fractional-power singularity at 0 (|x|**(p-2) and friends)
-    # amplifies that residue to ~1e-4, visibly polluting the kernel there
-    a = np.where(np.abs(a) < 4e-16, 0.0, a)
-    b = np.where(np.abs(b) < 4e-16, 0.0, b)
-    if method == "integral":
-        return remainder_kernel(fn, p, a, b)
-    if method != "taylor":
-        raise InvalidParameterError(f"unknown method {method!r}")
-    return taylor_remainder(fn, a, b, m) / np.abs(b - a) ** p
+    a, b = (np.where(np.abs(v) < 4e-16, 0.0, v) for v in (np.cos(thetas), np.sin(thetas)))
+    return a, np.where(np.abs(b - a) < 4e-16, a, b)
+
+
+def kernel_profile(fn: SmoothFn, p: float, thetas: np.ndarray, method: str = "taylor") -> np.ndarray:
+    """G(cos theta, sin theta), the kernel restricted to the unit circle: one
+    ``remainder_kernel`` call in the given form on ``circle_points(thetas)``."""
+    return remainder_kernel(fn, p, *circle_points(thetas), method=method)
 
 
 @dataclass(frozen=True)
@@ -455,24 +465,6 @@ def quotient_measure(
     )
 
 
-def remainder_integral(
-    fn: SmoothFn,
-    p: float,
-    angles: np.ndarray,
-    weights: np.ndarray,
-    method: str = "taylor",
-) -> float:
-    """Integral of the circle-restricted kernel against an angle measure:
-    sum_k G(cos theta_k, sin theta_k) * w_k.
-
-    For p-homogeneous f this equals the kernel sum of any stage whose
-    quotient measure projects to these atoms, which is what makes limit
-    measures usable in place of deep partitions.
-    """
-    profile = kernel_profile(fn, p, np.asarray(angles, dtype=float), method=method)
-    return float(np.sum(profile * np.asarray(weights, dtype=float)))
-
-
 @dataclass(frozen=True)
 class BumpAtomTable:
     """Closed-form limit atoms of the bump path's quotient measure under
@@ -521,23 +513,15 @@ def bump_atom_weights(p: float, k_max: int) -> BumpAtomTable:
 class PrefixFamily:
     """Shared storage for all prefixes of one discretized path.
 
-    mode="step" freezes the path right of each sample (the piecewise-constant
-    approximation the functional calculus expands along); mode="linear"
-    interpolates, which is the right reading for integral targets. Cumulative
-    integrals are precomputed so every prefix exposes O(1) evaluations.
+    Each prefix freezes the path right of its last sample: the
+    piecewise-constant approximation the functional calculus expands along.
+    Cumulative integrals are precomputed so every prefix exposes O(1)
+    evaluations.
     """
 
-    def __init__(self, path: SampledPath, partition: Partition, mode: str = "step"):
-        if mode not in ("step", "linear"):
-            raise InvalidParameterError(f"unknown mode {mode!r}")
-        self.mode = mode
+    def __init__(self, path: SampledPath, partition: Partition):
         self.times, self.values = partition_values(path, partition)
-        dt = np.diff(self.times)
-        if mode == "step":
-            seg = self.values[:-1] * dt
-        else:
-            seg = 0.5 * (self.values[:-1] + self.values[1:]) * dt
-        self.cum = np.concatenate([[0.0], np.cumsum(seg)])
+        self.cum = np.concatenate([[0.0], np.cumsum(self.values[:-1] * np.diff(self.times))])
 
     def prefix(self, j: int, bump: float = 0.0, extend_to: float | None = None) -> "PathPrefix":
         if not 0 <= j < self.times.size:
@@ -626,7 +610,7 @@ def ito_check_functional(
     m = taylor_order(p)
     if m > 2:
         raise InvalidBundleError("functional checks support m in {1, 2}")
-    fam = PrefixFamily(path, partition, mode="step")
+    fam = PrefixFamily(path, partition)
     n = fam.times.size - 1
     if fd_step is None:
         fd_step = 0.5 * osc(path, partition)

@@ -38,12 +38,11 @@ def run_cli(*args, cwd):
     return run_python("-m", "fracpath.cli", *args, cwd=cwd)
 
 
-def loaded_modules(tmp_path, fixture=None) -> set:
+def loaded_modules(tmp_path, config=None) -> set:
     """sys.modules of a fresh interpreter after ``import fracpath.cli`` and,
-    given a fixture, ``cli.main`` on it."""
+    given a config path, ``cli.main`` on it."""
     run = ""
-    if fixture is not None:
-        config = FIXTURES / fixture
+    if config is not None:
         command = json.loads(config.read_text())["command"]
         argv = [command, "--config", str(config), "--out-dir", "out"]
         run = f"assert cli.main({argv!r}) == 0\n"
@@ -82,8 +81,15 @@ def test_cli_import_loads_no_scipy(tmp_path):
     ],
 )
 def test_subcommand_loads_only_what_it_runs(tmp_path, fixture, unloaded):
-    loaded = loaded_modules(tmp_path, fixture)
+    loaded = loaded_modules(tmp_path, FIXTURES / fixture)
     assert not loaded & {f"fracpath.{m}" for m in unloaded}
+
+
+def test_taylor_remainder_run_integrates_nothing(tmp_path):
+    cfg = {"command": "remainder", "fn": SIN, "p": 2.5, "thetas": {"count": 8}}
+    loaded = loaded_modules(tmp_path, write_config(tmp_path, "taylor.json", cfg))
+    assert "fracpath.follmer" in loaded
+    assert "fracpath._quad" not in loaded
 
 
 def test_smooth_functions_load_no_operator_code(tmp_path):
@@ -486,6 +492,35 @@ BAD_CONFIGS = {
         },
         "custom gauges need a callable, got 'x'",
     ),
+    # a kernel that is no finite number is refused by its pair, in either form
+    "remainder-pair-overflows-taylor": (
+        {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 1e200]], "method": "taylor"},
+        "kernel at (a, b) = (0.1, 1e+200) is not a finite number: |b - a|^2.5 overflows",
+    ),
+    "remainder-pair-overflows-integral": (
+        {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 1e200]], "method": "integral"},
+        "kernel at (a, b) = (0.1, 1e+200) is not a finite number: |b - a|^2.5 overflows",
+    ),
+    "remainder-taylor-not-finite": (
+        {
+            "command": "remainder",
+            "fn": {"name": "abs-power", "q": 3.5},
+            "p": 2.5,
+            "pairs": [[0.0, 1e100]],
+            "method": "taylor",
+        },
+        "kernel at (a, b) = (0.0, 1e+100) is not a finite number: the Taylor remainder is not finite",
+    ),
+    "remainder-diagonal-on-kink": (
+        {
+            "command": "remainder",
+            "fn": {"name": "abs-power", "q": 2.5},
+            "p": 2.5,
+            "pairs": [[0.2, 0.7], [0.0, 0.0]],
+            "method": "taylor",
+        },
+        "kernel diverges on the diagonal at 0.0 (kink exponent 2.5)",
+    ),
     # a literal that overflows float64, written as raw config text
     "p-overflows": ('{"command": "cantor-sweep", "p": 1e400, "ns": [2]}', "non-finite number 1e400"),
 }
@@ -498,6 +533,7 @@ def write_config(directory: Path, name: str, cfg: dict | str) -> Path:
     return path
 
 
+@pytest.mark.filterwarnings("error")  # a refused config prints its error line and nothing else
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
     cfg, message = BAD_CONFIGS[case]
@@ -510,6 +546,49 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
     assert err.startswith(f"error: {path}: "), err
     assert message in err
     assert not out.exists()  # nothing is written for a rejected config
+
+
+def run_remainder(tmp_path, capsys, **cfg) -> tuple[int, list[dict]]:
+    """Exit code and CSV rows (as dicts of cell text) of an in-process
+    ``remainder`` run on ``cfg``."""
+    path = write_config(tmp_path, "kernel.json", {"command": "remainder", "label": "kernel", **cfg})
+    code = cli.main(["remainder", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    assert code in (0, 2), capsys.readouterr().err
+    header, *rows = [line.split(",") for line in (tmp_path / "o" / "kernel.csv").read_text().splitlines()]
+    return code, [dict(zip(header, row)) for row in rows]
+
+
+ABS_POWER = {"name": "abs-power", "q": 2.25}
+
+
+def test_remainder_diagonal_pair_reads_zero(tmp_path, capsys):
+    _, rows = run_remainder(
+        tmp_path, capsys, fn=ABS_POWER, p=2.25, pairs=[[0.3, 0.3], [0.2, 0.7]], method="taylor"
+    )
+    assert rows[0]["g_taylor"] == "0"
+
+
+def test_remainder_thetas_hit_the_axis_exactly(tmp_path, capsys):
+    # count 6 puts an angle on pi/2: (a, b) = (0, 1) and G = 1 for a pure power
+    _, rows = run_remainder(tmp_path, capsys, fn=ABS_POWER, p=2.25, thetas={"count": 6})
+    assert (rows[1]["a"], rows[1]["b"], float(rows[1]["g_taylor"])) == ("0", "1", 1.0)
+
+
+def test_remainder_thetas_on_the_diagonal_agree(tmp_path, capsys):
+    # count 4 puts angles on pi/4 and 5 pi/4, where cos and sin round 1 ulp
+    # apart: both forms read the diagonal's 0 there
+    code, rows = run_remainder(
+        tmp_path,
+        capsys,
+        fn={"name": "abs-power", "q": 2.5},
+        p=2.5,
+        thetas={"count": 4},
+        method="both",
+        expect="converged",
+        tol=1e-7,
+    )
+    assert code == 0
+    assert [(row["g_taylor"], row["g_integral"]) for row in rows[::2]] == [("0", "0")] * 2
 
 
 def test_ito_check_over_cantor_crossing_reaches_stage_83(tmp_path, capsys):

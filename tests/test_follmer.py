@@ -32,7 +32,6 @@ from fracpath.follmer import (
     ito_check_time,
     kernel_profile,
     quotient_measure,
-    remainder_integral,
     remainder_kernel,
     taylor_order,
     taylor_remainder,
@@ -110,7 +109,7 @@ def _order_p_entries(path, p):
         lambda: taylor_order(p),
         lambda: kernel_profile(fn, p, thetas),
         lambda: kernel_profile(fn, p, thetas, method="integral"),
-        lambda: remainder_integral(fn, p, thetas, np.ones_like(thetas)),
+        lambda: remainder_kernel(fn, p, 0.2, 0.7, method="taylor"),
         lambda: remainder_kernel(fn, p, 0.2, 0.7),
         lambda: ito_check(fn, path, part, p),
         lambda: ito_check_time(moving_abs_power(P), path, part, p),
@@ -238,11 +237,13 @@ def test_kernel_profile_batch_fails_in_angle_order_within_bounded_memory():
 
 def test_kernel_profile_axis_and_methods():
     fn = abs_power(2.25)
-    thetas = np.array([np.pi / 2, 0.35, 1.1, 2.4, 4.0])
+    thetas = np.array([np.pi / 2, 0.35, 1.1, 2.4, 4.0, np.pi / 4, 5 * np.pi / 4])
     fast = kernel_profile(fn, 2.25, thetas)
     slow = kernel_profile(fn, 2.25, thetas, method="integral")
     # the axis angle hits (a, b) = (0, 1) exactly: G = 1 for a pure power
     assert fast[0] == 1.0
+    # cos and sin of pi/4 and 5 pi/4 round 1 ulp apart: snapped to the diagonal
+    assert fast[5:].tolist() == slow[5:].tolist() == [0.0, 0.0]
     assert np.allclose(fast, slow, rtol=1e-7, atol=1e-9)
     with pytest.raises(InvalidParameterError):
         kernel_profile(fn, 2.25, thetas, method="midpoint")
@@ -356,7 +357,7 @@ def test_remainder_integral_matches_limit_kernel():
     rep = bump_decomposition(p, 8)
     table = bump_atom_weights(p, 2**7 - 1)
     angles, weights = table.flat()
-    got = remainder_integral(abs_power(p), p, angles, weights)
+    got = float(np.sum(kernel_profile(abs_power(p), p, angles) * weights))
     assert got == pytest.approx(rep.kernel_from_limit, rel=1e-12)
 
 
@@ -573,7 +574,7 @@ def test_functional_default_fd_step_survives_a_subnormal_path():
 
 def test_prefix_family_mechanics(fbm04):
     part = badic(1.0, 6)
-    fam = PrefixFamily(fbm04, part, mode="step")
+    fam = PrefixFamily(fbm04, part)
     vals = fbm04.value_at(part.times)
     dt = np.diff(part.times)
     j = 17
@@ -585,16 +586,10 @@ def test_prefix_family_mechanics(fbm04):
     assert stretched.integral() == pytest.approx(
         fam.prefix(j).integral() + 0.1 * float(vals[j]), abs=1e-14
     )
-    lin = PrefixFamily(fbm04, part, mode="linear")
-    assert lin.prefix(part.times.size - 1).integral() == pytest.approx(
-        float(np.trapezoid(vals, part.times)), abs=1e-14
-    )
     with pytest.raises(InvalidParameterError):
         fam.prefix(part.times.size)
     with pytest.raises(InvalidParameterError):
         fam.prefix(j, extend_to=part.times[j] - 0.5)
-    with pytest.raises(InvalidParameterError):
-        PrefixFamily(fbm04, part, mode="spline")
 
 
 # --------------------------------------------------------------------------- #

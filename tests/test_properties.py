@@ -226,19 +226,22 @@ def kernel_batches(draw):
     return fn, p, a, b
 
 
+@pytest.mark.parametrize("method", ["integral", "taylor"])
 @PROPS
-@given(kernel_batches())
-def test_remainder_kernel_batch_is_the_per_entry_loop(case):
+@given(case=kernel_batches())
+def test_remainder_kernel_batch_is_the_per_entry_loop(case, method):
     # values bit for bit, or the error the loop raised first (a diagonal
     # entry on the kink when q <= p, which has no finite kernel)
     fn, p, a, b = case
     try:
-        want = [remainder_kernel(fn, p, x, y).hex() for x, y in zip(a.tolist(), b.tolist())]
+        want = [
+            remainder_kernel(fn, p, x, y, method).hex() for x, y in zip(a.tolist(), b.tolist())
+        ]
     except (KernelSingularError, QuadratureError) as err:
         with pytest.raises(type(err), match=re.escape(str(err))):
-            remainder_kernel(fn, p, a, b)
+            remainder_kernel(fn, p, a, b, method)
         return
-    assert [v.hex() for v in remainder_kernel(fn, p, a, b).tolist()] == want
+    assert [v.hex() for v in remainder_kernel(fn, p, a, b, method).tolist()] == want
 
 
 gauges = st.one_of(
