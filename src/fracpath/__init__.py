@@ -37,9 +37,7 @@ _EXPORTS = {
             "TensorFunctionBundle",
             "TimeFunctionBundle",
             "YoungReport",
-            "bump_atom_weights",
             "circle_points",
-            "compensated_sum",
             "ito_check",
             "ito_check_functional",
             "ito_check_multi",

@@ -326,12 +326,12 @@ def _run_remainder_atoms(cfg: dict, p: float):
     if atoms["kind"] != "cantor-bump":
         raise InvalidConfigError(f"unknown atoms kind {atoms['kind']!r}")
     rep = bump_decomposition(p, _num(atoms, "n", kind=int))
-    ks, up, down = rep.limit.ks, rep.limit.up_angles, rep.limit.down_angles
+    up, down = rep.up_angles, rep.down_angles
     columns = np.column_stack(
         [up, down, rep.atom_weights, rep.atom_weights_limit, rep.g_up, rep.g_down]
     )
     header = ["k", "angle_up", "angle_down", "weight_finite", "weight_limit", "g_up", "g_down"]
-    rows = [[int(k), *cells] for k, cells in zip(ks, columns.tolist())]
+    rows = [[k, *cells] for k, cells in enumerate(columns.tolist())]
     return header, rows, abs(rep.kernel_from_atoms - rep.kernel_from_limit)
 
 

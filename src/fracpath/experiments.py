@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .follmer import (
-    BumpAtomTable,
     ItoReport,
-    bump_atom_weights,
     ito_check,
     ito_check_blocks,
     kernel_profile,
@@ -175,15 +173,13 @@ class BumpReport:
     kernel_sum: float
     n_increments: int
     atom_weights: np.ndarray = field(repr=False)
-    limit: BumpAtomTable = field(repr=False)  # closed-form atoms, angles included
-    g_up: np.ndarray = field(repr=False)  # |x|^p kernel on the limit's up angles
-    g_down: np.ndarray = field(repr=False)  # and on its down angles
+    atom_weights_limit: np.ndarray = field(repr=False)  # closed-form limit weights
+    up_angles: np.ndarray = field(repr=False)  # rising atoms, atan2(k + 1, k)
+    down_angles: np.ndarray = field(repr=False)  # falling atoms, atan2(k, k + 1)
+    g_up: np.ndarray = field(repr=False)  # |x|^p kernel on the up angles
+    g_down: np.ndarray = field(repr=False)  # and on the down angles
     kernel_from_atoms: float = 0.0
     kernel_from_limit: float = 0.0
-
-    @property
-    def atom_weights_limit(self) -> np.ndarray:
-        return self.limit.weights
 
     @property
     def mass(self) -> float:
@@ -222,12 +218,20 @@ def bump_decomposition(p: float, n: int) -> BumpReport:
         total_l += mult * (first + second)
         n_inc += int(mult) * 2 * big_k
         w_fin[:big_k] += mult * delta**p
-    limit_table = bump_atom_weights(p, k_top - 1)
+    # closed-form limit atoms on the rungs k < 2**(n-1), both directions of
+    # weight c 2^(-ceil(log2(k+1)) p); all rungs k >= 0 carry mass 1 in all
+    ks = np.arange(k_top)
+    levels = np.ceil(np.log2(ks + 1.0))
+    levels[0] = 0.0
+    c = (2.0 ** (p - 1.0) - 1.0) / (2.0**p - 1.0)
+    w_lim = 2.0 ** (-levels * p) * c
+    up = np.arctan2(ks + 1.0, ks.astype(float))
+    down = np.arctan2(ks.astype(float), ks + 1.0)
     fn = abs_power(p)
-    g_up = kernel_profile(fn, p, limit_table.up_angles)
-    g_down = kernel_profile(fn, p, limit_table.down_angles)
+    g_up = kernel_profile(fn, p, up)
+    g_down = kernel_profile(fn, p, down)
     kernel_from_atoms = float(np.sum((g_up + g_down) * w_fin))
-    kernel_from_limit = float(np.sum((g_up + g_down) * limit_table.weights))
+    kernel_from_limit = float(np.sum((g_up + g_down) * w_lim))
     return BumpReport(
         p=p,
         n=n,
@@ -236,7 +240,9 @@ def bump_decomposition(p: float, n: int) -> BumpReport:
         kernel_sum=-total_l,
         n_increments=n_inc,
         atom_weights=w_fin,
-        limit=limit_table,
+        atom_weights_limit=w_lim,
+        up_angles=up,
+        down_angles=down,
         g_up=g_up,
         g_down=g_down,
         kernel_from_atoms=kernel_from_atoms,

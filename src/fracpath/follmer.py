@@ -32,13 +32,12 @@ from .errors import (
     InvalidParameterError,
     KernelSingularError,
 )
-from .partitions import Partition, _weighted_total, osc, partition_values
+from .partitions import Partition, osc, partition_values, weighted_total
 from .paths import SampledPath
 from .smooth import SmoothFn
 
 __all__ = [
     "taylor_order",
-    "compensated_sum",
     "taylor_remainder",
     "remainder_kernel",
     "circle_points",
@@ -52,8 +51,6 @@ __all__ = [
     "ito_check_multi",
     "quotient_measure",
     "MeasureAtoms",
-    "bump_atom_weights",
-    "BumpAtomTable",
     "PrefixFamily",
     "PathPrefix",
     "FunctionalBundle",
@@ -129,23 +126,6 @@ def _kernel_sum(gap: np.ndarray, size: np.ndarray, p: float) -> tuple[float, int
     kernel = gap / size
     np.multiply(kernel, size, out=gap, where=np.abs(kernel) >= np.finfo(float).tiny)
     return float(np.sum(gap)), n_zero
-
-
-def compensated_sum(
-    fn: SmoothFn,
-    path: SampledPath,
-    partition: Partition,
-    m: int,
-    t: float | None = None,
-) -> float:
-    """L^n = sum_i sum_{j=1}^m f^(j)(S(t_i)) / j! * (S(t_{i+1}) - S(t_i))^j,
-    with all times clipped at t when given."""
-    if m < 1:
-        raise InvalidParameterError("Taylor order m must be >= 1")
-    _require_derivs(len(fn.derivs), m)
-    _, vals = partition_values(path, partition, t)
-    inc = np.diff(vals)
-    return _taylor_terms(_power_terms(fn.derivs[:m], inc, vals[:-1]), np.zeros_like(inc))[0]
 
 
 def taylor_remainder(
@@ -311,7 +291,7 @@ def ito_check_blocks(fn: SmoothFn, blocks, p: float) -> ItoReport:
     additive term of the block reports summed as ``block_sum`` does."""
     reports = [(w, ito_check(fn, path, part, p)) for w, path, part in blocks]
     return ItoReport(
-        **{name: _weighted_total((w, getattr(r, name)) for w, r in reports) for name in _ADDITIVE}
+        **{name: weighted_total((w, getattr(r, name)) for w, r in reports) for name in _ADDITIVE}
     )
 
 
@@ -449,8 +429,8 @@ def quotient_measure(
     Because the angle is atan2 of the raw value pair, rescaling the path by
     a power of two leaves every angle bitwise unchanged.
     """
-    if p <= 0.0:
-        raise InvalidParameterError(f"p must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise InvalidParameterError(f"p must be positive and finite, got {p}")
     times, vals = partition_values(path, partition, t)
     left, right = vals[:-1], vals[1:]
     inc = right - left
@@ -463,46 +443,6 @@ def quotient_measure(
         weights=weights,
         dropped_zero=int(inc.size - np.count_nonzero(nonzero)),
     )
-
-
-@dataclass(frozen=True)
-class BumpAtomTable:
-    """Closed-form limit atoms of the bump path's quotient measure under
-    value-step partitions: for each ladder rung k the rising atom sits at
-    atan2(k+1, k) and the falling atom at atan2(k, k+1), both of weight
-    2^(-ceil(log2(k+1)) p) (2^(p-1) - 1) / (2^p - 1). Total mass over all
-    k >= 0 is exactly 1."""
-
-    ks: np.ndarray
-    weights: np.ndarray
-    up_angles: np.ndarray
-    down_angles: np.ndarray
-
-    @property
-    def mass(self) -> float:
-        return 2.0 * float(np.sum(self.weights))
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """All atoms as (angles, weights) arrays."""
-        return (
-            np.concatenate([self.up_angles, self.down_angles]),
-            np.concatenate([self.weights, self.weights]),
-        )
-
-
-def bump_atom_weights(p: float, k_max: int) -> BumpAtomTable:
-    if not 2.0 < p < 3.0:
-        raise InvalidParameterError(f"p must lie in (2, 3), got {p}")
-    if k_max < 0:
-        raise InvalidParameterError("k_max must be >= 0")
-    ks = np.arange(k_max + 1)
-    levels = np.ceil(np.log2(ks + 1.0))
-    levels[0] = 0.0
-    c = (2.0 ** (p - 1.0) - 1.0) / (2.0**p - 1.0)
-    weights = 2.0 ** (-levels * p) * c
-    up = np.arctan2(ks + 1.0, ks.astype(float))
-    down = np.arctan2(ks.astype(float), ks + 1.0)
-    return BumpAtomTable(ks=ks, weights=weights, up_angles=up, down_angles=down)
 
 
 # --------------------------------------------------------------------------- #
@@ -668,8 +608,8 @@ def young_bound_check(
     alphas = tuple(float(a) for a in alphas)
     if not alphas or len(alphas) != len(paths):
         raise InvalidParameterError("need one exponent per path component")
-    if any(a <= 0.0 for a in alphas):
-        raise InvalidParameterError("exponents must be positive")
+    if not all(0.0 < a < math.inf for a in alphas):
+        raise InvalidParameterError(f"alphas must be positive and finite, got {alphas}")
     p = float(sum(alphas))
     d = len(paths)
     # fix the first sign to +1: a pattern and its negation give the same term

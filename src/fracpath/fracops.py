@@ -43,8 +43,8 @@ class FracOrder:
     p: float
 
     def __post_init__(self) -> None:
-        if self.p <= 0.0:
-            raise InvalidParameterError(f"order must be positive, got {self.p}")
+        if not 0.0 < self.p < math.inf:
+            raise InvalidParameterError(f"order must be positive and finite, got {self.p}")
         if abs(self.p - round(self.p)) < 1e-12:
             raise InvalidParameterError(f"order must be non-integer, got {self.p}")
 
@@ -77,8 +77,8 @@ def rl_integral(fn, alpha: float, a: float, x: float, rtol: float = 1e-9) -> flo
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if x < a:
-        raise InvalidParameterError("need x >= a")
+    if not -math.inf < a <= x < math.inf:
+        raise InvalidParameterError(f"need finite a <= x, got a={a!r}, x={x!r}")
     if x == a:
         return 0.0
     sm = _as_smooth(fn)
@@ -112,8 +112,8 @@ def caputo(fn, order: FracOrder, a: float, x: float, rtol: float = 1e-9) -> floa
     integration variable the kink sits at u_k = (x - loc)**(1 - alpha) != 0, and graded offsets
     v**(1/(q - m)) below eps * u_k are lost when added to u_k.
     """
-    if x < a:
-        raise InvalidParameterError("need x >= a")
+    if not -math.inf < a <= x < math.inf:
+        raise InvalidParameterError(f"need finite a <= x, got a={a!r}, x={x!r}")
     if x == a:
         return 0.0
     fm = _as_smooth(fn).derivative(order.m)
@@ -209,9 +209,9 @@ def local_frac_derivative(fn: Callable, alpha: float, at: float, side: int = 1) 
     order below alpha vanish at the point (e.g. |x|**alpha at 0); anywhere
     else the ratios diverge and NoLimitError reports that honestly.
     """
-    if not alpha > 0.0 or alpha == math.floor(alpha):
+    if not 0.0 < alpha < math.inf or alpha == math.floor(alpha):
         raise InvalidParameterError(
-            f"alpha must be positive and non-integer, got {alpha}"
+            f"alpha must be positive, finite and non-integer, got {alpha}"
         )
     if side not in (1, -1):
         raise InvalidParameterError("side must be +1 or -1")

@@ -146,8 +146,8 @@ def phi_hat_numeric(spec: PhiSpec, a: float) -> float:
 def admissibility_threshold(p_phi: float) -> float:
     """Smallest Holder exponent of the driving path for which the transform
     isometry is meaningful: (sqrt(1 + 4/p_phi) - 1) / 2."""
-    if p_phi <= 0.0:
-        raise InvalidParameterError("p_phi must be positive")
+    if not 0.0 < p_phi < math.inf:
+        raise InvalidParameterError(f"p_phi must be positive and finite, got {p_phi!r}")
     return (math.sqrt(1.0 + 4.0 / p_phi) - 1.0) / 2.0
 
 
@@ -220,8 +220,8 @@ def phi_inverse(spec: PhiSpec, y: float) -> float:
     rtol; an absolute floor would leave phi(x) off y by ~1e-8 at p_phi < 1).
     Returns the bracket's upper end: phi(x) >= y, and x is nondecreasing in
     y up to that width."""
-    if y < 0.0:
-        raise InvalidPhiError("gauge values are nonnegative")
+    if not 0.0 <= y < math.inf:
+        raise InvalidPhiError(f"gauge value y must be finite and nonnegative, got {y!r}")
     if y == 0.0:
         return 0.0
     cap = spec.domain_hi

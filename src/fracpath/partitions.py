@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .paths import LN2_OVER_LN3, MAX_KNOTS, SampledPath
+from .paths import LN2_OVER_LN3, MAX_KNOTS, TERNARY_UNDERFLOW, SampledPath
 
 __all__ = [
     "Partition",
@@ -24,6 +24,7 @@ __all__ = [
     "value_grid_partition",
     "cantor_blocks",
     "block_sum",
+    "weighted_total",
     "MAX_KNOTS",
     "osc",
     "partition_values",
@@ -70,8 +71,8 @@ def badic(horizon: float, n: int, base: int = 2) -> Partition:
         raise InvalidParameterError(f"base must be an integer >= 2, got {base}")
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
-    if horizon <= 0.0:
-        raise InvalidParameterError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise InvalidParameterError(f"horizon must be positive and finite, got {horizon!r}")
     base = int(base)
     # base**n >= 2**(n * floor(log2 base)): a digit bound that needs no base**n
     if n * (base.bit_length() - 1) >= MAX_KNOTS.bit_length() - 1 or base**n + 1 > MAX_KNOTS:
@@ -146,10 +147,6 @@ def value_grid_partition(
 # --------------------------------------------------------------------------- #
 
 
-# 3.0 ** -679 == 0.0: no stage this deep has a level-n block of distinct times
-_TERNARY_UNDERFLOW = 679
-
-
 def _cantor_pattern(p: float, n: int, rounding: str) -> tuple[int, np.ndarray, np.ndarray]:
     """(k_n, frac_all, val_pattern): the crossing pattern that every interval
     removed up to stage n carries, with ``k_n = n**(1/(p-1))`` rounded down
@@ -173,7 +170,7 @@ def _cantor_pattern(p: float, n: int, rounding: str) -> tuple[int, np.ndarray, n
         " underflow float64"
     )
     # cheap refusals first, so that a huge n or a p near 1 never reaches the power
-    if n >= _TERNARY_UNDERFLOW:
+    if n >= TERNARY_UNDERFLOW:
         raise too_deep
     if math.log(n) > (p - 1.0) * math.log(MAX_KNOTS):
         raise InvalidParameterError(
@@ -231,16 +228,17 @@ def cantor_blocks(
     return k_n, blocks
 
 
-def _weighted_total(pairs):
-    # the first term starts the sum: one pair of weight 1 gives its value
-    # itself, bit for bit (a signed zero included)
+def weighted_total(pairs):
+    """sum of ``weight * value`` over ``(weight, value)`` pairs, in order; the
+    first term starts the sum, so one pair of weight 1 gives its value
+    itself, bit for bit (a signed zero included)."""
     return functools.reduce(operator.add, (w * v for w, v in pairs))
 
 
 def block_sum(blocks, term):
     """sum of ``weight * term(path, partition)`` over weighted blocks, in
     block order; one block of weight 1 gives ``term``'s value itself."""
-    return _weighted_total((w, term(path, part)) for w, path, part in blocks)
+    return weighted_total((w, term(path, part)) for w, path, part in blocks)
 
 
 # --------------------------------------------------------------------------- #

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -46,6 +47,10 @@ LN2_OVER_LN3 = math.log(2.0) / math.log(3.0)
 # value-grid crossings, the bump path's knots, or the 2 k_n + 3 knots of one
 # Cantor crossing block (2**25 knots hold about 0.5 GB of times and values)
 MAX_KNOTS = 2**25
+
+# 3.0 ** -679 == 0.0: from this level on a removed interval has no float64
+# length, so no stage this deep has a level-n block of distinct times
+TERNARY_UNDERFLOW = 679
 
 
 # --------------------------------------------------------------------------- #
@@ -163,7 +168,7 @@ def cantor_gap_lefts(level: int) -> np.ndarray:
 
 def _cantor_gap_info(ts: np.ndarray, depth: int):
     """For each t: (level i of the removed interval containing it, or 0 if none
-    up to ``depth``; left endpoint of that interval; its length)."""
+    up to ``depth``; left endpoint of that interval, 0 if none)."""
     ts = np.asarray(ts, dtype=float)
     lo = np.zeros_like(ts)
     level = np.zeros(ts.shape, dtype=np.int64)
@@ -200,6 +205,14 @@ def _cantor_distance(ts: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
+def _refuse_ternary_underflow(depth: int, p: float) -> None:
+    if depth >= TERNARY_UNDERFLOW:
+        raise InvalidParameterError(
+            f"depth {depth} at p={p} is too deep: the level-{depth} interval length"
+            f" 3**-{depth} underflows float64 (the deepest is {TERNARY_UNDERFLOW - 1})"
+        )
+
+
 def cantor_distance_path(p: float, depth: int = 30) -> AnalyticPath:
     """Path ``S(t) = (2 * dist(t, C))**(log_3(2) / p)`` on [0, 1], where C is
     the depth-``depth`` Cantor set approximation.
@@ -219,6 +232,7 @@ def cantor_distance_path(p: float, depth: int = 30) -> AnalyticPath:
         raise InvalidParameterError(f"p must exceed 1, got {p}")
     if (depth := _integer(depth, "depth")) < 1:
         raise InvalidParameterError("depth must be >= 1")
+    _refuse_ternary_underflow(depth, p)
     q = LN2_OVER_LN3 / p
 
     def fn(ts: np.ndarray) -> np.ndarray:
@@ -231,8 +245,13 @@ def cantor_distance_path(p: float, depth: int = 30) -> AnalyticPath:
 
 def bump_count(p: float, level: int) -> int:
     """Number of equal sub-intervals (one triangular bump each) that the
-    bump path places in every interval removed at ``level``."""
-    return int(math.floor(2.0 ** ((level - 1) * (p - 1.0)) * (2.0 ** (p - 1.0) - 1.0)))
+    bump path places in every interval removed at ``level``; a count past
+    float64 is refused."""
+    scale = (level - 1) * (p - 1.0)
+    count = 2.0**scale * (2.0 ** (p - 1.0) - 1.0) if scale < 1024.0 else math.inf
+    if count == math.inf:
+        raise InvalidParameterError(f"level {level} at p={p}: the bump count overflows float64")
+    return int(math.floor(count))
 
 
 def cantor_bump_path(p: float, depth: int = 14) -> AnalyticPath:
@@ -250,6 +269,7 @@ def cantor_bump_path(p: float, depth: int = 14) -> AnalyticPath:
         raise InvalidParameterError(f"p must lie in (2, 3), got {p}")
     if (depth := _integer(depth, "depth")) < 1:
         raise InvalidParameterError("depth must be >= 1")
+    _refuse_ternary_underflow(depth, p)
     counts = np.array([bump_count(p, i) for i in range(depth + 1)], dtype=float)
 
     def fn(ts: np.ndarray) -> np.ndarray:
@@ -348,6 +368,12 @@ def takagi_path(
         raise InvalidParameterError(f"|alpha| must equal 1/b = {1.0 / b!r}, got {alpha!r}")
     if (depth := _integer(depth, "depth")) < 1:
         raise InvalidParameterError("depth must be >= 1")
+    # the last term scales t by b**(depth - 1); the digit bound spares a huge
+    # depth from forming that power
+    if (depth - 1) * (b.bit_length() - 1) >= 1024 or b ** (depth - 1) > sys.float_info.max:
+        raise InvalidParameterError(
+            f"depth {depth} at b={b} is too deep: b**{depth - 1} overflows float64"
+        )
     if wave not in ("triangle", "sinusoid"):
         raise InvalidParameterError(f"unknown wave {wave!r}")
 

@@ -9,6 +9,7 @@ partition sequences and check Cauchy behaviour.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -47,8 +48,8 @@ def pth_variation_partial(
     t: float | None = None,
 ) -> float:
     """p-th power increment sum; the phi-sum with phi(x) = x**p."""
-    if p <= 0.0:
-        raise InvalidParameterError(f"p must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise InvalidParameterError(f"p must be positive and finite, got {p}")
     return phi_variation_partial(path, partition, lambda a: a**p, t)
 
 
@@ -64,8 +65,8 @@ def variation_table(
     but uses one cumulative sum plus a boundary fragment per query, and
     rejects the same query times.
     """
-    if p <= 0.0:
-        raise InvalidParameterError(f"p must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise InvalidParameterError(f"p must be positive and finite, got {p}")
     ts = np.asarray(ts, dtype=float)
     check_stop_times(ts)
     grid, vals = partition_values(path, partition)

@@ -422,6 +422,39 @@ BAD_CONFIGS = {
         },
         "depth must be an integer, got 2.5",
     ),
+    # and depths past float64: 3.0 ** -679 is 0, 2 ** 1024 overflows
+    "cantor-distance-depth-underflows": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "cantor-distance", "p": 2.5, "depth": 10**6},
+            "grid": {"n": 4},
+        },
+        "depth 1000000 at p=2.5 is too deep: the level-1000000 interval length",
+    ),
+    "cantor-bump-depth-underflows": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "cantor-bump", "p": 2.5, "depth": 679},
+            "grid": {"n": 4},
+        },
+        "depth 679 at p=2.5 is too deep: the level-679 interval length 3**-679 underflows",
+    ),
+    "cantor-bump-count-overflows": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "cantor-bump", "p": 2.9, "depth": 600},
+            "grid": {"n": 4},
+        },
+        "level 540 at p=2.9: the bump count overflows float64",
+    ),
+    "takagi-depth-overflows": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "takagi", "b": 2, "alpha": 0.5, "depth": 1025},
+            "grid": {"n": 4},
+        },
+        "depth 1025 at b=2 is too deep: b**1024 overflows float64",
+    ),
     "cantor-crossing-too-deep": (
         {"command": "ito-check", "partition": {"kind": "cantor-crossing", "ns": [663]}, "p": 2.5},
         "stage 663 at p=2.5 is too deep",

@@ -1,6 +1,8 @@
 """Level-reduced Cantor stages and profiles against the materialized
 crossing grid, and the depth where float64 stops them."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import argsort_grid
@@ -65,6 +67,20 @@ def test_cantor_blocks_count_every_increment_of_the_grid(rounding):
         assert block_sum(blocks, lambda _, b_part: b_part.n_intervals) == part.n_intervals
         assert summed.n_increments == rep.n_increments
         assert summed.n_zero_increments == rep.n_zero_increments == 2**n
+
+
+def test_one_block_of_weight_one_gives_its_own_numbers():
+    # the weighted sum starts from its first term, so ito_check_blocks and
+    # block_sum over a single block of weight 1 return that block's values
+    # bit for bit, a signed zero included
+    fn = abs_power(P)
+    _, blocks = cantor_blocks(P, 3)
+    weight, path, part = blocks[0]
+    assert weight == 1
+    alone, summed = ito_check(fn, path, part, P), ito_check_blocks(fn, blocks[:1], P)
+    for name in ("value_change", "compensated", "kernel_sum"):
+        assert float(getattr(summed, name)).hex() == float(getattr(alone, name)).hex()
+    assert math.copysign(1.0, block_sum(blocks[:1], lambda *_: -0.0)) == -1.0
 
 
 def test_cantor_profile_83_ends_at_the_stage_total():

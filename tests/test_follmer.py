@@ -24,8 +24,6 @@ from fracpath.follmer import (
     PrefixFamily,
     TensorFunctionBundle,
     TimeFunctionBundle,
-    bump_atom_weights,
-    compensated_sum,
     ito_check,
     ito_check_functional,
     ito_check_multi,
@@ -68,16 +66,11 @@ def test_compensated_closed_form():
     assert cantor_compensated_formula(P, 4, 2) == pytest.approx(-0.23667478527522334, rel=1e-15)
 
 
-def test_compensated_sum_contracts(cantor8):
+def test_ito_check_refuses_too_few_derivatives(cantor8):
     path, part, _ = cantor8
-    fn = abs_power(P)
-    direct = compensated_sum(fn, path, part, 2)
-    rep = ito_check(fn, path, part, P)
-    assert direct == rep.compensated
-    with pytest.raises(InvalidParameterError):
-        compensated_sum(fn, path, part, 0)
-    with pytest.raises(InsufficientDerivativesError):
-        compensated_sum(SmoothFn(fn=np.sin), path, part, 1)
+    fn = SmoothFn(fn=np.sin, derivs=(np.cos,))
+    with pytest.raises(InsufficientDerivativesError, match="need 2 derivatives .* got 1"):
+        ito_check(fn, path, part, P)
 
 
 def test_ito_check_rejects_small_p(cantor8):
@@ -138,7 +131,6 @@ def test_negative_stop_time_rejected(hand_path):
     calls = (
         lambda: ito_check(fn, hand_path, part, P, t=-1.0),
         lambda: ito_check_time(moving_abs_power(P), hand_path, part, P, t=-1.0),
-        lambda: compensated_sum(fn, hand_path, part, 2, t=-1.0),
         lambda: quotient_measure(hand_path, part, P, t=-1.0),
         lambda: pth_variation_partial(hand_path, part, P, t=-1.0),
     )
@@ -154,7 +146,6 @@ def test_partition_past_path_horizon_rejected(hand_path):
     calls = (
         lambda: ito_check(fn, hand_path, part, P),
         lambda: ito_check_time(moving_abs_power(P), hand_path, part, P),
-        lambda: compensated_sum(fn, hand_path, part, 2),
         lambda: quotient_measure(hand_path, part, P),
         lambda: pth_variation_partial(hand_path, part, P),
         lambda: young_bound_check([hand_path], [P], [part]),
@@ -285,15 +276,47 @@ def test_quotient_measure_dyadic_scale_invariance(hand_path):
 
 def test_bump_atom_weights_closed_form():
     p = 2.25
-    table = bump_atom_weights(p, 7)
+    rep = bump_decomposition(p, 4)  # the limit atoms of rungs 0..7
     c = (2.0 ** (p - 1.0) - 1.0) / (2.0**p - 1.0)
     want = c * np.array([1.0] + [2.0 ** (-math.ceil(math.log2(k + 1)) * p) for k in range(1, 8)])
-    assert np.allclose(table.weights, want, rtol=1e-15)
-    # the full ladder carries unit mass; a long truncation gets close
-    big = bump_atom_weights(p, 4000)
-    assert 0.999 < big.mass <= 1.0 + 1e-12
+    assert np.allclose(rep.atom_weights_limit, want, rtol=1e-15)
+    # the full ladder carries unit mass; the 4096 rungs of stage 13 get close
+    big = bump_decomposition(p, 13)
+    assert 0.999 < 2.0 * float(np.sum(big.atom_weights_limit)) <= 1.0 + 1e-12
     with pytest.raises(InvalidParameterError):
-        bump_atom_weights(3.2, 5)
+        bump_decomposition(3.2, 5)
+
+
+def _limit_atoms_reference(p, n):
+    # rung k of the ladder: weight c 2^(-ceil(log2(k+1)) p), rung 0 at level 0
+    ks = np.arange(2 ** (n - 1))
+    levels = np.ceil(np.log2(ks + 1.0))
+    levels[0] = 0.0
+    c = (2.0 ** (p - 1.0) - 1.0) / (2.0**p - 1.0)
+    kf = ks.astype(float)
+    return 2.0 ** (-levels * p) * c, np.arctan2(ks + 1.0, kf), np.arctan2(kf, ks + 1.0)
+
+
+def test_bump_limit_atoms_are_the_closed_form_bit_for_bit():
+    p = 2.25
+    rep = bump_decomposition(p, 3)
+    frozen = {
+        "atom_weights_limit": ["0x1.77b6ff3121988p-2", "0x1.3befefefe0d7bp-4",
+                               "0x1.09aba638b5ed4p-6", "0x1.09aba638b5ed4p-6"],
+        "up_angles": ["0x1.921fb54442d18p+0", "0x1.1b6e192ebbe44p+0",
+                      "0x1.f730bd281f69bp-1", "0x1.dac670561bb4fp-1"],
+        "down_angles": ["0x0.0p+0", "0x1.dac670561bb4fp-2",
+                        "0x1.2d0ead6066395p-1", "0x1.4978fa3269ee1p-1"],
+    }
+    for name, hexes in frozen.items():
+        assert [float(v).hex() for v in getattr(rep, name)] == hexes
+    # every stage's atoms are the closed form, and the first rungs of stage 14
+    top = bump_decomposition(p, 14)
+    for n in range(1, 15):
+        rep = bump_decomposition(p, n)
+        for name, want in zip(frozen, _limit_atoms_reference(p, n)):
+            got, deepest = getattr(rep, name), getattr(top, name)[: want.size]
+            assert got.tobytes() == want.tobytes() == deepest.tobytes()
 
 
 def test_bump_decomposition_stage_numbers():
@@ -318,14 +341,11 @@ def test_bump_decomposition_carries_its_limit_table():
     # rung pairs (k + 1, k) and (k, k + 1)
     p, n = 2.25, 6
     rep = bump_decomposition(p, n)
-    table = bump_atom_weights(p, 2 ** (n - 1) - 1)
     ks = np.arange(2 ** (n - 1), dtype=float)
-    assert np.array_equal(rep.limit.ks, table.ks)
-    assert np.array_equal(rep.atom_weights_limit, table.weights)
-    assert np.array_equal(rep.limit.up_angles, np.arctan2(ks + 1.0, ks))
-    assert np.array_equal(rep.limit.down_angles, np.arctan2(ks, ks + 1.0))
-    g = kernel_profile(abs_power(p), p, rep.limit.up_angles) + kernel_profile(
-        abs_power(p), p, rep.limit.down_angles
+    assert np.array_equal(rep.up_angles, np.arctan2(ks + 1.0, ks))
+    assert np.array_equal(rep.down_angles, np.arctan2(ks, ks + 1.0))
+    g = kernel_profile(abs_power(p), p, rep.up_angles) + kernel_profile(
+        abs_power(p), p, rep.down_angles
     )
     assert rep.kernel_from_atoms == float(np.sum(g * rep.atom_weights))
 
@@ -355,8 +375,8 @@ def test_bump_limit_reference_level():
 def test_remainder_integral_matches_limit_kernel():
     p = 2.25
     rep = bump_decomposition(p, 8)
-    table = bump_atom_weights(p, 2**7 - 1)
-    angles, weights = table.flat()
+    angles = np.concatenate([rep.up_angles, rep.down_angles])
+    weights = np.concatenate([rep.atom_weights_limit, rep.atom_weights_limit])
     got = float(np.sum(kernel_profile(abs_power(p), p, angles) * weights))
     assert got == pytest.approx(rep.kernel_from_limit, rel=1e-12)
 

@@ -12,6 +12,7 @@ import fracpath.paths as paths_module
 from fracpath.errors import InvalidParameterError, SamplingInfeasibleError
 from fracpath.paths import (
     AnalyticPath,
+    TERNARY_UNDERFLOW,
     GaussianPathSpec,
     SampledPath,
     _circulant_sqrt_spectrum,
@@ -101,6 +102,22 @@ def test_cantor_bump_path_envelope():
     assert bump_count(p, 1) >= 1
     # counts grow with the level: more room for smaller bumps
     assert bump_count(p, 6) >= bump_count(p, 3)
+
+
+def test_analytic_depths_end_where_float64_ends():
+    # 3.0 ** -679 is 0 and 2.0 ** 1024 overflows: one level less still builds
+    ts = np.linspace(0.0, 1.0, 9)
+    for build, deepest in (
+        (lambda d: cantor_distance_path(2.5, d), TERNARY_UNDERFLOW - 1),
+        (lambda d: cantor_bump_path(2.5, d), TERNARY_UNDERFLOW - 1),
+        (lambda d: takagi_path(2, 0.5, depth=d), 1024),
+    ):
+        assert np.all(np.isfinite(build(deepest)(ts)))
+        with pytest.raises(InvalidParameterError, match=f"depth {deepest + 1} at .* is too deep"):
+            build(deepest + 1)
+    # past p = 2.51 the bump count overflows first, named by its level
+    with pytest.raises(InvalidParameterError, match="level 540 at p=2.9: the bump count overflows"):
+        cantor_bump_path(2.9, 600)
 
 
 def test_cantor_bump_knots_refuses_oversized_depths():

@@ -1,7 +1,7 @@
 """Property-based invariants on random piecewise-linear paths and partitions:
 exact knot lookup, the finite-stage identity at rounding level (scalar,
-time-dependent, multi-component and path functional), one compensated sum
-behind every check, the remainder kernel's two forms, the gauge inverse, the
+time-dependent, multi-component and path functional), the compensated sum
+against a plain numpy sum, the remainder kernel's two forms, the gauge inverse, the
 variation profile (and the query times it rejects), the level-reduced Cantor
 profile against the materialized grid, the Young bound as an equality for
 one component, the quotient-measure mass as the p-th variation, the
@@ -28,7 +28,6 @@ from fracpath.follmer import (
     FunctionalBundle,
     PrefixFamily,
     TensorFunctionBundle,
-    compensated_sum,
     ito_check,
     ito_check_functional,
     ito_check_multi,
@@ -168,8 +167,14 @@ def test_ito_check_compensated_is_compensated_sum(case, p, t):
     fn = abs_power(p, k=0.25)
     m = int(math.floor(p))
     got = ito_check(fn, path, part, p, t=t).compensated
-    want = compensated_sum(fn, path, part, m, t=t)
-    assert bits(got) == bits(want)
+    # sum_j sum_i f^(j)(S_i) dS_i^j / j!, one plain numpy sum per order
+    _, vals = partition_values(path, part, t)
+    inc = np.diff(vals)
+    want = sum(
+        float(np.sum(d(vals[:-1]) * inc**j)) / math.factorial(j)
+        for j, d in enumerate(fn.derivs[:m], start=1)
+    )
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @st.composite
