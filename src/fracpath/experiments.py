@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real
 from .follmer import (
     ItoReport,
     ito_check,
@@ -27,7 +27,7 @@ from .partitions import (
     cantor_blocks,
     check_stop_times,
 )
-from .paths import GaussianPathSpec, bump_count, fbm_path
+from .paths import TERNARY_UNDERFLOW, GaussianPathSpec, bump_count, fbm_path
 from .registry import abs_power
 from .smooth import SmoothFn
 from .variation import cantor_function, pth_variation_partial, variation_table
@@ -79,7 +79,9 @@ def cantor_compensated_formula(p: float, n: int, k_n: int) -> float:
         -n p / (2 k_n)
         + (n p (p-1) / 4) (2 sum_{k<=k_n} k^(p-2) - k_n^(p-2)) / k_n^p.
     """
-    ks = np.arange(1, k_n + 1, dtype=float)
+    real("p", p, lo=1, hi=4)  # the p of cantor_stage
+    real("n", n, lo=1, hi=TERNARY_UNDERFLOW - 1, open=False, integer=True)
+    ks = np.arange(1, real("k_n", k_n, lo=1, hi=MAX_KNOTS, open=False, integer=True) + 1.0)
     ladder = 2.0 * float(np.sum(ks ** (p - 2.0))) - float(k_n) ** (p - 2.0)
     first = -n * p / (2.0 * k_n)
     second = n * p * (p - 1.0) / 4.0 * ladder / float(k_n) ** p
@@ -91,6 +93,7 @@ def cantor_stage(p: float, n: int, rounding: str = "floor") -> CantorStage:
     summed over the level blocks of ``cantor_blocks``: only the order of
     summation differs from sums over the materialized grid, and cost and
     memory grow with n * k_n instead of 2**n * k_n."""
+    real("p", p, lo=1, hi=4)  # abs_power supplies three derivatives
     k_n, blocks = cantor_blocks(p, n, rounding)
     report = ito_check_blocks(abs_power(p), blocks, p)
     total = block_sum(blocks, lambda path, part: pth_variation_partial(path, part, p))
@@ -111,7 +114,7 @@ def cantor_stage(p: float, n: int, rounding: str = "floor") -> CantorStage:
 
 
 def cantor_sweep(p: float, ns, rounding: str = "floor") -> list[CantorStage]:
-    return [cantor_stage(p, int(n), rounding) for n in ns]
+    return [cantor_stage(p, n, rounding) for n in ns]
 
 
 def cantor_profile(p: float, n: int, ts, rounding: str = "floor") -> np.ndarray:
@@ -191,13 +194,10 @@ def bump_decomposition(p: float, n: int) -> BumpReport:
     partition (the full grid at depth 14 has billions of points; the
     decomposition needs about 2^n arithmetic terms). Its 2**(n-1) atom
     weights are refused past ``MAX_KNOTS``, before anything is built."""
-    if not 2.0 < p < 3.0:
-        raise InvalidParameterError(f"p must lie in (2, 3), got {p}")
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    if n - 1 > MAX_KNOTS.bit_length() - 1:
+    real("p", p, lo=2, hi=3)
+    if (n := real("n", n, lo=1, open=False, integer=True)) - 1 > MAX_KNOTS.bit_length() - 1:
         raise InvalidParameterError(
-            f"stage {n}: 2**{n - 1} atom weights exceed the limit of {MAX_KNOTS}"
+            f"stage {n}: 2**(n - 1) = 2**{n - 1} atom weights exceed the limit of {MAX_KNOTS}"
         )
     delta = 2.0**-n
     counts = np.array([0] + [bump_count(p, i) for i in range(1, n + 1)], dtype=float)
@@ -254,6 +254,7 @@ def bump_limit_value(p: float) -> float:
     """Closed reference level p 2^-p (2^(p-1) - 1) (2(p-1)/3 - 1) for the
     limiting compensated sum of the bump path with f(x) = |x|^p; negative
     throughout 2 < p < (3 + ...), which is the point of the construction."""
+    real("p", p, lo=2, hi=3)
     return p * 2.0**-p * (2.0 ** (p - 1.0) - 1.0) * (2.0 * (p - 1.0) / 3.0 - 1.0)
 
 
@@ -264,8 +265,7 @@ def bump_limit_value(p: float) -> float:
 
 def gaussian_abs_moment(q: float) -> float:
     """E|Z|^q for standard normal Z: 2^(q/2) Gamma((q+1)/2) / sqrt(pi)."""
-    if q <= -1.0:
-        raise InvalidParameterError("moment order must exceed -1")
+    real("q", q, lo=-1, hi=301)  # E|Z|^q passes float64 at q = 301.16
     return 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
@@ -292,14 +292,14 @@ def fbm_variation_experiment(
 ) -> FbmVariationReport:
     """Full-grid (1/H)-th power sums across seeds against the exact mean
     horizon * E|Z|^(1/H), which holds at every resolution by self-similarity."""
-    p = 1.0 / hurst
+    p = real("1 / hurst", 1.0 / real("hurst", hurst, lo=0, hi=1))
     sums = []
     seeds = tuple(int(s) for s in seeds)
     for seed in seeds:
         path = fbm_path(GaussianPathSpec(hurst=hurst, n=n, horizon=horizon, seed=seed))
         part = Partition(path.times)
         sums.append(pth_variation_partial(path, part, p))
-    expected = horizon * gaussian_abs_moment(p)
+    expected = real("horizon * E|Z|^p", horizon * gaussian_abs_moment(p))
     return FbmVariationReport(
         hurst=hurst,
         n=n,
@@ -331,10 +331,10 @@ def fbm_ito_experiment(
     """Compensated-sum residuals for f along one fBm sample, evaluated on a
     nested ladder of dyadic partitions (the path is sampled once at the
     finest level)."""
-    j_levels = sorted(int(j) for j in j_levels)
+    j_levels = sorted(real("j_levels", j, integer=True) for j in j_levels)
     if p is None:
-        p = 1.0 / hurst
-    n_fine = 2 ** j_levels[-1]
+        p = real("1 / hurst", 1.0 / real("hurst", hurst, lo=0, hi=1))
+    n_fine = badic(horizon, j_levels[-1]).n_intervals
     path = fbm_path(GaussianPathSpec(hurst=hurst, n=n_fine, horizon=horizon, seed=seed))
     residuals = []
     reports = []

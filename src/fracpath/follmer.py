@@ -31,6 +31,7 @@ from .errors import (
     InvalidBundleError,
     InvalidParameterError,
     KernelSingularError,
+    real,
 )
 from .partitions import Partition, osc, partition_values, weighted_total
 from .paths import SampledPath
@@ -63,16 +64,12 @@ __all__ = [
 def taylor_order(p: float) -> int:
     """Taylor order m = floor(p) of the order-p identity; p must be finite
     and exceed 1."""
-    if not p > 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
-    if p == math.inf:
-        raise InvalidParameterError(f"p must be finite, got {p}")
-    return int(math.floor(p))
+    return int(math.floor(real("p", p, lo=1)))
 
 
 def _require_derivs(count: int, m: int, noun: str = "derivatives") -> None:
     if count < m:
-        raise InsufficientDerivativesError(f"need {m} {noun} for Taylor order {m}, got {count}")
+        raise InsufficientDerivativesError(f"need {m} {noun} for order floor(p) = {m}, got {count}")
 
 
 # --------------------------------------------------------------------------- #
@@ -134,7 +131,7 @@ def taylor_remainder(
     """f(right) - sum_{k=0..m} f^(k)(left) (right-left)^k / k!, vectorized;
     the Taylor-difference form of |right - left|^p G(left, right). A caller
     that has f(right) - f(left) already passes it as ``gap`` (overwritten)."""
-    _require_derivs(len(fn.derivs), m)
+    _require_derivs(len(fn.derivs), real("m", m, lo=0, open=False, integer=True))
     if gap is None:
         gap = fn.fn(right) - fn.fn(left)
     return _taylor_terms(_power_terms(fn.derivs[:m], right - left, left), gap)[1]
@@ -170,6 +167,7 @@ def remainder_kernel(fn: SmoothFn, p: float, a, b, method: str = "integral"):
     _require_derivs(len(fn.derivs), m)
     if method not in ("integral", "taylor"):
         raise InvalidParameterError(f"unknown method {method!r}")
+    a, b = (real(name, v) if np.isscalar(v) else v for name, v in (("a", a), ("b", b)))
     shape = np.broadcast(a, b).shape
     xs, ys = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))
     diagonal = xs == ys
@@ -429,8 +427,7 @@ def quotient_measure(
     Because the angle is atan2 of the raw value pair, rescaling the path by
     a power of two leaves every angle bitwise unchanged.
     """
-    if not 0.0 < p < math.inf:
-        raise InvalidParameterError(f"p must be positive and finite, got {p}")
+    real("p", p, lo=0)
     times, vals = partition_values(path, partition, t)
     left, right = vals[:-1], vals[1:]
     inc = right - left
@@ -549,15 +546,17 @@ def ito_check_functional(
     """
     m = taylor_order(p)
     if m > 2:
-        raise InvalidBundleError("functional checks support m in {1, 2}")
-    fam = PrefixFamily(path, partition)
-    n = fam.times.size - 1
+        raise InvalidBundleError(f"functional checks support m = floor(p) in {{1, 2}}, got p={p!r}")
     if fd_step is None:
         fd_step = 0.5 * osc(path, partition)
         if fd_step**m == 0.0:  # nothing to difference over, or too little to square
             fd_step = 1e-6
-    elif not 0.0 < fd_step < math.inf or fd_step**m == 0.0:
+    # the order-m difference divides by fd_step**m, which must be a positive float
+    elif not 0.0 < fd_step < math.inf or not 0.0 < math.prod((fd_step,) * m) < math.inf:
         raise InvalidParameterError(f"fd_step {fd_step!r} is no usable step for order {m}")
+    real("fd_step", fd_step)
+    fam = PrefixFamily(path, partition)
+    n = fam.times.size - 1
     F = bundle.evaluate
     f_knots = np.array([F(fam.prefix(i)) for i in range(n + 1)])
     extended = [fam.prefix(i, 0.0, float(fam.times[i + 1])) for i in range(n)]
@@ -605,11 +604,13 @@ def young_bound_check(
     {-1,+1}^d modulo a global flip (so d=1 is an exact equality). Each side
     is a finite sum, so the report is pure arithmetic per level.
     """
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(alphas)
     if not alphas or len(alphas) != len(paths):
         raise InvalidParameterError("need one exponent per path component")
-    if not all(0.0 < a < math.inf for a in alphas):
-        raise InvalidParameterError(f"alphas must be positive and finite, got {alphas}")
+    try:
+        alphas = tuple(float(real("alphas", a, lo=0)) for a in alphas)
+    except InvalidParameterError:
+        raise InvalidParameterError(f"alphas must be positive and finite, got {alphas}") from None
     p = float(sum(alphas))
     d = len(paths)
     # fix the first sign to +1: a pattern and its negation give the same term

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ._quad import integrate_kinked
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, QuadratureError, real
 from .smooth import SmoothFn, ratio_limit
 
 __all__ = [
@@ -43,8 +43,7 @@ class FracOrder:
     p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < math.inf:
-            raise InvalidParameterError(f"order must be positive and finite, got {self.p}")
+        real("order", self.p, lo=0)
         if abs(self.p - round(self.p)) < 1e-12:
             raise InvalidParameterError(f"order must be non-integer, got {self.p}")
 
@@ -61,6 +60,15 @@ def _as_smooth(fn) -> SmoothFn:
     return fn if isinstance(fn, SmoothFn) else SmoothFn(fn=fn)
 
 
+@np.errstate(over="ignore")  # an overflow is a non-finite panel sum
+def _integrate(g, hi: float, kinks, rtol: float, where: str) -> float:
+    """``integrate_kinked`` of g on [0, hi], a failure naming ``where``."""
+    try:
+        return float(integrate_kinked(g, 0.0, hi, kinks, rtol))
+    except QuadratureError as exc:
+        raise QuadratureError(f"{where}: {exc}") from None
+
+
 # --------------------------------------------------------------------------- #
 # Riemann-Liouville integral
 # --------------------------------------------------------------------------- #
@@ -75,10 +83,10 @@ def rl_integral(fn, alpha: float, a: float, x: float, rtol: float = 1e-9) -> flo
     u = (x - t)**alpha, after which Gauss-Legendre panels apply; declared
     kinks of f left of x keep their exponent at their image in u.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    real("alpha", alpha, lo=0, hi=1)
     if not -math.inf < a <= x < math.inf:
         raise InvalidParameterError(f"need finite a <= x, got a={a!r}, x={x!r}")
+    real("a", a), real("x", x), real("rtol", rtol, lo=0)
     if x == a:
         return 0.0
     sm = _as_smooth(fn)
@@ -89,7 +97,8 @@ def rl_integral(fn, alpha: float, a: float, x: float, rtol: float = 1e-9) -> flo
         return f(x - np.maximum(u, 0.0) ** inv_alpha)
 
     kinks = [((x - k) ** alpha, q) for k, q in sm.kinks if k < x]
-    return float(integrate_kinked(g, 0.0, (x - a) ** alpha, kinks, rtol)) / math.gamma(alpha + 1.0)
+    where = f"order-{alpha} integral on [a, x] = [{a!r}, {x!r}]"
+    return _integrate(g, (x - a) ** alpha, kinks, rtol, where) / math.gamma(alpha + 1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -114,6 +123,7 @@ def caputo(fn, order: FracOrder, a: float, x: float, rtol: float = 1e-9) -> floa
     """
     if not -math.inf < a <= x < math.inf:
         raise InvalidParameterError(f"need finite a <= x, got a={a!r}, x={x!r}")
+    real("a", a), real("x", x), real("rtol", rtol, lo=0)
     if x == a:
         return 0.0
     fm = _as_smooth(fn).derivative(order.m)
@@ -134,9 +144,8 @@ def caputo(fn, order: FracOrder, a: float, x: float, rtol: float = 1e-9) -> floa
 def power_rule(q: float, order: FracOrder, k: float, x: float) -> float:
     """Reference value Gamma(q+1)/Gamma(q+1-p) * (x-k)**(q-p) for the Caputo
     derivative (base point k) of (t - k)**q, valid for q > m."""
-    if q <= order.m:
-        raise InvalidParameterError(f"power rule needs q > m = {order.m}, got q = {q}")
-    if x <= k:
+    real("q", q, lo=order.m)
+    if real("x", x) <= real("k", k):
         raise InvalidParameterError("need x > k")
     try:
         return math.gamma(q + 1.0) / math.gamma(q + 1.0 - order.p) * (x - k) ** (q - order.p)
@@ -167,16 +176,16 @@ def caputo_power(
 
     Requires q > m and a <= k < x.
     """
-    if q <= order.m:
-        raise InvalidParameterError(f"need q > m = {order.m}, got q = {q}")
-    if not a <= k < x:
+    if not real("a", a) <= real("k", k) < real("x", x):
         raise InvalidParameterError("need a <= k < x")
     if kind not in ("plus", "abs"):
         raise InvalidParameterError(f"unknown kind {kind!r}")
+    real("rtol", rtol, lo=0)
     plus_part = power_rule(q, order, k, x)
     if kind == "plus" or a == k:
         return plus_part
     m, alpha = order.m, order.alpha
+    real("q - m - 1", q - m - 1.0, lo=-1)  # the kink exponent, above -1 in float64
     coeff = math.gamma(q + 1.0) / math.gamma(q - m)
     sgn = (-1.0) ** (m + 1)
 
@@ -184,7 +193,7 @@ def caputo_power(
     def g(s, _):
         return (x - k + s) ** (-alpha) * s ** (q - m - 1.0)
 
-    left_integral = float(integrate_kinked(g, 0.0, k - a, [(0.0, q - m - 1.0)], rtol))
+    left_integral = _integrate(g, k - a, [(0.0, q - m - 1.0)], rtol, f"[a, k] = [{a!r}, {k!r}]")
     left_part = sgn * coeff / math.gamma(1.0 - alpha) * left_integral
     return plus_part + left_part
 
@@ -209,10 +218,8 @@ def local_frac_derivative(fn: Callable, alpha: float, at: float, side: int = 1) 
     order below alpha vanish at the point (e.g. |x|**alpha at 0); anywhere
     else the ratios diverge and NoLimitError reports that honestly.
     """
-    if not 0.0 < alpha < math.inf or alpha == math.floor(alpha):
-        raise InvalidParameterError(
-            f"alpha must be positive, finite and non-integer, got {alpha}"
-        )
+    real("alpha", alpha, lo=0, integer=False)
+    real("at", at)
     if side not in (1, -1):
         raise InvalidParameterError("side must be +1 or -1")
     f0 = float(fn(np.asarray(at, dtype=float)))
@@ -247,6 +254,7 @@ def frac_taylor_check(fn, order: FracOrder, a: float) -> FracTaylorReport:
     """
     from .follmer import taylor_remainder
 
+    real("a", a)
     sm = _as_smooth(fn)
     p, hs = order.p, _LADDER
     xs = a + hs

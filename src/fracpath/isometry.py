@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError, InvalidParameterError, InvalidPhiError
+from .errors import AdmissibilityError, InvalidParameterError, InvalidPhiError, real
 from .partitions import Partition, badic, partition_values
 from .paths import SampledPath
 from .smooth import SmoothFn, ratio_limit
@@ -58,10 +58,8 @@ class PhiSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("power", "log-modulated", "custom"):
             raise InvalidPhiError(f"unknown gauge kind {self.kind!r}")
-        if not (math.isfinite(self.p_phi) and self.p_phi > 0.0):
-            raise InvalidPhiError(f"p_phi must be positive and finite, got {self.p_phi}")
-        if not math.isfinite(self.log_power):
-            raise InvalidPhiError(f"log_power must be finite, got {self.log_power}")
+        real("p_phi", self.p_phi, lo=0, error=InvalidPhiError)
+        real("log_power", self.log_power, error=InvalidPhiError)
         if self.kind == "log-modulated" and self.log_power <= 0.0:
             raise InvalidPhiError("log-modulated gauges need log_power > 0")
         if self.kind == "custom" and not callable(self.custom_fn):
@@ -81,7 +79,7 @@ class PhiSpec:
             raise InvalidPhiError("gauges act on magnitudes; negative input")
         if np.any(x >= self.domain_hi):
             raise InvalidPhiError(
-                f"input exceeds the gauge domain cap {self.domain_hi!r}; rescale first"
+                f"input exceeds the cap exp(-log_power / p_phi) = {self.domain_hi!r}; rescale first"
             )
         return self._formula(x)
 
@@ -128,9 +126,7 @@ def phi_hat_numeric(spec: PhiSpec, a: float) -> float:
     """Numeric conjugate weight at one point, by the dyadic ratio ladder
     phi(a * 2^-j) / phi(2^-j), j = 8..26, with the stabilize/decay/no-limit
     rules of ``smooth.ratio_limit``."""
-    if a < 0.0:
-        raise InvalidPhiError("conjugate weights act on magnitudes")
-    if a == 0.0:
+    if real("a", a, lo=0, open=False, error=InvalidPhiError) == 0.0:
         return 0.0
     bs = 2.0 ** -np.arange(8, 27, dtype=float)
     # keep both arguments inside the gauge domain
@@ -139,16 +135,16 @@ def phi_hat_numeric(spec: PhiSpec, a: float) -> float:
     bs = bs[usable]
     if bs.size < 5:
         raise InvalidPhiError("not enough usable ladder points inside the gauge domain")
-    ratios = spec(a * bs) / spec(bs)
-    return ratio_limit(ratios, f"conjugate weight ratio does not settle at a = {a!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a ratio past float64 settles nowhere
+        ratios = spec(a * bs) / spec(bs)
+        return ratio_limit(ratios, f"conjugate weight ratio does not settle at a = {a!r}")
 
 
 def admissibility_threshold(p_phi: float) -> float:
     """Smallest Holder exponent of the driving path for which the transform
     isometry is meaningful: (sqrt(1 + 4/p_phi) - 1) / 2."""
-    if not 0.0 < p_phi < math.inf:
-        raise InvalidParameterError(f"p_phi must be positive and finite, got {p_phi!r}")
-    return (math.sqrt(1.0 + 4.0 / p_phi) - 1.0) / 2.0
+    real("p_phi", p_phi, lo=0)
+    return 2.0 / (p_phi + math.sqrt(p_phi) * math.sqrt(p_phi + 4.0))  # 4 / p_phi may overflow
 
 
 @dataclass(frozen=True)
@@ -179,9 +175,9 @@ def isometry_check(
     """
     df = fn.derivative(1).fn
     gate = admissibility_threshold(spec.p_phi)
-    if holder_alpha <= gate:
+    if real("holder_alpha", holder_alpha) <= gate:
         raise AdmissibilityError(
-            f"holder exponent {holder_alpha:.4f} does not exceed the gate {gate:.4f} "
+            f"holder_alpha {holder_alpha:.4f} does not exceed the gate {gate:.4f} "
             f"for p_phi = {spec.p_phi}"
         )
     hat = phi_hat(spec)
@@ -213,6 +209,7 @@ def isometry_check(
 # --------------------------------------------------------------------------- #
 
 
+@np.errstate(over="ignore")  # a gauge value past float64 reads inf, above any finite y
 def phi_inverse(spec: PhiSpec, y: float) -> float:
     """Inverse of the gauge on its increasing branch; raises when y exceeds
     the gauge's reachable range. Grid bisection: 65 gauge values shrink the
@@ -220,9 +217,7 @@ def phi_inverse(spec: PhiSpec, y: float) -> float:
     rtol; an absolute floor would leave phi(x) off y by ~1e-8 at p_phi < 1).
     Returns the bracket's upper end: phi(x) >= y, and x is nondecreasing in
     y up to that width."""
-    if not 0.0 <= y < math.inf:
-        raise InvalidPhiError(f"gauge value y must be finite and nonnegative, got {y!r}")
-    if y == 0.0:
+    if real("gauge value y", y, lo=0, open=False, error=InvalidPhiError) == 0.0:
         return 0.0
     cap = spec.domain_hi
     if math.isfinite(cap):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real
 from .paths import LN2_OVER_LN3, MAX_KNOTS, TERNARY_UNDERFLOW, SampledPath
 
 __all__ = [
@@ -65,20 +65,16 @@ class Partition:
 
 
 def badic(horizon: float, n: int, base: int = 2) -> Partition:
-    """Uniform b-adic partition of [0, horizon] with base**n intervals.
-    More than ``MAX_KNOTS`` knots are refused before base**n is computed."""
-    if base < 2 or int(base) != base:
-        raise InvalidParameterError(f"base must be an integer >= 2, got {base}")
-    if n < 0:
-        raise InvalidParameterError("n must be >= 0")
-    if not 0.0 < horizon < math.inf:
-        raise InvalidParameterError(f"horizon must be positive and finite, got {horizon!r}")
-    base = int(base)
+    """Uniform b-adic partition of [0, horizon] with base**n intervals; more than
+    ``MAX_KNOTS`` knots are refused before base**n is formed, and so are subnormal steps."""
+    base = real("base", base, lo=2, open=False, integer=True)
+    n = real("n", n, lo=0, open=False, integer=True)
     # base**n >= 2**(n * floor(log2 base)): a digit bound that needs no base**n
     if n * (base.bit_length() - 1) >= MAX_KNOTS.bit_length() - 1 or base**n + 1 > MAX_KNOTS:
         raise InvalidParameterError(
-            f"{base}**{n} intervals exceed the limit of {MAX_KNOTS} knots"
+            f"base**n = {base}**{n} intervals exceed the limit of {MAX_KNOTS} knots"
         )
+    real("horizon / base**n", real("horizon", horizon, lo=0) / base**n, lo=np.finfo(float).tiny)
     return Partition(np.linspace(0.0, horizon, base**n + 1))
 
 
@@ -107,8 +103,7 @@ def value_grid_partition(
     endpoints count once. More than 2**25 crossings are refused before any
     is built.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise InvalidParameterError("delta must be positive and finite")
+    real("delta", delta, lo=0)
     if mode not in ("increment", "grid"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     t, v0, v1 = path.times, path.values[:-1], path.values[1:]
@@ -159,14 +154,12 @@ def _cantor_pattern(p: float, n: int, rounding: str) -> tuple[int, np.ndarray, n
     knots, and when the level-n block's crossing times
     ``3**-n * frac_all`` are not distinct float64 numbers (they underflow).
     """
-    if p <= 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    real("p", p, lo=1)
+    n = real("n", n, lo=1, open=False, integer=True)
     if rounding not in ("floor", "nearest"):
         raise InvalidParameterError(f"unknown rounding {rounding!r}")
     too_deep = InvalidParameterError(
-        f"stage {n} at p={p} is too deep: the level-{n} crossing times 3**-{n} * s"
+        f"stage {n} at p={p} is too deep: the level-{n} crossing times 3**-n * s"
         " underflow float64"
     )
     # cheap refusals first, so that a huge n or a p near 1 never reaches the power
@@ -253,14 +246,10 @@ def _require_within(path: SampledPath, partition: Partition) -> None:
 
 
 def check_stop_times(ts) -> None:
-    """Reject a stop time (or any of an array of them) that is negative or
-    not finite; NaN would pass a plain ``t < 0`` test."""
-    ts = np.asarray(ts, dtype=float)
-    bad = ~(np.isfinite(ts) & (ts >= 0.0))
-    if bad.any():
-        raise InvalidParameterError(
-            f"stop time t must be finite and nonnegative, got {float(ts[bad].flat[0])!r}"
-        )
+    """Reject an array of stop times unless all are finite and nonnegative:
+    NaN propagates through the min and the max, so those two stand for all."""
+    for t in (np.min(ts, initial=0.0), np.max(ts, initial=0.0)):
+        real("stop time t", float(t), lo=0, open=False)
 
 
 def partition_values(
@@ -276,8 +265,7 @@ def partition_values(
     _require_within(path, partition)
     times = partition.times
     if t is not None:
-        check_stop_times(t)
-        times = np.minimum(times, t)
+        times = np.minimum(times, real("stop time t", t, lo=0, open=False))
     elif times is path.times or (times.size == path.times.size and np.array_equal(times, path.times)):
         vals = path.values.view()
         vals.flags.writeable = False

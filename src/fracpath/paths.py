@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import InvalidParameterError, SamplingInfeasibleError
+from .errors import InvalidParameterError, SamplingInfeasibleError, real
 
 __all__ = [
     "AnalyticPath",
@@ -114,7 +113,7 @@ class GaussianPathSpec:
     """Parameters of a fractional Brownian motion sample.
 
     ``n`` is the number of increments, any integer from 2 up to
-    ``MAX_KNOTS - 1``; ``horizon`` must be positive and finite.
+    ``MAX_KNOTS - 1``; ``horizon`` must be positive, with normal float64 steps ``horizon / n``.
     """
 
     hurst: float
@@ -123,28 +122,14 @@ class GaussianPathSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hurst < 1.0:
-            raise InvalidParameterError(f"hurst must lie in (0, 1), got {self.hurst}")
-        n, seed = _integer(self.n, "n"), _integer(self.seed, "seed")
-        if n < 2:
-            raise InvalidParameterError("need at least 2 increments")
+        real("hurst", self.hurst, lo=0, hi=1)
+        n = real("n", self.n, lo=2, open=False, integer=True)
         if n + 1 > MAX_KNOTS:
             raise InvalidParameterError(f"n={n} increments exceed the limit of {MAX_KNOTS} knots")
-        if not 0.0 < self.horizon < math.inf:
-            raise InvalidParameterError(f"horizon must be positive and finite, got {self.horizon}")
-        if not 0 <= seed < 2**64:
-            raise InvalidParameterError("seed must be a 64-bit unsigned integer")
+        real("horizon / n", real("horizon", self.horizon, lo=0) / n, lo=sys.float_info.min)
+        seed = real("seed", self.seed, lo=0, hi=2**64 - 1, open=False, integer=True)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", seed)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a boolean or a non-integral number is refused."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 # --------------------------------------------------------------------------- #
@@ -154,10 +139,8 @@ def _integer(value, name: str) -> int:
 
 def cantor_gap_lefts(level: int) -> np.ndarray:
     """Left endpoints (sorted) of the 2**(level-1) intervals removed at
-    ``level`` in the middle-third Cantor construction on [0, 1]."""
-    if level < 1:
-        raise InvalidParameterError("level must be >= 1")
-    d = level - 1
+    ``level`` in the middle-third Cantor construction on [0, 1], refused past ``MAX_KNOTS``."""
+    d = real("level", level, lo=1, hi=MAX_KNOTS.bit_length(), open=False, integer=True) - 1
     idx = np.arange(1 << d, dtype=np.uint64)
     lefts = np.zeros(1 << d)
     for j in range(d):
@@ -228,10 +211,8 @@ def cantor_distance_path(p: float, depth: int = 30) -> AnalyticPath:
         Construction depth; points closer to the Cantor set than ``3**-depth``
         evaluate to 0.
     """
-    if p <= 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
-    if (depth := _integer(depth, "depth")) < 1:
-        raise InvalidParameterError("depth must be >= 1")
+    real("p", p, lo=1)
+    depth = real("depth", depth, lo=1, open=False, integer=True)
     _refuse_ternary_underflow(depth, p)
     q = LN2_OVER_LN3 / p
 
@@ -247,7 +228,8 @@ def bump_count(p: float, level: int) -> int:
     """Number of equal sub-intervals (one triangular bump each) that the
     bump path places in every interval removed at ``level``; a count past
     float64 is refused."""
-    scale = (level - 1) * (p - 1.0)
+    real("p", p, lo=2, hi=3)
+    scale = (real("level", level, lo=0, open=False, integer=True) - 1) * (p - 1.0)
     count = 2.0**scale * (2.0 ** (p - 1.0) - 1.0) if scale < 1024.0 else math.inf
     if count == math.inf:
         raise InvalidParameterError(f"level {level} at p={p}: the bump count overflows float64")
@@ -265,10 +247,8 @@ def cantor_bump_path(p: float, depth: int = 14) -> AnalyticPath:
     Requires ``2 < p < 3`` (this keeps the bump counts nonzero and the total
     p-th power mass of each level summable to a finite nonzero limit).
     """
-    if not 2.0 < p < 3.0:
-        raise InvalidParameterError(f"p must lie in (2, 3), got {p}")
-    if (depth := _integer(depth, "depth")) < 1:
-        raise InvalidParameterError("depth must be >= 1")
+    real("p", p, lo=2, hi=3)
+    depth = real("depth", depth, lo=1, open=False, integer=True)
     _refuse_ternary_underflow(depth, p)
     counts = np.array([bump_count(p, i) for i in range(depth + 1)], dtype=float)
 
@@ -299,10 +279,8 @@ def cantor_bump_knots(p: float, depth: int) -> SampledPath:
     each, so the count grows like ``2**(p * depth)``; more than
     ``MAX_KNOTS`` (depth 11 at p = 2.5) are refused before any is built.
     """
-    if not 2.0 < p < 3.0:
-        raise InvalidParameterError(f"p must lie in (2, 3), got {p}")
-    if (depth := _integer(depth, "depth")) < 1:
-        raise InvalidParameterError("depth must be >= 1")
+    real("p", p, lo=2, hi=3)
+    depth = real("depth", depth, lo=1, open=False, integer=True)
     # every level adds at least 2**(i-1) knots, 2**depth + 1 in all: this
     # deep, the limit is passed before any bump count is formed
     if depth >= MAX_KNOTS.bit_length():
@@ -357,17 +335,13 @@ def takagi_path(
     scaling balances the series so increments at scale ``b**-n`` stay of
     order ``b**-n`` times a slowly growing factor.
     """
-    if int(b) != b or b < 2:
-        raise InvalidParameterError(f"b must be an integer >= 2, got {b}")
-    b = int(b)
-    # NaN would pass the comparison below, and nu or rho the whole check
+    b = real("b", b, lo=2, open=False, integer=True)
     for name, value in (("alpha", alpha), ("nu", nu), ("rho", rho)):
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+        real(name, value)
     if abs(abs(alpha) * b - 1.0) > 1e-12:
         raise InvalidParameterError(f"|alpha| must equal 1/b = {1.0 / b!r}, got {alpha!r}")
-    if (depth := _integer(depth, "depth")) < 1:
-        raise InvalidParameterError("depth must be >= 1")
+    real("(|nu| + |rho|) / (1 - |alpha|)", (abs(nu) + abs(rho)) / (1.0 - abs(alpha)))
+    depth = real("depth", depth, lo=1, open=False, integer=True)
     # the last term scales t by b**(depth - 1); the digit bound spares a huge
     # depth from forming that power
     if (depth - 1) * (b.bit_length() - 1) >= 1024 or b ** (depth - 1) > sys.float_info.max:

@@ -16,8 +16,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import FracpathError, InvalidConfigError, InvalidParameterError
+from .errors import FracpathError, InvalidConfigError, real
 from .paths import (
+    MAX_KNOTS,
     AnalyticPath,
     GaussianPathSpec,
     SampledPath,
@@ -59,8 +60,7 @@ def _power_rule(q: float, kind: str) -> list[tuple[float, Callable]]:
     c_j = q (q-1) ... (q-j+1), and g_j(x, k) is |x - k|^(q-j), signed like
     (x - k)^j for "abs" and zero for x < k for "plus"; g_j(k, k) = 0 by the
     convention of the module docstring."""
-    if not (math.isfinite(q) and q > 0.0):
-        raise InvalidParameterError(f"q must be positive and finite, got {q}")
+    real("q", q, lo=0)
     plus, rule, c = kind == "plus", [], 1.0
     for j in range(4):
 
@@ -73,13 +73,13 @@ def _power_rule(q: float, kind: str) -> list[tuple[float, Callable]]:
 
         rule.append((c, g))
         c *= q - j
+    real("q (q - 1) (q - 2)", rule[-1][0])  # the third derivative's factor
     return rule
 
 
 def _single_kink(q: float, k: float, kind: str) -> SmoothFn:
     (_, g0), *rule = _power_rule(q, kind)
-    if not math.isfinite(k):
-        raise InvalidParameterError(f"k must be finite, got {k}")
+    real("k", k)
     # c_0 = 1: f is g_0's own buffer, with no scaling pass
     derivs = tuple((lambda x, c=c, g=g: c * g(x, k)) for c, g in rule)
     return SmoothFn(fn=lambda x: g0(x, k), derivs=derivs, kinks=((k, q),), name=f"{kind}-power({q})")
@@ -158,8 +158,7 @@ def abs_power_series(q: float, count: int = 12) -> SmoothFn:
     rationals r_j in (0, 1); a function kinked on a spreading set while still
     summable enough for order-q behaviour at each kink."""
     (_, g0), *rule = _power_rule(q, "abs")
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
+    count = real("count", count, lo=1, hi=MAX_KNOTS, open=False, integer=True)
     locs = _canonical_rationals(count)
     w = (np.arange(1, count + 1, dtype=float)) ** -2.0
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientDerivativesError, InvalidParameterError, NoLimitError
+from .errors import InsufficientDerivativesError, NoLimitError, real
 
 __all__ = ["SmoothFn", "ratio_limit"]
 
@@ -39,9 +39,7 @@ class SmoothFn:
     def derivative(self, j: int) -> SmoothFn:
         """f^(j) with the supplied derivatives above it; the j-th derivative
         of a kink of exponent q has exponent q - j."""
-        if j < 0:
-            raise InvalidParameterError("derivative order must be >= 0")
-        if j == 0:
+        if real("j", j, lo=0, open=False, integer=True) == 0:
             return self
         if j > len(self.derivs):
             raise InsufficientDerivativesError(

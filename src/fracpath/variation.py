@@ -9,12 +9,11 @@ partition sequences and check Cauchy behaviour.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidPhiError
+from .errors import InvalidPhiError, real
 from .partitions import Partition, check_stop_times, partition_values
 from .paths import SampledPath
 
@@ -48,8 +47,7 @@ def pth_variation_partial(
     t: float | None = None,
 ) -> float:
     """p-th power increment sum; the phi-sum with phi(x) = x**p."""
-    if not 0.0 < p < math.inf:
-        raise InvalidParameterError(f"p must be positive and finite, got {p}")
+    real("p", p, lo=0)
     return phi_variation_partial(path, partition, lambda a: a**p, t)
 
 
@@ -65,8 +63,7 @@ def variation_table(
     but uses one cumulative sum plus a boundary fragment per query, and
     rejects the same query times.
     """
-    if not 0.0 < p < math.inf:
-        raise InvalidParameterError(f"p must be positive and finite, got {p}")
+    real("p", p, lo=0)
     ts = np.asarray(ts, dtype=float)
     check_stop_times(ts)
     grid, vals = partition_values(path, partition)

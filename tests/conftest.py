@@ -1,5 +1,8 @@
 """Shared fixtures: the expensive sampled paths are built once per session;
-and the reference builder of the full Cantor crossing grid."""
+the reference builder of the full Cantor crossing grid; and the scalar edge
+values of the API fuzz property."""
+
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +16,25 @@ from fracpath.paths import (
     fbm_path,
     sample,
     takagi_path,
+)
+
+# one scalar argument at a time takes each of these: non-finite, float64's
+# extremes, the boundaries 0 and -1, a subnormal, a fraction, sizes far
+# past every knot cap, a boolean and an int that float64 cannot hold
+EDGE_VALUES = (
+    math.nan,
+    math.inf,
+    -math.inf,
+    1e308,
+    -1e308,
+    0,
+    -1,
+    5e-324,
+    0.5,
+    1e6,
+    2**40,
+    True,
+    10**400,
 )
 
 

@@ -77,6 +77,24 @@ def test_cantor_gap_lefts_levels():
     assert cantor_gap_lefts(5).size == 2**4
 
 
+def test_cantor_gap_lefts_refuses_past_the_knot_cap_before_allocating():
+    # level 27 would hold 2**26 lefts, one level past MAX_KNOTS, and level
+    # 2**40 an index of 2**40 bits: each is refused before anything is built
+    tracemalloc.start()
+    try:
+        for level in (200, 27, 2**40):
+            message = re.escape(f"level must lie in [1, 26], got {level}")
+            with pytest.raises(InvalidParameterError, match=message):
+                cantor_gap_lefts(level)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for level in (2.5, math.nan, 1e6 + 0.5):
+        with pytest.raises(InvalidParameterError, match="level must be an integer"):
+            cantor_gap_lefts(level)
+
+
 def test_cantor_distance_path_peaks():
     p = 2.5
     path = cantor_distance_path(p)
