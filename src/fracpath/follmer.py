@@ -160,8 +160,9 @@ def remainder_kernel(fn: SmoothFn, p: float, a, b, method: str = "integral"):
     At a == b the kernel is 0 when f is smoother than order p there, and has
     no finite value when a sits on a kink of exponent <= p: the first such
     entry raises KernelSingularError (once the entries before it are done).
-    A norm that overflows is refused before anything is evaluated, a Taylor
-    value that is not finite after it, each naming its pair.
+    A NaN or infinite entry and a norm that overflows are refused before
+    anything is evaluated, a Taylor value that is not finite after it, each
+    naming its pair.
     """
     m = taylor_order(p)
     _require_derivs(len(fn.derivs), m)
@@ -170,6 +171,7 @@ def remainder_kernel(fn: SmoothFn, p: float, a, b, method: str = "integral"):
     a, b = (real(name, v) if np.isscalar(v) else v for name, v in (("a", a), ("b", b)))
     shape = np.broadcast(a, b).shape
     xs, ys = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))
+    _refuse_non_finite(np.maximum(np.abs(xs), np.abs(ys)), xs, ys, "a and b must be finite")
     diagonal = xs == ys
     with np.errstate(over="ignore"):
         norm = np.abs(ys - xs) ** p

@@ -212,11 +212,12 @@ def isometry_check(
 @np.errstate(over="ignore")  # a gauge value past float64 reads inf, above any finite y
 def phi_inverse(spec: PhiSpec, y: float) -> float:
     """Inverse of the gauge on its increasing branch; raises when y exceeds
-    the gauge's reachable range. Grid bisection: 65 gauge values shrink the
-    bracket 64-fold per step, down to a relative width of 8.9e-16 (brentq's
-    rtol; an absolute floor would leave phi(x) off y by ~1e-8 at p_phi < 1).
-    Returns the bracket's upper end: phi(x) >= y, and x is nondecreasing in
-    y up to that width."""
+    the gauge's reachable range. Returns the float just past the root:
+    phi(x) >= y > phi(prevfloat(x)), phi as ``spec._formula``. A 64-fold grid
+    bisection over the bits of positive floats finds it, so a plateau (x^2
+    reads 5e-324 on ~2^50 floats) costs at most 11 grids of 65 values; for the
+    power and log-modulated kinds the first grid is the 65 floats around
+    Newton's root."""
     if real("gauge value y", y, lo=0, open=False, error=InvalidPhiError) == 0.0:
         return 0.0
     cap = spec.domain_hi
@@ -232,14 +233,34 @@ def phi_inverse(spec: PhiSpec, y: float) -> float:
             hi *= 2.0
             if hi > 1e300:
                 raise InvalidPhiError("failed to bracket the gauge inverse")
-    lo = 0.0
-    while hi - lo > 8.9e-16 * hi:
-        xs = np.linspace(lo, hi, 65)
-        i = min(max(int(np.searchsorted(spec._formula(xs), y)), 1), 64)  # phi(xs[i-1]) < y <= phi(xs[i])
-        if xs[i - 1] == lo and xs[i] == hi:
-            break  # subnormal floor: no float lies strictly inside the bracket
-        lo, hi = float(xs[i - 1]), float(xs[i])
-    return hi
+    lo, top = 0, int(np.float64(hi).view(np.int64))  # as float bits: phi(lo) < y <= phi(top)
+    mid, stride = top // 2, max(top // 64, 1)
+    if spec.kind != "custom":
+        mid, stride = int(np.float64(math.exp(_log_root(spec, y, hi))).view(np.int64)), 1
+    while top - lo > 1:
+        bits = np.clip(mid + stride * np.arange(-32, 33), lo + 1, top - 1)
+        i = int(spec._formula(bits.view(np.float64)).searchsorted(y))
+        lo, top = int(bits[i - 1]) if i else lo, int(bits[i]) if i < bits.size else top
+        mid, stride = (lo + top) // 2, max((top - lo) // 64, 1)
+    return float(np.int64(top).view(np.float64))
+
+
+def _log_root(spec: PhiSpec, y: float, hi: float) -> float:
+    """Root u = log x of F(u) = log phi(e^u) - log y = p_phi u - log_power log(-u) - log y for a
+    closed-form gauge with phi(hi) >= y > 0, by Newton (F' = p_phi - log_power / u > 0, as u < 0
+    where log_power > 0), bisecting its bracket where a step would leave it."""
+    p, ly = spec.p_phi, math.log(y)
+    lp = spec.log_power if spec.kind == "log-modulated" else 0.0
+    ua, ub = math.log(5e-324), math.log(hi)
+    u = min(max(ly / p, ua), ub)
+    for _ in range(100):
+        f = p * u - ly - (lp * math.log(-u) if lp else 0.0)
+        ua, ub = (u, ub) if f < 0.0 else (ua, u)
+        newton = u - f / (p - lp / u if lp else p)
+        u, last = (newton if ua <= newton <= ub else 0.5 * (ua + ub)), u
+        if abs(u - last) <= 1e-12 * max(1.0, abs(u)):
+            break
+    return u
 
 
 @dataclass(frozen=True)

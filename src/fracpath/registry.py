@@ -95,7 +95,18 @@ def plus_power(q: float, k: float = 0.0) -> SmoothFn:
     return _single_kink(q, k, "plus")
 
 
+def _factors(scale: float, base: float, what: str) -> list[float]:
+    """The derivative factors scale * base**j, j = 0..3, each refused as ``what`` past float64."""
+    try:
+        return [real(what, scale * base**j) for j in range(4)]
+    except OverflowError:  # where float * reads inf, float ** raises
+        return [real(what, math.inf)]
+
+
 def sin_affine(amp: float = 1.0, freq: float = 1.0, shift: float = 0.0) -> SmoothFn:
+    real("shift", shift)
+    _, c1, c2, c3 = _factors(real("amp", amp), real("freq", freq), "amp * freq**j (j <= 3)")
+
     def wave(trig: Callable, coeff: float) -> Callable:
         def dj(x):
             # one buffer per call: the phase, then trig(phase) and its scaling in place
@@ -110,21 +121,20 @@ def sin_affine(amp: float = 1.0, freq: float = 1.0, shift: float = 0.0) -> Smoot
 
     return SmoothFn(
         fn=wave(np.sin, amp),
-        derivs=(wave(np.cos, amp * freq), wave(np.sin, -amp * freq**2), wave(np.cos, -amp * freq**3)),
+        derivs=(wave(np.cos, c1), wave(np.sin, -c2), wave(np.cos, -c3)),
         name="sin-affine",
     )
 
 
 def exp_fn(rate: float = 1.0) -> SmoothFn:
-    def make(j: int) -> Callable:
-        c = rate**j
-
-        def dj(x, c=c):
+    def make(c: float) -> Callable:
+        def dj(x):
             return c * np.exp(rate * np.asarray(x, dtype=float))
 
         return dj
 
-    return SmoothFn(fn=make(0), derivs=(make(1), make(2), make(3)), name="exp")
+    fn, *derivs = (make(c) for c in _factors(1, real("rate", rate), "rate**j (j <= 3)"))
+    return SmoothFn(fn=fn, derivs=tuple(derivs), name="exp")
 
 
 def polynomial(coeffs) -> SmoothFn:
@@ -181,6 +191,7 @@ def moving_abs_power(q: float, speed: float = 1.0) -> TimeFunctionBundle:
     from .follmer import TimeFunctionBundle
 
     (_, g0), (c1, g1), (c2, g2), _ = _power_rule(q, "abs")
+    real("-speed * q", -real("speed", speed) * c1)  # the time derivative's factor
 
     def kink(t):
         return speed * np.asarray(t, dtype=float)

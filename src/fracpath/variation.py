@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidPhiError, real
+from .errors import InvalidParameterError, InvalidPhiError, real
 from .partitions import Partition, check_stop_times, partition_values
 from .paths import SampledPath
 
@@ -85,10 +85,13 @@ def variation_table(
 def cantor_function(ts) -> np.ndarray:
     """Cantor (devil's staircase) function on [0, 1], by the ternary digit
     expansion: halve digits 0/2 until the first digit 1, which contributes its
-    binary weight and stops the expansion."""
+    binary weight and stops the expansion. Times past the ends read 0 and 1;
+    a NaN time is refused."""
     ts = np.asarray(ts, dtype=float)
     scalar = ts.ndim == 0
     x = np.atleast_1d(ts).astype(float).copy()
+    if np.isnan(x).any():  # every comparison below reads NaN as false, so NaN would read 0
+        raise InvalidParameterError(f"ts must not be NaN, got nan at index {np.isnan(x).argmax()}")
     out = np.zeros_like(x)
     done = x <= 0.0
     hi = x >= 1.0

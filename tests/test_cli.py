@@ -554,6 +554,17 @@ BAD_CONFIGS = {
         },
         "kernel diverges on the diagonal at 0.0 (kink exponent 2.5)",
     ),
+    # freq**3 past float64: a bare OverflowError before the constructor checked it
+    "sin-freq-overflows": (
+        {
+            "command": "frac-deriv",
+            "op": "caputo",
+            "fn": {"name": "sin", "freq": 1e308},
+            "p": 0.5,
+            "xs": [0.5],
+        },
+        "amp * freq**j (j <= 3) must be finite, got inf",
+    ),
     # a literal that overflows float64, written as raw config text
     "p-overflows": ('{"command": "cantor-sweep", "p": 1e400, "ns": [2]}', "non-finite number 1e400"),
 }

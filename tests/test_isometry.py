@@ -1,6 +1,7 @@
 """Gauges, conjugate weights, the transform isometry, and its gatekeepers."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -106,6 +107,35 @@ def test_phi_inverse_roundtrips():
         phi_inverse(spec, -0.5)
     with pytest.raises(InvalidPhiError):
         phi_inverse(logmod, 10.0)
+
+
+@pytest.mark.parametrize("p_phi", [0.5, 2.0])
+@pytest.mark.parametrize("y", [5e-324, 1e-320])
+def test_phi_inverse_crosses_a_plateau_in_bounded_time(y, p_phi):
+    # x^2 reads 5e-324 across ~2^50 floats near 2e-162: a snap that walks one
+    # ulp at a time would not end; the alarm turns such a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError(f"phi_inverse(p_phi={p_phi}, y={y!r}) still running after 5 s")
+
+    spec = PhiSpec(p_phi=p_phi)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        x = phi_inverse(spec, y)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert float(spec(np.asarray(x))) >= y > float(spec(np.asarray(np.nextafter(x, 0.0))))
+    if (y, p_phi) == (5e-324, 2.0):
+        assert x == 1.5717277847026288e-162
+
+
+@pytest.mark.parametrize("y", [1e-300, 1e-6, 0.3, 2.0, 7.5])
+def test_phi_inverse_of_a_custom_gauge_is_the_float_just_past_the_root(y):
+    # no derivative is known, so the bit bisection starts from the whole bracket
+    spec = PhiSpec(kind="custom", p_phi=0.5, custom_fn=lambda x: np.sqrt(x) * (1.0 + x))
+    x = phi_inverse(spec, y)
+    assert float(spec(np.asarray(x))) >= y > float(spec(np.asarray(np.nextafter(x, 0.0))))
 
 
 # --------------------------------------------------------------------------- #

@@ -1,12 +1,13 @@
 """Property-based invariants on random piecewise-linear paths and partitions:
 exact knot lookup, the finite-stage identity at rounding level (scalar,
 time-dependent, multi-component and path functional), the compensated sum
-against a plain numpy sum, the remainder kernel's two forms, the gauge inverse, the
-variation profile (and the query times it rejects), the level-reduced Cantor
-profile against the materialized grid, the Young bound as an equality for
-one component, the quotient-measure mass as the p-th variation, the
-lattice form of value-grid partitions, the fBm sampler at every size and
-the read-only on-grid values of ``partition_values``."""
+against a plain numpy sum, the remainder kernel's two forms, the gauge
+inverse (the float just past the root), the variation profile (and the
+query times it rejects), the level-reduced Cantor profile against the
+materialized grid, the Young bound as an equality for one component, the
+quotient-measure mass as the p-th variation, the lattice form of value-grid
+partitions, the fBm sampler at every size and the read-only on-grid values
+of ``partition_values``."""
 
 import math
 import re
@@ -273,13 +274,43 @@ def test_phi_inverse_roundtrips_and_is_monotone(spec, u, v):
     x1, x2 = phi_inverse(spec, y1), phi_inverse(spec, y2)
     assert float(spec(np.asarray(x1))) == pytest.approx(y1, abs=1e-12)
     assert float(spec(np.asarray(x2))) == pytest.approx(y2, abs=1e-12)
-    # each root is the upper end of a bracket no wider than 8.9e-16 x
+    # x is nondecreasing in y, up to a slack of 8.9e-16 x
     assert x1 <= x2 + 8.9e-16 * x1
     with pytest.raises(InvalidPhiError):
         phi_inverse(spec, -y2 - 1e-300)
     if math.isfinite(spec.domain_hi):
         with pytest.raises(InvalidPhiError):
             phi_inverse(spec, top * (1.0 + 1e-9))
+
+
+every_gauge = st.one_of(
+    st.floats(0.1, 8.0).map(lambda p: PhiSpec(kind="power", p_phi=p)),
+    st.builds(
+        lambda p, lp: PhiSpec(kind="log-modulated", p_phi=p, log_power=lp),
+        st.floats(0.2, 5.0),
+        st.floats(0.05, 3.0),
+    ),
+    st.floats(0.1, 8.0).map(
+        lambda p: PhiSpec(kind="custom", p_phi=p, custom_fn=lambda x: x**p * (1.0 + x))
+    ),
+)
+
+
+@PROPS
+@given(every_gauge, st.data())
+def test_phi_inverse_is_the_float_just_past_the_root(spec, data):
+    # phi(x) >= y > phi(prevfloat(x)), phi as the gauge's own formula, for
+    # values across the range, deep below it and among the subnormals
+    top = reachable(spec)
+    y = data.draw(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True).map(lambda u: u * top),
+            st.floats(1e-300, 1e-3),
+            st.floats(5e-324, 2.2250738585072014e-308),
+        ).filter(lambda y: 0.0 < y <= top)
+    )
+    x = phi_inverse(spec, y)
+    assert float(spec(np.asarray(x))) >= y > float(spec(np.asarray(np.nextafter(x, 0.0))))
 
 
 @PROPS

@@ -62,8 +62,20 @@ from fracpath.paths import (
     fbm_path,
     takagi_path,
 )
-from fracpath.registry import abs_power, moving_abs_power, plus_power, product_bundle, sin_affine
-from fracpath.variation import phi_variation_partial, pth_variation_partial, variation_table
+from fracpath.registry import (
+    abs_power,
+    exp_fn,
+    moving_abs_power,
+    plus_power,
+    product_bundle,
+    sin_affine,
+)
+from fracpath.variation import (
+    cantor_function,
+    phi_variation_partial,
+    pth_variation_partial,
+    variation_table,
+)
 
 NAN, INF = math.nan, math.inf
 PATH = SampledPath(np.linspace(0.0, 1.0, 5), [0.0, 0.3, -0.2, 0.4, 0.0])
@@ -164,6 +176,16 @@ def _range_checked_entries(path):
             lambda: cantor_blocks(INF, 3),
             InvalidParameterError,
             "p must be finite, got inf",
+        ),
+        "remainder_kernel-array-nan": (
+            lambda: remainder_kernel(abs_power(2.5), 2.5, np.array([NAN, 0.2]), np.array([0.7, 0.7])),
+            InvalidParameterError,
+            "kernel at (a, b) = (nan, 0.7) is not a finite number: a and b must be finite",
+        ),
+        "cantor_function-ts-nan": (
+            lambda: cantor_function(np.array([0.5, NAN])),
+            InvalidParameterError,
+            "ts must not be NaN, got nan at index 1",
         ),
     }
 
@@ -302,6 +324,16 @@ FUZZ = {
     "phi_inverse": (lambda y: phi_inverse(PhiSpec(), y), {"y": 0.3}),
     "abs_power": (lambda **kw: abs_power(**kw).derivs[2](0.3), {"q": 2.5, "k": 0.0}),
     "plus_power": (lambda **kw: plus_power(**kw).derivs[2](0.3), {"q": 2.5, "k": 0.0}),
+    "sin_affine": (
+        lambda **kw: sin_affine(**kw).derivs[2](0.3),
+        {"amp": 1.0, "freq": 1.0, "shift": 0.0},
+    ),
+    # at x = 0, where e^(rate x) = 1 for every rate: what varies is the factor rate^3
+    "exp_fn": (lambda **kw: exp_fn(**kw).derivs[2](0.0), {"rate": 1.0}),
+    "moving_abs_power": (
+        lambda **kw: moving_abs_power(**kw).dt(0.5, 0.3),
+        {"q": 2.5, "speed": 1.0},
+    ),
     "cantor_stage": (
         lambda **kw: _STAGE(cantor_stage(**kw)),
         {"p": 2.5, "n": 3},
