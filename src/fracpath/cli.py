@@ -8,13 +8,14 @@ but the run's verdict was "not-converged").
 Every subcommand is one runner ``(cfg) -> (header, rows, gap)`` plus the
 top-level keys it allows and requires, declared in ``_RUNNERS``. A runner
 imports the library modules it calls in its own body, so a process loads
-only what its subcommand runs. ``_execute``
-does the shared work once: it rejects unknown keys (with their line) and
-missing or empty required ones, parses ``expect`` and ``tol``, and sets the
-verdict: "converged" iff gap <= tol, "unchecked" when the runner reports no
-gap or the config gives no tol, "not-converged" otherwise (a NaN gap
-included). Every error a runner raises, a library error included, names
-the config file.
+only what its subcommand runs. ``_execute`` does the shared work once: it
+rejects unknown keys (with their line) and missing or empty required ones,
+parses ``expect``, ``tol`` and ``label`` (a file name, never a path), and
+sets the verdict: "converged" iff gap <= tol, "unchecked" when the runner
+reports no gap or the config gives no tol, "not-converged" otherwise (a NaN
+gap included). Every config number passes ``errors.real``, the library's
+own range check, so a JSON string where a number belongs is refused. Every
+error a runner raises, a library error included, names the config file.
 
 CSV files are byte-stable across reruns of the same config; the manifest
 records the config digest, package version and wall time (the manifest is
@@ -35,12 +36,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import FracpathError, InvalidConfigError
+from .errors import FracpathError, InvalidConfigError, real
 from .partitions import MAX_KNOTS, badic, block_sum, cantor_blocks, value_grid_partition
 from .paths import AnalyticPath, SampledPath, sample
 
 _COMMON_KEYS = {"command", "label", "expect", "tol"}
 _REQUIRED = object()
+_LABEL = re.compile(r"[\w-][\w.-]{0,99}", re.ASCII)  # a file name in --out-dir, never a path
 
 
 def _fmt(x: float) -> str:
@@ -104,29 +106,21 @@ def _fill(obj, name: str, defaults: dict, required: tuple = ()) -> dict:
     return {**defaults, **obj}
 
 
-def _number(value, key: str, kind=float):
-    try:
-        out = kind(value)
-        finite = math.isfinite(out)
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise InvalidConfigError(f"{key!r} must be a finite number, got {value!r}")
-    # a JSON true, or 2.7 given for an integer key
-    if isinstance(value, bool) or (isinstance(value, float) and out != value):
-        noun = "an integer" if kind is int else "a number"
-        raise InvalidConfigError(f"{key!r} must be {noun}, got {value!r}")
-    return out
+def _number(value, key: str, kind=float, **rules):
+    """``value`` as a ``kind``, checked by ``errors.real`` under ``rules`` and named
+    by its config ``key``; an int at a float key is cast, so a CSV prints a float."""
+    num = real(f"{key!r}", value, integer=(kind is int) or None, error=InvalidConfigError, **rules)
+    return num if kind is int else float(num)
 
 
-def _num(obj: dict, key: str, default=_REQUIRED, kind=float):
+def _num(obj: dict, key: str, default=_REQUIRED, kind=float, **rules):
     """``obj[key]`` as a number; ``default`` when absent or null."""
     value = obj.get(key)
     if value is None:
         if default is _REQUIRED:
             raise InvalidConfigError(f"missing {key!r}")
         return default
-    return _number(value, key, kind)
+    return _number(value, key, kind, **rules)
 
 
 def _nums(obj: dict, key: str, kind=float) -> list:
@@ -141,9 +135,7 @@ def _expectation(cfg: dict) -> tuple[str, float | None]:
     expect = cfg.get("expect", "any")
     if expect not in ("any", "converged"):
         raise InvalidConfigError(f"expect must be 'any' or 'converged', got {expect!r}")
-    tol = _num(cfg, "tol", None)
-    if tol is not None and tol <= 0.0:
-        raise InvalidConfigError("tol must be positive")
+    tol = _num(cfg, "tol", None, lo=0)
     if expect == "converged" and tol is None:
         raise InvalidConfigError("expect 'converged' requires a tol")
     return expect, tol
@@ -354,9 +346,9 @@ def _run_remainder(cfg: dict):
             raise InvalidConfigError(f"'pairs' must be a list of [a, b] pairs, got {pairs!r}")
         a, b = (np.array([_number(ab[i], "pairs") for ab in pairs], dtype=float) for i in (0, 1))
     elif "thetas" in cfg:
-        count = _num(_fill(cfg["thetas"], "thetas", {"count": 64}), "count", kind=int)
-        if not 1 <= count <= MAX_KNOTS:
-            raise InvalidConfigError(f"thetas 'count' must be in [1, {MAX_KNOTS}], got {count}")
+        count = _fill(cfg["thetas"], "thetas", {"count": 64})["count"]
+        count = real("thetas 'count'", count, lo=1, hi=MAX_KNOTS, open=False, integer=True,
+                     error=InvalidConfigError)
         a, b = circle_points((np.arange(count) + 0.5) * (2.0 * np.pi / count))
     else:
         raise InvalidConfigError("needs 'pairs', 'thetas' or 'atoms'")
@@ -472,6 +464,11 @@ def _execute(command: str, cfg_path: Path, out_dir: Path) -> tuple[int, dict]:
     _check_keys(cfg, allowed, raw, cfg_path)
     try:
         expect, tol = _expectation(cfg)
+        stem = cfg.get("label")
+        if stem is not None and not (isinstance(stem, str) and _LABEL.fullmatch(stem)):
+            rule = "1 to 100 letters, digits, '.', '_' or '-', not starting with '.'"
+            raise InvalidConfigError(f"'label' must be {rule}, got {stem!r}")
+        stem = stem or cfg_path.stem
         _require(cfg, required, command)
         started = time.perf_counter()
         header, rows, gap = runner(cfg)
@@ -483,7 +480,6 @@ def _execute(command: str, cfg_path: Path, out_dir: Path) -> tuple[int, dict]:
     else:
         verdict = "converged" if gap <= tol else "not-converged"
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = str(cfg.get("label") or cfg_path.stem)
     csv_path = out_dir / f"{stem}.csv"
     _write_csv(csv_path, header, rows)
     manifest = {

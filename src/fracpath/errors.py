@@ -2,7 +2,9 @@
 entry point passes each scalar argument through ``real`` before any numpy work, so a
 value outside its domain, or no finite float64 number at all (a bool, NaN, +-inf, an
 int float64 cannot hold), raises a ``FracpathError`` naming the argument and the value.
-Checks relating several arguments (``a <= k < x``, the knot caps) stay where they apply."""
+The command line reads every config number through ``real`` too, so a JSON string
+where a number belongs is refused by the same rule. Checks relating several
+arguments (``a <= k < x``, the knot caps) stay where they apply."""
 
 from __future__ import annotations
 

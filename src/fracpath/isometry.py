@@ -192,6 +192,11 @@ def isometry_check(
         dfv = np.abs(np.diff(f_vals))
         lhs = float(np.sum(spec(dfv)))
         rhs = float(np.sum(hat(np.abs(df(s_vals[:-1]))) * spec(ds)))
+        if lhs == rhs == 0.0:  # x**300 reads 0 for x < 0.08, so both sums can underflow
+            raise InvalidPhiError(
+                f"both phi-sums are 0 at p_phi = {spec.p_phi} on the stage of"
+                f" {part.n_intervals} increments: their ratio is undefined"
+            )
         levels.append(part.n_intervals)
         lhs_list.append(lhs)
         rhs_list.append(rhs)

@@ -138,8 +138,13 @@ def exp_fn(rate: float = 1.0) -> SmoothFn:
 
 
 def polynomial(coeffs) -> SmoothFn:
-    """Polynomial with ascending coefficients (constant first)."""
-    poly = np.polynomial.Polynomial(list(coeffs))
+    """Polynomial with ascending coefficients (constant first). Each coefficient, and
+    each coefficient of the first three derivatives as numpy forms them (k * c_k per
+    step), must be a finite float64 number, else ``coeffs`` is refused."""
+    coeffs = cs = [float(real("coeffs", c)) for c in coeffs]
+    for j in (1, 2, 3):
+        cs = [real(f"coeffs (derivative {j})", k * c) for k, c in enumerate(cs[1:], 1)]
+    poly = np.polynomial.Polynomial(coeffs)
     ds = tuple(poly.deriv(j) for j in (1, 2, 3))
 
     def wrap(g):

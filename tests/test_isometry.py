@@ -191,6 +191,19 @@ def test_isometry_needs_a_first_derivative(fbm08):
         isometry_check(spec, SmoothFn(fn=np.sin), fbm08, [badic(1.0, 6)], holder_alpha=0.79)
 
 
+def test_isometry_refuses_two_zero_phi_sums():
+    # path increments of 0.01, F = 3x ones of 0.03: x**300 reads 0 on both sides
+    path = SampledPath(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.01, 0.02, 0.01, 0.0]))
+    spec = PhiSpec(kind="power", p_phi=300)
+    with pytest.raises(InvalidPhiError, match="p_phi = 300 on the stage of 4 increments"):
+        isometry_check(spec, _linear_fn(3.0), path, [Partition(path.times)], holder_alpha=0.79)
+    # a zero rhs alone still reads inf: f'(0) = 0 weighs the one increment by phi_hat(0) = 0
+    path = SampledPath(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+    square = SmoothFn(fn=np.square, derivs=(lambda x: 2.0 * np.asarray(x),))
+    rep = isometry_check(PhiSpec(kind="power", p_phi=1.25), square, path, [badic(1.0, 0)], 0.79)
+    assert rep.lhs == (0.25**1.25,) and rep.rhs == (0.0,) and rep.ratios == (math.inf,)
+
+
 def test_isometry_smooth_transform_converges(fbm08):
     spec = PhiSpec(kind="power", p_phi=1.25)
     fn = SmoothFn(

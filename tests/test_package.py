@@ -1,6 +1,8 @@
 """The package namespace: every public name resolves lazily from its module."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +28,21 @@ def test_star_import_binds_every_export():
 def test_unknown_attribute_names_itself():
     with pytest.raises(AttributeError, match="no_such_name"):
         fracpath.no_such_name
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a module reaches its siblings through their public names; dunders such as
+    # __version__ are the package's own metadata, not private
+    for source in sorted(Path(fracpath.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "fracpath":
+                continue
+            private = [
+                alias.name
+                for alias in node.names
+                if alias.name.startswith("_")
+                and not (alias.name.startswith("__") and alias.name.endswith("__"))
+            ]
+            assert not private, f"{source.name}:{node.lineno} imports {private}"
