@@ -1,6 +1,7 @@
 """Fixed-order Gauss-Legendre panels with doubling until relative stabilization,
 and the one rule for integrands with declared algebraic kinks, both for a
 batch of rows at once: a row is one interval (plain or graded) of one integral.
+Input refusals come before any work, then the first failing row's error.
 
 A kink is a (point, s) pair: near ``point`` the integrand behaves like
 c * |t - point|**s (s > -1) plus something smoother. :func:`integrate_kinked`
@@ -8,6 +9,7 @@ breaks at the points inside the interval and grades each piece end toward the
 nearest point on it or within one piece length beyond it, by
 u = |t - point|**beta with beta = s + 1 for s < 0 (the image is bounded) and
 beta = 1/4 otherwise (c + |t - point|**s becomes smooth enough for the panels).
+
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FracpathError, InvalidParameterError, QuadratureError
+from .errors import InvalidParameterError, QuadratureError
 
 __all__ = ["gauss_legendre", "gl_adaptive", "integrate_kinked"]
 
@@ -47,18 +49,14 @@ def gl_adaptive(g: Integrand, lo, hi, rtol: float = 1e-9) -> np.ndarray:
     panels, doubling the panels of the unsettled rows until successive values
     agree to ``rtol`` (relative); an empty row is 0. ``g`` sees chunks of whole
     rows, at most ``_MAX_POINTS`` points, and a row's value is bit for bit its
-    value alone. Raises QuadratureError at once on a non-finite panel sum or
-    when the doubling cap is hit unsettled."""
+    value alone. A row fails on a non-finite panel sum or unsettled at the
+    doubling cap, dropping the rows after it; once those before it are done,
+    the first failing row's QuadratureError is raised, its index as ``row``."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     out, rows = np.zeros(lo.shape), (hi != lo).nonzero()[0]
     x0, x1, (nodes, weights) = lo[rows], hi[rows], gauss_legendre(32)
-    prev, panels = (), 1
-    while rows.size:
-        if panels > 1 << _MAX_DOUBLINGS:
-            raise QuadratureError(
-                f"Gauss-Legendre panels did not stabilize to rtol={rtol:g} "
-                f"after {panels // 2} panels on [{x0[0]:g}, {x1[0]:g}]"
-            )
+    prev, panels, fail = (), 1, None
+    while rows.size and panels <= 1 << _MAX_DOUBLINGS:
         grid, width, val = np.arange(panels + 1.0), (x1 - x0) / panels, []
         for c in range(0, rows.size, step := _MAX_POINTS // (32 * panels)):
             r = slice(c, c + step)
@@ -72,15 +70,23 @@ def gl_adaptive(g: Integrand, lo, hi, rtol: float = 1e-9) -> np.ndarray:
             del pts, fx  # not held through the next chunk's integrand call
         if not all(map(math.isfinite, val)):
             j = [math.isfinite(v) for v in val].index(False)
-            raise QuadratureError(
-                f"panel sum is {val[j]} with {panels} panels on [{x0[j]:g}, {x1[j]:g}]"
-            )
+            fail = rows[j], f"panel sum is {val[j]} with {panels} panels on [{x0[j]:g}, {x1[j]:g}]"
+            rows, x0, x1, val = rows[:j], x0[:j], x1[:j], val[:j]
         done = [abs(v - w) <= rtol * max(abs(v), 1e-300) + 1e-15 * rtol for v, w in zip(val, prev)]
         if any(done):
             out[rows[done]] = list(itertools.compress(val, done))
             go = np.logical_not(done)
             rows, x0, x1, val = rows[go], x0[go], x1[go], list(itertools.compress(val, go))
         prev, panels = val, 2 * panels
+    if rows.size:
+        fail = rows[0], (
+            f"Gauss-Legendre panels did not stabilize to rtol={rtol:g} "
+            f"after {panels // 2} panels on [{x0[0]:g}, {x1[0]:g}]"
+        )
+    if fail:
+        err = QuadratureError(fail[1])
+        err.row = int(fail[0])
+        raise err
     return out
 
 
@@ -89,19 +95,14 @@ def integrate_kinked(g: Integrand, lo, hi, kinks: Sequence[Kink], rtol: float) -
     (one shape; hi <= lo gives 0), with ``g ~ |t - point|**s`` near each
     ``(point, s)`` of ``kinks``, inside, on or beyond the ends. The pieces of
     ``_BLOCK`` integrals are the rows of one batch, summed in order per
-    integral; when a batch raises, its rows rerun alone for the first error."""
+    integral, and the first failing row of a batch raises, its kink named."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     shape, lo, hi, out = lo.shape, lo.ravel(), hi.ravel(), np.empty(lo.size)
     for first in range(0, lo.size, _BLOCK):
         s = slice(first, first + _BLOCK)
-        ends = zip(lo[s].tolist(), hi[s].tolist(), strict=True)
-        block = [list(_pieces(a, b, kinks)) for a, b in ends]
+        block = [list(_pieces(a, b, kinks)) for a, b in zip(lo[s].tolist(), hi[s].tolist())]
         rows = [(i, *part) for i, ps in enumerate(block, first) for piece in ps for part in piece]
-        try:
-            vals = rows and _integrate_rows(g, rows, rtol)
-        except FracpathError:
-            vals = None  # rerun outside the handler: its traceback holds the batch's arrays
-        vals = iter(vals if vals is not None else [_integrate_rows(g, [r], rtol)[0] for r in rows])
+        vals = iter(rows and _integrate_rows(g, rows, rtol))
         for i, pieces in enumerate(block, first):
             out[i] = sum((sum(itertools.islice(vals, len(piece))) for piece in pieces), 0.0)
     return out.reshape(shape)
@@ -141,12 +142,12 @@ def _integrate_rows(g: Integrand, rows: list[tuple], rtol: float) -> list[float]
     try:
         return gl_adaptive(sub, u0, u1, rtol).tolist()
     except QuadratureError as err:
-        if len(rows) > 1 or not rows[0][3]:
-            raise  # integrate_kinked reruns the rows one at a time
-        ((_, x0, x1, (at, s)),) = rows
+        _, x0, x1, kink = rows[err.row]
+        if not kink:
+            raise
         raise QuadratureError(
             f"{err}; that is the substituted variable of the piece [{x0:g}, {x1:g}], "
-            f"graded toward the kink at {at:g} with exponent s = {s:g}"
+            f"graded toward the kink at {kink[0]:g} with exponent s = {kink[1]:g}"
         ) from err
 
 

@@ -3,13 +3,16 @@ entry point passes each scalar argument through ``real`` before any numpy work, 
 value outside its domain, or no finite float64 number at all (a bool, NaN, +-inf, an
 int float64 cannot hold), raises a ``FracpathError`` naming the argument and the value.
 The command line reads every config number through ``real`` too, so a JSON string
-where a number belongs is refused by the same rule. Checks relating several
+where a number belongs is refused by the same rule. ``time_grid`` is the one check
+of a time grid: path times, partitions and sampling grids. Checks relating several
 arguments (``a <= k < x``, the knot caps) stay where they apply."""
 
 from __future__ import annotations
 
 import numbers
 import sys
+
+import numpy as np
 
 __all__ = [
     "FracpathError",
@@ -24,6 +27,7 @@ __all__ = [
     "KernelSingularError",
     "AdmissibilityError",
     "real",
+    "time_grid",
 ]
 
 
@@ -100,3 +104,23 @@ def real(name, value, *, lo=None, hi=None, open=True, integer=None, error=Invali
     if integer is False:  # "be positive, finite and non-integer"
         rule = rule.replace(" and ", ", ") + " and non-integer"
     raise error(f"{name} must {rule}, got {num!r}")
+
+
+def time_grid(name, times) -> np.ndarray:
+    """``times`` as a contiguous float64 array once it is a time grid: 1-d, two
+    points or more, finite, starting at 0 and strictly increasing. Else an
+    InvalidParameterError names it, the rule and the first index that breaks it."""
+    times = np.ascontiguousarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise InvalidParameterError(f"{name} must be 1-d, 2 or more long, got shape {times.shape}")
+    if not (finite := np.isfinite(times)).all():
+        i = int(finite.argmin())
+        raise InvalidParameterError(f"{name} at index {i} is not finite ({times[i]})")
+    if times[0] != 0.0:
+        raise InvalidParameterError(f"{name} must start at 0, got {times[0]}")
+    if not (rising := np.diff(times) > 0.0).all():
+        i = int(rising.argmin()) + 1
+        raise InvalidParameterError(
+            f"{name} must be strictly increasing, got {times[i]} after {times[i - 1]} at index {i}"
+        )
+    return times

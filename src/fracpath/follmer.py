@@ -158,11 +158,10 @@ def remainder_kernel(fn: SmoothFn, p: float, a, b, method: str = "integral"):
     |b - a|^p, a numpy array power, taken as 1 on the diagonal.
 
     At a == b the kernel is 0 when f is smoother than order p there, and has
-    no finite value when a sits on a kink of exponent <= p: the first such
-    entry raises KernelSingularError (once the entries before it are done).
-    A NaN or infinite entry and a norm that overflows are refused before
-    anything is evaluated, a Taylor value that is not finite after it, each
-    naming its pair.
+    no finite value when a sits on a kink of exponent <= p. A NaN or infinite
+    entry, a norm that overflows and such a diagonal entry (KernelSingularError)
+    are refused before any work, then the first entry whose quadrature or Taylor
+    value fails raises; each error names its pair or point.
     """
     m = taylor_order(p)
     _require_derivs(len(fn.derivs), m)
@@ -179,28 +178,27 @@ def remainder_kernel(fn: SmoothFn, p: float, a, b, method: str = "integral"):
     _refuse_non_finite(norm, xs, ys, f"|b - a|^{p!r} overflows")
     # a point's first listed kink of exponent <= p names the divergence
     poles = {loc: expo for loc, expo in reversed(fn.kinks) if expo <= p}
-    singular = np.flatnonzero(diagonal & np.isin(xs, list(poles)))
-    n = singular[0] if singular.size else xs.size
-    x, y = xs[:n], ys[:n]
+    singular = xs[diagonal & np.isin(xs, list(poles))]
+    if singular.size:
+        x = float(singular[0])
+        raise KernelSingularError(
+            f"kernel diverges on the diagonal at {x!r} (kink exponent {poles[x]})"
+        )
     if method == "taylor":
         with np.errstate(all="ignore"):
-            val = taylor_remainder(fn, x, y, m) / norm[:n]
-        _refuse_non_finite(val, x, y, "the Taylor remainder is not finite")
+            val = taylor_remainder(fn, xs, ys, m) / norm
+        _refuse_non_finite(val, xs, ys, "the Taylor remainder is not finite")
     else:
         from ._quad import integrate_kinked
 
         fm = fn.derivative(m)
-        fma = fm.fn(x)
+        fma = fm.fn(xs)
 
         def integrand(t, i):
-            return (fm.fn(t) - fma[i]) * (y[i] - t) ** (m - 1)
+            return (fm.fn(t) - fma[i]) * (ys[i] - t) ** (m - 1)
 
-        val = integrate_kinked(integrand, np.minimum(x, y), np.maximum(x, y), fm.kinks, 1e-12)
-        val = np.where(x > y, -val, val) / (math.factorial(m - 1) * norm[:n])
-    if singular.size:
-        raise KernelSingularError(
-            f"kernel diverges on the diagonal at {float(xs[n])!r} (kink exponent {poles[xs[n]]})"
-        )
+        val = integrate_kinked(integrand, np.minimum(xs, ys), np.maximum(xs, ys), fm.kinks, 1e-12)
+        val = np.where(xs > ys, -val, val) / (math.factorial(m - 1) * norm)
     return val.reshape(shape) if shape else float(val[0])
 
 
@@ -249,13 +247,19 @@ class ItoReport:
 def _split(value_change: float, gap, terms, inc: np.ndarray, p: float, norm=None, **time_parts) -> ItoReport:
     """Split ``value_change`` into the compensated sum of ``terms`` and the
     kernel sum of the Taylor gaps left over, |dS| formed only then, as
-    ``norm(inc)`` or as |inc| in inc's buffer; time parts pass to the report."""
+    ``norm(inc)`` or as |inc| in inc's buffer; time parts pass to the report.
+    A term that is not finite (f or a derivative overflows) is refused by name."""
     comp, gap = _taylor_terms(terms, gap)
     size = np.abs(inc, out=inc) if norm is None else norm(inc)
     kernel_sum, n_zero = _kernel_sum(gap, size, p)
-    return ItoReport(value_change, comp, kernel_sum, int(gap.size), n_zero, **time_parts)
+    report = ItoReport(value_change, comp, kernel_sum, int(gap.size), n_zero, **time_parts)
+    for name, value in vars(report).items():
+        if not math.isfinite(value):  # the message is formed only for a term to refuse
+            real(f"the {name.replace('_', ' ')} on a partition of {gap.size} increments", value)
+    return report
 
 
+@np.errstate(all="ignore")  # a term that is not finite is refused by _split
 def ito_check(
     fn: SmoothFn,
     path: SampledPath,
@@ -311,6 +315,7 @@ class TimeFunctionBundle:
     name: str = ""
 
 
+@np.errstate(all="ignore")  # a term that is not finite is refused by _split
 def ito_check_time(
     bundle: TimeFunctionBundle,
     path: SampledPath,
@@ -366,6 +371,7 @@ class TensorFunctionBundle:
     name: str = ""
 
 
+@np.errstate(all="ignore")  # a term that is not finite is refused by _split
 def ito_check_multi(
     bundle: TensorFunctionBundle,
     paths: Sequence[SampledPath],

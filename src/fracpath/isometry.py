@@ -44,8 +44,8 @@ class PhiSpec:
 
     kind="power":          phi(x) = x**p_phi, valid everywhere.
     kind="log-modulated":  phi(x) = x**p_phi * (-log x)**(-log_power),
-                           increasing up to exp(-log_power / p_phi), which
-                           becomes the domain cap.
+                           increasing on all of (0, 1); exp(-log_power /
+                           p_phi) is a domain bound (domain_hi), not a peak.
     kind="custom":         any callable; p_phi is the caller's claim about
                            its index.
     """
@@ -228,13 +228,14 @@ def phi_inverse(spec: PhiSpec, y: float) -> float:
     cap = spec.domain_hi
     if math.isfinite(cap):
         hi = cap * (1.0 - 1e-12)
-        if y > float(spec(np.asarray(hi))):
+        if y > float(spec._formula(np.asarray(hi))):
             raise InvalidPhiError(
                 f"value {y!r} is outside the gauge range (cap {cap!r}); rescale inputs"
             )
-    else:
-        hi = 1.0
-        while float(spec(np.asarray(hi))) < y:
+    else:  # doubling from 1 reaches the same power of 2 as from 2**k with phi(2**k) < y
+        k = math.log2(y) / spec.p_phi - 1.0 if spec.kind == "power" else 0.0
+        hi = 2.0 ** math.floor(min(max(k, 0.0), 996.0))  # 2**997 is past 1e300, refused below
+        while float(spec._formula(np.asarray(hi))) < y:
             hi *= 2.0
             if hi > 1e300:
                 raise InvalidPhiError("failed to bracket the gauge inverse")
@@ -309,11 +310,9 @@ def holder_exponent(path: SampledPath) -> float:
     js = np.arange(4, 11, dtype=float)
     logs = []
     for j in js:
-        part = badic(path.horizon, int(j))
-        vals = path.value_at(part.times)
+        _, vals = partition_values(path, badic(path.horizon, int(j)))
         m = float(np.max(np.abs(np.diff(vals))))
         if m <= 0.0:
             raise InvalidParameterError("path is flat at this resolution")
         logs.append(math.log(m) / math.log(2))
-    slope = float(np.polyfit(js, np.array(logs), 1)[0])
-    return -slope
+    return -float(np.polyfit(js, np.array(logs), 1)[0])

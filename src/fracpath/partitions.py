@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, real
+from .errors import InvalidParameterError, real, time_grid
 from .paths import LN2_OVER_LN3, MAX_KNOTS, TERNARY_UNDERFLOW, SampledPath
 
 __all__ = [
@@ -34,22 +34,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Strictly increasing time grid on [0, horizon], first point 0."""
+    """A time grid (``errors.time_grid``) on [0, horizon]."""
 
     times: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.ascontiguousarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise InvalidParameterError("a partition needs at least two points")
-        bad = np.flatnonzero(~np.isfinite(times))
-        if bad.size:
-            raise InvalidParameterError(f"time at index {bad[0]} is not finite ({times[bad[0]]})")
-        if times[0] != 0.0:
-            raise InvalidParameterError("partitions start at time 0")
-        if np.any(np.diff(times) <= 0.0):
-            raise InvalidParameterError("partition times must be strictly increasing")
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", time_grid("partition times", self.times))
 
     @property
     def horizon(self) -> float:

@@ -24,7 +24,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import InvalidParameterError, SamplingInfeasibleError, real
+from .errors import InvalidParameterError, SamplingInfeasibleError, real, time_grid
 
 __all__ = [
     "AnalyticPath",
@@ -61,27 +61,20 @@ TERNARY_UNDERFLOW = 679
 class SampledPath:
     """A path known at finitely many times, linearly interpolated in between.
 
-    ``times`` must be strictly increasing with ``times[0] == 0``; the horizon
-    is ``times[-1]``.
+    ``times`` is a time grid (``errors.time_grid``); the horizon is ``times[-1]``.
     """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.ascontiguousarray(self.times, dtype=float)
+        times = time_grid("times", self.times)
         values = np.ascontiguousarray(self.values, dtype=float)
-        if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
+        if values.shape != times.shape:
             raise InvalidParameterError("times and values must be 1-d arrays of equal length")
-        if times.size < 2:
-            raise InvalidParameterError("a sampled path needs at least two points")
-        if times[0] != 0.0:
-            raise InvalidParameterError("sampled paths start at time 0")
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise InvalidParameterError(f"value at index {bad[0]} is not finite ({values[bad[0]]})")
-        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0):
-            raise InvalidParameterError("times must be finite and strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -436,20 +429,9 @@ def fbm_path(spec: GaussianPathSpec) -> SampledPath:
 
 
 def sample(path: AnalyticPath, grid: np.ndarray) -> SampledPath:
-    """Evaluate an analytic path on ``grid`` and wrap as a SampledPath.
-
-    ``grid`` must be strictly increasing, start at 0 and stay within the
-    path's domain [0, horizon].
-    """
-    grid = np.ascontiguousarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise InvalidParameterError("grid must be a 1-d array with at least two points")
-    if grid[0] != 0.0:
-        raise InvalidParameterError("grid must start at 0")
+    """Evaluate an analytic path on ``grid``, a time grid (``errors.time_grid``)
+    within the path's domain [0, horizon], and wrap as a SampledPath."""
+    grid = time_grid("grid", grid)
     if grid[-1] > path.horizon + 1e-15:
-        raise InvalidParameterError(
-            f"grid exceeds the path horizon {path.horizon!r}"
-        )
-    if np.any(np.diff(grid) <= 0.0):
-        raise InvalidParameterError("grid must be strictly increasing")
+        raise InvalidParameterError(f"grid exceeds the path horizon {path.horizon!r}")
     return SampledPath(grid, path(grid))

@@ -69,10 +69,8 @@ def variation_table(
     grid, vals = partition_values(path, partition)
     c = np.abs(np.diff(vals)) ** p
     csum = np.concatenate([[0.0], np.cumsum(c)])
-    idx = np.searchsorted(grid, ts, side="right") - 1
-    idx = np.clip(idx, 0, grid.size - 1)
-    frag_base = path.value_at(grid[idx])
-    frag = np.abs(path.value_at(np.minimum(ts, grid[-1])) - frag_base) ** p
+    idx = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, grid.size - 1)
+    frag = np.abs(path.value_at(np.minimum(ts, grid[-1])) - vals[idx]) ** p
     frag[idx == grid.size - 1] = 0.0
     return csum[idx] + frag
 

@@ -525,6 +525,17 @@ BAD_CONFIGS = {
         },
         "custom gauges need a callable, got 'x'",
     ),
+    # f overflowing on the path: the stage's first non-finite term is named
+    "ito-check-poly-overflows": (
+        {
+            "command": "ito-check",
+            "path": {"kind": "fbm", "hurst": 0.4, "n": 256, "seed": 3},
+            "partition": {"kind": "badic", "levels": [8]},
+            "p": 2.5,
+            "fn": {"name": "poly", "coeffs": [0] * 100 + [1e300]},
+        },
+        "the value change on a partition of 256 increments must be finite, got inf",
+    ),
     # a kernel that is no finite number is refused by its pair, in either form
     "remainder-pair-overflows-taylor": (
         {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 1e200]], "method": "taylor"},

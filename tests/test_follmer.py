@@ -2,6 +2,7 @@
 time / multi-component / functional identities."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,21 @@ def test_kernel_undeclared_kink_fails_loudly():
     assert remainder_kernel(declared, 2.05, -0.3, 0.7) == pytest.approx(want, abs=1e-12)
     with pytest.raises(QuadratureError, match=r"16384 panels on \[-0.3, 0.7\]"):
         remainder_kernel(bare, 2.05, -0.3, 0.7)
+
+
+@pytest.mark.parametrize("method", ["integral", "taylor"])
+def test_kernel_refuses_a_singular_diagonal_entry_before_any_work(method):
+    # the third pair sits on the kink of |x|^2.5 at 0: the batch is refused
+    # before f or any derivative is evaluated on the two pairs before it
+    declared, calls = abs_power(P), []
+
+    def counted(g):
+        return lambda x: calls.append(np.size(x)) or g(x)
+
+    fn = SmoothFn(counted(declared.fn), tuple(map(counted, declared.derivs)), declared.kinks)
+    with pytest.raises(KernelSingularError, match=r"at 0.0 \(kink exponent 2.5\)$"):
+        remainder_kernel(fn, P, [0.2, -0.4, 0.0, 0.5], [0.7, 0.3, 0.0, 0.9], method)
+    assert calls == []
 
 
 def test_kernel_profile_batch_fails_in_angle_order_within_bounded_memory():
@@ -480,6 +496,32 @@ def test_multi_keeps_a_subnormal_gap_exact():
     rep = ito_check_multi(product_bundle(), [x, y], Partition([0.0, 4.0]), 1.5)
     assert rep.kernel_sum == rep.value_change == 1e-323
     assert rep.identity_residual == 0.0
+
+
+@pytest.mark.filterwarnings("error")  # refused with no numpy RuntimeWarning on the way
+def test_checks_refuse_a_term_that_is_not_finite():
+    # 1e300 x^100 overflows where |S| > 1: S(4) = 3 makes the value change inf
+    message = "the value change on a partition of 4 increments must be finite, got inf"
+    f = polynomial([0.0] * 100 + [1e300])
+    path = SampledPath(np.arange(5.0), [0.0, 0.5, 2.0, 1.5, 3.0])
+    part = Partition(path.times)
+    in_time = TimeFunctionBundle(
+        fn=lambda t, x: f.fn(x),
+        dt=lambda t, x: 0.0 * x,
+        dx=(lambda t, x: f.derivs[0](x), lambda t, x: f.derivs[1](x)),
+    )
+    in_plane = TensorFunctionBundle(
+        fn=lambda v: f.fn(v[..., 0]),
+        grad=f.derivs[0],
+        hess=lambda v: f.derivs[1](v)[..., None],
+    )
+    for check in (
+        lambda: ito_check(f, path, part, P),
+        lambda: ito_check_time(in_time, path, part, P),
+        lambda: ito_check_multi(in_plane, [path], part, P),
+    ):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            check()
 
 
 def test_ito_check_on_the_path_grid_transient_memory_is_bounded():

@@ -10,6 +10,7 @@ import pytest
 
 import fracpath.paths as paths_module
 from fracpath.errors import InvalidParameterError, SamplingInfeasibleError
+from fracpath.partitions import Partition
 from fracpath.paths import (
     AnalyticPath,
     TERNARY_UNDERFLOW,
@@ -56,6 +57,28 @@ def test_sampled_path_rejects_non_finite(bad):
         SampledPath(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.1, bad, 0.3, bad]))
     with pytest.raises(InvalidParameterError, match="finite"):
         SampledPath(np.array([0.0, bad, 1.0]), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "times, rule",
+    [
+        ([0.0], "must be 1-d, 2 or more long, got shape (1,)"),
+        ([[0.0, 1.0]], "must be 1-d, 2 or more long, got shape (1, 2)"),
+        ([0.0, math.nan, 1.0], "at index 1 is not finite (nan)"),
+        ([0.25, 1.0], "must start at 0, got 0.25"),
+        ([0.0, 0.5, 0.5, 1.0], "must be strictly increasing, got 0.5 after 0.5 at index 2"),
+    ],
+)
+def test_one_time_grid_check_names_the_grid_the_rule_and_the_index(times, rule):
+    # path times, partitions and sampling grids share errors.time_grid
+    ramp = AnalyticPath(horizon=1.0, fn=lambda t: t)
+    for build, name in (
+        (lambda t: SampledPath(t, np.zeros(np.shape(t))), "times"),
+        (Partition, "partition times"),
+        (lambda t: sample(ramp, t), "grid"),
+    ):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(f'{name} {rule}')}$"):
+            build(times)
 
 
 def test_analytic_custom_and_sample():

@@ -70,6 +70,23 @@ def test_non_finite_panel_sum_raises():
         integrate_kinked(lambda t, _: np.where(t > 0.5, np.inf, 1.0), 0.0, 1.0, [], 1e-9)
 
 
+def test_batch_raises_its_first_failing_row_and_integrates_no_point_twice():
+    # row 0 (|t - 0.7|^0.05, the kink undeclared) fails at the doubling cap;
+    # row 1 (inf past 2.5) goes non-finite on its first panel, long before.
+    # Row 0's own error is raised, and no point is evaluated twice
+    seen = []
+
+    def g(t, _):
+        seen.append(t.ravel().copy())
+        return np.where(t < 2.0, np.abs(t - 0.7) ** 0.05, np.where(t > 2.5, np.inf, 1.0))
+
+    with pytest.raises(QuadratureError, match=r"after 16384 panels on \[0, 1\]$"):
+        integrate_kinked(g, [0.0, 2.0], [1.0, 3.0], [], 1e-12)
+    points = np.concatenate(seen)
+    # row 0 on 1 + 2 + ... + 16384 panels of 32 points, row 1 on one panel
+    assert np.unique(points).size == points.size == 32 * (2**15 - 1) + 32
+
+
 def test_non_integrable_kink_rejected():
     with pytest.raises(InvalidParameterError, match="not integrable"):
         integrate_kinked(lambda t, _: np.abs(t) ** -1.0, 0.0, 1.0, [(0.0, -1.0)], 1e-9)
