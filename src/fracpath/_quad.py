@@ -98,6 +98,11 @@ def integrate_kinked(g: Integrand, lo, hi, kinks: Sequence[Kink], rtol: float) -
     integral, and the first failing row of a batch raises, its kink named."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     shape, lo, hi, out = lo.shape, lo.ravel(), hi.ravel(), np.empty(lo.size)
+    if any(s <= -1.0 for _, s in kinks):  # a part graded toward one is refused before any work
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            for x0, x1, kink in itertools.chain.from_iterable(_pieces(a, b, kinks)):
+                if kink:
+                    _substitution(x0, x1, *kink)
     for first in range(0, lo.size, _BLOCK):
         s = slice(first, first + _BLOCK)
         block = [list(_pieces(a, b, kinks)) for a, b in zip(lo[s].tolist(), hi[s].tolist())]

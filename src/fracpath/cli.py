@@ -37,7 +37,8 @@ import numpy as np
 
 from . import __version__
 from .errors import FracpathError, InvalidConfigError, real
-from .partitions import MAX_KNOTS, badic, block_sum, cantor_blocks, value_grid_partition
+from .partitions import MAX_KNOTS, CantorBlocks, badic, block_sum, cantor_blocks
+from .partitions import partition_values, value_grid_partition
 from .paths import AnalyticPath, SampledPath, sample
 
 _COMMON_KEYS = {"command", "label", "expect", "tol"}
@@ -172,11 +173,9 @@ def _as_sampled(path_cfg: dict, levels_max: int, base: int) -> SampledPath:
 
 
 def _iter_stages(cfg: dict, p: float):
-    """Yield (stage_label, blocks) per stage: the stage's partition as
-    weighted blocks ``(weight, sampled_path, partition)``, which the runners
-    sum with ``block_sum`` or ``ito_check_blocks``. badic and value-grid
-    stages are one block of weight 1; a cantor-crossing stage is the level
-    blocks of ``partitions.cantor_blocks``, so no 2**n grid is built."""
+    """Yield (stage_label, stage) per stage: a badic or value-grid stage is
+    its (sampled_path, partition), a cantor-crossing stage the level rows of
+    ``partitions.cantor_blocks``, so no 2**n grid is built."""
     part = cfg["partition"]
     kind = part.get("kind") if isinstance(part, dict) else None
     if not isinstance(kind, str) or kind not in _PARTITIONS:
@@ -195,12 +194,17 @@ def _iter_stages(cfg: dict, p: float):
         levels, base = _nums(part, "levels", int), _num(part, "base", kind=int)
         sampled = _as_sampled(cfg["path"], max(levels), base)
         for lev in levels:
-            yield lev, [(1, sampled, badic(sampled.horizon, lev, base))]
+            yield lev, (sampled, badic(sampled.horizon, lev, base))
         return
     deltas = _nums(part, "deltas")
     sampled = _as_sampled(cfg["path"], _num(part, "samples_level", kind=int), 2)
     for delta in deltas:
-        yield delta, [(1, sampled, value_grid_partition(sampled, delta, part["mode"]))]
+        yield delta, (sampled, value_grid_partition(sampled, delta, part["mode"]))
+
+
+def _blocks(stage):
+    """A stage as weighted rows of path values (``partitions.block_sum``)."""
+    return stage if isinstance(stage, CantorBlocks) else [((1,), partition_values(*stage)[1][None])]
 
 
 # --------------------------------------------------------------------------- #
@@ -224,19 +228,18 @@ def _run_generate_path(cfg: dict):
 
 def _run_variation(cfg: dict):
     from .registry import make_phi
-    from .variation import phi_variation_partial, pth_variation_partial
+    from .variation import phi_sums
 
     p = _num(cfg, "p")
     phi = make_phi(cfg["phi"]) if "phi" in cfg else None
-    def term(path, part):
-        if phi is not None:
-            return phi_variation_partial(path, part, phi)
-        return pth_variation_partial(path, part, p)
+
+    def term(rows):  # the increments, then the phi-sum or pth_variation_partial's p-th power sum
+        gauge = phi if phi is not None else (lambda a, q=real("p", p, lo=0): a**q)
+        return np.full(len(rows), rows.shape[1] - 1), phi_sums(rows, gauge)
 
     rows = []
-    for label, blocks in _iter_stages(cfg, p):
-        n_increments = block_sum(blocks, lambda _, part: part.n_intervals)
-        rows.append([label, n_increments, float(block_sum(blocks, term))])
+    for label, stage in _iter_stages(cfg, p):
+        rows.append([label, *block_sum(_blocks(stage), term)])
     gap = None
     if len(rows) >= 2:
         last, prev = rows[-1][2], rows[-2][2]
@@ -260,8 +263,8 @@ def _run_ito_check(cfg: dict):
         "follmer_residual",
     ]
     rows = []
-    for label, blocks in _iter_stages(cfg, p):
-        rep = ito_check_blocks(fn, blocks, p)
+    for label, stage in _iter_stages(cfg, p):
+        rep = ito_check_blocks(fn, _blocks(stage), p)
         rows.append([label] + [getattr(rep, name) for name in header[1:]])
     r = [abs(row[-1]) for row in rows]
     gap = r[-1] if len(r) < 3 or r[-1] <= r[-2] <= r[-3] else math.inf
@@ -372,17 +375,16 @@ def _run_isometry(cfg: dict):
     phi = make_phi(cfg.get("phi", {}))
     fn = make_fn(cfg["fn"])
     stages = list(_iter_stages(cfg, _num(cfg, "p", phi.p_phi)))
-    blocks = [block for _, stage_blocks in stages for block in stage_blocks]
-    path = blocks[-1][1]
-    if len(blocks) > len(stages) or any(block_path is not path for _, block_path, _ in blocks):
+    if any(isinstance(stage, CantorBlocks) for _, stage in stages):
         raise InvalidConfigError(
             "isometry compares every stage on one path, but partition kind"
             f" {cfg['partition']['kind']!r} builds a new path per stage"
         )
+    path = stages[-1][1][0]
     alpha = _num(cfg, "holder_alpha", None)
     if alpha is None:
         alpha = holder_exponent(path)
-    report = isometry_check(phi, fn, path, [part for _, _, part in blocks], alpha)
+    report = isometry_check(phi, fn, path, [part for _, (_, part) in stages], alpha)
     rows = [
         [label, report.lhs[i], report.rhs[i], abs(report.ratios[i] - 1.0)]
         for i, (label, _) in enumerate(stages)

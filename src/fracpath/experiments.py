@@ -30,7 +30,7 @@ from .partitions import (
 from .paths import TERNARY_UNDERFLOW, GaussianPathSpec, bump_count, fbm_path
 from .registry import abs_power
 from .smooth import SmoothFn
-from .variation import cantor_function, pth_variation_partial, variation_table
+from .variation import cantor_function, phi_sums, pth_variation_partial
 
 __all__ = [
     "CantorStage",
@@ -90,13 +90,13 @@ def cantor_compensated_formula(p: float, n: int, k_n: int) -> float:
 
 def cantor_stage(p: float, n: int, rounding: str = "floor") -> CantorStage:
     """Stage-n numbers for the Cantor-distance path along its crossing grid,
-    summed over the level blocks of ``cantor_blocks``: only the order of
-    summation differs from sums over the materialized grid, and cost and
-    memory grow with n * k_n instead of 2**n * k_n."""
+    summed over the level rows of ``cantor_blocks``: only the order of
+    summation differs from sums over the materialized grid, cost grows with
+    n * k_n instead of 2**n * k_n, and memory is bounded by the row chunks."""
     real("p", p, lo=1, hi=4)  # abs_power supplies three derivatives
     k_n, blocks = cantor_blocks(p, n, rounding)
     report = ito_check_blocks(abs_power(p), blocks, p)
-    total = block_sum(blocks, lambda path, part: pth_variation_partial(path, part, p))
+    (total,) = block_sum(blocks, lambda rows: (phi_sums(rows, lambda a: a**p),))
     lower = 1.0
     upper = (1.0 - n ** (1.0 / (1.0 - p))) ** (1.0 - p) if k_n > 1 else math.inf
     return CantorStage(
@@ -137,11 +137,17 @@ def cantor_profile(p: float, n: int, ts, rounding: str = "floor") -> np.ndarray:
     out = np.zeros_like(ts)
     lo = np.zeros_like(ts)
     b = np.zeros_like(ts)
-    for i, (_, path, part) in enumerate(blocks[:-1], start=1):
+    for i, scale in enumerate(blocks.scales, start=1):
         third = 3.0 ** (-i)
         gap_lo = lo + third
-        full = variation_table(path, part, p, [path.horizon])[0]
-        partial = variation_table(path, part, p, np.maximum(ts - gap_lo, 0.0))
+        # variation_table of level i's row on its own knots, at the offsets into the gap
+        grid, vals = third * blocks.fracs, scale * blocks.pattern
+        csum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)) ** p)])
+        at = np.minimum(np.maximum(ts - gap_lo, 0.0), grid[-1])
+        idx = np.searchsorted(grid, at, side="right") - 1
+        frag = np.abs(np.interp(at, grid, vals) - vals[idx]) ** p
+        frag[idx == grid.size - 1] = 0.0
+        partial, full = csum[idx] + frag, csum[-1]
         right = ts >= gap_lo
         out += b * full + np.where(right, partial, 0.0)
         b = np.where(right, 2.0 * b + 1.0, 2.0 * b)

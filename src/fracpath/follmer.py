@@ -14,8 +14,9 @@ functionals of the whole path prefix (with vertical bumps and horizontal
 flat extensions of a piecewise-constant prefix). Every variant feeds its
 order-j directional terms D^j f(left)[dS^j] to the one Taylor engine,
 ``_taylor_terms``, and takes m from ``taylor_order``; the scalar,
-time-dependent and multi-component checks also build their reports in one
-place, ``_split``.
+time-dependent and multi-component checks also split in one place,
+``_split``, one row of sums per row of increments: ``ito_check_blocks`` sums
+a chunk of stacked rows in one pass, and ``ito_check`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     KernelSingularError,
     real,
 )
-from .partitions import Partition, osc, partition_values, weighted_total
+from .partitions import Partition, block_sum, osc, partition_values
 from .paths import SampledPath
 from .smooth import SmoothFn
 
@@ -83,16 +84,17 @@ def _taylor_terms(terms: Iterable[np.ndarray], gap: np.ndarray) -> tuple[float, 
     ``terms`` yields, for j = 1..m, the order-j directional derivative
     D^j f(left)[dS^j] per increment, not yet divided by j!, as a fresh
     array the loop may overwrite; ``gap`` starts as f(right) - f(left) and is
-    updated in place. Returns the compensated sum and the per-increment
-    Taylor gaps. Each order is summed before it is divided by j! and leaves
-    the gaps as term / j!, one order at a time; the reported numbers rest
-    on that order. Each term is freed before the next one is drawn.
+    updated in place. Returns the compensated sums along the last axis (per
+    row, each bit for bit its row's ``np.sum``) and the Taylor gaps. Each
+    order is summed before it is divided by j! and leaves the gaps as term /
+    j!, one order at a time; the reported numbers rest on that order. Each
+    term is freed before the next one is drawn.
     """
     comp, fact, j = 0.0, 1.0, 0
     for term in terms:  # no enumerate: its reused result tuple would keep the last term alive
         j += 1
         fact *= j
-        comp += float(np.sum(term)) / fact
+        comp += np.add.reduce(term, axis=-1) / fact
         term /= fact
         gap -= term
         del term  # free it before the next derivative is evaluated
@@ -109,20 +111,21 @@ def _power_terms(derivs: Sequence[Callable], inc: np.ndarray, *at: np.ndarray) -
         yield d(*at) * power
 
 
-def _kernel_sum(gap: np.ndarray, size: np.ndarray, p: float) -> tuple[float, int]:
-    """(sum of G |dS|^p, count of increments left out): G = gap / |dS|^p is
-    multiplied back by |dS|^p, so the identity residual measures the rounding
-    honestly; a subnormal G would lose the gap's bits, so there the gap stands.
-    Increments whose |dS|^p is 0 -- zero, or small enough for the power to
-    underflow -- have no finite G and are left out. Overwrites both arrays."""
+def _kernel_sum(gap: np.ndarray, size: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sums of G |dS|^p, counts of increments left out) per row of the 2-D
+    ``gap`` and ``size``: G = gap / |dS|^p is multiplied back by |dS|^p, so the
+    identity residual measures the rounding honestly; a subnormal G would lose
+    the gap's bits, so there the gap stands. Increments whose |dS|^p is 0
+    (zero or underflowing) have no finite G: their row sums the rest alone."""
     size **= p
     keep = size != 0.0
-    n_zero = int(keep.size - np.count_nonzero(keep))
-    if n_zero:
-        gap, size = gap[keep], size[keep]
+    n_zero = keep.shape[-1] - np.count_nonzero(keep, axis=-1)
     kernel = gap / size
     np.multiply(kernel, size, out=gap, where=np.abs(kernel) >= np.finfo(float).tiny)
-    return float(np.sum(gap)), n_zero
+    sums = np.add.reduce(gap, axis=-1)
+    for r in np.flatnonzero(n_zero):
+        sums[r] = np.add.reduce(gap[r, keep[r]])
+    return sums, n_zero
 
 
 def taylor_remainder(
@@ -244,22 +247,27 @@ class ItoReport:
         return self.value_change - self.time_integral - self.compensated
 
 
-def _split(value_change: float, gap, terms, inc: np.ndarray, p: float, norm=None, **time_parts) -> ItoReport:
-    """Split ``value_change`` into the compensated sum of ``terms`` and the
-    kernel sum of the Taylor gaps left over, |dS| formed only then, as
-    ``norm(inc)`` or as |inc| in inc's buffer; time parts pass to the report.
-    A term that is not finite (f or a derivative overflows) is refused by name."""
-    comp, gap = _taylor_terms(terms, gap)
-    size = np.abs(inc, out=inc) if norm is None else norm(inc)
-    kernel_sum, n_zero = _kernel_sum(gap, size, p)
-    report = ItoReport(value_change, comp, kernel_sum, int(gap.size), n_zero, **time_parts)
+def _report(*terms, **time_parts) -> ItoReport:
+    """The ItoReport of ``terms``, each refused by name unless finite."""
+    report = ItoReport(*terms, **time_parts)
     for name, value in vars(report).items():
         if not math.isfinite(value):  # the message is formed only for a term to refuse
-            real(f"the {name.replace('_', ' ')} on a partition of {gap.size} increments", value)
+            where = f"on a partition of {report.n_increments} increments"
+            real(f"the {name.replace('_', ' ')} {where}", value)
     return report
 
 
-@np.errstate(all="ignore")  # a term that is not finite is refused by _split
+def _split(value_change, gap, terms, inc: np.ndarray, p: float, norm=None) -> tuple:
+    """Split ``value_change`` into the compensated sums of ``terms`` and the
+    kernel sums of the Taylor gaps left over, one per row of the 2-D ``gap``,
+    |dS| formed only then, as ``norm(inc)`` or as |inc| in inc's buffer:
+    (value change, compensated, kernel sum, increments, increments left out)."""
+    comp, gap = _taylor_terms(terms, gap)
+    size = np.abs(inc, out=inc) if norm is None else norm(inc)
+    kernel_sum, n_zero = _kernel_sum(gap, size, p)
+    return value_change, comp, kernel_sum, np.full(len(gap), gap.shape[-1]), n_zero
+
+
 def ito_check(
     fn: SmoothFn,
     path: SampledPath,
@@ -273,30 +281,29 @@ def ito_check(
     the left endpoints. The kernel sum goes through the normalized kernel G
     (divide by |dS|^p, multiply back), so the reported identity residual
     honestly measures the rounding accumulated over all increments instead
-    of being zero by algebra; see ``_kernel_sum``.
+    of being zero by algebra; see ``_kernel_sum``. The one-row case of
+    ``ito_check_blocks``.
     """
+    _require_derivs(len(fn.derivs), taylor_order(p))
+    return ito_check_blocks(fn, [((1,), partition_values(path, partition, t)[1][None])], p)
+
+
+@np.errstate(all="ignore")  # a term that is not finite is refused by _report
+def ito_check_blocks(fn: SmoothFn, blocks, p: float) -> ItoReport:
+    """``ito_check`` along weighted rows of path values (``partitions.block_sum``):
+    one pass of the Taylor engine per chunk, each row's terms bit for bit its
+    ``ito_check`` alone, each additive term summed over the rows."""
     m = taylor_order(p)
     _require_derivs(len(fn.derivs), m)
-    _, vals = partition_values(path, partition, t)
-    inc = np.diff(vals)
-    f_vals = fn.fn(vals)
-    lhs = float(f_vals[-1] - f_vals[0])
-    gap = np.diff(f_vals)
-    del f_vals
-    return _split(lhs, gap, _power_terms(fn.derivs[:m], inc, vals[:-1]), inc, p)
 
+    def rows(vals):
+        inc = np.diff(vals)
+        f_vals = fn.fn(vals)
+        lhs, gap = f_vals[:, -1] - f_vals[:, 0], np.diff(f_vals)
+        del f_vals
+        return _split(lhs, gap, _power_terms(fn.derivs[:m], inc, vals[:, :-1]), inc, p)
 
-# the ItoReport terms that add up over the increments of a partition
-_ADDITIVE = ("value_change", "compensated", "kernel_sum", "n_increments", "n_zero_increments")
-
-
-def ito_check_blocks(fn: SmoothFn, blocks, p: float) -> ItoReport:
-    """``ito_check`` along a partition given as weighted blocks: each
-    additive term of the block reports summed as ``block_sum`` does."""
-    reports = [(w, ito_check(fn, path, part, p)) for w, path, part in blocks]
-    return ItoReport(
-        **{name: weighted_total((w, getattr(r, name)) for w, r in reports) for name in _ADDITIVE}
-    )
+    return _report(*block_sum(blocks, rows))
 
 
 # --------------------------------------------------------------------------- #
@@ -315,7 +322,7 @@ class TimeFunctionBundle:
     name: str = ""
 
 
-@np.errstate(all="ignore")  # a term that is not finite is refused by _split
+@np.errstate(all="ignore")  # a term that is not finite is refused by _report
 def ito_check_time(
     bundle: TimeFunctionBundle,
     path: SampledPath,
@@ -348,16 +355,11 @@ def ito_check_time(
     for node, weight in zip(*gauss_legendre(4)):
         time_gl += float(np.sum(weight * half * bundle.dt(mid + node * half, s_r)))
 
-    # space part at the left-endpoint time
-    return _split(
-        float(f_knots[-1] - f_knots[0]),
-        f_cross - f_knots[:-1],
-        _power_terms(bundle.dx[:m], inc, t_l, s_l),
-        inc,
-        p,
-        time_integral=time_exact,
-        time_quadrature_gap=abs(time_exact - time_gl),
-    )
+    # space part at the left-endpoint time, as one row
+    terms = _power_terms(bundle.dx[:m], inc, t_l, s_l)
+    row = _split(f_knots[-1] - f_knots[0], (f_cross - f_knots[:-1])[None], terms, inc[None], p)
+    time_parts = {"time_integral": time_exact, "time_quadrature_gap": abs(time_exact - time_gl)}
+    return _report(*(np.asarray(x).item() for x in row), **time_parts)
 
 
 @dataclass(frozen=True)
@@ -371,7 +373,7 @@ class TensorFunctionBundle:
     name: str = ""
 
 
-@np.errstate(all="ignore")  # a term that is not finite is refused by _split
+@np.errstate(all="ignore")  # a term that is not finite is refused by _report
 def ito_check_multi(
     bundle: TensorFunctionBundle,
     paths: Sequence[SampledPath],
@@ -398,8 +400,9 @@ def ito_check_multi(
         if m == 2:
             yield np.einsum("nd,nde,ne->n", inc, bundle.hess(left), inc)
 
-    gap = bundle.fn(vals[1:]) - bundle.fn(left)
-    return _split(lhs, gap, terms(), inc, p, lambda d: np.sqrt(np.einsum("nd,nd->n", d, d)))
+    gap = (bundle.fn(vals[1:]) - bundle.fn(left))[None]
+    row = _split(lhs, gap, terms(), inc, p, lambda d: np.sqrt(np.einsum("nd,nd->n", d, d))[None])
+    return _report(*(np.asarray(x).item() for x in row))
 
 
 # --------------------------------------------------------------------------- #
@@ -576,7 +579,7 @@ def ito_check_functional(
     )
     comp, gap = _taylor_terms(terms, f_knots[1:] - f_ext)
     lhs, horizontal = float(f_knots[-1] - f_knots[0]), float(np.sum(f_ext - f_knots[:-1]))
-    return ItoReport(lhs, comp, float(np.sum(gap)), n, time_integral=horizontal)
+    return ItoReport(lhs, float(comp), float(np.sum(gap)), n, time_integral=horizontal)
 
 
 # --------------------------------------------------------------------------- #

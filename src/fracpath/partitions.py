@@ -18,10 +18,13 @@ import numpy as np
 from .errors import InvalidParameterError, real, time_grid
 from .paths import LN2_OVER_LN3, MAX_KNOTS, TERNARY_UNDERFLOW, SampledPath
 
+_CHUNK = 1 << 18  # values of the Cantor level rows formed and summed together
+
 __all__ = [
     "Partition",
     "badic",
     "value_grid_partition",
+    "CantorBlocks",
     "cantor_blocks",
     "block_sum",
     "weighted_total",
@@ -132,17 +135,42 @@ def value_grid_partition(
 # --------------------------------------------------------------------------- #
 
 
-def _cantor_pattern(p: float, n: int, rounding: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """(k_n, frac_all, val_pattern): the crossing pattern that every interval
-    removed up to stage n carries, with ``k_n = n**(1/(p-1))`` rounded down
-    (rounding="floor") or to the nearest integer (rounding="nearest").
+@dataclass(frozen=True)
+class CantorBlocks:
+    """A Cantor stage as weighted rows of path values (``block_sum``): its chunks
+    are the level rows ``scales[i-1] * pattern`` at weight 2**(i-1), i = 1..n,
+    at most ``_CHUNK`` values each (or one row), then the flat block ``[0, 0]``
+    at weight 2**n. Level i's knot times are ``3**-i * fracs``."""
 
-    ``frac_all`` holds the 2 k_n + 1 crossing times as fractions of the
-    interval, ``val_pattern`` the values 0, 1, .., k_n, .., 1, 0 in units of
-    the level's value step. Refuses, before building anything, when one
-    such block between the end knots 0 and 1 would exceed ``MAX_KNOTS``
-    knots, and when the level-n block's crossing times
-    ``3**-n * frac_all`` are not distinct float64 numbers (they underflow).
+    scales: tuple[float, ...]
+    pattern: np.ndarray
+    fracs: np.ndarray
+
+    def __iter__(self):
+        n, step = len(self.scales), max(1, _CHUNK // self.pattern.size)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            yield [1 << i for i in range(lo, hi)], np.outer(self.scales[lo:hi], self.pattern)
+        yield [1 << n], np.zeros((1, 2))
+
+
+def cantor_blocks(p: float, n: int, rounding: str = "floor") -> tuple[int, CantorBlocks]:
+    """(k_n, blocks): the stage-n value-crossing grid of the Cantor-distance
+    path with exponent ``p`` as weighted level rows, without the 2**n grid;
+    ``k_n`` is ``n**(1/(p-1))`` rounded down (rounding="floor") or to the
+    nearest integer (rounding="nearest").
+
+    The grid is 0, one block of 2 k_n + 1 knots per removed interval, then 1,
+    the blocks joined by 2**n zero increments. A block crosses a uniform value
+    grid of k_n levels up to its peak and back: times ``fracs`` of its
+    interval, values 0, 1, .., k_n, .., 1, 0 in steps of its level. The
+    2**(i-1) intervals removed at level i carry the same values, so one row
+    holds them, scaled by the Python float ``2**(-i/p) / k_n``; the flat block
+    stands for the zero increments. Every increment is the same float as in
+    the full grid, so a sum over the grid is the weighted sum over the rows up
+    to the order of summation. Refused before anything is built: a block past
+    ``MAX_KNOTS`` knots (with the end knots 0 and 1), n rows past ``MAX_KNOTS``
+    values, and level-n crossing times ``3**-n * fracs`` that underflow.
     """
     real("p", p, lo=1)
     n = real("n", n, lo=1, open=False, integer=True)
@@ -161,11 +189,12 @@ def _cantor_pattern(p: float, n: int, rounding: str) -> tuple[int, np.ndarray, n
         )
     raw = n ** (1.0 / (p - 1.0))
     k_n = max(int(math.floor(raw + 1e-9)) if rounding == "floor" else int(round(raw)), 1)
-    n_knots = 2 * k_n + 3
-    if n_knots > MAX_KNOTS:
-        raise InvalidParameterError(
-            f"stage {n} at p={p}: {n_knots} knots exceed the limit of {MAX_KNOTS}"
-        )
+    # one block with the end knots 0 and 1, then all n level rows
+    for count, what in ((2 * k_n + 3, "knots"), (n * (2 * k_n + 1), f"values in {n} level rows")):
+        if count > MAX_KNOTS:
+            raise InvalidParameterError(
+                f"stage {n} at p={p}: {count} {what} exceed the limit of {MAX_KNOTS}"
+            )
 
     q = LN2_OVER_LN3 / p
     ks = np.arange(k_n + 1, dtype=float)
@@ -176,39 +205,8 @@ def _cantor_pattern(p: float, n: int, rounding: str) -> tuple[int, np.ndarray, n
     val_pattern = np.concatenate(
         [np.arange(k_n + 1, dtype=float), np.arange(k_n - 1, -1, -1, dtype=float)]
     )
-    return k_n, frac_all, val_pattern
-
-
-def cantor_blocks(
-    p: float, n: int, rounding: str = "floor"
-) -> tuple[int, list[tuple[int, SampledPath, Partition]]]:
-    """(k_n, blocks): the stage-n value-crossing grid of the Cantor-distance
-    path with exponent ``p`` as weighted blocks ``(weight, path,
-    partition)``, without the 2**n grid; ``k_n`` is ``n**(1/(p-1))`` rounded
-    down (rounding="floor") or to the nearest integer (rounding="nearest").
-
-    In that grid each interval removed at level ``i <= n`` crosses a uniform
-    value grid of ``k_n`` levels up to its peak ``2**(-i/p)`` and back: the
-    grid is 0, one block of 2 k_n + 1 knots per removed interval, then 1,
-    the blocks joined by 2**n zero increments. The 2**(i-1) intervals
-    removed at level i carry the same values, so entry i - 1 is one
-    representative block -- times ``3**-i * frac_all`` from 0, values
-    ``2**(-i/p) / k_n * val_pattern`` -- of weight 2**(i-1). The last entry
-    is a flat one-interval block of weight 2**n: the zero increments. Every
-    increment is the same float as in the full grid, so a sum over the grid
-    is the weighted sum over the blocks up to the order of summation. Memory
-    grows with n * k_n instead of 2**n * k_n; a stage whose level-n times
-    underflow float64 is refused before any block is built.
-    """
-    k_n, frac_all, val_pattern = _cantor_pattern(p, n, rounding)
-    blocks = []
-    for i in range(1, n + 1):
-        times = 3.0 ** (-i) * frac_all
-        path = SampledPath(times, 2.0 ** (-i / p) / k_n * val_pattern)
-        blocks.append((1 << (i - 1), path, Partition(times)))
-    flat = np.array([0.0, 1.0])
-    blocks.append((1 << n, SampledPath(flat, np.zeros(2)), Partition(flat)))
-    return k_n, blocks
+    scales = tuple(2.0 ** (-i / p) / k_n for i in range(1, n + 1))
+    return k_n, CantorBlocks(scales, val_pattern, frac_all)
 
 
 def weighted_total(pairs):
@@ -218,10 +216,14 @@ def weighted_total(pairs):
     return functools.reduce(operator.add, (w * v for w, v in pairs))
 
 
-def block_sum(blocks, term):
-    """sum of ``weight * term(path, partition)`` over weighted blocks, in
-    block order; one block of weight 1 gives ``term``'s value itself."""
-    return weighted_total((w, term(path, part)) for w, path, part in blocks)
+def block_sum(blocks, term) -> tuple:
+    """Weighted sums over the rows of ``blocks``, chunks ``(weights, rows)``
+    with one row of path values per weight (a path's values along a partition
+    are ``[((1,), values[None])]``): ``term`` maps a chunk's rows to a tuple of
+    per-row arrays, and each is summed by ``weighted_total`` in block order."""
+    rows = [r for w, v in blocks for r in zip(w, *(np.asarray(c).tolist() for c in term(v)))]
+    weights, *columns = zip(*rows)
+    return tuple(weighted_total(zip(weights, column)) for column in columns)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,11 +18,21 @@ from .partitions import Partition, check_stop_times, partition_values
 from .paths import SampledPath
 
 __all__ = [
+    "phi_sums",
     "pth_variation_partial",
     "phi_variation_partial",
     "variation_table",
     "cantor_function",
 ]
+
+
+def phi_sums(values: np.ndarray, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """sum of phi(|increment|) along the last axis of ``values``, per row of
+    path values (``partitions.block_sum``) bit for bit the row's sum alone."""
+    out = phi(np.abs(np.diff(values)))
+    if np.any(out < 0.0) or not np.all(np.isfinite(out)):
+        raise InvalidPhiError("phi must be finite and nonnegative on increment magnitudes")
+    return np.add.reduce(out, axis=-1)
 
 
 def phi_variation_partial(
@@ -31,13 +41,9 @@ def phi_variation_partial(
     phi: Callable[[np.ndarray], np.ndarray],
     t: float | None = None,
 ) -> float:
-    """sum_i phi(|S(min(t, t_{i+1})) - S(min(t, t_i))|) along the partition."""
-    _, vals = partition_values(path, partition, t)
-    inc = np.abs(np.diff(vals))
-    out = phi(inc)
-    if np.any(out < 0.0) or not np.all(np.isfinite(out)):
-        raise InvalidPhiError("phi must be finite and nonnegative on increment magnitudes")
-    return float(np.sum(out))
+    """sum_i phi(|S(min(t, t_{i+1})) - S(min(t, t_i))|) along the partition:
+    ``phi_sums`` on its one row."""
+    return float(phi_sums(partition_values(path, partition, t)[1], phi))
 
 
 def pth_variation_partial(

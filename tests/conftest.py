@@ -1,13 +1,16 @@
 """Shared fixtures: the expensive sampled paths are built once per session;
-the reference builder of the full Cantor crossing grid; and the scalar edge
-values of the API fuzz property."""
+the reference builder of the full Cantor crossing grid and the per-level
+reference sums of a Cantor stage; and the scalar edge values of the API fuzz
+property."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fracpath.partitions import Partition, badic, cantor_blocks
+from fracpath.follmer import ItoReport, ito_check
+from fracpath.partitions import Partition, badic, cantor_blocks, weighted_total
 from fracpath.paths import (
     LN2_OVER_LN3,
     GaussianPathSpec,
@@ -17,6 +20,8 @@ from fracpath.paths import (
     sample,
     takagi_path,
 )
+from fracpath.registry import abs_power
+from fracpath.variation import phi_variation_partial, pth_variation_partial
 
 # one scalar argument at a time takes each of these: non-finite, float64's
 # extremes, the boundaries 0 and -1, a subnormal, a fraction, sizes far
@@ -38,12 +43,10 @@ EDGE_VALUES = (
 )
 
 
-def argsort_grid(p, n, rounding="floor"):
-    """(path, partition, k_n) of the stage-n crossing grid of the
-    Cantor-distance path, built the direct way: every level's blocks
-    appended, then one stable argsort of all knot times. Only k_n comes from
-    ``cantor_blocks``; the library sums over its level blocks instead, and
-    the tests check those sums against this grid."""
+def cantor_pattern(p, n, rounding="floor"):
+    """(k_n, crossing times as fractions of a removed interval, values in
+    units of the level's value step) of the stage-n crossing grid; only k_n
+    comes from ``cantor_blocks``."""
     k_n, _ = cantor_blocks(p, n, rounding)
     q = LN2_OVER_LN3 / p
     ks = np.arange(k_n + 1, dtype=float)
@@ -52,6 +55,16 @@ def argsort_grid(p, n, rounding="floor"):
     val_pattern = np.concatenate(
         [np.arange(k_n + 1, dtype=float), np.arange(k_n - 1, -1, -1, dtype=float)]
     )
+    return k_n, frac_all, val_pattern
+
+
+def argsort_grid(p, n, rounding="floor"):
+    """(path, partition, k_n) of the stage-n crossing grid of the
+    Cantor-distance path, built the direct way: every level's blocks
+    appended, then one stable argsort of all knot times. The library sums
+    over its level rows instead, and the tests check those sums against
+    this grid."""
+    k_n, frac_all, val_pattern = cantor_pattern(p, n, rounding)
     all_t = [np.array([0.0]), np.array([1.0])]
     all_v = [np.array([0.0]), np.array([0.0])]
     for i in range(1, n + 1):
@@ -64,6 +77,29 @@ def argsort_grid(p, n, rounding="floor"):
     order = np.argsort(t, kind="stable")
     t, v = t[order], v[order]
     return SampledPath(t, v), Partition(t), k_n
+
+
+def per_level_reference(p, n, rounding="floor", phi=None):
+    """(ItoReport, variation) of the stage-n crossing grid summed level by
+    level: ``ito_check`` of |x|^p and ``pth_variation_partial`` (or
+    ``phi_variation_partial`` with ``phi``) on each level's own SampledPath,
+    built one at a time, combined with ``weighted_total`` in block order:
+    level i (times 3**-i * fracs, values 2**(-i/p) / k_n * pattern) at weight
+    2**(i-1), then the flat block of weight 2**n."""
+    k_n, frac_all, val_pattern = cantor_pattern(p, n, rounding)
+    levels = (
+        (1 << (i - 1), 3.0 ** (-i) * frac_all, 2.0 ** (-i / p) / k_n * val_pattern)
+        for i in range(1, n + 1)
+    )
+    flat = (1 << n, np.array([0.0, 1.0]), np.zeros(2))
+    fn, per_block = abs_power(p), []
+    for weight, times, values in itertools.chain(levels, [flat]):
+        path, part = SampledPath(times, values), Partition(times)
+        variation = pth_variation_partial(path, part, p) if phi is None else phi_variation_partial(path, part, phi)
+        per_block.append((weight, ito_check(fn, path, part, p), variation))
+    names = ("value_change", "compensated", "kernel_sum", "n_increments", "n_zero_increments")
+    report = ItoReport(*(weighted_total((w, getattr(r, name)) for w, r, _ in per_block) for name in names))
+    return report, weighted_total((w, v) for w, _, v in per_block)
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import per_level_reference
 
 from fracpath import cli
 from fracpath.experiments import cantor_stage
+from fracpath.registry import make_phi
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -455,6 +457,11 @@ BAD_CONFIGS = {
         },
         "depth 1025 at b=2 is too deep: b**1024 overflows float64",
     ),
+    # one row fits, but the stage's 140 level rows would hold about 4e9 values
+    "cantor-sweep-stage-too-large": (
+        {"command": "cantor-sweep", "p": 1.3, "ns": [140]},
+        "stage 140 at p=1.3: 3989496980 values in 140 level rows exceed the limit of 33554432",
+    ),
     "cantor-crossing-too-deep": (
         {"command": "ito-check", "partition": {"kind": "cantor-crossing", "ns": [663]}, "p": 2.5},
         "stage 663 at p=2.5 is too deep",
@@ -718,6 +725,29 @@ def test_ito_check_over_cantor_crossing_reaches_stage_83(tmp_path, capsys):
     assert row["stage"] == "83"
     assert int(row["n_increments"]) == stage.n_increments == 1 + (2**83 - 1) * 39
     assert float(row["compensated"]) == stage.compensated
+
+
+def test_variation_with_a_gauge_over_cantor_crossing_is_the_per_level_sum(tmp_path, capsys):
+    # the stacked rows give each stage's phi-sum bit for bit as the weighted
+    # sum of phi_variation_partial over the level blocks
+    phi = {"kind": "log-modulated", "p_phi": 2.5, "log_power": 0.5}
+    cfg = {
+        "command": "variation",
+        "label": "gauge",
+        "partition": {"kind": "cantor-crossing", "ns": [1, 4, 9, 20]},
+        "p": 2.5,
+        "phi": phi,
+    }
+    path = write_config(tmp_path, "gauge.json", cfg)
+    out = tmp_path / "o"
+    code = cli.main(["variation", "--config", str(path), "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    header, *rows = [line.split(",") for line in (out / "gauge.csv").read_text().splitlines()]
+    assert header == ["stage", "n_increments", "sum"]
+    for stage, n_increments, total in rows:
+        report, want = per_level_reference(2.5, int(stage), phi=make_phi(phi))
+        assert int(n_increments) == report.n_increments
+        assert float(total).hex() == want.hex()
 
 
 def test_reproduce_all_reports_a_bad_fixture_and_writes_the_manifest(tmp_path, capsys):

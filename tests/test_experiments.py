@@ -2,10 +2,11 @@
 crossing grid, and the depth where float64 stops them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import argsort_grid
+from conftest import argsort_grid, per_level_reference
 
 from fracpath.errors import InvalidParameterError
 from fracpath.experiments import (
@@ -15,7 +16,8 @@ from fracpath.experiments import (
     cantor_stage,
 )
 from fracpath.follmer import ito_check, ito_check_blocks
-from fracpath.partitions import block_sum, cantor_blocks
+from fracpath.partitions import Partition, block_sum, cantor_blocks
+from fracpath.paths import SampledPath
 from fracpath.registry import abs_power
 from fracpath.variation import pth_variation_partial
 
@@ -64,23 +66,63 @@ def test_cantor_blocks_count_every_increment_of_the_grid(rounding):
         path, part, _ = argsort_grid(P, n, rounding)
         rep = ito_check(fn, path, part, P)
         summed = ito_check_blocks(fn, blocks, P)
-        assert block_sum(blocks, lambda _, b_part: b_part.n_intervals) == part.n_intervals
+        (n_increments,) = block_sum(blocks, lambda rows: ([rows.shape[1] - 1] * len(rows),))
+        assert n_increments == part.n_intervals
         assert summed.n_increments == rep.n_increments
         assert summed.n_zero_increments == rep.n_zero_increments == 2**n
 
 
 def test_one_block_of_weight_one_gives_its_own_numbers():
     # the weighted sum starts from its first term, so ito_check_blocks and
-    # block_sum over a single block of weight 1 return that block's values
+    # block_sum over a single row of weight 1 return that row's values
     # bit for bit, a signed zero included
     fn = abs_power(P)
     _, blocks = cantor_blocks(P, 3)
-    weight, path, part = blocks[0]
+    (weight, *_), rows = next(iter(blocks))
     assert weight == 1
-    alone, summed = ito_check(fn, path, part, P), ito_check_blocks(fn, blocks[:1], P)
+    times = 3.0**-1 * blocks.fracs
+    path = SampledPath(times, rows[0])
+    alone, summed = ito_check(fn, path, Partition(times), P), ito_check_blocks(fn, [((1,), rows[:1])], P)
     for name in ("value_change", "compensated", "kernel_sum"):
         assert float(getattr(summed, name)).hex() == float(getattr(alone, name)).hex()
-    assert math.copysign(1.0, block_sum(blocks[:1], lambda *_: -0.0)) == -1.0
+    assert math.copysign(1.0, block_sum([((1,), rows[:1])], lambda _: ([-0.0],))[0]) == -1.0
+
+
+def bits(report):
+    return [float(v).hex() if isinstance(v, float) else v for v in vars(report).values()]
+
+
+@pytest.mark.parametrize("rounding", ["floor", "nearest"])
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.5])
+def test_stacked_stage_is_the_per_level_sum_bit_for_bit(p, rounding):
+    # each level row keeps the bits it has alone and the rows are summed in
+    # block order, so the stacked stage is the per-level reference exactly
+    deep = [83, 662] if rounding == "floor" else [83]  # nearest k_n = 76 at 662 is too deep
+    fn = abs_power(p)
+    for n in [*range(1, 21), *(deep if p == P else [])]:
+        report, total = per_level_reference(p, n, rounding)
+        stage = cantor_stage(p, n, rounding)
+        assert bits(ito_check_blocks(fn, cantor_blocks(p, n, rounding)[1], p)) == bits(report)
+        assert stage.total_variation.hex() == total.hex()
+        assert stage.n_increments == report.n_increments
+        for name in ("compensated", "kernel_sum", "identity_residual"):
+            assert getattr(stage, name).hex() == getattr(report, name).hex()
+
+
+def test_a_stage_is_summed_in_bounded_memory():
+    # stage 200 at p = 1.5 has 200 level rows of 80001 knots, 128 MB as one
+    # array; the rows are formed and summed chunk by chunk
+    tracemalloc.start()
+    try:
+        stage = cantor_stage(1.5, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    report, total = per_level_reference(1.5, 200)
+    assert stage.total_variation.hex() == total.hex()
+    for name in ("compensated", "kernel_sum", "identity_residual"):
+        assert getattr(stage, name).hex() == getattr(report, name).hex()
 
 
 def test_cantor_profile_83_ends_at_the_stage_total():

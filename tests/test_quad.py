@@ -97,6 +97,21 @@ def test_non_integrable_kink_rejected():
     assert integrate_kinked(cos, 0.0, math.pi / 2, [], 1e-12) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_non_integrable_kink_is_refused_before_any_integrand_call():
+    # 1024 intervals far from the kink fill the first batch; only the last
+    # interval is graded toward the kink (6.5, -1), in the second batch
+    points = []
+
+    def g(t, _):
+        points.append(t.size)
+        return np.ones_like(t)
+
+    lo = np.append(np.linspace(-100.0, -90.0, 1024), 5.0)
+    with pytest.raises(InvalidParameterError, match=r"\|t - 6.5\|\*\*-1 is not integrable"):
+        integrate_kinked(g, lo, lo + 1.0, [(6.5, -1.0)], 1e-9)
+    assert points == []
+
+
 def test_lazy_node_table_is_numpys_bit_for_bit():
     nodes, weights = gauss_legendre(32)
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(32)
