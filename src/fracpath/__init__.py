@@ -87,7 +87,6 @@ _EXPORTS = {
             "cantor_function",
             "phi_variation_partial",
             "pth_variation_partial",
-            "variation_table",
         ),
     }.items()
     for name in names

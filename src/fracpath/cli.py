@@ -234,7 +234,7 @@ def _run_variation(cfg: dict):
     phi = make_phi(cfg["phi"]) if "phi" in cfg else None
 
     def term(rows):  # the increments, then the phi-sum or pth_variation_partial's p-th power sum
-        gauge = phi if phi is not None else (lambda a, q=real("p", p, lo=0): a**q)
+        gauge = phi if phi is not None else real("p", p, lo=0)
         return np.full(len(rows), rows.shape[1] - 1), phi_sums(rows, gauge)
 
     rows = []

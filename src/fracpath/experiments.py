@@ -23,14 +23,13 @@ from .partitions import (
     MAX_KNOTS,
     Partition,
     badic,
-    block_sum,
     cantor_blocks,
     check_stop_times,
 )
 from .paths import TERNARY_UNDERFLOW, GaussianPathSpec, bump_count, fbm_path
 from .registry import abs_power
 from .smooth import SmoothFn
-from .variation import cantor_function, phi_sums, pth_variation_partial
+from .variation import cantor_function, pth_variation_partial
 
 __all__ = [
     "CantorStage",
@@ -90,19 +89,19 @@ def cantor_compensated_formula(p: float, n: int, k_n: int) -> float:
 
 def cantor_stage(p: float, n: int, rounding: str = "floor") -> CantorStage:
     """Stage-n numbers for the Cantor-distance path along its crossing grid,
-    summed over the level rows of ``cantor_blocks``: only the order of
+    summed over the level rows of ``cantor_blocks`` in one engine pass, which
+    gives the total variation with the identity's terms: only the order of
     summation differs from sums over the materialized grid, cost grows with
     n * k_n instead of 2**n * k_n, and memory is bounded by the row chunks."""
     real("p", p, lo=1, hi=4)  # abs_power supplies three derivatives
     k_n, blocks = cantor_blocks(p, n, rounding)
     report = ito_check_blocks(abs_power(p), blocks, p)
-    (total,) = block_sum(blocks, lambda rows: (phi_sums(rows, lambda a: a**p),))
     lower = 1.0
     upper = (1.0 - n ** (1.0 / (1.0 - p))) ** (1.0 - p) if k_n > 1 else math.inf
     return CantorStage(
         n=n,
         k_n=k_n,
-        total_variation=total,
+        total_variation=report.variation,
         lower_bound=lower,
         upper_bound=upper,
         compensated=report.compensated,
@@ -119,9 +118,10 @@ def cantor_sweep(p: float, ns, rounding: str = "floor") -> list[CantorStage]:
 
 def cantor_profile(p: float, n: int, ts, rounding: str = "floor") -> np.ndarray:
     """Stage-n partial p-th variation of the Cantor-distance path along its
-    crossing grid at each query time: ``variation_table`` over the grid
-    that ``cantor_blocks`` describes, without building its 2**n blocks, and
-    rejecting the same query times.
+    crossing grid at each query time: the cumulative |dS|^p sums over the
+    grid that ``cantor_blocks`` describes, plus the fragment of the interval
+    holding t, without building its 2**n blocks; query times are checked as
+    ``pth_variation_partial`` checks its stop time.
 
     One pass over the levels walks the ternary digits of every t, keeping
     ``lo``, the left end of the retained interval that holds t, and ``b``,
@@ -140,7 +140,7 @@ def cantor_profile(p: float, n: int, ts, rounding: str = "floor") -> np.ndarray:
     for i, scale in enumerate(blocks.scales, start=1):
         third = 3.0 ** (-i)
         gap_lo = lo + third
-        # variation_table of level i's row on its own knots, at the offsets into the gap
+        # level i's row on its own knots: cumulative |dS|^p, at the offsets into the gap
         grid, vals = third * blocks.fracs, scale * blocks.pattern
         csum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)) ** p)])
         at = np.minimum(np.maximum(ts - gap_lo, 0.0), grid[-1])

@@ -17,6 +17,8 @@ order-j directional terms D^j f(left)[dS^j] to the one Taylor engine,
 time-dependent and multi-component checks also split in one place,
 ``_split``, one row of sums per row of increments: ``ito_check_blocks`` sums
 a chunk of stacked rows in one pass, and ``ito_check`` is its one-row case.
+Every report also carries the p-th variation sum_i |dS_i|^p: its terms are
+the weights the kernel sum forms, so the one pass gives it too.
 """
 
 from __future__ import annotations
@@ -111,13 +113,16 @@ def _power_terms(derivs: Sequence[Callable], inc: np.ndarray, *at: np.ndarray) -
         yield d(*at) * power
 
 
-def _kernel_sum(gap: np.ndarray, size: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sums of G |dS|^p, counts of increments left out) per row of the 2-D
-    ``gap`` and ``size``: G = gap / |dS|^p is multiplied back by |dS|^p, so the
-    identity residual measures the rounding honestly; a subnormal G would lose
-    the gap's bits, so there the gap stands. Increments whose |dS|^p is 0
-    (zero or underflowing) have no finite G: their row sums the rest alone."""
+def _kernel_sum(gap: np.ndarray, size: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
+    """(sums of G |dS|^p, counts of increments left out, sums of |dS|^p) per
+    row of the 2-D ``gap`` and ``size``: G = gap / |dS|^p is multiplied back by
+    |dS|^p, so the identity residual measures the rounding honestly; a
+    subnormal G would lose the gap's bits, so there the gap stands. Increments
+    whose |dS|^p is 0 (zero or underflowing) have no finite G: their row sums
+    the rest alone. The |dS|^p sums take every increment, the p-th variation
+    bit for bit as ``variation.phi_sums`` sums it."""
     size **= p
+    variation = np.add.reduce(size, axis=-1)
     keep = size != 0.0
     n_zero = keep.shape[-1] - np.count_nonzero(keep, axis=-1)
     kernel = gap / size
@@ -125,7 +130,7 @@ def _kernel_sum(gap: np.ndarray, size: np.ndarray, p: float) -> tuple[np.ndarray
     sums = np.add.reduce(gap, axis=-1)
     for r in np.flatnonzero(n_zero):
         sums[r] = np.add.reduce(gap[r, keep[r]])
-    return sums, n_zero
+    return sums, n_zero, variation
 
 
 def taylor_remainder(
@@ -224,13 +229,15 @@ def kernel_profile(fn: SmoothFn, p: float, thetas: np.ndarray, method: str = "ta
 
 @dataclass(frozen=True)
 class ItoReport:
-    """Terms of one finite-stage change-of-variable identity."""
+    """Terms of one finite-stage change-of-variable identity, with the p-th
+    variation sum_i |dS_i|^p whose terms weight the kernel sum."""
 
     value_change: float
     compensated: float
     kernel_sum: float
     n_increments: int
-    n_zero_increments: int = 0  # increments with |dS|^p == 0, outside the kernel sum
+    n_zero_increments: int  # increments with |dS|^p == 0, outside the kernel sum
+    variation: float
     time_integral: float = 0.0
     time_quadrature_gap: float = 0.0
 
@@ -261,11 +268,12 @@ def _split(value_change, gap, terms, inc: np.ndarray, p: float, norm=None) -> tu
     """Split ``value_change`` into the compensated sums of ``terms`` and the
     kernel sums of the Taylor gaps left over, one per row of the 2-D ``gap``,
     |dS| formed only then, as ``norm(inc)`` or as |inc| in inc's buffer:
-    (value change, compensated, kernel sum, increments, increments left out)."""
+    (value change, compensated, kernel sum, increments, increments left out,
+    sum of |dS|^p), the ``ItoReport`` fields in order."""
     comp, gap = _taylor_terms(terms, gap)
     size = np.abs(inc, out=inc) if norm is None else norm(inc)
-    kernel_sum, n_zero = _kernel_sum(gap, size, p)
-    return value_change, comp, kernel_sum, np.full(len(gap), gap.shape[-1]), n_zero
+    kernel_sum, n_zero, variation = _kernel_sum(gap, size, p)
+    return value_change, comp, kernel_sum, np.full(len(gap), gap.shape[-1]), n_zero, variation
 
 
 def ito_check(
@@ -537,6 +545,7 @@ def _vertical(bundle: FunctionalBundle, order: int, pre: PathPrefix, step: float
     return (up - 2.0 * F(pre) + dn) / step**2
 
 
+@np.errstate(all="ignore")  # a term that is not finite is refused by _report
 def ito_check_functional(
     bundle: FunctionalBundle,
     path: SampledPath,
@@ -553,7 +562,8 @@ def ito_check_functional(
     differences with step ``fd_step`` (default: half the oscillation of the
     path along the partition, or 1e-6 where its m-th power is 0). The
     kernel sum is the plain sum of the vertical Taylor gaps: a functional's
-    gap need not vanish at a zero increment, so none is left out.
+    gap need not vanish at a zero increment, so none is left out. The p-th
+    variation is the path's own, sum_i |dS_i|^p.
     """
     m = taylor_order(p)
     if m > 2:
@@ -579,7 +589,8 @@ def ito_check_functional(
     )
     comp, gap = _taylor_terms(terms, f_knots[1:] - f_ext)
     lhs, horizontal = float(f_knots[-1] - f_knots[0]), float(np.sum(f_ext - f_knots[:-1]))
-    return ItoReport(lhs, float(comp), float(np.sum(gap)), n, time_integral=horizontal)
+    variation = float(np.add.reduce(np.abs(ds) ** p))
+    return _report(lhs, float(comp), float(np.sum(gap)), n, 0, variation, time_integral=horizontal)
 
 
 # --------------------------------------------------------------------------- #
@@ -601,6 +612,7 @@ class YoungReport:
         return tuple(r - l for l, r in zip(self.lhs, self.rhs))
 
 
+@np.errstate(all="ignore")  # a side that is not finite is refused by real
 def young_bound_check(
     paths: Sequence[SampledPath],
     alphas: Sequence[float],
@@ -613,7 +625,8 @@ def young_bound_check(
 
     with p = sum(alphas) and eps running over the sign patterns in
     {-1,+1}^d modulo a global flip (so d=1 is an exact equality). Each side
-    is a finite sum, so the report is pure arithmetic per level.
+    is a finite sum, so the report is pure arithmetic per level; a side that
+    is not finite is refused by name, since an overflowed bound proves nothing.
     """
     alphas = tuple(alphas)
     if not alphas or len(alphas) != len(paths):
@@ -640,6 +653,8 @@ def young_bound_check(
         rhs = 0.0
         for eps in patterns:
             rhs += float(np.sum(np.abs(dv @ (eps * weights)) ** p))
+        where = f"on a partition of {part.n_intervals} increments"
+        lhs, rhs = real(f"the product sum {where}", lhs), real(f"the Young bound {where}", rhs)
         if lhs > rhs * (1.0 + 1e-12) + 1e-15:
             all_ok = False
         levels.append(part.n_intervals)

@@ -14,24 +14,30 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidPhiError, real
-from .partitions import Partition, check_stop_times, partition_values
+from .partitions import Partition, partition_values
 from .paths import SampledPath
 
 __all__ = [
     "phi_sums",
     "pth_variation_partial",
     "phi_variation_partial",
-    "variation_table",
     "cantor_function",
 ]
 
 
-def phi_sums(values: np.ndarray, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def phi_sums(values: np.ndarray, phi: Callable[[np.ndarray], np.ndarray] | float) -> np.ndarray:
     """sum of phi(|increment|) along the last axis of ``values``, per row of
-    path values (``partitions.block_sum``) bit for bit the row's sum alone."""
-    out = phi(np.abs(np.diff(values)))
+    path values (``partitions.block_sum``) bit for bit the row's sum alone;
+    ``phi`` is a gauge, or the exponent p of |increment|**p, refused by name
+    where the power overflows."""
+    with np.errstate(over="ignore"):
+        size = np.abs(np.diff(values))
+        out = phi(size) if callable(phi) else size**phi
     if np.any(out < 0.0) or not np.all(np.isfinite(out)):
-        raise InvalidPhiError("phi must be finite and nonnegative on increment magnitudes")
+        if callable(phi):
+            raise InvalidPhiError("phi must be finite and nonnegative on increment magnitudes")
+        largest = float(np.max(size))
+        raise InvalidParameterError(f"|dS|^{phi!r} overflows: the largest |dS| is {largest!r}")
     return np.add.reduce(out, axis=-1)
 
 
@@ -52,33 +58,10 @@ def pth_variation_partial(
     p: float,
     t: float | None = None,
 ) -> float:
-    """p-th power increment sum; the phi-sum with phi(x) = x**p."""
-    real("p", p, lo=0)
-    return phi_variation_partial(path, partition, lambda a: a**p, t)
-
-
-def variation_table(
-    path: SampledPath,
-    partition: Partition,
-    p: float,
-    ts: np.ndarray,
-) -> np.ndarray:
-    """Partial p-th variation evaluated at many times t in one pass.
-
-    Equivalent to ``[pth_variation_partial(path, partition, p, t) for t in ts]``
-    but uses one cumulative sum plus a boundary fragment per query, and
-    rejects the same query times.
-    """
-    real("p", p, lo=0)
-    ts = np.asarray(ts, dtype=float)
-    check_stop_times(ts)
-    grid, vals = partition_values(path, partition)
-    c = np.abs(np.diff(vals)) ** p
-    csum = np.concatenate([[0.0], np.cumsum(c)])
-    idx = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, grid.size - 1)
-    frag = np.abs(path.value_at(np.minimum(ts, grid[-1])) - vals[idx]) ** p
-    frag[idx == grid.size - 1] = 0.0
-    return csum[idx] + frag
+    """p-th power increment sum sum_i |S(min(t, t_{i+1})) - S(min(t, t_i))|^p:
+    ``phi_sums`` with the exponent p on the partition's one row."""
+    p = real("p", p, lo=0)
+    return float(phi_sums(partition_values(path, partition, t)[1], p))
 
 
 # --------------------------------------------------------------------------- #

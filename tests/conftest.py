@@ -1,7 +1,7 @@
 """Shared fixtures: the expensive sampled paths are built once per session;
-the reference builder of the full Cantor crossing grid and the per-level
-reference sums of a Cantor stage; and the scalar edge values of the API fuzz
-property."""
+the reference builder of the full Cantor crossing grid, the per-level
+reference sums of a Cantor stage and the reference variation profile; and
+the scalar edge values of the API fuzz property."""
 
 import itertools
 import math
@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from fracpath.follmer import ItoReport, ito_check
-from fracpath.partitions import Partition, badic, cantor_blocks, weighted_total
+from fracpath.partitions import (
+    Partition,
+    badic,
+    cantor_blocks,
+    check_stop_times,
+    partition_values,
+    weighted_total,
+)
 from fracpath.paths import (
     LN2_OVER_LN3,
     GaussianPathSpec,
@@ -97,9 +104,27 @@ def per_level_reference(p, n, rounding="floor", phi=None):
         path, part = SampledPath(times, values), Partition(times)
         variation = pth_variation_partial(path, part, p) if phi is None else phi_variation_partial(path, part, phi)
         per_block.append((weight, ito_check(fn, path, part, p), variation))
-    names = ("value_change", "compensated", "kernel_sum", "n_increments", "n_zero_increments")
+    names = (
+        "value_change", "compensated", "kernel_sum", "n_increments", "n_zero_increments", "variation"
+    )
     report = ItoReport(*(weighted_total((w, getattr(r, name)) for w, r, _ in per_block) for name in names))
     return report, weighted_total((w, v) for w, _, v in per_block)
+
+
+def variation_table(path, partition, p, ts):
+    """Partial p-th variation at many stop times t in one pass: one cumulative
+    sum of |dS|^p plus the fragment of the interval holding each t, rejecting
+    the query times ``pth_variation_partial`` rejects. The library's profile,
+    ``experiments.cantor_profile``, does the same arithmetic level by level;
+    the tests check it, and this table, against the pointwise sums."""
+    ts = np.asarray(ts, dtype=float)
+    check_stop_times(ts)
+    grid, vals = partition_values(path, partition)
+    csum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)) ** p)])
+    idx = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, grid.size - 1)
+    frag = np.abs(path.value_at(np.minimum(ts, grid[-1])) - vals[idx]) ** p
+    frag[idx == grid.size - 1] = 0.0
+    return csum[idx] + frag
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry point, in subprocesses and
 in-process through ``cli.main``."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import per_level_reference
 
@@ -249,6 +251,27 @@ def test_reproduce_all_fixtures(tmp_path):
     summary = json.loads((out / "reproduce-all.manifest.json").read_text())
     assert set(summary["runs"]) == {f.name for f in fixtures}
     assert all(run["exit"] == 0 for run in summary["runs"].values())
+    # the numbers themselves: every CSV byte for byte as recorded
+    golden = json.loads((FIXTURES / "expected" / "sha256.json").read_text())
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.glob("*.csv")}
+    assert set(written) == set(golden["sha256"])
+    moved = sorted(name for name, digest in written.items() if digest != golden["sha256"][name])
+    assert not moved, (
+        f"sha256 of {', '.join(moved)} not as in fixtures/expected/sha256.json, recorded with numpy"
+        f" {golden['numpy']} and SIMD {golden['simd_extensions']}; this host runs numpy"
+        f" {np.__version__} with SIMD {_simd_extensions()}"
+    )
+
+
+def _simd_extensions() -> dict:
+    """The simd_extensions entry of ``numpy.show_runtime()`` on this host."""
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+
+    return {
+        "baseline": list(__cpu_baseline__),
+        "found": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
+        "not_found": [f for f in __cpu_dispatch__ if not __cpu_features__[f]],
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -542,6 +565,16 @@ BAD_CONFIGS = {
             "fn": {"name": "poly", "coeffs": [0] * 100 + [1e300]},
         },
         "the value change on a partition of 256 increments must be finite, got inf",
+    ),
+    # |dS|^p past float64 on an fBm of horizon 1e300: the power is named, not a gauge
+    "variation-power-overflows": (
+        {
+            "command": "variation",
+            "path": {"kind": "fbm", "hurst": 0.9, "n": 64, "seed": 1, "horizon": 1e300},
+            "partition": {"kind": "badic", "levels": [6]},
+            "p": 2.5,
+        },
+        "|dS|^2.5 overflows: the largest |dS| is 4.9225472325608536e+268",
     ),
     # a kernel that is no finite number is refused by its pair, in either form
     "remainder-pair-overflows-taylor": (

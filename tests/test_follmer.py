@@ -403,18 +403,22 @@ def test_remainder_integral_matches_limit_kernel():
 
 
 def test_time_bundle_cylinder_reduction(fbm04):
-    part = badic(1.0, 10)
-    plain = ito_check(abs_power(P), fbm04, part, P)
     fn = abs_power(P)
     asbundle = TimeFunctionBundle(
         fn=lambda t, x: fn.fn(x),
         dt=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         dx=(lambda t, x: fn.derivs[0](x), lambda t, x: fn.derivs[1](x)),
     )
-    rep = ito_check_time(asbundle, fbm04, part, P)
-    assert rep.compensated == pytest.approx(plain.compensated, abs=1e-13)
-    assert rep.follmer_residual == pytest.approx(plain.follmer_residual, abs=1e-13)
-    assert rep.time_integral == 0.0
+    for part in (badic(1.0, 10), value_grid_partition(fbm04, 0.05)):
+        for t in (None, 0.37):
+            plain = ito_check(fn, fbm04, part, P, t)
+            rep = ito_check_time(asbundle, fbm04, part, P, t)
+            assert rep.compensated == pytest.approx(plain.compensated, abs=1e-13)
+            assert rep.follmer_residual == pytest.approx(plain.follmer_residual, abs=1e-13)
+            assert rep.time_integral == 0.0
+            # the engine's |dS|^p weights are the p-th variation, bit for bit
+            want = pth_variation_partial(fbm04, part, P, t).hex()
+            assert plain.variation.hex() == rep.variation.hex() == want
 
 
 def test_time_bundle_pure_time(fbm04):
@@ -475,6 +479,9 @@ def test_multi_linear_is_exact(fbm04, fbm08):
     rep = ito_check_multi(lin, [a, b], grid, P)
     assert abs(rep.follmer_residual) < 1e-12
     assert abs(rep.kernel_sum) < 1e-12
+    # increments are measured by the euclidean norm
+    da, db = np.diff(a.values), np.diff(b.values)
+    assert rep.variation == float(np.sum(np.sqrt(da * da + db * db) ** P))
 
 
 def test_multi_needs_hessian(fbm04):
@@ -515,10 +522,12 @@ def test_checks_refuse_a_term_that_is_not_finite():
         grad=f.derivs[0],
         hess=lambda v: f.derivs[1](v)[..., None],
     )
+    at_endpoint = FunctionalBundle(evaluate=lambda pre: float(f.fn(np.asarray(pre.current))))
     for check in (
         lambda: ito_check(f, path, part, P),
         lambda: ito_check_time(in_time, path, part, P),
         lambda: ito_check_multi(in_plane, [path], part, P),
+        lambda: ito_check_functional(at_endpoint, path, part, P),
     ):
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             check()
@@ -678,9 +687,15 @@ def test_young_bound_pair(fbm04, fbm08):
     assert rep2.all_ok
 
 
+@pytest.mark.filterwarnings("error")  # refused with no numpy RuntimeWarning on the way
 def test_young_bound_validation(fbm04):
     grid = [badic(1.0, 6)]
     with pytest.raises(InvalidParameterError):
         young_bound_check([fbm04], [1.0, 1.0], grid)
     with pytest.raises(InvalidParameterError):
         young_bound_check([fbm04], [-1.0], grid)
+    # an overflowed bound proves nothing, so it is refused rather than passed
+    big = SampledPath(fbm04.times, fbm04.values * 1e200)
+    message = "the product sum on a partition of 64 increments must be finite, got inf"
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        young_bound_check([big], [P], grid)

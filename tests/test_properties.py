@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import argsort_grid
+from conftest import argsort_grid, variation_table
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +47,7 @@ from fracpath.partitions import (
 )
 from fracpath.paths import GaussianPathSpec, SampledPath, cantor_gap_lefts, fbm_path
 from fracpath.registry import abs_power, moving_abs_power, plus_power, product_bundle, sin_affine
-from fracpath.variation import pth_variation_partial, variation_table
+from fracpath.variation import pth_variation_partial
 
 EPS = float(np.finfo(float).eps)
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -167,7 +167,10 @@ def test_ito_check_compensated_is_compensated_sum(case, p, t):
     path, part = case
     fn = abs_power(p, k=0.25)
     m = int(math.floor(p))
-    got = ito_check(fn, path, part, p, t=t).compensated
+    rep = ito_check(fn, path, part, p, t=t)
+    got = rep.compensated
+    # the same pass carries the p-th variation, bit for bit
+    assert rep.variation.hex() == pth_variation_partial(path, part, p, t).hex()
     # sum_j sum_i f^(j)(S_i) dS_i^j / j!, one plain numpy sum per order
     _, vals = partition_values(path, part, t)
     inc = np.diff(vals)
@@ -392,6 +395,11 @@ def test_quotient_measure_mass_is_pth_variation(case, p, t):
     atoms = quotient_measure(path, part, p, t=t)
     want = pth_variation_partial(path, part, p, t)
     assert abs(atoms.mass - want) <= 2 * part.n_intervals * EPS * want
+    if p > 1.0:  # the order-p identity's own variation: the same terms, zeros included
+        variation = ito_check(abs_power(p), path, part, p, t=t).variation
+        assert variation.hex() == want.hex()
+        if atoms.dropped_zero == 0:  # dropped zeros regroup the pairwise sum
+            assert atoms.mass == variation
 
 
 def sin_times_y():

@@ -74,7 +74,6 @@ from fracpath.variation import (
     cantor_function,
     phi_variation_partial,
     pth_variation_partial,
-    variation_table,
 )
 
 NAN, INF = math.nan, math.inf
@@ -90,7 +89,6 @@ def _range_checked_entries(path):
     positive_p = (InvalidParameterError, "p must be positive and finite, got nan")
     need_a_x = (InvalidParameterError, "need finite a <= x, got a=")
     return {
-        "variation_table-p": (lambda: variation_table(path, part, NAN, [0.7]), *positive_p),
         "pth_variation_partial-p": (lambda: pth_variation_partial(path, part, NAN), *positive_p),
         "quotient_measure-p": (lambda: quotient_measure(path, part, NAN), *positive_p),
         "young_bound_check-alphas": (
@@ -259,7 +257,6 @@ FUZZ = {
         lambda **kw: phi_variation_partial(PATH, PART, np.square, **kw),
         {"t": 0.5},
     ),
-    "variation_table": (lambda **kw: variation_table(PATH, PART, ts=[0.5], **kw), {"p": 2.5}),
     "FracOrder": (lambda order: FracOrder(order).alpha, {"order": 0.5}),
     "rl_integral": (
         lambda **kw: rl_integral(_SIN, **kw),

@@ -1,7 +1,10 @@
 """Variation sums and the Cantor function oracle."""
 
+import re
+
 import numpy as np
 import pytest
+from conftest import variation_table
 
 from fracpath.errors import InvalidParameterError, InvalidPhiError
 from fracpath.partitions import Partition
@@ -10,7 +13,6 @@ from fracpath.variation import (
     cantor_function,
     phi_variation_partial,
     pth_variation_partial,
-    variation_table,
 )
 
 # --------------------------------------------------------------------------- #
@@ -87,3 +89,15 @@ def test_phi_variation_matches_power(cantor8):
     assert a == b
     with pytest.raises(InvalidPhiError):
         phi_variation_partial(path, part, lambda x: x - 1.0)
+
+
+@pytest.mark.filterwarnings("error")  # refused with no numpy RuntimeWarning on the way
+def test_pth_variation_overflow_names_the_power():
+    # the p-th power overflows, not a gauge: a given gauge keeps its own message
+    path = SampledPath(np.array([0.0, 1.0, 2.0]), np.array([0.0, 3e200, 1e200]))
+    part = Partition(path.times)
+    message = "|dS|^2.5 overflows: the largest |dS| is 3e+200"
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        pth_variation_partial(path, part, 2.5)
+    with pytest.raises(InvalidPhiError, match="^phi must be finite and nonnegative"):
+        phi_variation_partial(path, part, lambda x: x**2.5)
