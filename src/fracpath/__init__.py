@@ -31,7 +31,6 @@ _EXPORTS = {
         "follmer": (
             "FunctionalBundle",
             "ItoReport",
-            "MeasureAtoms",
             "PathPrefix",
             "PrefixFamily",
             "TensorFunctionBundle",
@@ -43,7 +42,6 @@ _EXPORTS = {
             "ito_check_multi",
             "ito_check_time",
             "kernel_profile",
-            "quotient_measure",
             "remainder_kernel",
             "young_bound_check",
         ),

@@ -53,8 +53,6 @@ __all__ = [
     "ito_check_time",
     "TensorFunctionBundle",
     "ito_check_multi",
-    "quotient_measure",
-    "MeasureAtoms",
     "PrefixFamily",
     "PathPrefix",
     "FunctionalBundle",
@@ -414,54 +412,6 @@ def ito_check_multi(
 
 
 # --------------------------------------------------------------------------- #
-# quotient measures on (time, direction) with p-th power weights
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class MeasureAtoms:
-    """Finite-stage quotient measure: one atom per nonzero increment, at the
-    direction angle atan2(right value, left value), weighted |increment|^p."""
-
-    times: np.ndarray
-    angles: np.ndarray
-    weights: np.ndarray
-    dropped_zero: int = 0
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.weights))
-
-
-def quotient_measure(
-    path: SampledPath,
-    partition: Partition,
-    p: float,
-    t: float | None = None,
-) -> MeasureAtoms:
-    """Atoms (t_i, atan2(S(t_{i+1}), S(t_i)), |dS_i|^p) of one partition
-    stage. Zero increments carry no mass and are dropped (their count is
-    kept); the total mass equals the p-th power sum exactly.
-
-    Because the angle is atan2 of the raw value pair, rescaling the path by
-    a power of two leaves every angle bitwise unchanged.
-    """
-    real("p", p, lo=0)
-    times, vals = partition_values(path, partition, t)
-    left, right = vals[:-1], vals[1:]
-    inc = right - left
-    nonzero = inc != 0.0
-    angles = np.arctan2(right[nonzero], left[nonzero])
-    weights = np.abs(inc[nonzero]) ** p
-    return MeasureAtoms(
-        times=times[:-1][nonzero],
-        angles=angles,
-        weights=weights,
-        dropped_zero=int(inc.size - np.count_nonzero(nonzero)),
-    )
-
-
-# --------------------------------------------------------------------------- #
 # functionals of path prefixes
 # --------------------------------------------------------------------------- #
 
@@ -565,15 +515,17 @@ def ito_check_functional(
     gap need not vanish at a zero increment, so none is left out. The p-th
     variation is the path's own, sum_i |dS_i|^p.
     """
+    from .variation import phi_sums
+
     m = taylor_order(p)
     if m > 2:
         raise InvalidBundleError(f"functional checks support m = floor(p) in {{1, 2}}, got p={p!r}")
     if fd_step is None:
         fd_step = 0.5 * osc(path, partition)
-        if fd_step**m == 0.0:  # nothing to difference over, or too little to square
+        if math.prod((fd_step,) * m) == 0.0:  # nothing to difference over, or too small to square
             fd_step = 1e-6
     # the order-m difference divides by fd_step**m, which must be a positive float
-    elif not 0.0 < fd_step < math.inf or not 0.0 < math.prod((fd_step,) * m) < math.inf:
+    if not 0.0 < fd_step < math.inf or not 0.0 < math.prod((fd_step,) * m) < math.inf:
         raise InvalidParameterError(f"fd_step {fd_step!r} is no usable step for order {m}")
     real("fd_step", fd_step)
     fam = PrefixFamily(path, partition)
@@ -589,7 +541,7 @@ def ito_check_functional(
     )
     comp, gap = _taylor_terms(terms, f_knots[1:] - f_ext)
     lhs, horizontal = float(f_knots[-1] - f_knots[0]), float(np.sum(f_ext - f_knots[:-1]))
-    variation = float(np.add.reduce(np.abs(ds) ** p))
+    variation = float(phi_sums(fam.values, p))
     return _report(lhs, float(comp), float(np.sum(gap)), n, 0, variation, time_integral=horizontal)
 
 

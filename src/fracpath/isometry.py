@@ -171,7 +171,8 @@ def isometry_check(
 
     ``holder_alpha`` is the (estimated or known) Holder exponent of the path;
     it must clear admissibility_threshold(p_phi), otherwise the comparison
-    has no limit to converge to and the check refuses to run.
+    has no limit to converge to and the check refuses to run. A stage sum
+    that is not finite is refused by name: an overflowed side has no ratio.
     """
     df = fn.derivative(1).fn
     gate = admissibility_threshold(spec.p_phi)
@@ -187,11 +188,15 @@ def isometry_check(
     ratios: list[float] = []
     for part in partitions:
         _, s_vals = partition_values(path, part)
-        f_vals = fn.fn(s_vals)
-        ds = np.abs(np.diff(s_vals))
-        dfv = np.abs(np.diff(f_vals))
-        lhs = float(np.sum(spec(dfv)))
-        rhs = float(np.sum(hat(np.abs(df(s_vals[:-1]))) * spec(ds)))
+        with np.errstate(all="ignore"):  # a sum that is not finite is refused by real
+            f_vals = fn.fn(s_vals)
+            ds = np.abs(np.diff(s_vals))
+            dfv = np.abs(np.diff(f_vals))
+            lhs = float(np.sum(spec(dfv)))
+            rhs = float(np.sum(hat(np.abs(df(s_vals[:-1]))) * spec(ds)))
+        where = f"on a partition of {part.n_intervals} increments"
+        lhs = real(f"the sum of phi(|dF|) {where}", lhs)
+        rhs = real(f"the sum of phi_hat(|f'(S)|) phi(|dS|) {where}", rhs)
         if lhs == rhs == 0.0:  # x**300 reads 0 for x < 0.08, so both sums can underflow
             raise InvalidPhiError(
                 f"both phi-sums are 0 at p_phi = {spec.p_phi} on the stage of"

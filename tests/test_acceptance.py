@@ -3,10 +3,13 @@ PASS/FAIL line with the measured numbers.
 
 These pin the quantitative behaviour of the whole stack end to end. Unit
 tests guard the parts; the gates here guard the story. Tolerances are fixed
-and must not be loosened to make a gate pass.
+and must not be loosened to make a gate pass. Each printed line must also
+read as committed in fixtures/expected/criteria.txt, FAIL included: a moved
+number is a program change, listed with its cause where the file is updated.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,10 +55,14 @@ from fracpath.registry import abs_power, plus_power, polynomial, sin_affine
 from fracpath.variation import phi_variation_partial
 
 P = 2.5
+CRITERIA = Path(__file__).resolve().parents[1] / "fixtures" / "expected" / "criteria.txt"
 
 
 def gate(num: int, ok: bool, detail: str) -> None:
-    print(f"CRITERION {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}")
+    line = f"CRITERION {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}"
+    print(line)
+    committed = CRITERIA.read_text().splitlines()[num - 1]
+    assert line == committed, f"criterion {num} prints\n{line}\nnot as committed\n{committed}"
     assert ok, f"criterion {num}: {detail}"
 
 

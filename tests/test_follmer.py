@@ -1,5 +1,5 @@
-"""Compensated sums, remainder kernels, quotient measures, and the bundled
-time / multi-component / functional identities."""
+"""Compensated sums and their p-th variation weights, remainder kernels, and
+the bundled time / multi-component / functional identities."""
 
 import math
 import re
@@ -30,7 +30,6 @@ from fracpath.follmer import (
     ito_check_multi,
     ito_check_time,
     kernel_profile,
-    quotient_measure,
     remainder_kernel,
     taylor_order,
     taylor_remainder,
@@ -65,6 +64,15 @@ def test_compensated_closed_form():
         assert stage.compensated == pytest.approx(stage.compensated_formula, abs=5e-15)
         assert stage.compensated_formula == pytest.approx(frozen, rel=1e-15)
     assert cantor_compensated_formula(P, 4, 2) == pytest.approx(-0.23667478527522334, rel=1e-15)
+
+
+def test_zero_increment_is_counted_and_weighs_nothing():
+    # the flat step leaves the kernel sum; the variation takes its 0 in place
+    path = SampledPath(np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 0.5, 0.5, 0.2]))
+    part = Partition(path.times)
+    rep = ito_check(abs_power(2.0), path, part, 2.0)
+    assert rep.n_zero_increments == 1
+    assert rep.variation.hex() == pth_variation_partial(path, part, 2.0).hex()
 
 
 def test_ito_check_refuses_too_few_derivatives(cantor8):
@@ -132,7 +140,6 @@ def test_negative_stop_time_rejected(hand_path):
     calls = (
         lambda: ito_check(fn, hand_path, part, P, t=-1.0),
         lambda: ito_check_time(moving_abs_power(P), hand_path, part, P, t=-1.0),
-        lambda: quotient_measure(hand_path, part, P, t=-1.0),
         lambda: pth_variation_partial(hand_path, part, P, t=-1.0),
     )
     for call in calls:
@@ -147,7 +154,6 @@ def test_partition_past_path_horizon_rejected(hand_path):
     calls = (
         lambda: ito_check(fn, hand_path, part, P),
         lambda: ito_check_time(moving_abs_power(P), hand_path, part, P),
-        lambda: quotient_measure(hand_path, part, P),
         lambda: pth_variation_partial(hand_path, part, P),
         lambda: young_bound_check([hand_path], [P], [part]),
         lambda: PrefixFamily(hand_path, part),
@@ -257,35 +263,6 @@ def test_kernel_profile_axis_and_methods():
 
 
 # --------------------------------------------------------------------------- #
-# quotient measure
-# --------------------------------------------------------------------------- #
-
-
-def test_quotient_measure_mass_identity(cantor8):
-    path, part, _ = cantor8
-    atoms = quotient_measure(path, part, P)
-    assert atoms.mass == pth_variation_partial(path, part, P)
-    assert atoms.angles.size == atoms.weights.size == atoms.times.size
-
-
-def test_quotient_measure_drops_zero_increments():
-    path = SampledPath(np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 0.5, 0.5, 0.2]))
-    atoms = quotient_measure(path, Partition(path.times), 2.0)
-    assert atoms.dropped_zero == 1
-    assert atoms.weights.size == 2
-
-
-def test_quotient_measure_dyadic_scale_invariance(hand_path):
-    part = Partition(hand_path.times)
-    base = quotient_measure(hand_path, part, 2.0)
-    doubled = quotient_measure(
-        SampledPath(hand_path.times, 4.0 * hand_path.values), part, 2.0
-    )
-    # atan2 of both coordinates scaled by a power of two: bitwise identical
-    assert np.array_equal(base.angles, doubled.angles)
-
-
-# --------------------------------------------------------------------------- #
 # bump path: finite stages, atoms, limit
 # --------------------------------------------------------------------------- #
 
@@ -372,10 +349,9 @@ def test_bump_direct_stage_matches_decomposition():
     knots = cantor_bump_knots(p, n)
     part = value_grid_partition(knots, 2.0**-n, mode="increment")
     rep = ito_check(abs_power(p), knots, part, p)
-    atoms = quotient_measure(knots, part, p)
     dec = bump_decomposition(p, n)
     assert rep.compensated == pytest.approx(dec.compensated, abs=1e-12)
-    assert atoms.mass == pytest.approx(2.0 * float(np.sum(dec.atom_weights)), abs=1e-12)
+    assert rep.variation == pytest.approx(2.0 * float(np.sum(dec.atom_weights)), abs=1e-12)
     assert abs(rep.identity_residual) < 1e-13
 
 
@@ -641,6 +617,15 @@ def test_functional_default_fd_step_survives_a_subnormal_path():
     fd = FunctionalBundle(evaluate=lambda pre: float(abs_power(P).fn(np.asarray(pre.current))))
     rep = ito_check_functional(fd, tiny, Partition(tiny.times), P)
     assert math.isfinite(rep.compensated) and rep.identity_residual == 0.0
+
+
+def test_functional_default_fd_step_that_overflows_is_refused():
+    # half the oscillation is 1.5e200, whose square overflows: refused as a given one is
+    big = SampledPath(np.linspace(0.0, 1.0, 5), np.array([0.0, 3e200, 1e200, -2e200, 0.0]))
+    area = FunctionalBundle(evaluate=lambda pre: pre.integral())
+    want = re.escape("fd_step 1.5e+200 is no usable step for order 2")
+    with pytest.raises(InvalidParameterError, match=want):
+        ito_check_functional(area, big, Partition(big.times), P)
 
 
 def test_prefix_family_mechanics(fbm04):

@@ -24,8 +24,8 @@ from fracpath.isometry import (
     phi_inverse,
 )
 from fracpath.partitions import Partition, badic
-from fracpath.paths import AnalyticPath, SampledPath, sample
-from fracpath.registry import abs_power
+from fracpath.paths import AnalyticPath, GaussianPathSpec, SampledPath, fbm_path, sample
+from fracpath.registry import abs_power, sin_affine
 
 
 # --------------------------------------------------------------------------- #
@@ -202,6 +202,17 @@ def test_isometry_refuses_two_zero_phi_sums():
     square = SmoothFn(fn=np.square, derivs=(lambda x: 2.0 * np.asarray(x),))
     rep = isometry_check(PhiSpec(kind="power", p_phi=1.25), square, path, [badic(1.0, 0)], 0.79)
     assert rep.lhs == (0.25**1.25,) and rep.rhs == (0.0,) and rep.ratios == (math.inf,)
+
+
+@pytest.mark.filterwarnings("error")
+def test_isometry_refuses_an_overflowing_phi_sum():
+    # |dS|^2.5 overflows from 1e150 on: an inf rhs would read as ratio 0
+    base = fbm_path(GaussianPathSpec(hurst=0.4, n=64, seed=3))
+    big = SampledPath(base.times, 1e150 * base.values)
+    spec = PhiSpec(kind="power", p_phi=2.5)
+    want = r"phi\(\|dS\|\) on a partition of 64 increments must be finite, got inf"
+    with pytest.raises(InvalidParameterError, match=want):
+        isometry_check(spec, sin_affine(), big, [badic(1.0, 6)], holder_alpha=0.9)
 
 
 def test_isometry_smooth_transform_converges(fbm08):

@@ -30,7 +30,6 @@ from fracpath.follmer import (
     ito_check_multi,
     ito_check_time,
     kernel_profile,
-    quotient_measure,
     remainder_kernel,
     young_bound_check,
 )
@@ -86,11 +85,13 @@ def _range_checked_entries(path):
     were a plain comparison, as zero-argument calls with the error and
     message each must raise."""
     part = Partition(path.times)
-    positive_p = (InvalidParameterError, "p must be positive and finite, got nan")
     need_a_x = (InvalidParameterError, "need finite a <= x, got a=")
     return {
-        "pth_variation_partial-p": (lambda: pth_variation_partial(path, part, NAN), *positive_p),
-        "quotient_measure-p": (lambda: quotient_measure(path, part, NAN), *positive_p),
+        "pth_variation_partial-p": (
+            lambda: pth_variation_partial(path, part, NAN),
+            InvalidParameterError,
+            "p must be positive and finite, got nan",
+        ),
         "young_bound_check-alphas": (
             lambda: young_bound_check([path], [NAN], [part]),
             InvalidParameterError,
@@ -299,10 +300,6 @@ FUZZ = {
     "ito_check_functional": (
         lambda **kw: _ITO(ito_check_functional(_FUNCTIONAL, PATH, PART, **kw)),
         {"p": 2.5, "fd_step": 0.01},
-    ),
-    "quotient_measure": (
-        lambda **kw: quotient_measure(PATH, PART, **kw).mass,
-        {"p": 2.5, "t": 0.5},
     ),
     "young_bound_check": (
         lambda alphas: _report("lhs", "rhs")(young_bound_check([PATH], [alphas], [PART])),
