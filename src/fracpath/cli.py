@@ -13,9 +13,9 @@ rejects unknown keys (with their line) and missing or empty required ones,
 parses ``expect``, ``tol`` and ``label`` (a file name, never a path), and
 sets the verdict: "converged" iff gap <= tol, "unchecked" when the runner
 reports no gap or the config gives no tol, "not-converged" otherwise (a NaN
-gap included). Every config number passes ``errors.real``, the library's
-own range check, so a JSON string where a number belongs is refused. Every
-error a runner raises, a library error included, names the config file.
+gap included). Every config number passes ``errors.real`` and every option
+``errors.choice``, the library's own rules. Every error a runner raises, a
+library error included, names the config file.
 
 CSV files are byte-stable across reruns of the same config; the manifest
 records the config digest, package version and wall time (the manifest is
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import FracpathError, InvalidConfigError, real
+from .errors import FracpathError, InvalidConfigError, choice, real
 from .partitions import MAX_KNOTS, CantorBlocks, badic, block_sum, cantor_blocks
 from .partitions import partition_values, value_grid_partition
 from .paths import AnalyticPath, SampledPath, sample
@@ -57,8 +57,8 @@ def _sha256_bytes(data: bytes) -> str:
 def _load_config(path: Path) -> tuple[dict, str]:
     try:
         raw = path.read_text()
-    except OSError as exc:
-        raise InvalidConfigError(f"cannot read config {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"{path}: cannot read the config: {exc}") from None
 
     def finite(literal: str) -> float:
         # NaN, Infinity, -Infinity and literals such as 1e400 that overflow
@@ -134,8 +134,7 @@ def _nums(obj: dict, key: str, kind=float) -> list:
 
 def _expectation(cfg: dict) -> tuple[str, float | None]:
     expect = cfg.get("expect", "any")
-    if expect not in ("any", "converged"):
-        raise InvalidConfigError(f"expect must be 'any' or 'converged', got {expect!r}")
+    choice("'expect'", expect, ("any", "converged"), error=InvalidConfigError)
     tol = _num(cfg, "tol", None, lo=0)
     if expect == "converged" and tol is None:
         raise InvalidConfigError("expect 'converged' requires a tol")
@@ -177,11 +176,9 @@ def _iter_stages(cfg: dict, p: float):
     its (sampled_path, partition), a cantor-crossing stage the level rows of
     ``partitions.cantor_blocks``, so no 2**n grid is built."""
     part = cfg["partition"]
-    kind = part.get("kind") if isinstance(part, dict) else None
-    if not isinstance(kind, str) or kind not in _PARTITIONS:
-        raise InvalidConfigError(
-            f"'partition' must be an object with a 'kind' of {', '.join(_PARTITIONS)}"
-        )
+    if not isinstance(part, dict):
+        raise InvalidConfigError(f"'partition' must be an object, got {part!r}")
+    kind = choice("partition 'kind'", part.get("kind"), _PARTITIONS, error=InvalidConfigError)
     defaults, stages_key = _PARTITIONS[kind]
     part = _fill(part, "partition", {"kind": kind, **defaults}, (stages_key,))
     if kind == "cantor-crossing":
@@ -275,9 +272,7 @@ def _run_frac_deriv(cfg: dict):
     from .fracops import FracOrder, caputo, local_frac_derivative, power_rule, rl_integral
     from .registry import make_fn
 
-    op = cfg["op"]
-    if op not in ("rl", "caputo", "local"):
-        raise InvalidConfigError("op must be rl, caputo or local")
+    op = choice("'op'", cfg["op"], ("rl", "caputo", "local"), error=InvalidConfigError)
     fn = make_fn(cfg["fn"])
     xs = _nums(cfg, "xs")
     a = _num(cfg, "a", 0.0)
@@ -294,8 +289,7 @@ def _run_frac_deriv(cfg: dict):
     if "reference" not in cfg:
         return ["x", "value"], rows, None
     ref_cfg = _fill(cfg["reference"], "reference", {"k": a}, ("kind", "q"))
-    if ref_cfg["kind"] != "power-rule":
-        raise InvalidConfigError(f"unknown reference kind {ref_cfg['kind']!r}")
+    choice("reference 'kind'", ref_cfg["kind"], ("power-rule",), error=InvalidConfigError)
     q, order, k = _num(ref_cfg, "q"), FracOrder(_num(cfg, "p")), _num(ref_cfg, "k")
     rel_errs = []
     for row, val in zip(rows, values):
@@ -318,8 +312,7 @@ def _run_remainder_atoms(cfg: dict, p: float):
             f"atoms need fn abs-power with q = p and k = 0, got fn {fn_cfg!r} at p = {p!r}"
         )
     atoms = _fill(cfg["atoms"], "atoms", {"kind": "cantor-bump"}, ("n",))
-    if atoms["kind"] != "cantor-bump":
-        raise InvalidConfigError(f"unknown atoms kind {atoms['kind']!r}")
+    choice("atoms 'kind'", atoms["kind"], ("cantor-bump",), error=InvalidConfigError)
     rep = bump_decomposition(p, _num(atoms, "n", kind=int))
     up, down = rep.up_angles, rep.down_angles
     columns = np.column_stack(
@@ -339,8 +332,7 @@ def _run_remainder(cfg: dict):
     if "atoms" in cfg:
         return _run_remainder_atoms(cfg, p)
     method = cfg.get("method", "taylor")
-    if method not in ("taylor", "integral", "both"):
-        raise InvalidConfigError("method must be taylor, integral or both")
+    choice("'method'", method, ("taylor", "integral", "both"), error=InvalidConfigError)
     if "pairs" in cfg:
         pairs = cfg["pairs"]
         if not isinstance(pairs, list) or any(
@@ -454,11 +446,14 @@ _RUNNERS = {
 # --------------------------------------------------------------------------- #
 
 
-def _execute(command: str, cfg_path: Path, out_dir: Path) -> tuple[int, dict]:
-    """Run one config; returns (exit_code, manifest_fragment)."""
+def _execute(command: str | None, cfg_path: Path, out_dir: Path) -> tuple[int, dict]:
+    """Run one config as ``command``, or as the command it declares when that is
+    None; returns (exit_code, manifest_fragment)."""
     cfg, raw = _load_config(cfg_path)
     declared = cfg.get("command")
-    if declared is not None and declared != command:
+    if command is None:
+        command = choice(f"{cfg_path}: 'command'", declared, _RUNNERS, error=InvalidConfigError)
+    elif declared is not None and declared != command:
         raise InvalidConfigError(
             f"{cfg_path}: config declares command {declared!r}, invoked as {command!r}"
         )
@@ -502,12 +497,7 @@ def _execute(command: str, cfg_path: Path, out_dir: Path) -> tuple[int, dict]:
 
 def _run_one_fixture(fixture: Path, out_dir: Path) -> tuple[str, int, dict | str]:
     try:
-        cfg, _raw = _load_config(fixture)
-        command = cfg.get("command")
-        if command not in _RUNNERS:
-            raise InvalidConfigError(f"{fixture}: missing or unknown 'command' {command!r}")
-        code, manifest = _execute(command, fixture, out_dir)
-        return fixture.name, code, manifest
+        return fixture.name, *_execute(None, fixture, out_dir)
     except FracpathError as exc:
         return fixture.name, 1, str(exc)
 

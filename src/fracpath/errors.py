@@ -1,11 +1,14 @@
-"""Exception types shared across the library, and its one range check: every public
-entry point passes each scalar argument through ``real`` before any numpy work, so a
-value outside its domain, or no finite float64 number at all (a bool, NaN, +-inf, an
-int float64 cannot hold), raises a ``FracpathError`` naming the argument and the value.
-The command line reads every config number through ``real`` too, so a JSON string
-where a number belongs is refused by the same rule. ``time_grid`` is the one check
-of a time grid: path times, partitions and sampling grids. Checks relating several
-arguments (``a <= k < x``, the knot caps) stay where they apply."""
+"""Exception types shared across the library, its one scalar rule and its one choice
+rule. Every public entry point passes each scalar argument through ``real`` before any
+numpy work, so a value outside its domain, or no finite float64 number at all (a bool,
+NaN, +-inf, an int float64 cannot hold), raises a ``FracpathError`` naming the argument
+and the value. Every enumerated argument (a method, mode, kind or side) passes through
+``choice``, which names the argument, every option and the value. The command line reads
+every config number through ``real`` and every config option through ``choice`` too, so
+a JSON string where a number belongs, or a list where a name belongs, is refused by the
+same rules. ``time_grid`` is the one check of a time grid: path times, partitions and
+sampling grids. Checks relating several arguments (``a <= k < x``, the knot caps) stay
+where they apply."""
 
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ __all__ = [
     "KernelSingularError",
     "AdmissibilityError",
     "real",
+    "choice",
     "time_grid",
 ]
 
@@ -104,6 +108,15 @@ def real(name, value, *, lo=None, hi=None, open=True, integer=None, error=Invali
     if integer is False:  # "be positive, finite and non-integer"
         rule = rule.replace(" and ", ", ") + " and non-integer"
     raise error(f"{name} must {rule}, got {num!r}")
+
+
+def choice(name, value, options, *, error=InvalidParameterError):
+    """``value`` once it equals one of ``options``. Membership is tested against the
+    sequence, not a hash, so an unhashable value (a config's [] or {}) is refused like
+    any other. Else ``error`` says "{name} must be one of 'a', 'b', got {value!r}"."""
+    if value in (options := tuple(options)):
+        return value
+    raise error(f"{name} must be one of {', '.join(map(repr, options))}, got {value!r}")
 
 
 def time_grid(name, times) -> np.ndarray:

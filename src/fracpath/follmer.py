@@ -34,6 +34,7 @@ from .errors import (
     InvalidBundleError,
     InvalidParameterError,
     KernelSingularError,
+    choice,
     real,
 )
 from .partitions import Partition, block_sum, osc, partition_values
@@ -171,8 +172,7 @@ def remainder_kernel(fn: SmoothFn, p: float, a, b, method: str = "integral"):
     """
     m = taylor_order(p)
     _require_derivs(len(fn.derivs), m)
-    if method not in ("integral", "taylor"):
-        raise InvalidParameterError(f"unknown method {method!r}")
+    choice("method", method, ("taylor", "integral"))
     a, b = (real(name, v) if np.isscalar(v) else v for name, v in (("a", a), ("b", b)))
     shape = np.broadcast(a, b).shape
     xs, ys = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))

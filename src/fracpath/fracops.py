@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ._quad import integrate_kinked
-from .errors import InvalidParameterError, QuadratureError, real
+from .errors import InvalidParameterError, QuadratureError, choice, real
 from .smooth import SmoothFn, ratio_limit
 
 __all__ = [
@@ -178,8 +178,7 @@ def caputo_power(
     """
     if not real("a", a) <= real("k", k) < real("x", x):
         raise InvalidParameterError("need a <= k < x")
-    if kind not in ("plus", "abs"):
-        raise InvalidParameterError(f"unknown kind {kind!r}")
+    choice("kind", kind, ("plus", "abs"))
     real("rtol", rtol, lo=0)
     plus_part = power_rule(q, order, k, x)
     if kind == "plus" or a == k:
@@ -220,8 +219,7 @@ def local_frac_derivative(fn: Callable, alpha: float, at: float, side: int = 1) 
     """
     real("alpha", alpha, lo=0, integer=False)
     real("at", at)
-    if side not in (1, -1):
-        raise InvalidParameterError("side must be +1 or -1")
+    choice("side", side, (1, -1))
     f0 = float(fn(np.asarray(at, dtype=float)))
     vals = np.array([float(fn(np.asarray(at + side * h, dtype=float))) for h in _LADDER])
     ratios = math.gamma(1.0 + alpha) * (vals - f0) / _LADDER**alpha

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError, InvalidParameterError, InvalidPhiError, real
+from .errors import AdmissibilityError, InvalidParameterError, InvalidPhiError, choice, real
 from .partitions import Partition, badic, partition_values
 from .paths import SampledPath
 from .smooth import SmoothFn, ratio_limit
@@ -56,8 +56,7 @@ class PhiSpec:
     custom_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("power", "log-modulated", "custom"):
-            raise InvalidPhiError(f"unknown gauge kind {self.kind!r}")
+        choice("kind", self.kind, ("power", "log-modulated", "custom"), error=InvalidPhiError)
         real("p_phi", self.p_phi, lo=0, error=InvalidPhiError)
         real("log_power", self.log_power, error=InvalidPhiError)
         if self.kind == "log-modulated" and self.log_power <= 0.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, real, time_grid
+from .errors import InvalidParameterError, choice, real, time_grid
 from .paths import LN2_OVER_LN3, MAX_KNOTS, TERNARY_UNDERFLOW, SampledPath
 
 _CHUNK = 1 << 18  # values of the Cantor level rows formed and summed together
@@ -97,8 +97,7 @@ def value_grid_partition(
     is built.
     """
     real("delta", delta, lo=0)
-    if mode not in ("increment", "grid"):
-        raise InvalidParameterError(f"unknown mode {mode!r}")
+    choice("mode", mode, ("increment", "grid"))
     t, v0, v1 = path.times, path.values[:-1], path.values[1:]
     base = float(v0[0]) if mode == "increment" else 0.0
     guard = 1e-9
@@ -174,8 +173,7 @@ def cantor_blocks(p: float, n: int, rounding: str = "floor") -> tuple[int, Canto
     """
     real("p", p, lo=1)
     n = real("n", n, lo=1, open=False, integer=True)
-    if rounding not in ("floor", "nearest"):
-        raise InvalidParameterError(f"unknown rounding {rounding!r}")
+    choice("rounding", rounding, ("floor", "nearest"))
     too_deep = InvalidParameterError(
         f"stage {n} at p={p} is too deep: the level-{n} crossing times 3**-n * s"
         " underflow float64"
@@ -277,6 +275,6 @@ def osc(path: SampledPath, partition: Partition) -> float:
     mn = np.minimum.reduceat(vals, starts[:-1])
     # reduceat slices exclude each interval's right endpoint; fold it in
     right = vals[starts[1:]]
-    mx = np.maximum(mx, right)
-    mn = np.minimum(mn, right)
-    return float(np.max(mx - mn))
+    with np.errstate(over="ignore"):  # a width past float64 is refused by name
+        width = float(np.max(np.maximum(mx, right) - np.minimum(mn, right)))
+    return real(f"the oscillation on a partition of {partition.n_intervals} intervals", width)

@@ -24,7 +24,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import InvalidParameterError, SamplingInfeasibleError, real, time_grid
+from .errors import InvalidParameterError, SamplingInfeasibleError, choice, real, time_grid
 
 __all__ = [
     "AnalyticPath",
@@ -341,8 +341,7 @@ def takagi_path(
         raise InvalidParameterError(
             f"depth {depth} at b={b} is too deep: b**{depth - 1} overflows float64"
         )
-    if wave not in ("triangle", "sinusoid"):
-        raise InvalidParameterError(f"unknown wave {wave!r}")
+    choice("wave", wave, ("triangle", "sinusoid"))
 
     def fn(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)

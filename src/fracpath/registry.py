@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import FracpathError, InvalidConfigError, real
+from .errors import FracpathError, InvalidConfigError, choice, real
 from .paths import (
     MAX_KNOTS,
     AnalyticPath,
@@ -258,14 +258,9 @@ def _build(cfg, key: str, table: dict, what: str):
     if not isinstance(cfg, dict) or key not in cfg:
         raise InvalidConfigError(f"{what} config needs a {key!r} key")
     args = dict(cfg)
-    name = args.pop(key)
-    ctor = table.get(name) if isinstance(name, str) else None
-    if ctor is None:
-        raise InvalidConfigError(
-            f"unknown {what} {key} {name!r}; known: {', '.join(sorted(table))}"
-        )
+    name = choice(f"{what} {key}", args.pop(key), table, error=InvalidConfigError)
     try:
-        return ctor(**args)
+        return table[name](**args)
     except FracpathError:
         raise
     except (TypeError, ValueError) as exc:

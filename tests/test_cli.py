@@ -16,7 +16,13 @@ from conftest import per_level_reference
 
 from fracpath import cli
 from fracpath.experiments import cantor_stage
-from fracpath.registry import make_phi
+from fracpath.follmer import ito_check
+from fracpath.fracops import rl_integral
+from fracpath.isometry import admissibility_threshold, holder_exponent
+from fracpath.partitions import badic, value_grid_partition
+from fracpath.paths import AnalyticPath, sample
+from fracpath.registry import abs_power, make_path, make_phi, sin_affine
+from fracpath.variation import pth_variation_partial
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -282,6 +288,38 @@ SIN = {"name": "sin"}
 
 # (config, text the error line must contain)
 BAD_CONFIGS = {
+    # None: a directory stands where the config file belongs
+    "config-unreadable": (None, "cannot read the config: [Errno"),
+    "config-not-utf8": (b'{"p": "\xff"}', "cannot read the config: 'utf-8' codec can't decode"),
+    "config-not-an-object": ('["cantor-sweep"]', "top level must be an object"),
+    "ns-not-a-list": (
+        {"command": "cantor-sweep", "p": 2.5, "ns": 3},
+        "'ns' must be a list of numbers, got 3",
+    ),
+    "converged-without-tol": (
+        {"command": "cantor-sweep", "p": 2.5, "ns": [2], "expect": "converged"},
+        "expect 'converged' requires a tol",
+    ),
+    "partition-not-an-object": (
+        {"command": "variation", "p": 2.5, "partition": "badic"},
+        "'partition' must be an object, got 'badic'",
+    ),
+    "badic-without-path": (
+        {"command": "variation", "p": 2.5, "partition": {"kind": "badic", "levels": [2]}},
+        "this partition kind needs a 'path'",
+    ),
+    "analytic-path-without-grid": (
+        {"command": "generate-path", "path": {"kind": "cantor-distance", "p": 2.5}},
+        "analytic paths need a 'grid'",
+    ),
+    "pairs-not-pairs": (
+        {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 0.2], [0.3]]},
+        "'pairs' must be a list of [a, b] pairs, got [[0.1, 0.2], [0.3]]",
+    ),
+    "remainder-without-points": (
+        {"command": "remainder", "fn": SIN, "p": 2.5},
+        "needs 'pairs', 'thetas' or 'atoms'",
+    ),
     "remainder-no-p": (
         {"command": "remainder", "fn": SIN, "thetas": {"count": 4}},
         "remainder needs 'p'",
@@ -675,10 +713,16 @@ BAD_CONFIGS = {
 }
 
 
-def write_config(directory: Path, name: str, cfg: dict | str) -> Path:
-    """Write ``cfg`` as JSON, or as it is when it is already config text."""
+def write_config(directory: Path, name: str, cfg: dict | str | bytes | None) -> Path:
+    """Write ``cfg`` as JSON, or as it is when it is already config text or bytes;
+    None makes a directory of that name, which no config read gets through."""
     path = directory / name
-    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg, indent=2) + "\n")
+    if cfg is None:
+        path.mkdir()
+    elif isinstance(cfg, bytes):
+        path.write_bytes(cfg)
+    else:
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg, indent=2) + "\n")
     return path
 
 
@@ -687,7 +731,8 @@ def write_config(directory: Path, name: str, cfg: dict | str) -> Path:
 def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
     cfg, message = BAD_CONFIGS[case]
     path = write_config(tmp_path, "bad.json", cfg)
-    command = json.loads(path.read_text())["command"]
+    # raw text, bytes or no file at all: run as cantor-sweep, which the raw texts name
+    command = cfg["command"] if isinstance(cfg, dict) else "cantor-sweep"
     out = tmp_path / "o"
     code = cli.main([command, "--config", str(path), "--out-dir", str(out)])
     err = capsys.readouterr().err
@@ -697,14 +742,17 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
     assert not out.exists()  # nothing is written for a rejected config
 
 
-def run_remainder(tmp_path, capsys, **cfg) -> tuple[int, list[dict]]:
-    """Exit code and CSV rows (as dicts of cell text) of an in-process
-    ``remainder`` run on ``cfg``."""
-    path = write_config(tmp_path, "kernel.json", {"command": "remainder", "label": "kernel", **cfg})
-    code = cli.main(["remainder", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+def run_config(tmp_path, capsys, cfg: dict) -> tuple[int, list[dict]]:
+    """Exit code and CSV rows (as dicts of cell text) of an in-process run on ``cfg``."""
+    path = write_config(tmp_path, "run.json", {**cfg, "label": "run"})
+    code = cli.main([cfg["command"], "--config", str(path), "--out-dir", str(tmp_path / "o")])
     assert code in (0, 2), capsys.readouterr().err
-    header, *rows = [line.split(",") for line in (tmp_path / "o" / "kernel.csv").read_text().splitlines()]
+    header, *rows = [line.split(",") for line in (tmp_path / "o" / "run.csv").read_text().splitlines()]
     return code, [dict(zip(header, row)) for row in rows]
+
+
+def run_remainder(tmp_path, capsys, **cfg) -> tuple[int, list[dict]]:
+    return run_config(tmp_path, capsys, {"command": "remainder", **cfg})
 
 
 ABS_POWER = {"name": "abs-power", "q": 2.25}
@@ -798,6 +846,67 @@ def test_reproduce_all_reports_a_bad_fixture_and_writes_the_manifest(tmp_path, c
     assert set(runs) == {"bad.json", *good}
     assert "cantor-sweep needs 'p'" in runs["bad.json"]
     assert all(runs[name]["exit"] == 0 for name in good)
+
+
+# path config, the value-grid keys beyond its deltas, and the deltas
+VALUE_GRID_RUNS = {
+    "fbm": ({"kind": "fbm", "hurst": 0.4, "n": 1024, "seed": 3}, {}, [0.2, 0.1]),
+    "takagi": (
+        {"kind": "takagi", "b": 2, "alpha": 0.5, "depth": 12},
+        {"samples_level": 10},
+        [0.1, 0.05],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["grid", "increment"])
+@pytest.mark.parametrize("run", sorted(VALUE_GRID_RUNS))
+def test_value_grid_stages_are_the_library_calls_bit_for_bit(tmp_path, capsys, run, mode):
+    path_cfg, keys, deltas = VALUE_GRID_RUNS[run]
+    partition = {"kind": "value-grid", "mode": mode, "deltas": deltas, **keys}
+    cfg = {"path": path_cfg, "partition": partition, "p": 2.5}
+    _, ito = run_config(tmp_path, capsys, {"command": "ito-check", **cfg})
+    _, var = run_config(tmp_path, capsys, {"command": "variation", **cfg})
+    path = make_path(path_cfg)
+    if isinstance(path, AnalyticPath):
+        path = sample(path, badic(path.horizon, keys["samples_level"]).times)
+    assert [float(row["stage"]) for row in ito] == [float(row["stage"]) for row in var] == deltas
+    for delta, ito_row, var_row in zip(deltas, ito, var):
+        part = value_grid_partition(path, delta, mode)
+        rep = ito_check(abs_power(2.5), path, part, 2.5)
+        assert int(ito_row["n_increments"]) == int(var_row["n_increments"]) == rep.n_increments
+        assert rep.n_increments == part.n_intervals > 2
+        for name in list(ito_row)[2:]:
+            assert float(ito_row[name]).hex() == float(getattr(rep, name)).hex(), name
+        assert float(var_row["sum"]).hex() == pth_variation_partial(path, part, 2.5).hex()
+
+
+def test_frac_deriv_rl_is_rl_integral(tmp_path, capsys):
+    xs = [0.25, 0.5, 1.0]
+    cfg = {"command": "frac-deriv", "op": "rl", "fn": SIN, "alpha": 0.5, "xs": xs}
+    _, rows = run_config(tmp_path, capsys, cfg)
+    want = [rl_integral(sin_affine(), 0.5, 0.0, x) for x in xs]
+    assert [float(row["value"]) for row in rows] == want
+
+
+def test_isometry_without_holder_alpha_estimates_it_and_writes_the_same_csv(tmp_path, capsys):
+    cfg = json.loads((FIXTURES / "isometry-fbm.json").read_text())
+    del cfg["holder_alpha"]
+    path = make_path(cfg["path"])
+    # the estimate, not the fixture's 0.79, clears the gate; the numbers do not depend on it
+    assert admissibility_threshold(1.25) < 0.53 < holder_exponent(path) < 0.67
+    code, _ = run_config(tmp_path, capsys, cfg)
+    assert code == 0
+    golden = json.loads((FIXTURES / "expected" / "sha256.json").read_text())["sha256"]
+    csv = (tmp_path / "o" / "run.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == golden["isometry-fbm.csv"]
+
+
+def test_reproduce_all_over_no_fixtures_exits_one(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["reproduce-all", "--fixtures", str(tmp_path), "--out-dir", str(out)]) == 1
+    assert f"no fixture configs in {tmp_path}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _without_wall_time(manifest):

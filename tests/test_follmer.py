@@ -36,7 +36,7 @@ from fracpath.follmer import (
     young_bound_check,
 )
 from fracpath.smooth import SmoothFn
-from fracpath.partitions import Partition, badic, value_grid_partition
+from fracpath.partitions import Partition, badic, osc, value_grid_partition
 from fracpath.paths import GaussianPathSpec, SampledPath, cantor_bump_knots, fbm_path
 from fracpath.registry import abs_power, moving_abs_power, polynomial, product_bundle, sin_affine
 from fracpath.variation import pth_variation_partial
@@ -626,6 +626,18 @@ def test_functional_default_fd_step_that_overflows_is_refused():
     want = re.escape("fd_step 1.5e+200 is no usable step for order 2")
     with pytest.raises(InvalidParameterError, match=want):
         ito_check_functional(area, big, Partition(big.times), P)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oscillation_past_float64_is_refused_by_name():
+    # 1e308 - (-1e308) overflows: the oscillation is named, never a step the caller did not give
+    wide = SampledPath(np.linspace(0.0, 1.0, 5), np.array([0.0, 1e308, -1e308, 1e308, 0.0]))
+    want = re.escape("the oscillation on a partition of 1 intervals must be finite, got inf")
+    with pytest.raises(InvalidParameterError, match=want):
+        osc(wide, Partition([0.0, 1.0]))
+    area = FunctionalBundle(evaluate=lambda pre: pre.integral())
+    with pytest.raises(InvalidParameterError, match=want):
+        ito_check_functional(area, wide, Partition([0.0, 1.0]), P)
 
 
 def test_prefix_family_mechanics(fbm04):

@@ -46,3 +46,25 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 and not (alias.name.startswith("__") and alias.name.endswith("__"))
             ]
             assert not private, f"{source.name}:{node.lineno} imports {private}"
+
+
+def _hand_written_choice(test: ast.expr) -> bool:
+    """``x not in (<constants>)`` or ``x != "<str>"``: an option check that
+    ``errors.choice`` makes once, naming every option and the value."""
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1):
+        return False
+    (op,), (right,) = test.ops, test.comparators
+    try:
+        options = ast.literal_eval(right)  # -1 is no ast.Constant, but a literal
+    except ValueError:
+        return False
+    if isinstance(op, ast.NotIn):
+        return isinstance(right, (ast.Tuple, ast.List, ast.Set))
+    return isinstance(op, ast.NotEq) and isinstance(options, str)
+
+
+def test_every_option_check_goes_through_errors_choice():
+    for source in sorted(Path(fracpath.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
+                assert not _hand_written_choice(node.test), f"{source.name}:{node.lineno}"

@@ -137,7 +137,7 @@ def test_cantor_blocks_rounding_modes():
     k_near, _ = cantor_blocks(2.5, 18, "nearest")
     assert k_floor == 6
     assert k_near == 7
-    with pytest.raises(InvalidParameterError, match="unknown rounding 'up'"):
+    with pytest.raises(InvalidParameterError, match="rounding must be one of 'floor', 'nearest', got 'up'"):
         cantor_blocks(2.5, 4, "up")
     with pytest.raises(InvalidParameterError, match="p must exceed 1, got 0.9"):
         cantor_blocks(0.9, 4)

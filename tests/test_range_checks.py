@@ -2,8 +2,11 @@
 ``p <= 0`` lets NaN through, so each is written so that NaN fails it; and
 the API fuzz property feeds every scalar argument of the public entry
 points each edge value, expecting a finite result or a refusal that names
-the argument."""
+the argument; and the choice fuzz gives every enumerated argument, of a
+library call or in a config, wrong values, expecting a refusal that names
+the argument, every option and the value."""
 
+import json
 import math
 import re
 
@@ -13,7 +16,8 @@ from conftest import EDGE_VALUES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracpath.errors import FracpathError, InvalidParameterError, InvalidPhiError
+from fracpath import cli
+from fracpath.errors import FracpathError, InvalidConfigError, InvalidParameterError, InvalidPhiError
 from fracpath.experiments import (
     bump_decomposition,
     bump_limit_value,
@@ -62,8 +66,13 @@ from fracpath.paths import (
     takagi_path,
 )
 from fracpath.registry import (
+    FN_REGISTRY,
+    TIME_FN_REGISTRY,
     abs_power,
     exp_fn,
+    make_fn,
+    make_path,
+    make_time_fn,
     moving_abs_power,
     plus_power,
     product_bundle,
@@ -365,3 +374,137 @@ def test_edge_scalars_give_finite_numbers_or_a_refusal_naming_them(case):
     else:
         numbers = np.asarray(result, dtype=float)
         assert np.all(np.isfinite(numbers)), f"{entry}({name}={edge!r}) returned {result!r}"
+
+
+# --------------------------------------------------------------------------- #
+# choice fuzz: every enumerated argument, from the library and from a config
+# --------------------------------------------------------------------------- #
+
+
+def _run_config(out, invoked, **cfg):
+    """``cfg`` run in-process as ``cli.main`` runs a config file: as the command
+    ``invoked``, or as the one it declares when that is None (reproduce-all)."""
+    path = out / "choice.json"
+    path.write_text(json.dumps({"command": invoked, **cfg} if invoked else cfg))
+    return cli._execute(invoked, path, out)
+
+
+_CAPUTO_CFG = {"fn": {"name": "plus-power", "q": 3.2}, "p": 0.7, "xs": [0.5]}
+_ATOMS_CFG = {"fn": {"name": "abs-power", "q": 2.25}, "p": 2.25}
+_FBM_CFG = {"kind": "fbm", "hurst": 0.8, "n": 16, "seed": 9}
+_BADIC_CFG = {"kind": "badic", "levels": [2, 3]}
+
+# site -> (call taking the value and a scratch directory, the error it raises, the
+# argument's name, its options)
+CHOICES = {
+    "remainder_kernel-method": (
+        lambda v, _: remainder_kernel(abs_power(2.5), 2.5, 0.2, 0.7, method=v),
+        InvalidParameterError, "method", ("taylor", "integral"),
+    ),
+    "kernel_profile-method": (
+        lambda v, _: kernel_profile(abs_power(2.5), 2.5, [0.3], method=v),
+        InvalidParameterError, "method", ("taylor", "integral"),
+    ),
+    "value_grid_partition-mode": (
+        lambda v, _: value_grid_partition(PATH, 0.1, v),
+        InvalidParameterError, "mode", ("increment", "grid"),
+    ),
+    "cantor_blocks-rounding": (
+        lambda v, _: cantor_blocks(2.5, 3, v), InvalidParameterError, "rounding", ("floor", "nearest"),
+    ),
+    "takagi_path-wave": (
+        lambda v, _: takagi_path(wave=v), InvalidParameterError, "wave", ("triangle", "sinusoid"),
+    ),
+    "caputo_power-kind": (
+        lambda v, _: caputo_power(3.2, FracOrder(0.7), -0.5, 0.0, 0.5, kind=v),
+        InvalidParameterError, "kind", ("plus", "abs"),
+    ),
+    "local_frac_derivative-side": (
+        lambda v, _: local_frac_derivative(np.sin, 0.5, 0.3, v), InvalidParameterError, "side", (1, -1),
+    ),
+    "PhiSpec-kind": (
+        lambda v, _: PhiSpec(kind=v), InvalidPhiError, "kind", ("power", "log-modulated", "custom"),
+    ),
+    "make_fn-name": (
+        lambda v, _: make_fn({"name": v}), InvalidConfigError, "name", tuple(FN_REGISTRY),
+    ),
+    "make_time_fn-name": (
+        lambda v, _: make_time_fn({"name": v}), InvalidConfigError, "name", tuple(TIME_FN_REGISTRY),
+    ),
+    "make_path-kind": (
+        lambda v, _: make_path({"kind": v}), InvalidConfigError, "kind",
+        ("cantor-distance", "cantor-bump", "cantor-bump-knots", "takagi", "fbm"),
+    ),
+    "config-expect": (
+        lambda v, out: _run_config(out, "cantor-sweep", p=2.5, ns=[2], expect=v, tol=0.1),
+        InvalidConfigError, "expect", ("any", "converged"),
+    ),
+    "config-partition-kind": (
+        lambda v, out: _run_config(out, "variation", p=2.5, partition={"kind": v, "ns": [2]}),
+        InvalidConfigError, "kind", ("cantor-crossing", "badic", "value-grid"),
+    ),
+    "config-op": (
+        lambda v, out: _run_config(out, "frac-deriv", op=v, **_CAPUTO_CFG),
+        InvalidConfigError, "op", ("rl", "caputo", "local"),
+    ),
+    "config-reference-kind": (
+        lambda v, out: _run_config(out, 
+            "frac-deriv", op="caputo", reference={"kind": v, "q": 3.2}, **_CAPUTO_CFG
+        ),
+        InvalidConfigError, "kind", ("power-rule",),
+    ),
+    "config-atoms-kind": (
+        lambda v, out: _run_config(out, "remainder", atoms={"kind": v, "n": 3}, **_ATOMS_CFG),
+        InvalidConfigError, "kind", ("cantor-bump",),
+    ),
+    "config-remainder-method": (
+        lambda v, out: _run_config(out, "remainder", method=v, pairs=[[0.2, 0.7]], **_ATOMS_CFG),
+        InvalidConfigError, "method", ("taylor", "integral", "both"),
+    ),
+    "config-command": (
+        lambda v, out: _run_config(out, None, command=v, p=2.5),
+        InvalidConfigError, "command", tuple(cli._RUNNERS),
+    ),
+    "config-fn-name": (
+        lambda v, out: _run_config(out, "remainder", fn={"name": v}, p=2.5, pairs=[[0.2, 0.7]]),
+        InvalidConfigError, "name", tuple(FN_REGISTRY),
+    ),
+    "config-path-kind": (
+        lambda v, out: _run_config(out, "variation", p=2.5, path={"kind": v}, partition=_BADIC_CFG),
+        InvalidConfigError, "kind",
+        ("cantor-distance", "cantor-bump", "cantor-bump-knots", "takagi", "fbm"),
+    ),
+    "config-phi-kind": (
+        lambda v, out: _run_config(out, 
+            "isometry", path=_FBM_CFG, partition=_BADIC_CFG, fn={"name": "sin"}, phi={"kind": v}
+        ),
+        InvalidPhiError, "kind", ("power", "log-modulated", "custom"),
+    ),
+}
+# a required key at None or [] reads as missing, and is refused as that
+_REQUIRED_CHOICES = {"config-op", "config-reference-kind"}
+
+
+def _wrong_values(site):
+    options = CHOICES[site][3]
+    words = [o for o in options if isinstance(o, str)]
+    wrong = ["", 0, {}] + [o.upper() for o in words] + [f"{o} " for o in words]
+    return wrong + ([] if site in _REQUIRED_CHOICES else [None, []])
+
+
+CHOICE_CASES = [(site, value) for site in sorted(CHOICES) for value in _wrong_values(site)]
+
+
+@settings(max_examples=2 * len(CHOICE_CASES), deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(CHOICE_CASES))
+def test_a_wrong_choice_is_refused_naming_the_argument_every_option_and_the_value(
+    tmp_path_factory, case
+):
+    site, value = case
+    call, error, name, options = CHOICES[site]
+    with pytest.raises(error) as refused:
+        call(value, tmp_path_factory.mktemp("choice"))
+    message = str(refused.value)
+    assert re.search(rf"\b{name}\b", message), message
+    assert all(repr(option) in message for option in options), message
+    assert message.endswith(f", got {value!r}"), message
