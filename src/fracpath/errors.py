@@ -6,9 +6,11 @@ and the value. Every enumerated argument (a method, mode, kind or side) passes t
 ``choice``, which names the argument, every option and the value. The command line reads
 every config number through ``real`` and every config option through ``choice`` too, so
 a JSON string where a number belongs, or a list where a name belongs, is refused by the
-same rules. ``time_grid`` is the one check of a time grid: path times, partitions and
-sampling grids. Checks relating several arguments (``a <= k < x``, the knot caps) stay
-where they apply."""
+same rules. A size limit (the ``MAX_KNOTS`` knot cap, a float64 depth) is the ``hi``
+of a ``real`` range, on the argument or on the count it implies, named by what it
+counts. ``time_grid`` is the one check of a time grid: path times, partitions and
+sampling grids. Checks relating several arguments (``a <= k < x``) stay where they
+apply."""
 
 from __future__ import annotations
 
@@ -111,11 +113,16 @@ def real(name, value, *, lo=None, hi=None, open=True, integer=None, error=Invali
 
 
 def choice(name, value, options, *, error=InvalidParameterError):
-    """``value`` once it equals one of ``options``. Membership is tested against the
-    sequence, not a hash, so an unhashable value (a config's [] or {}) is refused like
-    any other. Else ``error`` says "{name} must be one of 'a', 'b', got {value!r}"."""
-    if value in (options := tuple(options)):
-        return value
+    """``value`` once it equals one of ``options``, of its kind: a str option takes a
+    str, an int option an integral number that is not a bool (never 1.0, True or an
+    array). Membership is tested against the sequence, not a hash, so an unhashable
+    value (a config's [] or {}) is refused like any other. Else ``error`` says "{name}
+    must be one of 'a', 'b', got {value!r}"."""
+    options = tuple(options)
+    kind = type(value)  # str and int spared the numbers ABC, a microsecond each
+    if kind in (str, int) or kind is not bool and isinstance(value, (str, numbers.Integral)):
+        if value in options:
+            return value
     raise error(f"{name} must be one of {', '.join(map(repr, options))}, got {value!r}")
 
 

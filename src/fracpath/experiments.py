@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, real
+from .errors import real
 from .follmer import (
     ItoReport,
     ito_check,
@@ -201,10 +201,7 @@ def bump_decomposition(p: float, n: int) -> BumpReport:
     decomposition needs about 2^n arithmetic terms). Its 2**(n-1) atom
     weights are refused past ``MAX_KNOTS``, before anything is built."""
     real("p", p, lo=2, hi=3)
-    if (n := real("n", n, lo=1, open=False, integer=True)) - 1 > MAX_KNOTS.bit_length() - 1:
-        raise InvalidParameterError(
-            f"stage {n}: 2**(n - 1) = 2**{n - 1} atom weights exceed the limit of {MAX_KNOTS}"
-        )
+    n = real("n", n, lo=1, hi=MAX_KNOTS.bit_length(), open=False, integer=True)
     delta = 2.0**-n
     counts = np.array([0] + [bump_count(p, i) for i in range(1, n + 1)], dtype=float)
     total_l = 0.0
@@ -215,8 +212,6 @@ def bump_decomposition(p: float, n: int) -> BumpReport:
     for i in range(1, n + 1):
         big_k = 2 ** (n - i)
         mult = 2.0 ** (i - 1) * counts[i]
-        if mult == 0.0:
-            continue
         ks = np.arange(1, big_k + 1, dtype=float)
         ladder = 2.0 * float(np.sum(ks ** (p - 2.0))) - float(big_k) ** (p - 2.0)
         first = -delta * p * (big_k * delta) ** (p - 1.0)

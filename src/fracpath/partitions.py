@@ -62,11 +62,10 @@ def badic(horizon: float, n: int, base: int = 2) -> Partition:
     ``MAX_KNOTS`` knots are refused before base**n is formed, and so are subnormal steps."""
     base = real("base", base, lo=2, open=False, integer=True)
     n = real("n", n, lo=0, open=False, integer=True)
-    # base**n >= 2**(n * floor(log2 base)): a digit bound that needs no base**n
-    if n * (base.bit_length() - 1) >= MAX_KNOTS.bit_length() - 1 or base**n + 1 > MAX_KNOTS:
-        raise InvalidParameterError(
-            f"base**n = {base}**{n} intervals exceed the limit of {MAX_KNOTS} knots"
-        )
+    # base**n >= 2**(n * floor(log2 base)): past 26 such digits the count is
+    # passed as inf, base**n unformed
+    knots = base**n + 1 if n * (base.bit_length() - 1) <= MAX_KNOTS.bit_length() else math.inf
+    real(f"the knots of base**n = {base}**{n} intervals", knots, lo=2, hi=MAX_KNOTS, open=False)
     real("horizon / base**n", real("horizon", horizon, lo=0) / base**n, lo=np.finfo(float).tiny)
     return Partition(np.linspace(0.0, horizon, base**n + 1))
 
@@ -108,11 +107,9 @@ def value_grid_partition(
         first = np.where(up, np.floor(a0 + guard) + 1.0, np.ceil(a0 - guard) - 1.0)
         last = np.where(up, np.floor(a1 + guard), np.ceil(a1 - guard))
         count = np.maximum((last - first) * step + 1.0, 0.0)  # 0 on flat segments
-    total = float(count.sum())
-    if not total <= MAX_KNOTS:  # inf or NaN when v / delta overflows
-        raise InvalidParameterError(
-            f"delta={delta!r} gives {total:.0f} crossings, more than the limit of {MAX_KNOTS}"
-        )
+    # the total is inf or NaN, and refused, when v / delta overflows
+    total = real(f"the crossings at delta={delta!r}", float(count.sum()), lo=0, hi=MAX_KNOTS,
+                 open=False)
     count = count.astype(np.int64)
     seg = np.repeat(np.arange(count.size), count)
     rank = np.arange(int(total)) - np.repeat(np.cumsum(count) - count, count)
@@ -172,34 +169,26 @@ def cantor_blocks(p: float, n: int, rounding: str = "floor") -> tuple[int, Canto
     values, and level-n crossing times ``3**-n * fracs`` that underflow.
     """
     real("p", p, lo=1)
-    n = real("n", n, lo=1, open=False, integer=True)
+    n = real("n", n, lo=1, hi=TERNARY_UNDERFLOW - 1, open=False, integer=True)
     choice("rounding", rounding, ("floor", "nearest"))
-    too_deep = InvalidParameterError(
-        f"stage {n} at p={p} is too deep: the level-{n} crossing times 3**-n * s"
-        " underflow float64"
-    )
-    # cheap refusals first, so that a huge n or a p near 1 never reaches the power
-    if n >= TERNARY_UNDERFLOW:
-        raise too_deep
-    if math.log(n) > (p - 1.0) * math.log(MAX_KNOTS):
-        raise InvalidParameterError(
-            f"stage {n} at p={p}: k_n = n**(1/(p-1)) exceeds the limit of {MAX_KNOTS} knots"
-        )
-    raw = n ** (1.0 / (p - 1.0))
+    stage = f"stage {n} at p={p}"
+    # a log bound, so that a p near 1 never reaches the power
+    raw = n ** (1.0 / (p - 1.0)) if math.log(n) <= (p - 1.0) * math.log(MAX_KNOTS) else math.inf
+    real(f"{stage}: k_n = n**(1/(p-1))", raw, lo=1, hi=MAX_KNOTS, open=False)
     k_n = max(int(math.floor(raw + 1e-9)) if rounding == "floor" else int(round(raw)), 1)
     # one block with the end knots 0 and 1, then all n level rows
-    for count, what in ((2 * k_n + 3, "knots"), (n * (2 * k_n + 1), f"values in {n} level rows")):
-        if count > MAX_KNOTS:
-            raise InvalidParameterError(
-                f"stage {n} at p={p}: {count} {what} exceed the limit of {MAX_KNOTS}"
-            )
+    real(f"{stage}: the knots of one block", 2 * k_n + 3, lo=0, hi=MAX_KNOTS, open=False)
+    real(f"{stage}: the values in {n} level rows", n * (2 * k_n + 1), lo=0, hi=MAX_KNOTS,
+         open=False)
 
     q = LN2_OVER_LN3 / p
     ks = np.arange(k_n + 1, dtype=float)
     s_frac = (ks / k_n) ** (1.0 / q) / 2.0  # crossing offsets on the rising half
     frac_all = np.concatenate([s_frac, 1.0 - s_frac[:-1][::-1]])
     if not np.all(np.diff(3.0 ** (-n) * frac_all) > 0.0):
-        raise too_deep
+        raise InvalidParameterError(
+            f"{stage} is too deep: the level-{n} crossing times 3**-n * s underflow float64"
+        )
     val_pattern = np.concatenate(
         [np.arange(k_n + 1, dtype=float), np.arange(k_n - 1, -1, -1, dtype=float)]
     )

@@ -116,9 +116,7 @@ class GaussianPathSpec:
 
     def __post_init__(self) -> None:
         real("hurst", self.hurst, lo=0, hi=1)
-        n = real("n", self.n, lo=2, open=False, integer=True)
-        if n + 1 > MAX_KNOTS:
-            raise InvalidParameterError(f"n={n} increments exceed the limit of {MAX_KNOTS} knots")
+        n = real("n", self.n, lo=2, hi=MAX_KNOTS - 1, open=False, integer=True)
         real("horizon / n", real("horizon", self.horizon, lo=0) / n, lo=sys.float_info.min)
         seed = real("seed", self.seed, lo=0, hi=2**64 - 1, open=False, integer=True)
         object.__setattr__(self, "n", n)
@@ -181,14 +179,6 @@ def _cantor_distance(ts: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-def _refuse_ternary_underflow(depth: int, p: float) -> None:
-    if depth >= TERNARY_UNDERFLOW:
-        raise InvalidParameterError(
-            f"depth {depth} at p={p} is too deep: the level-{depth} interval length"
-            f" 3**-{depth} underflows float64 (the deepest is {TERNARY_UNDERFLOW - 1})"
-        )
-
-
 def cantor_distance_path(p: float, depth: int = 30) -> AnalyticPath:
     """Path ``S(t) = (2 * dist(t, C))**(log_3(2) / p)`` on [0, 1], where C is
     the depth-``depth`` Cantor set approximation.
@@ -205,8 +195,7 @@ def cantor_distance_path(p: float, depth: int = 30) -> AnalyticPath:
         evaluate to 0.
     """
     real("p", p, lo=1)
-    depth = real("depth", depth, lo=1, open=False, integer=True)
-    _refuse_ternary_underflow(depth, p)
+    depth = real("depth", depth, lo=1, hi=TERNARY_UNDERFLOW - 1, open=False, integer=True)
     q = LN2_OVER_LN3 / p
 
     def fn(ts: np.ndarray) -> np.ndarray:
@@ -224,8 +213,7 @@ def bump_count(p: float, level: int) -> int:
     real("p", p, lo=2, hi=3)
     scale = (real("level", level, lo=0, open=False, integer=True) - 1) * (p - 1.0)
     count = 2.0**scale * (2.0 ** (p - 1.0) - 1.0) if scale < 1024.0 else math.inf
-    if count == math.inf:
-        raise InvalidParameterError(f"level {level} at p={p}: the bump count overflows float64")
+    real(f"level {level} at p={p}: the bump count", count, lo=0, hi=sys.float_info.max, open=False)
     return int(math.floor(count))
 
 
@@ -241,8 +229,7 @@ def cantor_bump_path(p: float, depth: int = 14) -> AnalyticPath:
     p-th power mass of each level summable to a finite nonzero limit).
     """
     real("p", p, lo=2, hi=3)
-    depth = real("depth", depth, lo=1, open=False, integer=True)
-    _refuse_ternary_underflow(depth, p)
+    depth = real("depth", depth, lo=1, hi=TERNARY_UNDERFLOW - 1, open=False, integer=True)
     counts = np.array([bump_count(p, i) for i in range(depth + 1)], dtype=float)
 
     def fn(ts: np.ndarray) -> np.ndarray:
@@ -273,18 +260,11 @@ def cantor_bump_knots(p: float, depth: int) -> SampledPath:
     ``MAX_KNOTS`` (depth 11 at p = 2.5) are refused before any is built.
     """
     real("p", p, lo=2, hi=3)
-    depth = real("depth", depth, lo=1, open=False, integer=True)
-    # every level adds at least 2**(i-1) knots, 2**depth + 1 in all: this
-    # deep, the limit is passed before any bump count is formed
-    if depth >= MAX_KNOTS.bit_length():
-        raise InvalidParameterError(
-            f"depth {depth} at p={p}: more than 2**{depth} knots exceed the limit of {MAX_KNOTS}"
-        )
+    # every level adds at least 2**(i-1) knots, 2**depth + 1 in all: deeper
+    # than 25, the limit is passed before any bump count is formed
+    depth = real("depth", depth, lo=1, hi=MAX_KNOTS.bit_length() - 1, open=False, integer=True)
     n_knots = 2 + sum((1 << (i - 1)) * (2 * bump_count(p, i) + 1) for i in range(1, depth + 1))
-    if n_knots > MAX_KNOTS:
-        raise InvalidParameterError(
-            f"depth {depth} at p={p}: {n_knots} knots exceed the limit of {MAX_KNOTS}"
-        )
+    real(f"depth {depth} at p={p}: the knots", n_knots, lo=0, hi=MAX_KNOTS, open=False)
     all_t = [np.array([0.0, 1.0])]
     all_v = [np.array([0.0, 0.0])]
     for i in range(1, depth + 1):
@@ -335,12 +315,12 @@ def takagi_path(
         raise InvalidParameterError(f"|alpha| must equal 1/b = {1.0 / b!r}, got {alpha!r}")
     real("(|nu| + |rho|) / (1 - |alpha|)", (abs(nu) + abs(rho)) / (1.0 - abs(alpha)))
     depth = real("depth", depth, lo=1, open=False, integer=True)
-    # the last term scales t by b**(depth - 1); the digit bound spares a huge
-    # depth from forming that power
-    if (depth - 1) * (b.bit_length() - 1) >= 1024 or b ** (depth - 1) > sys.float_info.max:
-        raise InvalidParameterError(
-            f"depth {depth} at b={b} is too deep: b**{depth - 1} overflows float64"
-        )
+    # the last term scales t by b**(depth - 1): the digit bound spares a huge
+    # depth from forming that power, and a power past float64 is passed as inf
+    last = depth - 1
+    fits = last * (b.bit_length() - 1) < 1024 and b**last <= sys.float_info.max
+    real(f"depth {depth} at b={b}: the last scale b**{last}", b**last if fits else math.inf,
+         lo=1, hi=sys.float_info.max, open=False)
     choice("wave", wave, ("triangle", "sinusoid"))
 
     def fn(ts: np.ndarray) -> np.ndarray:

@@ -178,7 +178,13 @@ def abs_power_series(q: float, count: int = 12) -> SmoothFn:
     w = (np.arange(1, count + 1, dtype=float)) ** -2.0
 
     def total(g, x):
-        return np.sum(w * g(np.asarray(x, dtype=float)[..., None], locs), axis=-1)
+        # rows of at most 2**18 (point, kink) values, each summed along its kinks
+        x = np.asarray(x, dtype=float)
+        flat, step = x.reshape(-1), max(1, (1 << 18) // count)
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, step):
+            out[lo : lo + step] = np.sum(w * g(flat[lo : lo + step, None], locs), axis=-1)
+        return out.reshape(x.shape)[()]
 
     derivs = tuple((lambda x, c=c, g=g: c * total(g, x)) for c, g in rule)
     kinks = tuple((float(loc), q) for loc in locs)

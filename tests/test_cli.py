@@ -373,7 +373,7 @@ BAD_CONFIGS = {
             "path": {"kind": "cantor-distance", "p": 2.5},
             "grid": {"n": 1e308},
         },
-        "intervals exceed the limit of 33554432 knots",
+        "intervals must lie in [2, 33554432], got inf",
     ),
     "atoms-n-huge": (
         {
@@ -382,15 +382,15 @@ BAD_CONFIGS = {
             "p": 2.25,
             "atoms": {"n": 1e308},
         },
-        "atom weights exceed the limit of 33554432",
+        "n must lie in [1, 26], got 1000000000000000010979",
     ),
     "cantor-bump-knots-depth-huge": (
         {"command": "generate-path", "path": {"kind": "cantor-bump-knots", "p": 2.5, "depth": 16}},
-        "depth 16 at p=2.5: 863405543735 knots exceed the limit of 33554432",
+        "depth 16 at p=2.5: the knots must lie in [0, 33554432], got 863405543735",
     ),
     "cantor-bump-knots-depth-zero": (
         {"command": "generate-path", "path": {"kind": "cantor-bump-knots", "p": 2.5, "depth": 0}},
-        "depth must be >= 1",
+        "depth must lie in [1, 25], got 0",
     ),
     "isometry-custom-fn-without-custom-kind": (
         {
@@ -450,7 +450,7 @@ BAD_CONFIGS = {
     ),
     "fbm-n-huge": (
         {"command": "generate-path", "path": {"kind": "fbm", "hurst": 0.4, "n": 1099511627776}},
-        "n=1099511627776 increments exceed the limit of 33554432 knots",
+        "n must lie in [2, 33554431], got 1099511627776",
     ),
     # so do the analytic paths' construction depths
     "cantor-distance-depth-not-integral": (
@@ -492,7 +492,7 @@ BAD_CONFIGS = {
             "path": {"kind": "cantor-distance", "p": 2.5, "depth": 10**6},
             "grid": {"n": 4},
         },
-        "depth 1000000 at p=2.5 is too deep: the level-1000000 interval length",
+        "depth must lie in [1, 678], got 1000000",
     ),
     "cantor-bump-depth-underflows": (
         {
@@ -500,7 +500,7 @@ BAD_CONFIGS = {
             "path": {"kind": "cantor-bump", "p": 2.5, "depth": 679},
             "grid": {"n": 4},
         },
-        "depth 679 at p=2.5 is too deep: the level-679 interval length 3**-679 underflows",
+        "depth must lie in [1, 678], got 679",
     ),
     "cantor-bump-count-overflows": (
         {
@@ -508,7 +508,8 @@ BAD_CONFIGS = {
             "path": {"kind": "cantor-bump", "p": 2.9, "depth": 600},
             "grid": {"n": 4},
         },
-        "level 540 at p=2.9: the bump count overflows float64",
+        "level 540 at p=2.9: the bump count must lie in [0, 1.7976931348623157e+308],"
+        " got inf",
     ),
     "takagi-depth-overflows": (
         {
@@ -516,12 +517,13 @@ BAD_CONFIGS = {
             "path": {"kind": "takagi", "b": 2, "alpha": 0.5, "depth": 1025},
             "grid": {"n": 4},
         },
-        "depth 1025 at b=2 is too deep: b**1024 overflows float64",
+        "depth 1025 at b=2: the last scale b**1024 must lie in [1, 1.7976931348623157e+308],"
+        " got inf",
     ),
     # one row fits, but the stage's 140 level rows would hold about 4e9 values
     "cantor-sweep-stage-too-large": (
         {"command": "cantor-sweep", "p": 1.3, "ns": [140]},
-        "stage 140 at p=1.3: 3989496980 values in 140 level rows exceed the limit of 33554432",
+        "stage 140 at p=1.3: the values in 140 level rows must lie in [0, 33554432], got 3989496980",
     ),
     "cantor-crossing-too-deep": (
         {"command": "ito-check", "partition": {"kind": "cantor-crossing", "ns": [663]}, "p": 2.5},

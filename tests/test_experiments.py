@@ -2,6 +2,7 @@
 crossing grid, and the depth where float64 stops them."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -139,21 +140,30 @@ def test_deep_stages_are_refused_where_float64_ends():
     # subnormal range; stage 662 is the deepest whose blocks are distinct
     deepest = cantor_stage(P, 662)
     assert deepest.compensated == pytest.approx(deepest.compensated_formula, rel=1e-9)
-    for n in (663, 680, int(1e308)):
-        with pytest.raises(InvalidParameterError, match=f"stage {n} at p=2.5 is too deep"):
+    with pytest.raises(InvalidParameterError, match="stage 663 at p=2.5 is too deep"):
+        cantor_stage(P, 663)
+    with pytest.raises(InvalidParameterError, match="too deep"):
+        cantor_profile(P, 663, [0.5])
+    # from 3**-679 == 0 on no level-n interval has a length at all
+    for n in (679, 680, int(1e308)):
+        message = re.escape(f"n must lie in [1, 678], got {n}")
+        with pytest.raises(InvalidParameterError, match=message):
             cantor_stage(P, n)
-        with pytest.raises(InvalidParameterError, match="too deep"):
+        with pytest.raises(InvalidParameterError, match=message):
             cantor_profile(P, n, [0.5])
     # a p near 1 makes k_n = n**(1/(p-1)) overflow; refused without the power
-    with pytest.raises(InvalidParameterError, match="k_n = n"):
+    message = "k_n = n**(1/(p-1)) must lie in [1, 33554432], got inf"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
         cantor_stage(1.0 + 1e-12, 600)
     # k_n = 65**4 passes that test, but one block would hold 2 k_n + 3 knots
-    with pytest.raises(InvalidParameterError, match="stage 65 at p=1.25: 35701253 knots exceed"):
+    message = "stage 65 at p=1.25: the knots of one block must lie in [0, 33554432], got 35701253"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
         cantor_stage(1.25, 65)
 
 
 def test_bump_decomposition_refuses_oversized_atom_tables():
-    with pytest.raises(InvalidParameterError, match="2\\*\\*26 atom weights exceed the limit"):
+    # 2**(n - 1) atom weights: n = 26 is the last stage within MAX_KNOTS
+    with pytest.raises(InvalidParameterError, match=re.escape("n must lie in [1, 26], got 27")):
         bump_decomposition(2.25, 27)
-    with pytest.raises(InvalidParameterError, match="atom weights exceed the limit"):
+    with pytest.raises(InvalidParameterError, match=re.escape("n must lie in [1, 26], got 1")):
         bump_decomposition(2.25, int(1e308))

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -68,3 +69,29 @@ def test_every_option_check_goes_through_errors_choice():
         for node in ast.walk(ast.parse(source.read_text())):
             if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
                 assert not _hand_written_choice(node.test), f"{source.name}:{node.lineno}"
+
+
+# the knot cap, the ternary depth cap and the ends of float64
+_SIZE_LIMITS = re.compile(r"\b(MAX_KNOTS|TERNARY_UNDERFLOW)\b|sys\.float_info\.max|math\.inf")
+
+
+def _hand_written_size_check(test: ast.expr) -> bool:
+    """A comparison, anywhere in ``test``, with a size limit: a check ``errors.real``
+    makes once, as the size's ``hi``, naming the size, its range and the value. The
+    open ends of a chained bracket such as ``-math.inf < a <= x < math.inf`` test
+    finiteness, not a size, and are skipped."""
+    for node in ast.walk(test):
+        if isinstance(node, ast.Compare):
+            sides = [ast.unparse(side) for side in (node.left, *node.comparators)]
+            if len(sides) > 2:
+                sides = [side for side in sides if side not in ("math.inf", "-math.inf")]
+            if any(_SIZE_LIMITS.search(side) for side in sides):
+                return True
+    return False
+
+
+def test_every_size_limit_goes_through_errors_real():
+    for source in sorted(Path(fracpath.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
+                assert not _hand_written_size_check(node.test), f"{source.name}:{node.lineno}"

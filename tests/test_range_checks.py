@@ -49,6 +49,7 @@ from fracpath.fracops import (
 from fracpath.isometry import (
     PhiSpec,
     admissibility_threshold,
+    generalized_minkowski_check,
     isometry_check,
     phi_hat_numeric,
     phi_inverse,
@@ -63,6 +64,7 @@ from fracpath.paths import (
     cantor_distance_path,
     cantor_gap_lefts,
     fbm_path,
+    sample,
     takagi_path,
 )
 from fracpath.registry import (
@@ -72,6 +74,7 @@ from fracpath.registry import (
     exp_fn,
     make_fn,
     make_path,
+    make_phi,
     make_time_fn,
     moving_abs_power,
     plus_power,
@@ -91,9 +94,11 @@ PART = Partition(PATH.times)
 
 def _range_checked_entries(path):
     """Every library entry whose range check a NaN or inf would pass if it
-    were a plain comparison, as zero-argument calls with the error and
-    message each must raise."""
+    were a plain comparison, and the shape, sign and bracketing refusals no
+    other test reaches, as zero-argument calls with the error and message
+    each must raise."""
     part = Partition(path.times)
+    coarse = SampledPath(np.linspace(0.0, 1.0, 3), [0.0, 0.1, 0.0])
     need_a_x = (InvalidParameterError, "need finite a <= x, got a=")
     return {
         "pth_variation_partial-p": (
@@ -194,6 +199,53 @@ def _range_checked_entries(path):
             lambda: cantor_function(np.array([0.5, NAN])),
             InvalidParameterError,
             "ts must not be NaN, got nan at index 1",
+        ),
+        "SampledPath-shape": (
+            lambda: SampledPath(np.linspace(0.0, 1.0, 3), [0.0, 1.0]),
+            InvalidParameterError,
+            "times and values must be 1-d arrays of equal length",
+        ),
+        "sample-grid-past-horizon": (
+            lambda: sample(cantor_distance_path(2.5, 3), np.linspace(0.0, 2.0, 5)),
+            InvalidParameterError,
+            "grid exceeds the path horizon 1.0",
+        ),
+        "ito_check_multi-grids": (
+            lambda: ito_check_multi(product_bundle(), [path, coarse], part, 2.5),
+            InvalidParameterError,
+            "component paths must share their time grid",
+        ),
+        "PhiSpec-custom-negative": (
+            lambda: PhiSpec(kind="custom", custom_fn=np.negative)(np.array([0.5])),
+            InvalidPhiError,
+            "custom gauge must be finite and nonnegative",
+        ),
+        "phi_hat_numeric-ladder": (
+            # the domain ends at exp(-100 / 2), below every ladder point 2^-8..2^-26
+            lambda: phi_hat_numeric(PhiSpec(kind="log-modulated", log_power=100.0), 0.5),
+            InvalidPhiError,
+            "not enough usable ladder points inside the gauge domain",
+        ),
+        "phi_inverse-bracket": (
+            # x**0.001 reaches 3 only at 2**1585, past the 1e300 bracket
+            lambda: phi_inverse(PhiSpec(p_phi=0.001), 3.0),
+            InvalidPhiError,
+            "failed to bracket the gauge inverse",
+        ),
+        "generalized_minkowski_check-shape": (
+            lambda: generalized_minkowski_check(PhiSpec(), [1.0, 2.0], [1.0]),
+            InvalidParameterError,
+            "need two 1-d vectors of equal length",
+        ),
+        "generalized_minkowski_check-sign": (
+            lambda: generalized_minkowski_check(PhiSpec(), [-1.0], [1.0]),
+            InvalidParameterError,
+            "vectors must be componentwise nonnegative",
+        ),
+        "make_phi-not-an-object": (
+            lambda: make_phi([]),
+            InvalidConfigError,
+            "gauge config must be an object",
         ),
     }
 
@@ -488,7 +540,9 @@ _REQUIRED_CHOICES = {"config-op", "config-reference-kind"}
 def _wrong_values(site):
     options = CHOICES[site][3]
     words = [o for o in options if isinstance(o, str)]
-    wrong = ["", 0, {}] + [o.upper() for o in words] + [f"{o} " for o in words]
+    wrong = ["", 0, {}, True, 1.0] + [o.upper() for o in words] + [f"{o} " for o in words]
+    if not site.startswith("config-"):  # an option of the wrong kind: == alone passes it
+        wrong += [np.array(options[:1]), np.array((options * 2)[:2])]
     return wrong + ([] if site in _REQUIRED_CHOICES else [None, []])
 
 

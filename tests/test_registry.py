@@ -1,6 +1,7 @@
 """Named function constructors and the config-dict factories."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,30 @@ def test_abs_power_series_brute_sum():
             )
             assert float(f.derivative(order).fn(np.array(x))) == pytest.approx(brute, rel=1e-12)
     assert len(f.kinks) == count
+
+
+def test_abs_power_series_is_summed_in_bounded_memory():
+    # 2**12 points by 1000 kinks are 129 MiB as one (point, kink) array; rows of
+    # at most 2**18 values keep the peak small, and each point is still summed
+    # along all its kinks at once, so every value is the one-array float
+    q, count = 2.5, 1000
+    f = abs_power_series(q, count)
+    xs = np.linspace(-0.5, 1.5, 2**12).reshape(64, 64)
+    tracemalloc.start()
+    try:
+        values, slopes = f.fn(xs), f.derivs[0](xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    w = np.arange(1, count + 1, dtype=float) ** -2.0
+    y = xs[..., None] - np.array([loc for loc, _ in f.kinks])
+    whole = np.sum(w * np.abs(y) ** q, axis=-1)
+    assert values.shape == whole.shape and values.tobytes() == whole.tobytes()
+    whole = q * np.sum(w * np.copysign(np.abs(y) ** (q - 1.0), y), axis=-1)
+    assert slopes.shape == whole.shape and slopes.tobytes() == whole.tobytes()
+    # a scalar point stays a scalar
+    assert np.ndim(f.fn(0.25)) == 0 and f.fn(0.25) == f.fn(np.array([0.25]))[0]
 
 
 # --------------------------------------------------------------------------- #
