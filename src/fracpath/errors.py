@@ -1,16 +1,16 @@
-"""Exception types shared across the library, its one scalar rule and its one choice
-rule. Every public entry point passes each scalar argument through ``real`` before any
-numpy work, so a value outside its domain, or no finite float64 number at all (a bool,
-NaN, +-inf, an int float64 cannot hold), raises a ``FracpathError`` naming the argument
-and the value. Every enumerated argument (a method, mode, kind or side) passes through
-``choice``, which names the argument, every option and the value. The command line reads
-every config number through ``real`` and every config option through ``choice`` too, so
-a JSON string where a number belongs, or a list where a name belongs, is refused by the
-same rules. A size limit (the ``MAX_KNOTS`` knot cap, a float64 depth) is the ``hi``
-of a ``real`` range, on the argument or on the count it implies, named by what it
-counts. ``time_grid`` is the one check of a time grid: path times, partitions and
-sampling grids. Checks relating several arguments (``a <= k < x``) stay where they
-apply."""
+"""Exception types shared across the library and its four argument rules, each of
+which raises a ``FracpathError`` naming the argument, the rule and the value. Every
+public entry point passes each scalar argument through ``real`` before any numpy work,
+so a value outside its domain, or no finite float64 number at all (a bool, NaN, +-inf,
+an int float64 cannot hold), is refused. Every enumerated argument (a method, mode,
+kind or side) passes through ``choice``, which names every option too. A size limit
+(the ``MAX_KNOTS`` knot cap, a float64 depth) is the ``hi`` of a ``real`` range, on the
+argument or on the count it implies. Every array, given or formed from one by a gauge or
+a power, passes ``entries`` with a mask of the entries that keep a rule, which names
+the first index that breaks it (``values at index 2 must be finite, got nan``).
+``time_grid`` is the one check of a time grid. The command line reads config numbers
+and options through ``real`` and ``choice`` too. Checks relating several arguments
+(``a <= k < x``) stay where they apply."""
 
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ __all__ = [
     "AdmissibilityError",
     "real",
     "choice",
+    "entries",
     "time_grid",
 ]
 
@@ -126,6 +127,22 @@ def choice(name, value, options, *, error=InvalidParameterError):
     raise error(f"{name} must be one of {', '.join(map(repr, options))}, got {value!r}")
 
 
+def entries(name, values, ok, rule, *, error=InvalidParameterError):
+    """``values`` once the boolean mask ``ok`` holds everywhere. Else ``error`` says
+    "{name} at index {i} must {rule}, got {value!r}" of the first entry that fails, ``i``
+    a tuple past one dimension and left out for a 0-d mask. ``values`` is an array or a
+    list read at ``i``, or a tuple of them read together; a callable ``rule`` is given
+    ``i``. The message is formed on failure alone."""
+    if ok.all():
+        return values
+    at = np.unravel_index(ok.argmin(), ok.shape)
+    i = int(at[0]) if len(at) == 1 else tuple(map(int, at))
+    read = values if type(values) is tuple else (values,)
+    got = tuple(v[i].item() if isinstance(v[i], np.generic) else v[i] for v in read)
+    where, rule = f" at index {i}" if at else "", rule(i) if callable(rule) else rule
+    raise error(f"{name}{where} must {rule}, got {got if len(read) > 1 else got[0]!r}")
+
+
 def time_grid(name, times) -> np.ndarray:
     """``times`` as a contiguous float64 array once it is a time grid: 1-d, two
     points or more, finite, starting at 0 and strictly increasing. Else an
@@ -133,14 +150,10 @@ def time_grid(name, times) -> np.ndarray:
     times = np.ascontiguousarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise InvalidParameterError(f"{name} must be 1-d, 2 or more long, got shape {times.shape}")
-    if not (finite := np.isfinite(times)).all():
-        i = int(finite.argmin())
-        raise InvalidParameterError(f"{name} at index {i} is not finite ({times[i]})")
+    entries(name, times, np.isfinite(times), "be finite")
     if times[0] != 0.0:
         raise InvalidParameterError(f"{name} must start at 0, got {times[0]}")
-    if not (rising := np.diff(times) > 0.0).all():
-        i = int(rising.argmin()) + 1
-        raise InvalidParameterError(
-            f"{name} must be strictly increasing, got {times[i]} after {times[i - 1]} at index {i}"
-        )
+    rising = np.ones(times.size, dtype=bool)
+    np.greater(times[1:], times[:-1], out=rising[1:])
+    entries(name, times, rising, lambda i: f"exceed the previous time {float(times[i - 1])!r}")
     return times

@@ -35,6 +35,7 @@ from .errors import (
     InvalidParameterError,
     KernelSingularError,
     choice,
+    entries,
     real,
 )
 from .partitions import Partition, block_sum, osc, partition_values
@@ -144,13 +145,6 @@ def taylor_remainder(
     return _taylor_terms(_power_terms(fn.derivs[:m], right - left, left), gap)[1]
 
 
-def _refuse_non_finite(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, why: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        pair = f"({float(xs[bad[0]])!r}, {float(ys[bad[0]])!r})"
-        raise InvalidParameterError(f"kernel at (a, b) = {pair} is not a finite number: {why}")
-
-
 def remainder_kernel(fn: SmoothFn, p: float, a, b, method: str = "integral"):
     """Normalized Taylor remainder kernel of order m = floor(p), per entry
     of the broadcast ``a`` and ``b`` (a float for scalars):
@@ -176,12 +170,12 @@ def remainder_kernel(fn: SmoothFn, p: float, a, b, method: str = "integral"):
     a, b = (real(name, v) if np.isscalar(v) else v for name, v in (("a", a), ("b", b)))
     shape = np.broadcast(a, b).shape
     xs, ys = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))
-    _refuse_non_finite(np.maximum(np.abs(xs), np.abs(ys)), xs, ys, "a and b must be finite")
+    entries("(a, b)", (xs, ys), np.isfinite(xs) & np.isfinite(ys), "be finite")
     diagonal = xs == ys
     with np.errstate(over="ignore"):
         norm = np.abs(ys - xs) ** p
     norm[diagonal] = 1.0
-    _refuse_non_finite(norm, xs, ys, f"|b - a|^{p!r} overflows")
+    entries("(a, b)", (xs, ys), np.isfinite(norm), f"keep |b - a|^{p!r} finite")
     # a point's first listed kink of exponent <= p names the divergence
     poles = {loc: expo for loc, expo in reversed(fn.kinks) if expo <= p}
     singular = xs[diagonal & np.isin(xs, list(poles))]
@@ -193,7 +187,7 @@ def remainder_kernel(fn: SmoothFn, p: float, a, b, method: str = "integral"):
     if method == "taylor":
         with np.errstate(all="ignore"):
             val = taylor_remainder(fn, xs, ys, m) / norm
-        _refuse_non_finite(val, xs, ys, "the Taylor remainder is not finite")
+        entries("(a, b)", (xs, ys), np.isfinite(val), "give a finite Taylor remainder kernel")
     else:
         from ._quad import integrate_kinked
 
@@ -392,10 +386,9 @@ def ito_check_multi(
     or 2 (a Hessian is required for m = 2)."""
     m = taylor_order(p)
     _require_derivs(1 + (bundle.hess is not None), m, "derivatives (gradient, Hessian)")
-    base = paths[0].times
-    for other in paths[1:]:
-        if not np.array_equal(other.times, base):
-            raise InvalidParameterError("component paths must share their time grid")
+    grids = [q.times for q in paths]
+    same = np.array([np.array_equal(g, grids[0]) for g in grids])
+    entries("the times of paths", grids, same, "equal those of paths[0]")
     vals = np.stack([partition_values(q, partition, t)[1] for q in paths], axis=1)  # (N+1, d)
     left = vals[:-1]
     inc = np.diff(vals, axis=0)  # (N, d)
@@ -582,11 +575,8 @@ def young_bound_check(
     """
     alphas = tuple(alphas)
     if not alphas or len(alphas) != len(paths):
-        raise InvalidParameterError("need one exponent per path component")
-    try:
-        alphas = tuple(float(real("alphas", a, lo=0)) for a in alphas)
-    except InvalidParameterError:
-        raise InvalidParameterError(f"alphas must be positive and finite, got {alphas}") from None
+        raise InvalidParameterError(f"need one alpha per path, got {len(alphas)} for {len(paths)}")
+    alphas = tuple(float(real(f"alphas[{i}]", a, lo=0)) for i, a in enumerate(alphas))
     p = float(sum(alphas))
     d = len(paths)
     # fix the first sign to +1: a pattern and its negation give the same term

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError, InvalidParameterError, InvalidPhiError, choice, real
+from .errors import (AdmissibilityError, InvalidParameterError, InvalidPhiError, choice, entries,
+                     real)
 from .partitions import Partition, badic, partition_values
 from .paths import SampledPath
 from .smooth import SmoothFn, ratio_limit
@@ -74,13 +75,12 @@ class PhiSpec:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise InvalidPhiError("gauges act on magnitudes; negative input")
-        if np.any(x >= self.domain_hi):
-            raise InvalidPhiError(
-                f"input exceeds the cap exp(-log_power / p_phi) = {self.domain_hi!r}; rescale first"
-            )
-        return self._formula(x)
+        ok = x >= 0.0  # NaN fails both comparisons
+        ok &= x < self.domain_hi
+        rule = "be finite and nonnegative"
+        if self.kind == "log-modulated":
+            rule = f"lie in [0, exp(-log_power / p_phi)) = [0, {self.domain_hi!r}); rescale first"
+        return self._formula(entries("gauge input x", x, ok, rule, error=InvalidPhiError))
 
     def _formula(self, x: np.ndarray) -> np.ndarray:
         """The gauge on inputs known to lie in [0, domain_hi), unchecked."""
@@ -88,9 +88,9 @@ class PhiSpec:
             return x**self.p_phi
         if self.kind == "custom":
             out = np.asarray(self.custom_fn(x), dtype=float)
-            if np.any(out < 0.0) or not np.all(np.isfinite(out)):
-                raise InvalidPhiError("custom gauge must be finite and nonnegative")
-            return out
+            ok = (out >= 0.0) & (out < math.inf)  # NaN fails both comparisons
+            return entries("custom_fn(x)", out, ok, "be finite and nonnegative",
+                           error=InvalidPhiError)
         out = np.zeros_like(x)
         pos = x > 0.0
         out[pos] = x[pos] ** self.p_phi * (-np.log(x[pos])) ** (-self.log_power)
@@ -128,12 +128,10 @@ def phi_hat_numeric(spec: PhiSpec, a: float) -> float:
     if real("a", a, lo=0, open=False, error=InvalidPhiError) == 0.0:
         return 0.0
     bs = 2.0 ** -np.arange(8, 27, dtype=float)
-    # keep both arguments inside the gauge domain
     cap = spec.domain_hi
-    usable = (bs < cap) & (a * bs < cap)
-    bs = bs[usable]
-    if bs.size < 5:
-        raise InvalidPhiError("not enough usable ladder points inside the gauge domain")
+    bs = bs[(bs < cap) & (a * bs < cap)]  # both arguments inside the gauge domain
+    real(f"the count of ladder points b with b, a b below the cap exp(-log_power / p_phi) ="
+         f" {cap!r} at a = {a!r}", bs.size, lo=5, open=False, error=InvalidPhiError)
     with np.errstate(over="ignore", invalid="ignore"):  # a ratio past float64 settles nowhere
         ratios = spec(a * bs) / spec(bs)
         return ratio_limit(ratios, f"conjugate weight ratio does not settle at a = {a!r}")
@@ -242,7 +240,7 @@ def phi_inverse(spec: PhiSpec, y: float) -> float:
         while float(spec._formula(np.asarray(hi))) < y:
             hi *= 2.0
             if hi > 1e300:
-                raise InvalidPhiError("failed to bracket the gauge inverse")
+                raise InvalidPhiError(f"no x below 1e300 brackets the gauge inverse of y = {y!r}")
     lo, top = 0, int(np.float64(hi).view(np.int64))  # as float bits: phi(lo) < y <= phi(top)
     mid, stride = top // 2, max(top // 64, 1)
     if spec.kind != "custom":
@@ -283,6 +281,7 @@ class MinkowskiReport:
         return self.lhs <= self.rhs * (1.0 + 1e-12)
 
 
+@np.errstate(over="ignore")  # a phi-sum past float64 is refused by phi_inverse, as its y
 def generalized_minkowski_check(spec: PhiSpec, a: np.ndarray, b: np.ndarray) -> MinkowskiReport:
     """Triangle inequality in the gauge's variation scale:
 
@@ -294,9 +293,9 @@ def generalized_minkowski_check(spec: PhiSpec, a: np.ndarray, b: np.ndarray) -> 
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
-        raise InvalidParameterError("need two 1-d vectors of equal length")
-    if np.any(a < 0.0) or np.any(b < 0.0):
-        raise InvalidParameterError("vectors must be componentwise nonnegative")
+        raise InvalidParameterError(f"a and b must be 1-d of one length, got {a.shape}, {b.shape}")
+    for name, v in (("a", a), ("b", b)):  # NaN fails both comparisons
+        entries(name, v, (v >= 0.0) & (v < math.inf), "be finite and nonnegative")
     lhs = phi_inverse(spec, float(np.sum(spec(a + b))))
     rhs = phi_inverse(spec, float(np.sum(spec(a)))) + phi_inverse(spec, float(np.sum(spec(b))))
     return MinkowskiReport(lhs=lhs, rhs=rhs)

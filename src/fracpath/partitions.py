@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, choice, real, time_grid
+from .errors import InvalidParameterError, choice, entries, real, time_grid
 from .paths import LN2_OVER_LN3, MAX_KNOTS, TERNARY_UNDERFLOW, SampledPath
 
 _CHUNK = 1 << 18  # values of the Cantor level rows formed and summed together
@@ -185,10 +185,9 @@ def cantor_blocks(p: float, n: int, rounding: str = "floor") -> tuple[int, Canto
     ks = np.arange(k_n + 1, dtype=float)
     s_frac = (ks / k_n) ** (1.0 / q) / 2.0  # crossing offsets on the rising half
     frac_all = np.concatenate([s_frac, 1.0 - s_frac[:-1][::-1]])
-    if not np.all(np.diff(3.0 ** (-n) * frac_all) > 0.0):
-        raise InvalidParameterError(
-            f"{stage} is too deep: the level-{n} crossing times 3**-n * s underflow float64"
-        )
+    steps = np.diff(3.0 ** (-n) * frac_all)
+    where = f"{stage} is too deep for float64: the steps of its level-{n} crossing times"
+    entries(f"{where} 3**-n * s", steps, steps > 0.0, "be positive")
     val_pattern = np.concatenate(
         [np.arange(k_n + 1, dtype=float), np.arange(k_n - 1, -1, -1, dtype=float)]
     )

@@ -24,7 +24,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import InvalidParameterError, SamplingInfeasibleError, choice, real, time_grid
+from .errors import InvalidParameterError, SamplingInfeasibleError, choice, entries, real, time_grid
 
 __all__ = [
     "AnalyticPath",
@@ -71,10 +71,8 @@ class SampledPath:
         times = time_grid("times", self.times)
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.shape != times.shape:
-            raise InvalidParameterError("times and values must be 1-d arrays of equal length")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise InvalidParameterError(f"value at index {bad[0]} is not finite ({values[bad[0]]})")
+            raise InvalidParameterError(f"values must have shape {times.shape}, got {values.shape}")
+        entries("values", values, np.isfinite(values), "be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 

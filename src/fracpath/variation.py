@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidPhiError, real
+from .errors import InvalidPhiError, entries, real
 from .partitions import Partition, partition_values
 from .paths import SampledPath
 
@@ -33,11 +33,12 @@ def phi_sums(values: np.ndarray, phi: Callable[[np.ndarray], np.ndarray] | float
     with np.errstate(over="ignore"):
         size = np.abs(np.diff(values))
         out = phi(size) if callable(phi) else size**phi
-    if np.any(out < 0.0) or not np.all(np.isfinite(out)):
-        if callable(phi):
-            raise InvalidPhiError("phi must be finite and nonnegative on increment magnitudes")
-        largest = float(np.max(size))
-        raise InvalidParameterError(f"|dS|^{phi!r} overflows: the largest |dS| is {largest!r}")
+    ok = np.isfinite(out)
+    if callable(phi):
+        ok &= out >= 0.0
+        entries("phi(|dS|)", out, ok, "be finite and nonnegative", error=InvalidPhiError)
+    else:
+        entries("|dS|", size, ok, f"keep |dS|^{phi!r} finite")
     return np.add.reduce(out, axis=-1)
 
 
@@ -77,8 +78,7 @@ def cantor_function(ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     scalar = ts.ndim == 0
     x = np.atleast_1d(ts).astype(float).copy()
-    if np.isnan(x).any():  # every comparison below reads NaN as false, so NaN would read 0
-        raise InvalidParameterError(f"ts must not be NaN, got nan at index {np.isnan(x).argmax()}")
+    entries("ts", x, ~np.isnan(x), "not be NaN")  # the comparisons below would read NaN as 0
     out = np.zeros_like(x)
     done = x <= 0.0
     hi = x >= 1.0

@@ -614,16 +614,16 @@ BAD_CONFIGS = {
             "partition": {"kind": "badic", "levels": [6]},
             "p": 2.5,
         },
-        "|dS|^2.5 overflows: the largest |dS| is 4.9225472325608536e+268",
+        "|dS| at index (0, 0) must keep |dS|^2.5 finite, got 1.6245001869371713e+267",
     ),
     # a kernel that is no finite number is refused by its pair, in either form
     "remainder-pair-overflows-taylor": (
         {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 1e200]], "method": "taylor"},
-        "kernel at (a, b) = (0.1, 1e+200) is not a finite number: |b - a|^2.5 overflows",
+        "(a, b) at index 0 must keep |b - a|^2.5 finite, got (0.1, 1e+200)",
     ),
     "remainder-pair-overflows-integral": (
         {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 1e200]], "method": "integral"},
-        "kernel at (a, b) = (0.1, 1e+200) is not a finite number: |b - a|^2.5 overflows",
+        "(a, b) at index 0 must keep |b - a|^2.5 finite, got (0.1, 1e+200)",
     ),
     "remainder-taylor-not-finite": (
         {
@@ -633,7 +633,7 @@ BAD_CONFIGS = {
             "pairs": [[0.0, 1e100]],
             "method": "taylor",
         },
-        "kernel at (a, b) = (0.0, 1e+100) is not a finite number: the Taylor remainder is not finite",
+        "(a, b) at index 0 must give a finite Taylor remainder kernel, got (0.0, 1e+100)",
     ),
     "remainder-diagonal-on-kink": (
         {

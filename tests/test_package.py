@@ -95,3 +95,58 @@ def test_every_size_limit_goes_through_errors_real():
         for node in ast.walk(ast.parse(source.read_text())):
             if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
                 assert not _hand_written_size_check(node.test), f"{source.name}:{node.lineno}"
+
+
+# reductions over a mask, each a check ``errors.entries`` makes once
+_MASK_REDUCTIONS = {"any", "all", "array_equal", "flatnonzero"}
+
+
+def _hand_written_array_check(test: ast.expr, flat_names: set) -> bool:
+    """``np.any``, ``np.all``, ``.any()``, ``.all()``, ``np.array_equal`` or
+    ``flatnonzero`` called in ``test``, or a name bound to a ``flatnonzero(...)``
+    result read there: a check of array entries that ``errors.entries`` makes once,
+    naming the argument, the first failing index, the rule and the value."""
+    for node in ast.walk(test):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _MASK_REDUCTIONS:
+                return True
+        if isinstance(node, ast.Name) and node.id in flat_names:
+            return True
+    return False
+
+
+def _flatnonzero_names(tree: ast.Module) -> set:
+    """Every name a module binds to a ``flatnonzero(...)`` result."""
+    return {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func).endswith("flatnonzero")
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def hand_written_array_checks(package: Path) -> list:
+    """``module:line`` of every ``if`` that raises on a hand-written array check;
+    the body of ``errors.entries``, the rule itself, is exempt."""
+    found = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        flat_names = _flatnonzero_names(tree)
+        for top in tree.body:
+            if source.name == "errors.py" and getattr(top, "name", None) == "entries":
+                continue
+            for node in ast.walk(top):
+                if not isinstance(node, ast.If):
+                    continue
+                raises = any(isinstance(s, ast.Raise) for b in node.body for s in ast.walk(b))
+                if raises and _hand_written_array_check(node.test, flat_names):
+                    found.append(f"{source.name}:{node.lineno}")
+    return found
+
+
+def test_every_array_check_goes_through_errors_entries():
+    found = hand_written_array_checks(Path(fracpath.__file__).parent)
+    assert not found, f"hand-written array checks at {found}"

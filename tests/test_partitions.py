@@ -24,9 +24,10 @@ def test_partition_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_partition_rejects_non_finite_times(bad):
     # NaN passes the ordering comparisons and leaves a NaN horizon behind
-    with pytest.raises(InvalidParameterError, match="index 2 is not finite"):
+    message = f"partition times at index 2 must be finite, got {bad}"
+    with pytest.raises(InvalidParameterError, match=message):
         Partition(np.array([0.0, 0.5, bad]))
-    with pytest.raises(InvalidParameterError, match="not finite"):
+    with pytest.raises(InvalidParameterError, match="must be finite"):
         Partition(np.array([bad, 0.5, 1.0]))
 
 

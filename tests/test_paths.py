@@ -53,7 +53,7 @@ def test_sampled_path_validation():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sampled_path_rejects_non_finite(bad):
-    with pytest.raises(InvalidParameterError, match="value at index 2 is not finite"):
+    with pytest.raises(InvalidParameterError, match=f"values at index 2 must be finite, got {bad}"):
         SampledPath(np.linspace(0.0, 1.0, 5), np.array([0.0, 0.1, bad, 0.3, bad]))
     with pytest.raises(InvalidParameterError, match="finite"):
         SampledPath(np.array([0.0, bad, 1.0]), np.zeros(3))
@@ -64,9 +64,9 @@ def test_sampled_path_rejects_non_finite(bad):
     [
         ([0.0], "must be 1-d, 2 or more long, got shape (1,)"),
         ([[0.0, 1.0]], "must be 1-d, 2 or more long, got shape (1, 2)"),
-        ([0.0, math.nan, 1.0], "at index 1 is not finite (nan)"),
+        ([0.0, math.nan, 1.0], "at index 1 must be finite, got nan"),
         ([0.25, 1.0], "must start at 0, got 0.25"),
-        ([0.0, 0.5, 0.5, 1.0], "must be strictly increasing, got 0.5 after 0.5 at index 2"),
+        ([0.0, 0.5, 0.5, 1.0], "at index 2 must exceed the previous time 0.5, got 0.5"),
     ],
 )
 def test_one_time_grid_check_names_the_grid_the_rule_and_the_index(times, rule):

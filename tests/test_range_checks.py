@@ -2,13 +2,16 @@
 ``p <= 0`` lets NaN through, so each is written so that NaN fails it; and
 the API fuzz property feeds every scalar argument of the public entry
 points each edge value, expecting a finite result or a refusal that names
-the argument; and the choice fuzz gives every enumerated argument, of a
-library call or in a config, wrong values, expecting a refusal that names
-the argument, every option and the value."""
+the argument; the value fuzz scales seeded paths toward both ends of float64,
+expecting finite numbers or a refusal that names the term, with no numpy
+warning; and the choice fuzz gives every enumerated argument, of a library
+call or in a config, wrong values, expecting a refusal that names the
+argument, every option and the value."""
 
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -50,11 +53,19 @@ from fracpath.isometry import (
     PhiSpec,
     admissibility_threshold,
     generalized_minkowski_check,
+    holder_exponent,
     isometry_check,
     phi_hat_numeric,
     phi_inverse,
 )
-from fracpath.partitions import Partition, badic, cantor_blocks, value_grid_partition
+from fracpath.partitions import (
+    Partition,
+    badic,
+    cantor_blocks,
+    osc,
+    partition_values,
+    value_grid_partition,
+)
 from fracpath.paths import (
     GaussianPathSpec,
     SampledPath,
@@ -78,6 +89,7 @@ from fracpath.registry import (
     make_time_fn,
     moving_abs_power,
     plus_power,
+    polynomial,
     product_bundle,
     sin_affine,
 )
@@ -94,11 +106,14 @@ PART = Partition(PATH.times)
 
 def _range_checked_entries(path):
     """Every library entry whose range check a NaN or inf would pass if it
-    were a plain comparison, and the shape, sign and bracketing refusals no
-    other test reaches, as zero-argument calls with the error and message
+    were a plain comparison, the shape, sign and bracketing refusals no
+    other test reaches, and every array check ``errors.entries`` makes, named
+    by its index and value, as zero-argument calls with the error and message
     each must raise."""
     part = Partition(path.times)
     coarse = SampledPath(np.linspace(0.0, 1.0, 3), [0.0, 0.1, 0.0])
+    huge = SampledPath(np.linspace(0.0, 1.0, 3), [0.0, 3e200, 1e200])
+    log_spec = PhiSpec(kind="log-modulated", log_power=0.5)
     need_a_x = (InvalidParameterError, "need finite a <= x, got a=")
     return {
         "pth_variation_partial-p": (
@@ -109,7 +124,12 @@ def _range_checked_entries(path):
         "young_bound_check-alphas": (
             lambda: young_bound_check([path], [NAN], [part]),
             InvalidParameterError,
-            "alphas must be positive and finite, got (nan,)",
+            "alphas[0] must be positive and finite, got nan",
+        ),
+        "young_bound_check-count": (
+            lambda: young_bound_check([path], [1.0, 1.0], [part]),
+            InvalidParameterError,
+            "need one alpha per path, got 2 for 1",
         ),
         "phi_inverse-y-nan": (
             lambda: phi_inverse(PhiSpec(), NAN),
@@ -193,17 +213,60 @@ def _range_checked_entries(path):
         "remainder_kernel-array-nan": (
             lambda: remainder_kernel(abs_power(2.5), 2.5, np.array([NAN, 0.2]), np.array([0.7, 0.7])),
             InvalidParameterError,
-            "kernel at (a, b) = (nan, 0.7) is not a finite number: a and b must be finite",
+            "(a, b) at index 0 must be finite, got (nan, 0.7)",
+        ),
+        "remainder_kernel-norm-overflows": (
+            lambda: remainder_kernel(_SIN, 2.5, np.array([0.2, 0.1]), np.array([0.7, 1e200])),
+            InvalidParameterError,
+            "(a, b) at index 1 must keep |b - a|^2.5 finite, got (0.1, 1e+200)",
+        ),
+        "remainder_kernel-taylor-not-finite": (
+            lambda: remainder_kernel(
+                abs_power(3.5), 2.5, np.array([0.0, 0.0]), np.array([0.5, 1e100]), method="taylor"
+            ),
+            InvalidParameterError,
+            "(a, b) at index 1 must give a finite Taylor remainder kernel, got (0.0, 1e+100)",
         ),
         "cantor_function-ts-nan": (
             lambda: cantor_function(np.array([0.5, NAN])),
             InvalidParameterError,
-            "ts must not be NaN, got nan at index 1",
+            "ts at index 1 must not be NaN, got nan",
         ),
         "SampledPath-shape": (
             lambda: SampledPath(np.linspace(0.0, 1.0, 3), [0.0, 1.0]),
             InvalidParameterError,
-            "times and values must be 1-d arrays of equal length",
+            "values must have shape (3,), got (2,)",
+        ),
+        "SampledPath-values": (
+            lambda: SampledPath(np.linspace(0.0, 1.0, 3), [0.0, INF, 0.0]),
+            InvalidParameterError,
+            "values at index 1 must be finite, got inf",
+        ),
+        "time_grid-finite": (
+            lambda: Partition(np.array([0.0, 0.5, NAN])),
+            InvalidParameterError,
+            "partition times at index 2 must be finite, got nan",
+        ),
+        "time_grid-increasing": (
+            lambda: Partition(np.array([0.0, 0.5, 0.4])),
+            InvalidParameterError,
+            "partition times at index 2 must exceed the previous time 0.5, got 0.4",
+        ),
+        "phi_sums-gauge-negative": (
+            lambda: phi_variation_partial(path, part, np.negative),
+            InvalidPhiError,
+            "phi(|dS|) at index 0 must be finite and nonnegative, got -0.3",
+        ),
+        "phi_sums-power-overflows": (
+            lambda: pth_variation_partial(huge, Partition(huge.times), 2.5),
+            InvalidParameterError,
+            "|dS| at index 0 must keep |dS|^2.5 finite, got 3e+200",
+        ),
+        "cantor_blocks-underflow": (
+            lambda: cantor_blocks(2.5, 663),
+            InvalidParameterError,
+            "stage 663 at p=2.5 is too deep for float64: the steps of its level-663 crossing times"
+            " 3**-n * s at index 0 must be positive, got 0.0",
         ),
         "sample-grid-past-horizon": (
             lambda: sample(cantor_distance_path(2.5, 3), np.linspace(0.0, 2.0, 5)),
@@ -213,34 +276,69 @@ def _range_checked_entries(path):
         "ito_check_multi-grids": (
             lambda: ito_check_multi(product_bundle(), [path, coarse], part, 2.5),
             InvalidParameterError,
-            "component paths must share their time grid",
+            "the times of paths at index 1 must equal those of paths[0],"
+            " got array([0. , 0.5, 1. ])",
         ),
         "PhiSpec-custom-negative": (
             lambda: PhiSpec(kind="custom", custom_fn=np.negative)(np.array([0.5])),
             InvalidPhiError,
-            "custom gauge must be finite and nonnegative",
+            "custom_fn(x) at index 0 must be finite and nonnegative, got -0.5",
+        ),
+        # a NaN input read nan and an inf one was blamed on a cap the power gauge lacks
+        "PhiSpec-nan-input": (
+            lambda: PhiSpec()(np.array([0.5, NAN])),
+            InvalidPhiError,
+            "gauge input x at index 1 must be finite and nonnegative, got nan",
+        ),
+        "PhiSpec-inf-input": (
+            lambda: PhiSpec()(np.array([INF])),
+            InvalidPhiError,
+            "gauge input x at index 0 must be finite and nonnegative, got inf",
+        ),
+        "PhiSpec-negative-input": (
+            lambda: PhiSpec()(np.array([[0.1, -0.2]])),
+            InvalidPhiError,
+            "gauge input x at index (0, 1) must be finite and nonnegative, got -0.2",
+        ),
+        "PhiSpec-past-the-cap": (
+            lambda: log_spec(0.9),
+            InvalidPhiError,
+            "gauge input x must lie in [0, exp(-log_power / p_phi)) = [0, 0.7788007830714049);"
+            " rescale first, got 0.9",
         ),
         "phi_hat_numeric-ladder": (
             # the domain ends at exp(-100 / 2), below every ladder point 2^-8..2^-26
             lambda: phi_hat_numeric(PhiSpec(kind="log-modulated", log_power=100.0), 0.5),
             InvalidPhiError,
-            "not enough usable ladder points inside the gauge domain",
+            "the count of ladder points b with b, a b below the cap exp(-log_power / p_phi) ="
+            " 1.9287498479639178e-22 at a = 0.5 must be >= 5, got 0",
         ),
         "phi_inverse-bracket": (
             # x**0.001 reaches 3 only at 2**1585, past the 1e300 bracket
             lambda: phi_inverse(PhiSpec(p_phi=0.001), 3.0),
             InvalidPhiError,
-            "failed to bracket the gauge inverse",
+            "no x below 1e300 brackets the gauge inverse of y = 3.0",
         ),
         "generalized_minkowski_check-shape": (
             lambda: generalized_minkowski_check(PhiSpec(), [1.0, 2.0], [1.0]),
             InvalidParameterError,
-            "need two 1-d vectors of equal length",
+            "a and b must be 1-d of one length, got (2,), (1,)",
         ),
         "generalized_minkowski_check-sign": (
             lambda: generalized_minkowski_check(PhiSpec(), [-1.0], [1.0]),
             InvalidParameterError,
-            "vectors must be componentwise nonnegative",
+            "a at index 0 must be finite and nonnegative, got -1.0",
+        ),
+        # NaN passed the sign check, and phi_inverse then blamed the gauge value y
+        "generalized_minkowski_check-nan": (
+            lambda: generalized_minkowski_check(PhiSpec(), [NAN, 1.0], [1.0, 1.0]),
+            InvalidParameterError,
+            "a at index 0 must be finite and nonnegative, got nan",
+        ),
+        "generalized_minkowski_check-b-inf": (
+            lambda: generalized_minkowski_check(PhiSpec(), [1.0, 1.0], [1.0, INF]),
+            InvalidParameterError,
+            "b at index 1 must be finite and nonnegative, got inf",
         ),
         "make_phi-not-an-object": (
             lambda: make_phi([]),
@@ -426,6 +524,90 @@ def test_edge_scalars_give_finite_numbers_or_a_refusal_naming_them(case):
     else:
         numbers = np.asarray(result, dtype=float)
         assert np.all(np.isfinite(numbers)), f"{entry}({name}={edge!r}) returned {result!r}"
+
+
+# --------------------------------------------------------------------------- #
+# value fuzz: seeded path values scaled toward both ends of float64
+# --------------------------------------------------------------------------- #
+
+_STAGE = badic(1.0, 6)
+_SEEDED = tuple(
+    fbm_path(GaussianPathSpec(hurst=h, n=64, seed=s)) for h, s in ((0.4, 3), (0.7, 5), (0.25, 8))
+)
+_FNS = {
+    "sin": _SIN, "abs-power": abs_power(2.5), "exp": exp_fn(), "poly": polynomial([0, 0, 0, 1e100])
+}
+# the identity's numbers and the p-th variation
+_ITO_P = _report("value_change", "compensated", "kernel_sum", "variation", "time_integral")
+_LOG_GAUGE = PhiSpec(kind="log-modulated", log_power=0.5)
+
+
+def _increments(path):
+    return np.abs(np.diff(partition_values(path, _STAGE)[1]))
+
+
+# entry -> (call on a path, a second path and a function, whether it takes the function)
+VALUE_FUZZ = {
+    "ito_check": (lambda s, o, f: _ITO_P(ito_check(f, s, _STAGE, 2.5)), True),
+    "ito_check_time": (
+        lambda s, o, f: _ITO_P(ito_check_time(moving_abs_power(2.5), s, _STAGE, 2.5)), False
+    ),
+    "ito_check_multi": (
+        lambda s, o, f: _ITO_P(ito_check_multi(product_bundle(), [s, o], _STAGE, 2.5)), False
+    ),
+    "ito_check_functional": (
+        lambda s, o, f: _ITO_P(ito_check_functional(_FUNCTIONAL, s, _STAGE, 2.5)), False
+    ),
+    "pth_variation_partial": (lambda s, o, f: pth_variation_partial(s, _STAGE, 2.5), False),
+    "phi_variation_partial": (lambda s, o, f: phi_variation_partial(s, _STAGE, _LOG_GAUGE), False),
+    "young_bound_check": (
+        lambda s, o, f: _report("lhs", "rhs")(young_bound_check([s, o], [1.25, 1.25], [_STAGE])),
+        False,
+    ),
+    "isometry_check": (
+        lambda s, o, f: _ISOMETRY(isometry_check(PhiSpec(p_phi=2.5), f, s, [_STAGE], 0.9)), True
+    ),
+    "generalized_minkowski_check": (
+        lambda s, o, f: _report("lhs", "rhs")(
+            generalized_minkowski_check(PhiSpec(p_phi=2.5), _increments(s), _increments(o))
+        ),
+        False,
+    ),
+    "remainder_kernel": (
+        lambda s, o, f: remainder_kernel(f, 2.5, s.values[:-1], s.values[1:], method="taylor"), True
+    ),
+    "osc": (lambda s, o, f: osc(s, _STAGE), False),
+    "holder_exponent": (lambda s, o, f: holder_exponent(s), False),
+    "value_grid_partition": (lambda s, o, f: value_grid_partition(s, 0.1).times, False),
+}
+SCALES = (1e-300, 1.0, 1e50, 1e100, 1e150, 1e200, 1e300)
+VALUE_CASES = [
+    (entry, k, scale, fn)
+    for entry in sorted(VALUE_FUZZ)
+    for k in range(len(_SEEDED))
+    for scale in SCALES
+    for fn in (sorted(_FNS) if VALUE_FUZZ[entry][1] else [None])
+]
+# "<term> must <rule>, got <value>", the default step of a functional check
+# (half the oscillation), or the two phi-sums that underflow to 0
+_NAMES_THE_TERM = re.compile(r".+ must .+, got .+|fd_step .+ is no usable step .+|both phi-sums .+")
+
+
+# the space is finite: hypothesis stops once it has run every case
+@settings(max_examples=2 * len(VALUE_CASES), deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(VALUE_CASES))
+def test_scaled_path_values_give_finite_numbers_or_a_refusal_naming_the_term(case):
+    entry, k, scale, fn = case
+    path, other = (SampledPath(q.times, scale * q.values) for q in (_SEEDED[k], _SEEDED[k - 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = VALUE_FUZZ[entry][0](path, other, _FNS.get(fn))
+        except FracpathError as exc:
+            assert _NAMES_THE_TERM.fullmatch(str(exc)), f"{case}: {exc}"
+        else:
+            numbers = np.asarray(result, dtype=float)
+            assert np.all(np.isfinite(numbers)), f"{case} returned {result!r}"
 
 
 # --------------------------------------------------------------------------- #

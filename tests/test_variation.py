@@ -96,8 +96,9 @@ def test_pth_variation_overflow_names_the_power():
     # the p-th power overflows, not a gauge: a given gauge keeps its own message
     path = SampledPath(np.array([0.0, 1.0, 2.0]), np.array([0.0, 3e200, 1e200]))
     part = Partition(path.times)
-    message = "|dS|^2.5 overflows: the largest |dS| is 3e+200"
+    message = "|dS| at index 0 must keep |dS|^2.5 finite, got 3e+200"
     with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
         pth_variation_partial(path, part, 2.5)
-    with pytest.raises(InvalidPhiError, match="^phi must be finite and nonnegative"):
+    message = "phi(|dS|) at index 0 must be finite and nonnegative, got inf"
+    with pytest.raises(InvalidPhiError, match=f"^{re.escape(message)}$"):
         phi_variation_partial(path, part, lambda x: x**2.5)
