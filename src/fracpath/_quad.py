@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, QuadratureError
+from .errors import QuadratureError, real
 
 __all__ = ["gauss_legendre", "gl_adaptive", "integrate_kinked"]
 
@@ -98,11 +98,11 @@ def integrate_kinked(g: Integrand, lo, hi, kinks: Sequence[Kink], rtol: float) -
     integral, and the first failing row of a batch raises, its kink named."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     shape, lo, hi, out = lo.shape, lo.ravel(), hi.ravel(), np.empty(lo.size)
-    if any(s <= -1.0 for _, s in kinks):  # a part graded toward one is refused before any work
+    if not all(s > -1.0 for _, s in kinks):  # a part graded toward one is refused before any work
         for a, b in zip(lo.tolist(), hi.tolist()):
-            for x0, x1, kink in itertools.chain.from_iterable(_pieces(a, b, kinks)):
+            for _, _, kink in itertools.chain.from_iterable(_pieces(a, b, kinks)):
                 if kink:
-                    _substitution(x0, x1, *kink)
+                    real(f"the exponent s of an integrable |t - {kink[0]:g}|**s", kink[1], lo=-1)
     for first in range(0, lo.size, _BLOCK):
         s = slice(first, first + _BLOCK)
         block = [list(_pieces(a, b, kinks)) for a, b in zip(lo[s].tolist(), hi[s].tolist())]
@@ -159,9 +159,8 @@ def _integrate_rows(g: Integrand, rows: list[tuple], rtol: float) -> list[float]
 def _substitution(lo: float, hi: float, at: float, s: float) -> tuple[float, ...]:
     """Map the piece [lo, hi] by ``u = |t - at|**beta`` for a point ``at <= lo``
     or ``at >= hi`` (beta < 1 grades the panels toward ``at``): (u0, u1, at, side,
-    1/beta, floor) with t = at + side * u**(1/beta) on [u0, u1] and u above floor."""
-    if s <= -1.0:
-        raise InvalidParameterError(f"|t - {at:g}|**{s:g} is not integrable (need s > -1)")
+    1/beta, floor) with t = at + side * u**(1/beta) on [u0, u1] and u above floor; s
+    exceeds -1, as ``integrate_kinked`` checks."""
     beta = s + 1.0 if s < 0.0 else 0.25
     side, near, far = (1.0, lo, hi) if at <= lo else (-1.0, hi, lo)
     return abs(near - at) ** beta, abs(far - at) ** beta, at, side, 1.0 / beta, 1e-300

@@ -8,9 +8,10 @@ kind or side) passes through ``choice``, which names every option too. A size li
 argument or on the count it implies. Every array, given or formed from one by a gauge or
 a power, passes ``entries`` with a mask of the entries that keep a rule, which names
 the first index that breaks it (``values at index 2 must be finite, got nan``).
-``time_grid`` is the one check of a time grid. The command line reads config numbers
-and options through ``real`` and ``choice`` too. Checks relating several arguments
-(``a <= k < x``) stay where they apply."""
+``time_grid`` is the one check of a time grid. A relation between arguments (``a <= k <
+x``) is a ``real`` range on the later one, named by both (``x past k must exceed 0.5, got
+0.5``). The command line reads config numbers and options through ``real`` and ``choice``
+too."""
 
 from __future__ import annotations
 

@@ -118,19 +118,17 @@ def _kernel_sum(gap: np.ndarray, size: np.ndarray, p: float) -> tuple[np.ndarray
     row of the 2-D ``gap`` and ``size``: G = gap / |dS|^p is multiplied back by
     |dS|^p, so the identity residual measures the rounding honestly; a
     subnormal G would lose the gap's bits, so there the gap stands. Increments
-    whose |dS|^p is 0 (zero or underflowing) have no finite G: their row sums
-    the rest alone. The |dS|^p sums take every increment, the p-th variation
-    bit for bit as ``variation.phi_sums`` sums it."""
+    whose |dS|^p is 0 (zero or underflowing) have no finite G: they are left
+    out as zeros, so every row is one pairwise reduce. The |dS|^p sums take
+    every increment, the p-th variation bit for bit as ``variation.phi_sums``
+    sums it."""
     size **= p
     variation = np.add.reduce(size, axis=-1)
-    keep = size != 0.0
-    n_zero = keep.shape[-1] - np.count_nonzero(keep, axis=-1)
+    zero = size == 0.0
     kernel = gap / size
     np.multiply(kernel, size, out=gap, where=np.abs(kernel) >= np.finfo(float).tiny)
-    sums = np.add.reduce(gap, axis=-1)
-    for r in np.flatnonzero(n_zero):
-        sums[r] = np.add.reduce(gap[r, keep[r]])
-    return sums, n_zero, variation
+    gap[zero] = 0.0
+    return np.add.reduce(gap, axis=-1), np.count_nonzero(zero, axis=-1), variation
 
 
 def taylor_remainder(
@@ -213,7 +211,8 @@ def circle_points(thetas) -> tuple[np.ndarray, np.ndarray]:
     return a, np.where(np.abs(b - a) < 4e-16, a, b)
 
 
-def kernel_profile(fn: SmoothFn, p: float, thetas: np.ndarray, method: str = "taylor") -> np.ndarray:
+def kernel_profile(fn: SmoothFn, p: float, thetas: np.ndarray,
+                   method: str = "taylor") -> np.ndarray:
     """G(cos theta, sin theta), the kernel restricted to the unit circle: one
     ``remainder_kernel`` call in the given form on ``circle_points(thetas)``."""
     return remainder_kernel(fn, p, *circle_points(thetas), method=method)
@@ -423,10 +422,10 @@ class PrefixFamily:
         self.cum = np.concatenate([[0.0], np.cumsum(self.values[:-1] * np.diff(self.times))])
 
     def prefix(self, j: int, bump: float = 0.0, extend_to: float | None = None) -> "PathPrefix":
-        if not 0 <= j < self.times.size:
-            raise InvalidParameterError(f"prefix index {j} out of range")
-        if extend_to is not None and extend_to < self.times[j]:
-            raise InvalidParameterError("extension must not go backwards")
+        j = real("prefix index j", j, lo=0, hi=self.times.size - 1, open=False, integer=True)
+        if extend_to is not None:  # a float bound: numpy cannot compare 10**400 with a float64
+            start = float(self.times[j])
+            extend_to = real("extend_to past times[j]", extend_to, lo=start, open=False)
         return PathPrefix(self, j, bump, extend_to)
 
 
@@ -511,16 +510,13 @@ def ito_check_functional(
     from .variation import phi_sums
 
     m = taylor_order(p)
-    if m > 2:
-        raise InvalidBundleError(f"functional checks support m = floor(p) in {{1, 2}}, got p={p!r}")
+    real("p of a functional check", p, lo=1, hi=3, error=InvalidBundleError)  # m = floor(p) <= 2
     if fd_step is None:
         fd_step = 0.5 * osc(path, partition)
         if math.prod((fd_step,) * m) == 0.0:  # nothing to difference over, or too small to square
             fd_step = 1e-6
     # the order-m difference divides by fd_step**m, which must be a positive float
-    if not 0.0 < fd_step < math.inf or not 0.0 < math.prod((fd_step,) * m) < math.inf:
-        raise InvalidParameterError(f"fd_step {fd_step!r} is no usable step for order {m}")
-    real("fd_step", fd_step)
+    real(f"fd_step**{m}", math.prod((real("fd_step", fd_step, lo=0),) * m), lo=0)
     fam = PrefixFamily(path, partition)
     n = fam.times.size - 1
     F = bundle.evaluate

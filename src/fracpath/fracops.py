@@ -84,9 +84,7 @@ def rl_integral(fn, alpha: float, a: float, x: float, rtol: float = 1e-9) -> flo
     kinks of f left of x keep their exponent at their image in u.
     """
     real("alpha", alpha, lo=0, hi=1)
-    if not -math.inf < a <= x < math.inf:
-        raise InvalidParameterError(f"need finite a <= x, got a={a!r}, x={x!r}")
-    real("a", a), real("x", x), real("rtol", rtol, lo=0)
+    real("x past a", x, lo=real("a", a), open=False), real("rtol", rtol, lo=0)
     if x == a:
         return 0.0
     sm = _as_smooth(fn)
@@ -121,9 +119,7 @@ def caputo(fn, order: FracOrder, a: float, x: float, rtol: float = 1e-9) -> floa
     integration variable the kink sits at u_k = (x - loc)**(1 - alpha) != 0, and graded offsets
     v**(1/(q - m)) below eps * u_k are lost when added to u_k.
     """
-    if not -math.inf < a <= x < math.inf:
-        raise InvalidParameterError(f"need finite a <= x, got a={a!r}, x={x!r}")
-    real("a", a), real("x", x), real("rtol", rtol, lo=0)
+    real("x past a", x, lo=real("a", a), open=False), real("rtol", rtol, lo=0)
     if x == a:
         return 0.0
     fm = _as_smooth(fn).derivative(order.m)
@@ -144,9 +140,7 @@ def caputo(fn, order: FracOrder, a: float, x: float, rtol: float = 1e-9) -> floa
 def power_rule(q: float, order: FracOrder, k: float, x: float) -> float:
     """Reference value Gamma(q+1)/Gamma(q+1-p) * (x-k)**(q-p) for the Caputo
     derivative (base point k) of (t - k)**q, valid for q > m."""
-    real("q", q, lo=order.m)
-    if real("x", x) <= real("k", k):
-        raise InvalidParameterError("need x > k")
+    real("q", q, lo=order.m), real("x past k", x, lo=real("k", k))
     try:
         return math.gamma(q + 1.0) / math.gamma(q + 1.0 - order.p) * (x - k) ** (q - order.p)
     except OverflowError:
@@ -176,10 +170,8 @@ def caputo_power(
 
     Requires q > m and a <= k < x.
     """
-    if not real("a", a) <= real("k", k) < real("x", x):
-        raise InvalidParameterError("need a <= k < x")
-    choice("kind", kind, ("plus", "abs"))
-    real("rtol", rtol, lo=0)
+    real("k past a", k, lo=real("a", a), open=False)  # power_rule takes x past k
+    choice("kind", kind, ("plus", "abs")), real("rtol", rtol, lo=0)
     plus_part = power_rule(q, order, k, x)
     if kind == "plus" or a == k:
         return plus_part

@@ -59,9 +59,8 @@ class PhiSpec:
     def __post_init__(self) -> None:
         choice("kind", self.kind, ("power", "log-modulated", "custom"), error=InvalidPhiError)
         real("p_phi", self.p_phi, lo=0, error=InvalidPhiError)
-        real("log_power", self.log_power, error=InvalidPhiError)
-        if self.kind == "log-modulated" and self.log_power <= 0.0:
-            raise InvalidPhiError("log-modulated gauges need log_power > 0")
+        lo = 0 if self.kind == "log-modulated" else None  # log_power > 0 for a log-modulated gauge
+        real(f"log_power of a {self.kind} gauge", self.log_power, lo=lo, error=InvalidPhiError)
         if self.kind == "custom" and not callable(self.custom_fn):
             raise InvalidPhiError(f"custom gauges need a callable, got {self.custom_fn!r}")
         if self.kind != "custom" and self.custom_fn is not None:
@@ -173,11 +172,8 @@ def isometry_check(
     """
     df = fn.derivative(1).fn
     gate = admissibility_threshold(spec.p_phi)
-    if real("holder_alpha", holder_alpha) <= gate:
-        raise AdmissibilityError(
-            f"holder_alpha {holder_alpha:.4f} does not exceed the gate {gate:.4f} "
-            f"for p_phi = {spec.p_phi}"
-        )
+    real(f"holder_alpha past the admissibility gate at p_phi = {spec.p_phi}",
+         real("holder_alpha", holder_alpha), lo=gate, error=AdmissibilityError)
     hat = phi_hat(spec)
     levels: list[int] = []
     lhs_list: list[float] = []
@@ -188,9 +184,11 @@ def isometry_check(
         with np.errstate(all="ignore"):  # a sum that is not finite is refused by real
             f_vals = fn.fn(s_vals)
             ds = np.abs(np.diff(s_vals))
-            dfv = np.abs(np.diff(f_vals))
+            dfv, dfs = np.abs(np.diff(f_vals)), np.abs(df(s_vals[:-1]))
+            for name, v in (("|dF|", dfv), ("|f'(S)|", dfs)):  # before the gauge reads them
+                entries(name, v, np.isfinite(v), "be finite")
             lhs = float(np.sum(spec(dfv)))
-            rhs = float(np.sum(hat(np.abs(df(s_vals[:-1]))) * spec(ds)))
+            rhs = float(np.sum(hat(dfs) * spec(ds)))
         where = f"on a partition of {part.n_intervals} increments"
         lhs = real(f"the sum of phi(|dF|) {where}", lhs)
         rhs = real(f"the sum of phi_hat(|f'(S)|) phi(|dS|) {where}", rhs)
@@ -230,10 +228,8 @@ def phi_inverse(spec: PhiSpec, y: float) -> float:
     cap = spec.domain_hi
     if math.isfinite(cap):
         hi = cap * (1.0 - 1e-12)
-        if y > float(spec._formula(np.asarray(hi))):
-            raise InvalidPhiError(
-                f"value {y!r} is outside the gauge range (cap {cap!r}); rescale inputs"
-            )
+        real(f"gauge value y of a gauge capped at x < {cap!r}", y, lo=0,
+             hi=float(spec._formula(np.asarray(hi))), open=False, error=InvalidPhiError)
     else:  # doubling from 1 reaches the same power of 2 as from 2**k with phi(2**k) < y
         k = math.log2(y) / spec.p_phi - 1.0 if spec.kind == "power" else 0.0
         hi = 2.0 ** math.floor(min(max(k, 0.0), 996.0))  # 2**997 is past 1e300, refused below
@@ -314,8 +310,6 @@ def holder_exponent(path: SampledPath) -> float:
     logs = []
     for j in js:
         _, vals = partition_values(path, badic(path.horizon, int(j)))
-        m = float(np.max(np.abs(np.diff(vals))))
-        if m <= 0.0:
-            raise InvalidParameterError("path is flat at this resolution")
+        m = real(f"the largest increment at level j = {j:g}", np.max(np.abs(np.diff(vals))), lo=0)
         logs.append(math.log(m) / math.log(2))
     return -float(np.polyfit(js, np.array(logs), 1)[0])

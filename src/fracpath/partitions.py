@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, choice, entries, real, time_grid
+from .errors import choice, entries, real, time_grid
 from .paths import LN2_OVER_LN3, MAX_KNOTS, TERNARY_UNDERFLOW, SampledPath
 
 _CHUNK = 1 << 18  # values of the Cantor level rows formed and summed together
@@ -219,8 +219,8 @@ def block_sum(blocks, term) -> tuple:
 
 def _require_within(path: SampledPath, partition: Partition) -> None:
     # past its last knot the interpolant is a constant extension, not the path
-    if partition.horizon > path.horizon + 1e-12:
-        raise InvalidParameterError(f"partition runs past the path horizon {path.horizon!r}")
+    real(f"the partition's end within the path horizon {path.horizon!r}", partition.horizon,
+         lo=0, hi=path.horizon + 1e-12, open=False)
 
 
 def check_stop_times(ts) -> None:
@@ -244,7 +244,7 @@ def partition_values(
     times = partition.times
     if t is not None:
         times = np.minimum(times, real("stop time t", t, lo=0, open=False))
-    elif times is path.times or (times.size == path.times.size and np.array_equal(times, path.times)):
+    elif times is path.times or np.array_equal(times, path.times):  # shapes first, then values
         vals = path.values.view()
         vals.flags.writeable = False
         return times, vals

@@ -358,8 +358,10 @@ def _circulant_sqrt_spectrum(n: int, hurst: float) -> np.ndarray:
     g = _fgn_autocov(n, hurst)
     row = np.concatenate([g, g[-2:0:-1]])  # length 2n, symmetric
     lam = np.fft.rfft(row).real
-    if lam.min() < -1e-8 * lam.max():
-        raise SamplingInfeasibleError("circulant embedding is not nonnegative definite")
+    least, bound = float(lam.min()), -1e-8 * float(lam.max())
+    if least < bound:
+        raise SamplingInfeasibleError("the least eigenvalue of the circulant embedding must be >="
+                                      f" -1e-8 times the largest = {bound!r}, got {least!r}")
     root = np.sqrt(np.clip(lam, 0.0, None))
     root.flags.writeable = False
     return root
@@ -409,6 +411,6 @@ def sample(path: AnalyticPath, grid: np.ndarray) -> SampledPath:
     """Evaluate an analytic path on ``grid``, a time grid (``errors.time_grid``)
     within the path's domain [0, horizon], and wrap as a SampledPath."""
     grid = time_grid("grid", grid)
-    if grid[-1] > path.horizon + 1e-15:
-        raise InvalidParameterError(f"grid exceeds the path horizon {path.horizon!r}")
+    real(f"the grid's end within the path horizon {path.horizon!r}", grid[-1], lo=0,
+         hi=path.horizon + 1e-15, open=False)
     return SampledPath(grid, path(grid))

@@ -82,7 +82,8 @@ def _single_kink(q: float, k: float, kind: str) -> SmoothFn:
     real("k", k)
     # c_0 = 1: f is g_0's own buffer, with no scaling pass
     derivs = tuple((lambda x, c=c, g=g: c * g(x, k)) for c, g in rule)
-    return SmoothFn(fn=lambda x: g0(x, k), derivs=derivs, kinks=((k, q),), name=f"{kind}-power({q})")
+    name = f"{kind}-power({q})"
+    return SmoothFn(fn=lambda x: g0(x, k), derivs=derivs, kinks=((k, q),), name=name)
 
 
 def abs_power(q: float, k: float = 0.0) -> SmoothFn:

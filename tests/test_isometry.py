@@ -55,7 +55,7 @@ def test_phi_spec_power_and_validation():
         with pytest.raises(InvalidPhiError, match="p_phi must be positive and finite"):
             PhiSpec(kind="power", p_phi=p_phi)
     for log_power in (math.nan, math.inf):
-        with pytest.raises(InvalidPhiError, match="log_power must be finite"):
+        with pytest.raises(InvalidPhiError, match="log_power of a log-modulated gauge must"):
             PhiSpec(kind="log-modulated", p_phi=1.0, log_power=log_power)
 
 
@@ -175,7 +175,7 @@ def test_isometry_rejects_partition_past_horizon():
     path = SampledPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.4]))
     part = Partition(np.array([0.0, 0.5, 1.0, 2.0]))
     spec = PhiSpec(kind="power", p_phi=1.25)
-    with pytest.raises(InvalidParameterError, match="past the path horizon"):
+    with pytest.raises(InvalidParameterError, match="the partition's end within the path horizon"):
         isometry_check(spec, _linear_fn(3.0), path, [part], holder_alpha=0.79)
 
 

@@ -77,14 +77,10 @@ _SIZE_LIMITS = re.compile(r"\b(MAX_KNOTS|TERNARY_UNDERFLOW)\b|sys\.float_info\.m
 
 def _hand_written_size_check(test: ast.expr) -> bool:
     """A comparison, anywhere in ``test``, with a size limit: a check ``errors.real``
-    makes once, as the size's ``hi``, naming the size, its range and the value. The
-    open ends of a chained bracket such as ``-math.inf < a <= x < math.inf`` test
-    finiteness, not a size, and are skipped."""
+    makes once, as the size's ``hi``, naming the size, its range and the value."""
     for node in ast.walk(test):
         if isinstance(node, ast.Compare):
             sides = [ast.unparse(side) for side in (node.left, *node.comparators)]
-            if len(sides) > 2:
-                sides = [side for side in sides if side not in ("math.inf", "-math.inf")]
             if any(_SIZE_LIMITS.search(side) for side in sides):
                 return True
     return False

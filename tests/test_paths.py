@@ -370,7 +370,7 @@ def test_circulant_failure_is_not_cached(monkeypatch):
     _circulant_sqrt_spectrum.cache_clear()
     spec = GaussianPathSpec(hurst=0.45, n=2**13, seed=1)
     for _ in range(2):
-        with pytest.raises(SamplingInfeasibleError, match="nonnegative definite"):
+        with pytest.raises(SamplingInfeasibleError, match="least eigenvalue of the circulant"):
             fbm_path(spec)
     assert _circulant_sqrt_spectrum.cache_info().currsize == 0
 

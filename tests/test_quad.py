@@ -1,6 +1,7 @@
 """The kink-graded quadrature rule against closed-form integrals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_batch_raises_its_first_failing_row_and_integrates_no_point_twice():
 
 
 def test_non_integrable_kink_rejected():
-    with pytest.raises(InvalidParameterError, match="not integrable"):
+    with pytest.raises(InvalidParameterError, match="must exceed -1, got -1.0"):
         integrate_kinked(lambda t, _: np.abs(t) ** -1.0, 0.0, 1.0, [(0.0, -1.0)], 1e-9)
     def cos(t, _):
         return np.cos(t)
@@ -107,7 +108,7 @@ def test_non_integrable_kink_is_refused_before_any_integrand_call():
         return np.ones_like(t)
 
     lo = np.append(np.linspace(-100.0, -90.0, 1024), 5.0)
-    with pytest.raises(InvalidParameterError, match=r"\|t - 6.5\|\*\*-1 is not integrable"):
+    with pytest.raises(InvalidParameterError, match=re.escape("integrable |t - 6.5|**s")):
         integrate_kinked(g, lo, lo + 1.0, [(6.5, -1.0)], 1e-9)
     assert points == []
 

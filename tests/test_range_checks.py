@@ -19,8 +19,18 @@ from conftest import EDGE_VALUES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracpath.paths as paths_module
 from fracpath import cli
-from fracpath.errors import FracpathError, InvalidConfigError, InvalidParameterError, InvalidPhiError
+from fracpath._quad import integrate_kinked
+from fracpath.errors import (
+    AdmissibilityError,
+    FracpathError,
+    InvalidBundleError,
+    InvalidConfigError,
+    InvalidParameterError,
+    InvalidPhiError,
+    SamplingInfeasibleError,
+)
 from fracpath.experiments import (
     bump_decomposition,
     bump_limit_value,
@@ -32,6 +42,7 @@ from fracpath.experiments import (
 )
 from fracpath.follmer import (
     FunctionalBundle,
+    PrefixFamily,
     ito_check,
     ito_check_functional,
     ito_check_multi,
@@ -69,6 +80,7 @@ from fracpath.partitions import (
 from fracpath.paths import (
     GaussianPathSpec,
     SampledPath,
+    _circulant_sqrt_spectrum,
     bump_count,
     cantor_bump_knots,
     cantor_bump_path,
@@ -114,7 +126,17 @@ def _range_checked_entries(path):
     coarse = SampledPath(np.linspace(0.0, 1.0, 3), [0.0, 0.1, 0.0])
     huge = SampledPath(np.linspace(0.0, 1.0, 3), [0.0, 3e200, 1e200])
     log_spec = PhiSpec(kind="log-modulated", log_power=0.5)
-    need_a_x = (InvalidParameterError, "need finite a <= x, got a=")
+    x_past_a = (InvalidParameterError, "x past a must be finite and nonnegative, got nan")
+    a_nan = (InvalidParameterError, "a must be finite, got nan")
+    x_below_a = (InvalidParameterError, "x past a must be >= 1.0, got 0.0")
+    x_at_k = (InvalidParameterError, "x past k must exceed 0.5, got 0.5")
+    fam = PrefixFamily(path, part)
+    functional = FunctionalBundle(evaluate=lambda pre: pre.integral() * pre.current)
+    # f = 5e307 S^2 is finite at S = 1.8, where f' = 1e308 S overflows
+    steep = SampledPath(np.linspace(0.0, 1.0, 3), [0.0, 1.8, 0.0])
+    # the value fuzz's first seeded path, where exp(S) overflows
+    fbm = fbm_path(GaussianPathSpec(hurst=0.4, n=64, seed=3))
+    fbm = SampledPath(fbm.times, 1e100 * fbm.values)
     return {
         "pth_variation_partial-p": (
             lambda: pth_variation_partial(path, part, NAN),
@@ -141,10 +163,114 @@ def _range_checked_entries(path):
             InvalidPhiError,
             "gauge value y must be finite and nonnegative, got inf",
         ),
-        "rl_integral-x": (lambda: rl_integral(np.sin, 0.5, 0.0, NAN), *need_a_x),
-        "rl_integral-a": (lambda: rl_integral(np.sin, 0.5, NAN, 1.0), *need_a_x),
-        "caputo-x": (lambda: caputo(np.sin, FracOrder(0.5), 0.0, NAN), *need_a_x),
-        "caputo-a": (lambda: caputo(np.sin, FracOrder(0.5), NAN, 1.0), *need_a_x),
+        "rl_integral-x": (lambda: rl_integral(np.sin, 0.5, 0.0, NAN), *x_past_a),
+        "rl_integral-a": (lambda: rl_integral(np.sin, 0.5, NAN, 1.0), *a_nan),
+        "rl_integral-x-below-a": (lambda: rl_integral(np.sin, 0.5, 1.0, 0.0), *x_below_a),
+        "caputo-x": (lambda: caputo(np.sin, FracOrder(0.5), 0.0, NAN), *x_past_a),
+        "caputo-a": (lambda: caputo(np.sin, FracOrder(0.5), NAN, 1.0), *a_nan),
+        "caputo-x-below-a": (lambda: caputo(np.sin, FracOrder(0.5), 1.0, 0.0), *x_below_a),
+        "power_rule-x-at-k": (lambda: power_rule(3.2, FracOrder(0.7), 0.5, 0.5), *x_at_k),
+        "caputo_power-x-at-k": (
+            lambda: caputo_power(3.2, FracOrder(0.7), -0.5, 0.5, 0.5, kind="abs"), *x_at_k
+        ),
+        "caputo_power-k-below-a": (
+            lambda: caputo_power(3.2, FracOrder(0.7), 0.6, 0.5, 1.0),
+            InvalidParameterError,
+            "k past a must be >= 0.6, got 0.5",
+        ),
+        # a fraction and a bool raised a bare IndexError and TypeError
+        "PrefixFamily.prefix-j-fraction": (
+            lambda: fam.prefix(1.5),
+            InvalidParameterError,
+            "prefix index j must be an integer, got 1.5",
+        ),
+        "PrefixFamily.prefix-j-bool": (
+            lambda: fam.prefix(True),
+            InvalidParameterError,
+            "prefix index j must be an integer, got True",
+        ),
+        "PrefixFamily.prefix-j-range": (
+            lambda: fam.prefix(5),
+            InvalidParameterError,
+            "prefix index j must lie in [0, 4], got 5",
+        ),
+        # NaN was accepted, and the prefix's integral read nan
+        "PrefixFamily.prefix-extend_to-nan": (
+            lambda: fam.prefix(1, extend_to=NAN),
+            InvalidParameterError,
+            "extend_to past times[j] must be >= 0.25, got nan",
+        ),
+        "PrefixFamily.prefix-extend_to-backwards": (
+            lambda: fam.prefix(2, extend_to=0.25),
+            InvalidParameterError,
+            "extend_to past times[j] must be >= 0.5, got 0.25",
+        ),
+        "ito_check_functional-p": (
+            lambda: ito_check_functional(functional, path, part, 3.5),
+            InvalidBundleError,
+            "p of a functional check must lie in (1, 3), got 3.5",
+        ),
+        # a string was compared before it was checked: a bare TypeError
+        "ito_check_functional-fd_step-str": (
+            lambda: ito_check_functional(functional, path, part, 2.5, fd_step="x"),
+            InvalidParameterError,
+            "fd_step must be a number, got 'x'",
+        ),
+        "ito_check_functional-fd_step-squares-to-0": (
+            lambda: ito_check_functional(functional, path, part, 2.5, fd_step=1e-200),
+            InvalidParameterError,
+            "fd_step**2 must be positive and finite, got 0.0",
+        ),
+        "PhiSpec-log_power": (
+            lambda: PhiSpec(kind="log-modulated", log_power=0.0),
+            InvalidPhiError,
+            "log_power of a log-modulated gauge must be positive and finite, got 0.0",
+        ),
+        "isometry_check-gate": (
+            lambda: isometry_check(PhiSpec(), _SIN, path, [part], 0.3),
+            AdmissibilityError,
+            "holder_alpha past the admissibility gate at p_phi = 2.0 must exceed"
+            " 0.36602540378443865, got 0.3",
+        ),
+        "isometry_check-holder_alpha-nan": (
+            lambda: isometry_check(PhiSpec(), _SIN, path, [part], NAN),
+            InvalidParameterError,
+            "holder_alpha must be finite, got nan",
+        ),
+        # the gauge's input was blamed, as an InvalidPhiError, for f(S) overflowing
+        "isometry_check-dF-overflows": (
+            lambda: isometry_check(PhiSpec(p_phi=2.5), exp_fn(), fbm, [badic(1.0, 6)], 0.9),
+            InvalidParameterError,
+            "|dF| at index 1 must be finite, got inf",
+        ),
+        "isometry_check-f'(S)-overflows": (
+            lambda: isometry_check(PhiSpec(), polynomial([0, 0, 5e307]), steep,
+                                   [Partition(steep.times)], 0.9),
+            InvalidParameterError,
+            "|f'(S)| at index 1 must be finite, got inf",
+        ),
+        "phi_inverse-cap": (
+            lambda: phi_inverse(log_spec, 2.0),
+            InvalidPhiError,
+            "gauge value y of a gauge capped at x < 0.7788007830714049 must lie in"
+            " [0, 1.2130613194204145], got 2.0",
+        ),
+        "holder_exponent-flat": (
+            lambda: holder_exponent(SampledPath(path.times, np.zeros(path.times.size))),
+            InvalidParameterError,
+            "the largest increment at level j = 4 must be positive and finite, got 0.0",
+        ),
+        "partition_values-past-horizon": (
+            lambda: partition_values(path, Partition(np.array([0.0, 2.0]))),
+            InvalidParameterError,
+            "the partition's end within the path horizon 1.0 must lie in [0, 1.000000000001],"
+            " got 2.0",
+        ),
+        "integrate_kinked-kink-exponent": (
+            lambda: integrate_kinked(lambda t, _: np.abs(t) ** -1.0, 0.0, 1.0, [(0.0, -1.0)], 1e-9),
+            InvalidParameterError,
+            "the exponent s of an integrable |t - 0|**s must exceed -1, got -1.0",
+        ),
         "admissibility_threshold-p_phi": (
             lambda: admissibility_threshold(NAN),
             InvalidParameterError,
@@ -271,7 +397,8 @@ def _range_checked_entries(path):
         "sample-grid-past-horizon": (
             lambda: sample(cantor_distance_path(2.5, 3), np.linspace(0.0, 2.0, 5)),
             InvalidParameterError,
-            "grid exceeds the path horizon 1.0",
+            "the grid's end within the path horizon 1.0 must lie in [0, 1.000000000000001],"
+            " got 2.0",
         ),
         "ito_check_multi-grids": (
             lambda: ito_check_multi(product_bundle(), [path, coarse], part, 2.5),
@@ -356,6 +483,21 @@ def test_non_finite_parameter_is_refused_by_name(entry):
     call, error, message = ENTRIES[entry]
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+def test_circulant_refusal_names_its_least_eigenvalue_and_the_bound(monkeypatch):
+    # gamma(0) = 1, gamma(1) = 0.9: circulant eigenvalues 1 + 1.8 cos(theta) in [-0.8, 2.8]
+    def not_definite(n, hurst):
+        return np.concatenate([[1.0, 0.9], np.zeros(n - 1)])
+
+    monkeypatch.setattr(paths_module, "_fgn_autocov", not_definite)
+    _circulant_sqrt_spectrum.cache_clear()
+    want = (
+        "the least eigenvalue of the circulant embedding must be >= -1e-8 times the largest"
+        " = -2.8e-08, got -0.8"
+    )
+    with pytest.raises(SamplingInfeasibleError, match=re.escape(want)):
+        fbm_path(GaussianPathSpec(hurst=0.45, n=16, seed=1))
 
 
 # --------------------------------------------------------------------------- #
@@ -459,6 +601,10 @@ FUZZ = {
     "ito_check_functional": (
         lambda **kw: _ITO(ito_check_functional(_FUNCTIONAL, PATH, PART, **kw)),
         {"p": 2.5, "fd_step": 0.01},
+    ),
+    "PrefixFamily.prefix": (
+        lambda **kw: PrefixFamily(PATH, PART).prefix(**kw).integral(),
+        {"j": 1, "extend_to": 0.5},
     ),
     "young_bound_check": (
         lambda alphas: _report("lhs", "rhs")(young_bound_check([PATH], [alphas], [PART])),
@@ -588,9 +734,8 @@ VALUE_CASES = [
     for scale in SCALES
     for fn in (sorted(_FNS) if VALUE_FUZZ[entry][1] else [None])
 ]
-# "<term> must <rule>, got <value>", the default step of a functional check
-# (half the oscillation), or the two phi-sums that underflow to 0
-_NAMES_THE_TERM = re.compile(r".+ must .+, got .+|fd_step .+ is no usable step .+|both phi-sums .+")
+# "<term> must <rule>, got <value>", or the two phi-sums that underflow to 0
+_NAMES_THE_TERM = re.compile(r".+ must .+, got .+|both phi-sums .+")
 
 
 # the space is finite: hypothesis stops once it has run every case
