@@ -96,6 +96,9 @@ def real(name, value, *, lo=None, hi=None, open=True, integer=None, error=Invali
     if integer and not integral and not float(value).is_integer():
         raise error(f"{name} must be an integer, got {float(value)!r}")
     num = int(value) if integral or integer else float(value)
+    # a numpy bound would turn an int past float64 into a float, and overflow
+    lo = lo.item() if isinstance(lo, np.generic) else lo
+    hi = hi.item() if isinstance(hi, np.generic) else hi
     above = lo is None or (num > lo if open else num >= lo)
     below = hi is None or (num < hi if open else num <= hi)
     kind_ok = integer is not False or not (integral or num.is_integer())

@@ -217,12 +217,6 @@ def block_sum(blocks, term) -> tuple:
 # --------------------------------------------------------------------------- #
 
 
-def _require_within(path: SampledPath, partition: Partition) -> None:
-    # past its last knot the interpolant is a constant extension, not the path
-    real(f"the partition's end within the path horizon {path.horizon!r}", partition.horizon,
-         lo=0, hi=path.horizon + 1e-12, open=False)
-
-
 def check_stop_times(ts) -> None:
     """Reject an array of stop times unless all are finite and nonnegative:
     NaN propagates through the min and the max, so those two stand for all."""
@@ -237,14 +231,21 @@ def partition_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(times, path values) along the partition, every time clipped at the
     stop time ``t`` when given; the one entry point of all sums along a
-    partition. Rejects a negative or non-finite t and a partition that runs
-    past the path. On the path's own grid with no stop time the values are
-    a read-only view of ``path.values``, which the lookup would return."""
-    _require_within(path, partition)
-    times = partition.times
+    partition, and the one lookup. Rejects a negative or non-finite t and a
+    partition that runs past the path. With no stop time, a partition on
+    every s-th knot of the path (s = n // m for m intervals dividing the
+    path's n) reads the stored values with no search, the floats the lookup
+    would return: a C-contiguous copy of ``path.values[::s]``, or on the
+    path's own grid (s = 1) a read-only view of ``path.values``."""
+    # past its last knot the interpolant is a constant extension, not the path
+    real(f"the partition's end within the path horizon {path.horizon!r}", partition.horizon,
+         lo=0, hi=path.horizon + 1e-12, open=False)
+    times, n, m = partition.times, path.times.size - 1, partition.n_intervals
     if t is not None:
         times = np.minimum(times, real("stop time t", t, lo=0, open=False))
-    elif times is path.times or np.array_equal(times, path.times):  # shapes first, then values
+    elif n % m == 0 and (times is path.times or np.array_equal(path.times[:: n // m], times)):
+        if n > m:
+            return times, path.values[:: n // m].copy()
         vals = path.values.view()
         vals.flags.writeable = False
         return times, vals
@@ -254,15 +255,17 @@ def partition_values(
 def osc(path: SampledPath, partition: Partition) -> float:
     """Largest oscillation (max minus min of the path) over any single
     partition interval; the quantity that must vanish along a partition
-    sequence for variation limits to be meaningful."""
-    _require_within(path, partition)
-    grid = np.union1d(path.times, partition.times)
-    vals = path.value_at(grid)
-    starts = np.searchsorted(grid, partition.times)
-    mx = np.maximum.reduceat(vals, starts[:-1])
-    mn = np.minimum.reduceat(vals, starts[:-1])
-    # reduceat slices exclude each interval's right endpoint; fold it in
-    right = vals[starts[1:]]
-    with np.errstate(over="ignore"):  # a width past float64 is refused by name
-        width = float(np.max(np.maximum(mx, right) - np.minimum(mn, right)))
+    sequence for variation limits to be meaningful. An interval's extremes are
+    its two end values (``partition_values``) and the stored values of the
+    knots inside it, reduced run by run: O(n + m), no merged grid."""
+    times, vals = partition_values(path, partition)
+    at = np.searchsorted(times, path.times, side="right")  # knot k lies in [times[at-1], times[at])
+    first = np.flatnonzero(np.diff(at, prepend=0))  # the first knot of each interval holding any
+    i = at[first] - 1
+    i = i[i < partition.n_intervals]  # knots at or past the end lie in no interval
+    mx, mn = np.maximum(vals[:-1], vals[1:]), np.minimum(vals[:-1], vals[1:])
+    mx[i] = np.maximum(mx[i], np.maximum.reduceat(path.values, first)[: i.size])
+    mn[i] = np.minimum(mn[i], np.minimum.reduceat(path.values, first)[: i.size])
+    with np.errstate(over="ignore", invalid="ignore"):  # a width past float64 is refused by name
+        width = float(np.max(mx - mn))
     return real(f"the oscillation on a partition of {partition.n_intervals} intervals", width)

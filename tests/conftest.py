@@ -1,7 +1,8 @@
 """Shared fixtures: the expensive sampled paths are built once per session;
 the reference builder of the full Cantor crossing grid, the per-level
-reference sums of a Cantor stage and the reference variation profile; and
-the scalar edge values of the API fuzz property."""
+reference sums of a Cantor stage, the reference variation profile and the
+merged-grid oscillation; and the scalar edge values of the API fuzz
+property."""
 
 import itertools
 import math
@@ -125,6 +126,23 @@ def variation_table(path, partition, p, ts):
     frag = np.abs(path.value_at(np.minimum(ts, grid[-1])) - vals[idx]) ** p
     frag[idx == grid.size - 1] = 0.0
     return csum[idx] + frag
+
+
+def merged_grid_osc(path, partition):
+    """The oscillation of ``path`` over ``partition`` on one merged grid: the
+    knots up to the partition's end and the partition times sorted together by
+    ``np.union1d``, the path looked up on that grid, each interval's max and min
+    taken over its slice and its right end. ``partitions.osc`` reduces the
+    stored knot values interval by interval instead; the tests check it, bit for
+    bit, against this reference."""
+    grid = np.union1d(path.times[path.times <= partition.horizon], partition.times)
+    vals = path.value_at(grid)
+    starts = np.searchsorted(grid, partition.times)
+    mx = np.maximum.reduceat(vals, starts[:-1])
+    mn = np.minimum.reduceat(vals, starts[:-1])
+    right = vals[starts[1:]]  # reduceat slices exclude each interval's right end
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.maximum(mx, right) - np.minimum(mn, right)))
 
 
 @pytest.fixture(scope="session")

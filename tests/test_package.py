@@ -146,3 +146,23 @@ def hand_written_array_checks(package: Path) -> list:
 def test_every_array_check_goes_through_errors_entries():
     found = hand_written_array_checks(Path(fracpath.__file__).parent)
     assert not found, f"hand-written array checks at {found}"
+
+
+def value_at_calls(package: Path) -> list:
+    """``module:function:line`` of every ``.value_at(`` call, named by the
+    top-level function or class that holds it."""
+    found = []
+    for source in sorted(package.glob("*.py")):
+        for top in ast.parse(source.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if node.func.attr == "value_at":
+                        found.append(f"{source.name}:{getattr(top, 'name', '')}:{node.lineno}")
+    return found
+
+
+def test_path_values_along_a_partition_are_read_in_one_place():
+    # partitions.partition_values is the one lookup: knot reads and the
+    # interpolant stay in step only while no other caller reaches value_at
+    found = value_at_calls(Path(fracpath.__file__).parent)
+    assert found and all(f.startswith("partitions.py:partition_values:") for f in found), found

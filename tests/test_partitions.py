@@ -135,6 +135,12 @@ def test_osc_on_knot_partition(hand_path):
     assert osc(hand_path, part) == pytest.approx(np.max(np.abs(np.diff(hand_path.values))))
 
 
+def test_osc_leaves_out_the_knots_past_the_partition_end():
+    path = SampledPath([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
+    assert osc(path, Partition([0.0, 1.0])) == 0.0
+    assert osc(path, Partition([0.0, 1.5])) == 0.5
+
+
 # --------------------------------------------------------------------------- #
 # Cantor crossing grid
 # --------------------------------------------------------------------------- #

@@ -7,14 +7,16 @@ query times it rejects), the level-reduced Cantor profile against the
 materialized grid, the Young bound as an equality for one component, the
 kernel weights of the identity (the quotient measure's mass) as the p-th
 variation, the lattice form of value-grid partitions, the fBm sampler at
-every size and the read-only on-grid values of ``partition_values``."""
+every size, the stored knot values ``partition_values`` reads on every
+s-th knot (read-only on the path's own grid) and ``osc`` against the
+merged-grid oscillation."""
 
 import math
 import re
 
 import numpy as np
 import pytest
-from conftest import argsort_grid, variation_table
+from conftest import argsort_grid, merged_grid_osc, variation_table
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +127,62 @@ def test_partition_values_on_the_path_grid_is_a_read_only_lookup(grid, same_arra
     assert np.array_equal(clipped, np.minimum(part.times, t))
     assert np.array_equal(bits(vals), bits(path.value_at(clipped)))
     assert vals.flags.writeable
+
+
+@PROPS
+@given(knot_grids(), st.data())
+def test_partition_values_on_every_s_th_knot_reads_the_stored_floats(grid, data):
+    times, values = grid
+    path = SampledPath(times, values)
+    n = times.size - 1
+    s = data.draw(st.sampled_from([s for s in range(1, 6) if n % s == 0]))
+    part = Partition(times[::s])
+    _, vals = partition_values(path, part)
+    assert np.array_equal(bits(vals), bits(path.value_at(part.times)))
+    assert vals.flags.c_contiguous
+    # a sub-grid gets its own copy; the path's own grid, a read-only view
+    assert vals.flags.writeable == (s > 1) and np.shares_memory(vals, path.values) == (s == 1)
+    # one time an ulp off the knots, the partition still m | n long, is looked up
+    j = data.draw(st.integers(1, part.n_intervals))
+    moved = part.times.copy()
+    moved[j] = np.nextafter(moved[j], moved[j - 1])
+    assume(moved[j] > moved[j - 1])
+    _, vals = partition_values(path, Partition(moved))
+    assert np.array_equal(bits(vals), bits(path.value_at(moved)))
+
+
+@st.composite
+def partitions_within(draw, times):
+    """A partition of [0, end] mixing knots of ``times`` and other times, where
+    end is the horizon, a time before it or a time at most 1e-12 past it."""
+    horizon = float(times[-1])
+    end = draw(
+        st.one_of(
+            st.just(horizon),
+            st.sampled_from(list(times[1:])),
+            st.floats(0.0, horizon, exclude_min=True),
+            st.floats(horizon, horizon + 1e-12),
+        )
+    )
+    knots = draw(st.lists(st.sampled_from(list(times)), max_size=20))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=40))
+    inner = np.concatenate([knots, np.array(fractions) * end])
+    inner = inner[(inner > 0.0) & (inner < end)]
+    return Partition(np.concatenate([[0.0], np.unique(inner), [end]]))
+
+
+@PROPS
+@given(knot_grids(), st.data())
+def test_osc_is_the_merged_grid_oscillation(grid, data):
+    times, values = grid
+    path = SampledPath(times, values)
+    part = data.draw(partitions_within(times))
+    want = merged_grid_osc(path, part)
+    if not math.isfinite(want):
+        with pytest.raises(InvalidParameterError, match="^the oscillation on a partition"):
+            osc(path, part)
+        return
+    assert np.array_equal(bits([osc(path, part)]), bits([want]))
 
 
 @PROPS

@@ -30,6 +30,7 @@ from fracpath.errors import (
     InvalidParameterError,
     InvalidPhiError,
     SamplingInfeasibleError,
+    real,
 )
 from fracpath.experiments import (
     bump_decomposition,
@@ -471,6 +472,12 @@ def _range_checked_entries(path):
             lambda: make_phi([]),
             InvalidConfigError,
             "gauge config must be an object",
+        ),
+        # an int past float64 meets a numpy bound: compared as Python numbers, not float64
+        "real-int-past-float64-numpy-bound": (
+            lambda: real("v", 10**400, lo=np.float64(0.25)),
+            InvalidParameterError,
+            f"v must be finite, got {10**400}",
         ),
     }
 
