@@ -6,16 +6,17 @@ output directory, and exit with 0 (ran, expectation met or none stated),
 but the run's verdict was "not-converged").
 
 Every subcommand is one runner ``(cfg) -> (header, rows, gap)`` plus the
-top-level keys it allows and requires, declared in ``_RUNNERS``. A runner
-imports the library modules it calls in its own body, so a process loads
-only what its subcommand runs. ``_execute`` does the shared work once: it
-rejects unknown keys (with their line) and missing or empty required ones,
-parses ``expect``, ``tol`` and ``label`` (a file name, never a path), and
-sets the verdict: "converged" iff gap <= tol, "unchecked" when the runner
-reports no gap or the config gives no tol, "not-converged" otherwise (a NaN
-gap included). Every config number passes ``errors.real`` and every option
-``errors.choice``, the library's own rules. Every error a runner raises, a
-library error included, names the config file.
+top-level keys it allows, with their defaults, and requires, declared in
+``_RUNNERS``. A runner imports the library modules it calls in its own body,
+so a process loads only what its subcommand runs. Every config object, the
+top level included, is read by ``_fill``, which refuses an unknown key
+(named with its line) and fills in defaults; every missing or empty key is
+refused by ``_require`` ("<owner> needs '<key>'"). ``_execute`` parses
+``expect``, ``tol`` and ``label`` (a file name, never a path) and sets the
+verdict: "converged" iff gap <= tol, "unchecked" when the runner reports no
+gap or the config gives no tol, "not-converged" otherwise (a NaN gap
+included). Every config number passes ``errors.real`` and every option
+``errors.choice``. Every error a run raises names the config file.
 
 CSV files are byte-stable across reruns of the same config; the manifest
 records the config digest, package version and wall time (the manifest is
@@ -41,8 +42,7 @@ from .partitions import MAX_KNOTS, CantorBlocks, badic, block_sum, cantor_blocks
 from .partitions import partition_values, value_grid_partition
 from .paths import AnalyticPath, SampledPath, sample
 
-_COMMON_KEYS = {"command", "label", "expect", "tol"}
-_REQUIRED = object()
+_COMMON_KEYS = {"command": None, "label": None, "expect": "any", "tol": None}
 _LABEL = re.compile(r"[\w-][\w.-]{0,99}", re.ASCII)  # a file name in --out-dir, never a path
 
 
@@ -76,14 +76,16 @@ def _load_config(path: Path) -> tuple[dict, str]:
     return cfg, raw
 
 
-def _check_keys(cfg: dict, allowed: set, raw: str, path: Path) -> None:
-    for key in cfg:
-        if key not in allowed and key not in _COMMON_KEYS:
-            m = re.search(r'"{}"\s*:'.format(re.escape(key)), raw)
-            line = raw.count("\n", 0, m.start()) + 1 if m else 0
-            raise InvalidConfigError(
-                f"{path}:{line}: unknown key {key!r}; allowed: {', '.join(sorted(allowed))}"
-            )
+def _locate(path: Path, raw: str, key) -> str:
+    """``path``, plus the line of an unknown ``key`` = (owner, name) when ``raw`` holds
+    it: the name's first occurrence after the owner's own key, if any."""
+    if key is not None:
+        owner, name = (re.escape(json.dumps(k, ensure_ascii=False)) + r"\s*:" for k in key)
+        start = re.search(owner, raw)
+        if found := re.compile(name).search(raw, start.end() if start else 0):
+            line = raw.count("\n", 0, found.start()) + 1
+            return f"{path}:{line}"
+    return str(path)
 
 
 def _require(obj: dict, keys, owner: str) -> None:
@@ -93,18 +95,21 @@ def _require(obj: dict, keys, owner: str) -> None:
 
 
 def _fill(obj, name: str, defaults: dict, required: tuple = ()) -> dict:
-    """The config's ``name`` object with ``defaults`` filled in; rejects a
-    non-object, unknown keys and a missing or empty required key."""
+    """The config's ``name`` object with ``defaults`` filled in (a None default fills
+    nothing); refuses a non-object, an unknown key, put on the error as ``key`` =
+    (name, key) to be found in the config text, and a missing or empty required key."""
     if not isinstance(obj, dict):
         raise InvalidConfigError(f"{name!r} must be an object, got {obj!r}")
     allowed = {*defaults, *required}
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise InvalidConfigError(
-            f"unknown {name} keys {unknown}; allowed: {', '.join(sorted(allowed))}"
-        )
+    for key in obj:
+        if key not in allowed:
+            err = InvalidConfigError(
+                f"unknown {name} key {key!r}; allowed: {', '.join(sorted(allowed))}"
+            )
+            err.key = name, key
+            raise err
     _require(obj, required, name)
-    return {**defaults, **obj}
+    return {**{k: v for k, v in defaults.items() if v is not None}, **obj}
 
 
 def _number(value, key: str, kind=float, **rules):
@@ -114,31 +119,18 @@ def _number(value, key: str, kind=float, **rules):
     return num if kind is int else float(num)
 
 
-def _num(obj: dict, key: str, default=_REQUIRED, kind=float, **rules):
+def _num(obj: dict, key: str, default=None, kind=float, **rules):
     """``obj[key]`` as a number; ``default`` when absent or null."""
     value = obj.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise InvalidConfigError(f"missing {key!r}")
-        return default
-    return _number(value, key, kind, **rules)
+    return default if value is None else _number(value, key, kind, **rules)
 
 
 def _nums(obj: dict, key: str, kind=float) -> list:
-    """``obj[key]`` as a list of numbers; empty when absent."""
-    values = obj.get(key, [])
+    """``obj[key]`` as a list of numbers."""
+    values = obj[key]
     if not isinstance(values, list):
         raise InvalidConfigError(f"{key!r} must be a list of numbers, got {values!r}")
     return [_number(v, key, kind) for v in values]
-
-
-def _expectation(cfg: dict) -> tuple[str, float | None]:
-    expect = cfg.get("expect", "any")
-    choice("'expect'", expect, ("any", "converged"), error=InvalidConfigError)
-    tol = _num(cfg, "tol", None, lo=0)
-    if expect == "converged" and tol is None:
-        raise InvalidConfigError("expect 'converged' requires a tol")
-    return expect, tol
 
 
 def _write_csv(out_path: Path, header: list[str], rows: list[list]) -> None:
@@ -161,13 +153,14 @@ _PARTITIONS = {
 }
 
 
-def _as_sampled(path_cfg: dict, levels_max: int, base: int) -> SampledPath:
+def _as_sampled(cfg: dict, level) -> SampledPath:
+    """The config's path; an analytic one sampled on the b-adic ``level()`` =
+    (n, base), which only then is read."""
     from .registry import make_path
 
-    obj = make_path(path_cfg)
+    obj = make_path(cfg["path"])
     if isinstance(obj, AnalyticPath):
-        grid = badic(obj.horizon, levels_max, base)
-        return sample(obj, grid.times)
+        return sample(obj, badic(obj.horizon, *level()).times)
     return obj
 
 
@@ -185,16 +178,16 @@ def _iter_stages(cfg: dict, p: float):
         for n in _nums(part, "ns", int):
             yield n, cantor_blocks(p, n, part["rounding"])[1]
         return
-    if "path" not in cfg:
-        raise InvalidConfigError("this partition kind needs a 'path'")
+    _require(cfg, ("path",), f"partition kind {kind!r}")
     if kind == "badic":
-        levels, base = _nums(part, "levels", int), _num(part, "base", kind=int)
-        sampled = _as_sampled(cfg["path"], max(levels), base)
+        levels, base = _nums(part, "levels", int), _number(part["base"], "base", int)
+        sampled = _as_sampled(cfg, lambda: (max(levels), base))
         for lev in levels:
             yield lev, (sampled, badic(sampled.horizon, lev, base))
         return
     deltas = _nums(part, "deltas")
-    sampled = _as_sampled(cfg["path"], _num(part, "samples_level", kind=int), 2)
+    samples_level = _number(part["samples_level"], "samples_level", int)
+    sampled = _as_sampled(cfg, lambda: (samples_level, 2))
     for delta in deltas:
         yield delta, (sampled, value_grid_partition(sampled, delta, part["mode"]))
 
@@ -210,15 +203,12 @@ def _blocks(stage):
 
 
 def _run_generate_path(cfg: dict):
-    from .registry import make_path
-
-    sampled = make_path(cfg["path"])
-    if isinstance(sampled, AnalyticPath):
-        if "grid" not in cfg:
-            raise InvalidConfigError("analytic paths need a 'grid'")
+    def level():  # an analytic path's grid
+        _require(cfg, ("grid",), f"path kind {cfg['path']['kind']!r}")
         grid = _fill(cfg["grid"], "grid", {"base": 2}, ("n",))
-        n, base = _num(grid, "n", kind=int), _num(grid, "base", kind=int)
-        sampled = sample(sampled, badic(sampled.horizon, n, base).times)
+        return _num(grid, "n", kind=int), _number(grid["base"], "base", int)
+
+    sampled = _as_sampled(cfg, level)
     rows = [[float(t), float(v)] for t, v in zip(sampled.times, sampled.values)]
     return ["t", "value"], rows, None
 
@@ -276,12 +266,13 @@ def _run_frac_deriv(cfg: dict):
     fn = make_fn(cfg["fn"])
     xs = _nums(cfg, "xs")
     a = _num(cfg, "a", 0.0)
-    if op == "rl":
-        alpha = _num(cfg, "alpha")
-        values = [rl_integral(fn, alpha, a, x) for x in xs]
-    elif op == "caputo":
+    _require(cfg, ("p",) if op == "caputo" else ("alpha",), f"op {op!r}")
+    if op == "caputo":
         order = FracOrder(_num(cfg, "p"))
         values = [caputo(fn, order, a, x) for x in xs]
+    elif op == "rl":
+        alpha = _num(cfg, "alpha")
+        values = [rl_integral(fn, alpha, a, x) for x in xs]
     else:
         alpha, side = _num(cfg, "alpha"), _num(cfg, "side", 1, int)
         values = [local_frac_derivative(fn.fn, alpha, x, side) for x in xs]
@@ -290,7 +281,9 @@ def _run_frac_deriv(cfg: dict):
         return ["x", "value"], rows, None
     ref_cfg = _fill(cfg["reference"], "reference", {"k": a}, ("kind", "q"))
     choice("reference 'kind'", ref_cfg["kind"], ("power-rule",), error=InvalidConfigError)
-    q, order, k = _num(ref_cfg, "q"), FracOrder(_num(cfg, "p")), _num(ref_cfg, "k")
+    # the power rule is the Caputo derivative's; the RL integral and the local derivative differ
+    choice("op of a power-rule reference", op, ("caputo",), error=InvalidConfigError)
+    q, k = _num(ref_cfg, "q"), _number(ref_cfg["k"], "k")
     rel_errs = []
     for row, val in zip(rows, values):
         ref = power_rule(q, order, k, row[0])
@@ -331,8 +324,8 @@ def _run_remainder(cfg: dict):
     p = _num(cfg, "p")
     if "atoms" in cfg:
         return _run_remainder_atoms(cfg, p)
-    method = cfg.get("method", "taylor")
-    choice("'method'", method, ("taylor", "integral", "both"), error=InvalidConfigError)
+    methods = ("taylor", "integral", "both")
+    method = choice("'method'", cfg["method"], methods, error=InvalidConfigError)
     if "pairs" in cfg:
         pairs = cfg["pairs"]
         if not isinstance(pairs, list) or any(
@@ -364,7 +357,7 @@ def _run_isometry(cfg: dict):
     from .isometry import holder_exponent, isometry_check
     from .registry import make_fn, make_phi
 
-    phi = make_phi(cfg.get("phi", {}))
+    phi = make_phi(cfg["phi"])
     fn = make_fn(cfg["fn"])
     stages = list(_iter_stages(cfg, _num(cfg, "p", phi.p_phi)))
     if any(isinstance(stage, CantorBlocks) for _, stage in stages):
@@ -373,7 +366,7 @@ def _run_isometry(cfg: dict):
             f" {cfg['partition']['kind']!r} builds a new path per stage"
         )
     path = stages[-1][1][0]
-    alpha = _num(cfg, "holder_alpha", None)
+    alpha = _num(cfg, "holder_alpha")
     if alpha is None:
         alpha = holder_exponent(path)
     report = isometry_check(phi, fn, path, [part for _, (_, part) in stages], alpha)
@@ -387,7 +380,7 @@ def _run_isometry(cfg: dict):
 def _run_cantor_sweep(cfg: dict):
     from .experiments import cantor_sweep
 
-    stages = cantor_sweep(_num(cfg, "p"), _nums(cfg, "ns", int), cfg.get("rounding", "floor"))
+    stages = cantor_sweep(_num(cfg, "p"), _nums(cfg, "ns", int), cfg["rounding"])
     header = [
         "n",
         "k_n",
@@ -416,28 +409,28 @@ def _run_bump_decomposition(cfg: dict):
     return header, rows, gap
 
 
-# command -> (runner, allowed top-level keys, required top-level keys)
+# command -> (runner, optional top-level keys with their defaults, required top-level keys)
 _RUNNERS = {
-    "generate-path": (_run_generate_path, {"path", "grid"}, ("path",)),
-    "variation": (_run_variation, {"path", "partition", "p", "phi"}, ("partition", "p")),
-    "ito-check": (_run_ito_check, {"path", "partition", "p", "fn"}, ("partition", "p")),
+    "generate-path": (_run_generate_path, {"grid": None}, ("path",)),
+    "variation": (_run_variation, {"path": None, "phi": None}, ("partition", "p")),
+    "ito-check": (_run_ito_check, {"path": None, "fn": None}, ("partition", "p")),
     "frac-deriv": (
         _run_frac_deriv,
-        {"fn", "op", "p", "alpha", "a", "xs", "side", "reference"},
+        dict.fromkeys(("p", "alpha", "a", "side", "reference")),
         ("op", "fn", "xs"),
     ),
     "remainder": (
         _run_remainder,
-        {"fn", "p", "pairs", "thetas", "atoms", "method"},
+        {"pairs": None, "thetas": None, "atoms": None, "method": "taylor"},
         ("fn", "p"),
     ),
     "isometry": (
         _run_isometry,
-        {"path", "partition", "p", "fn", "phi", "holder_alpha"},
+        {"path": None, "p": None, "phi": {}, "holder_alpha": None},
         ("partition", "fn"),
     ),
-    "cantor-sweep": (_run_cantor_sweep, {"p", "ns", "rounding"}, ("p",)),
-    "bump-decomposition": (_run_bump_decomposition, {"p", "ns"}, ("p",)),
+    "cantor-sweep": (_run_cantor_sweep, {"ns": [], "rounding": "floor"}, ("p",)),
+    "bump-decomposition": (_run_bump_decomposition, {"ns": []}, ("p",)),
 }
 
 
@@ -457,21 +450,22 @@ def _execute(command: str | None, cfg_path: Path, out_dir: Path) -> tuple[int, d
         raise InvalidConfigError(
             f"{cfg_path}: config declares command {declared!r}, invoked as {command!r}"
         )
-    runner, allowed, required = _RUNNERS[command]
-    _check_keys(cfg, allowed, raw, cfg_path)
+    runner, defaults, required = _RUNNERS[command]
     try:
-        expect, tol = _expectation(cfg)
+        cfg = _fill(cfg, command, {**_COMMON_KEYS, **defaults}, required)
+        expect = choice("'expect'", cfg["expect"], ("any", "converged"), error=InvalidConfigError)
+        tol = _num(cfg, "tol", lo=0)
+        _require(cfg, ("tol",) if expect == "converged" else (), "expect 'converged'")
         stem = cfg.get("label")
         if stem is not None and not (isinstance(stem, str) and _LABEL.fullmatch(stem)):
             rule = "1 to 100 letters, digits, '.', '_' or '-', not starting with '.'"
             raise InvalidConfigError(f"'label' must be {rule}, got {stem!r}")
         stem = stem or cfg_path.stem
-        _require(cfg, required, command)
         started = time.perf_counter()
         header, rows, gap = runner(cfg)
         wall = time.perf_counter() - started
     except FracpathError as exc:
-        raise type(exc)(f"{cfg_path}: {exc}") from None
+        raise type(exc)(f"{_locate(cfg_path, raw, getattr(exc, 'key', None))}: {exc}") from None
     if gap is None or tol is None:
         verdict = "unchecked"
     else:

@@ -1,10 +1,12 @@
 """End-to-end runs of the command-line entry point, in subprocesses and
-in-process through ``cli.main``."""
+in-process through ``cli.main``, and a property over mutated fixtures."""
 
+import copy
 import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import per_level_reference
+from conftest import EDGE_VALUES, per_level_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracpath import cli
+from fracpath.errors import FracpathError
 from fracpath.experiments import cantor_stage
 from fracpath.follmer import ito_check
 from fracpath.fracops import rl_integral
@@ -173,8 +178,8 @@ def test_unknown_key_is_line_numbered(tmp_path):
     )
     proc = run_cli("cantor-sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), cwd=tmp_path)
     assert proc.returncode == 1
-    assert "bad.json:3" in proc.stderr
-    assert "unknown key 'bogus_key'" in proc.stderr
+    assert proc.stderr.startswith(f"error: {cfg}:3: unknown cantor-sweep key 'bogus_key'; allowed:")
+    assert "allowed: command, expect, label, ns, p, rounding, tol\n" in proc.stderr
 
 
 def test_malformed_json_fails_cleanly(tmp_path):
@@ -298,7 +303,7 @@ BAD_CONFIGS = {
     ),
     "converged-without-tol": (
         {"command": "cantor-sweep", "p": 2.5, "ns": [2], "expect": "converged"},
-        "expect 'converged' requires a tol",
+        "expect 'converged' needs 'tol'",
     ),
     "partition-not-an-object": (
         {"command": "variation", "p": 2.5, "partition": "badic"},
@@ -306,11 +311,11 @@ BAD_CONFIGS = {
     ),
     "badic-without-path": (
         {"command": "variation", "p": 2.5, "partition": {"kind": "badic", "levels": [2]}},
-        "this partition kind needs a 'path'",
+        "partition kind 'badic' needs 'path'",
     ),
     "analytic-path-without-grid": (
         {"command": "generate-path", "path": {"kind": "cantor-distance", "p": 2.5}},
-        "analytic paths need a 'grid'",
+        "path kind 'cantor-distance' needs 'grid'",
     ),
     "pairs-not-pairs": (
         {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 0.2], [0.3]]},
@@ -328,7 +333,24 @@ BAD_CONFIGS = {
     "bump-no-p": ({"command": "bump-decomposition", "ns": [2]}, "bump-decomposition needs 'p'"),
     "rl-no-alpha": (
         {"command": "frac-deriv", "op": "rl", "fn": SIN, "xs": [0.5]},
-        "missing 'alpha'",
+        "op 'rl' needs 'alpha'",
+    ),
+    "caputo-no-p": (
+        {"command": "frac-deriv", "op": "caputo", "fn": SIN, "alpha": 0.5, "xs": [0.5]},
+        "op 'caputo' needs 'p'",
+    ),
+    # the power rule is the Caputo derivative's: Gamma(3)/Gamma(3.5) is the exact RL value
+    "rl-with-power-rule-reference": (
+        {
+            "command": "frac-deriv",
+            "op": "rl",
+            "fn": {"name": "plus-power", "q": 2.0},
+            "alpha": 0.5,
+            "p": 0.5,
+            "xs": [1.0],
+            "reference": {"kind": "power-rule", "q": 2.0},
+        },
+        "op of a power-rule reference must be one of 'caputo', got 'rl'",
     ),
     "thetas-not-object": (
         {"command": "remainder", "fn": SIN, "p": 2.5, "thetas": 16},
@@ -336,7 +358,7 @@ BAD_CONFIGS = {
     ),
     "thetas-unknown-key": (
         {"command": "remainder", "fn": SIN, "p": 2.5, "thetas": {"cnt": 3}},
-        "unknown thetas keys ['cnt']",
+        "bad.json:8: unknown thetas key 'cnt'; allowed: count",
     ),
     "grid-empty": (
         {"command": "generate-path", "path": {"kind": "cantor-distance", "p": 2.5}, "grid": {}},
@@ -739,7 +761,7 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
     code = cli.main([command, "--config", str(path), "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert code == 1, err
-    assert err.startswith(f"error: {path}: "), err
+    assert re.match(rf"error: {re.escape(str(path))}(:\d+)?: ", err), err
     assert message in err
     assert not out.exists()  # nothing is written for a rejected config
 
@@ -931,3 +953,59 @@ def test_reproduce_all_rerun_is_stable(tmp_path, capsys):
             assert a == b, name
         else:
             assert _without_wall_time(json.loads(a)) == _without_wall_time(json.loads(b)), name
+
+
+# --------------------------------------------------------------------------- #
+# the config gate over mutated fixtures
+# --------------------------------------------------------------------------- #
+
+# what a config place takes: the API fuzz's scalars, then a null, a string and
+# the containers of the wrong shape
+MUTANTS = (*EDGE_VALUES, None, "x", [], {}, [1])
+
+
+def config_places(obj, at=()):
+    """The key path of every value in a config, objects and lists included, at any depth."""
+    if not isinstance(obj, (dict, list)):
+        return
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield at + (key,)
+        yield from config_places(value, at + (key,))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture's name and config with one or two places replaced by a ``MUTANTS`` entry."""
+    fixture = draw(st.sampled_from(sorted(FIXTURES.glob("*.json"))))
+    cfg = json.loads(fixture.read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, last = draw(st.sampled_from(list(config_places(cfg))))
+        owner = cfg
+        for key in parents:
+            owner = owner[key]
+        owner[last] = copy.deepcopy(draw(st.sampled_from(MUTANTS)))
+    return fixture.name, cfg
+
+
+# 300 draws take about a second. Some larger draws meet a thetas count of 1e6 under
+# method "both": 2e6 remainder kernels, about 20 s each time, admitted work and no fault
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_fixtures())
+def test_a_mutated_fixture_is_refused_by_its_path_or_writes_finite_cells(tmp_path_factory, case):
+    # one of two ends: a FracpathError that starts with the config path (and the
+    # line of an unknown key), or a CSV of finite cells plus its manifest; only a
+    # Cantor stage's upper bound may read inf
+    name, cfg = case
+    tmp = tmp_path_factory.mktemp("mutated")
+    path, out = write_config(tmp, name, cfg), tmp / "o"
+    try:
+        _, manifest = cli._execute(None, path, out)
+    except FracpathError as exc:
+        assert re.match(rf"{re.escape(str(path))}(:\d+)?: ", str(exc)), exc
+        return
+    csv = out / next(iter(manifest["outputs"]))
+    header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+    for row in rows:
+        for column, cell in zip(header, row, strict=True):
+            assert column == "upper_bound" or math.isfinite(float(cell)), (column, cell)
+    assert (out / f"{csv.stem}.manifest.json").is_file()

@@ -166,3 +166,25 @@ def test_path_values_along_a_partition_are_read_in_one_place():
     # interpolant stay in step only while no other caller reaches value_at
     found = value_at_calls(Path(fracpath.__file__).parent)
     assert found and all(f.startswith("partitions.py:partition_values:") for f in found), found
+
+
+def hand_written_key_refusals(source: Path) -> list:
+    """``function:line`` of every ``if`` in ``source`` that tests membership (``in``,
+    ``not in``) or identity (``is``) and raises right under it: a missing or unknown
+    config key refused by hand. ``cli._fill`` and ``cli._require``, the two rules
+    that refuse one, are exempt; an ``else`` that raises (a one-of rule) is not read."""
+    found = []
+    for top in ast.parse(source.read_text()).body:
+        if getattr(top, "name", None) in ("_fill", "_require"):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
+                ops = [op for c in ast.walk(node.test) if isinstance(c, ast.Compare) for op in c.ops]
+                if any(isinstance(op, (ast.In, ast.NotIn, ast.Is)) for op in ops):
+                    found.append(f"{getattr(top, 'name', '')}:{node.lineno}")
+    return found
+
+
+def test_every_missing_or_unknown_config_key_goes_through_fill_or_require():
+    found = hand_written_key_refusals(Path(fracpath.__file__).parent / "cli.py")
+    assert not found, f"hand-written key refusals at {found}"
