@@ -9,9 +9,10 @@ Every subcommand is one runner ``(cfg) -> (header, rows, gap)`` plus the
 top-level keys it allows, with their defaults, and requires, declared in
 ``_RUNNERS``. A runner imports the library modules it calls in its own body,
 so a process loads only what its subcommand runs. Every config object, the
-top level included, is read by ``_fill``, which refuses an unknown key
-(named with its line) and fills in defaults; every missing or empty key is
-refused by ``_require`` ("<owner> needs '<key>'"). ``_execute`` parses
+top level included, is read by ``_fill``, which refuses an unknown key or a null
+(a key left out takes its default) and fills in defaults; ``_require`` refuses a
+missing or empty key ("<owner> needs '<key>'") and, where the run decides what it
+reads, a key it does not read ("<owner> reads no '<key>'"). ``_execute`` parses
 ``expect``, ``tol`` and ``label`` (a file name, never a path) and sets the
 verdict: "converged" iff gap <= tol, "unchecked" when the runner reports no
 gap or the config gives no tol, "not-converged" otherwise (a NaN gap
@@ -76,39 +77,46 @@ def _load_config(path: Path) -> tuple[dict, str]:
     return cfg, raw
 
 
-def _locate(path: Path, raw: str, key) -> str:
-    """``path``, plus the line of an unknown ``key`` = (owner, name) when ``raw`` holds
-    it: the name's first occurrence after the owner's own key, if any."""
-    if key is not None:
-        owner, name = (re.escape(json.dumps(k, ensure_ascii=False)) + r"\s*:" for k in key)
-        start = re.search(owner, raw)
-        if found := re.compile(name).search(raw, start.end() if start else 0):
-            line = raw.count("\n", 0, found.start()) + 1
+def _locate(path: Path, raw: str, keys) -> str:
+    """``path``, plus the line of the key at key path ``keys`` when ``raw`` holds it."""
+    opened, key = [], None  # the key each open object or list sits at; the last token's key
+    # JSON strings, with a colon when they are object keys, and brackets
+    for token in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[][{}]', raw if keys else ""):
+        key, last = json.loads(token[1]) if token[2] else None, key
+        if key is not None and (*opened[1:], key) == keys:
+            line = raw.count("\n", 0, token.start()) + 1
             return f"{path}:{line}"
+        if token[0] in ("[", "{"):
+            opened.append(last)
+        elif token[0] in ("]", "}"):
+            opened.pop()
     return str(path)
 
 
-def _require(obj: dict, keys, owner: str) -> None:
-    for key in keys:
-        if obj.get(key) in (None, []):
-            raise InvalidConfigError(f"{owner} needs {key!r}")
+def _require(obj: dict, keys, owner: str, unread=(), at=()) -> None:
+    """Refuses a missing or empty key of ``keys`` ("<owner> needs '<key>'") and a set key of
+    ``unread`` ("<owner> reads no '<key>'"), by line if ``obj`` (at key path ``at``) holds it."""
+    refused = [(k, "needs") for k in keys if obj.get(k) in (None, [])]
+    for key, rule in refused + [(k, "reads no") for k in unread if obj.get(k) is not None]:
+        err = InvalidConfigError(f"{owner} {rule} {key!r}")
+        err.key = (*at, key) if key in obj else None
+        raise err
 
 
-def _fill(obj, name: str, defaults: dict, required: tuple = ()) -> dict:
-    """The config's ``name`` object with ``defaults`` filled in (a None default fills
-    nothing); refuses a non-object, an unknown key, put on the error as ``key`` =
-    (name, key) to be found in the config text, and a missing or empty required key."""
+def _fill(obj, name: str, defaults: dict, required: tuple = (), at=None) -> dict:
+    """The config's ``name`` object, at key path ``at`` (default (name,)), with ``defaults``
+    filled in (a None default fills nothing); refuses a non-object, an unknown key or a null
+    (each by its line) and a missing or empty required key."""
     if not isinstance(obj, dict):
         raise InvalidConfigError(f"{name!r} must be an object, got {obj!r}")
+    at = (name,) if at is None else at
     allowed = {*defaults, *required}
-    for key in obj:
-        if key not in allowed:
-            err = InvalidConfigError(
-                f"unknown {name} key {key!r}; allowed: {', '.join(sorted(allowed))}"
-            )
-            err.key = name, key
-            raise err
-    _require(obj, required, name)
+    for key in (k for k, v in obj.items() if k not in allowed or v is None):
+        msg = f"unknown {name} key {key!r}; allowed: {', '.join(sorted(allowed))}"
+        err = InvalidConfigError(f"{name} key {key!r} must not be null" if key in allowed else msg)
+        err.key = (*at, key)
+        raise err
+    _require(obj, required, name, at=at)
     return {**{k: v for k, v in defaults.items() if v is not None}, **obj}
 
 
@@ -119,10 +127,10 @@ def _number(value, key: str, kind=float, **rules):
     return num if kind is int else float(num)
 
 
-def _num(obj: dict, key: str, default=None, kind=float, **rules):
-    """``obj[key]`` as a number; ``default`` when absent or null."""
+def _num(obj: dict, key: str, kind=float, **rules):
+    """``obj[key]`` as a number; None when absent."""
     value = obj.get(key)
-    return default if value is None else _number(value, key, kind, **rules)
+    return None if value is None else _number(value, key, kind, **rules)
 
 
 def _nums(obj: dict, key: str, kind=float) -> list:
@@ -153,32 +161,36 @@ _PARTITIONS = {
 }
 
 
-def _as_sampled(cfg: dict, level) -> SampledPath:
-    """The config's path; an analytic one sampled on the b-adic ``level()`` =
-    (n, base), which only then is read."""
+def _as_sampled(cfg: dict, level, keys=()) -> SampledPath:
+    """The config's path; an analytic one sampled on the b-adic ``level()`` = (n, base),
+    read only then. A sampled one reads no key at key path ``keys``, which sets that level."""
     from .registry import make_path
 
     obj = make_path(cfg["path"])
     if isinstance(obj, AnalyticPath):
         return sample(obj, badic(obj.horizon, *level()).times)
+    at, key = keys[:-1], keys[-1:]
+    _require(cfg[at[0]] if at else cfg, (), f"path kind {cfg['path']['kind']!r}", key, at)
     return obj
 
 
-def _iter_stages(cfg: dict, p: float):
-    """Yield (stage_label, stage) per stage: a badic or value-grid stage is
-    its (sampled_path, partition), a cantor-crossing stage the level rows of
-    ``partitions.cantor_blocks``, so no 2**n grid is built."""
+def _iter_stages(cfg: dict, kinds=tuple(_PARTITIONS), cantor_only=()):
+    """Yield (stage_label, stage) per stage of a partition of ``kinds``: a badic or value-grid
+    stage is its (sampled_path, partition), a cantor-crossing stage the level rows of
+    ``partitions.cantor_blocks`` (no 2**n grid), the only stages that read ``cantor_only``."""
     part = cfg["partition"]
     if not isinstance(part, dict):
         raise InvalidConfigError(f"'partition' must be an object, got {part!r}")
-    kind = choice("partition 'kind'", part.get("kind"), _PARTITIONS, error=InvalidConfigError)
+    _require(part, ("kind",), "partition", at=("partition",))
+    kind = choice("partition 'kind'", part["kind"], kinds, error=InvalidConfigError)
     defaults, stages_key = _PARTITIONS[kind]
     part = _fill(part, "partition", {"kind": kind, **defaults}, (stages_key,))
     if kind == "cantor-crossing":
+        _require(cfg, ("p",), f"partition kind {kind!r}", ("path",))
         for n in _nums(part, "ns", int):
-            yield n, cantor_blocks(p, n, part["rounding"])[1]
+            yield n, cantor_blocks(_num(cfg, "p"), n, part["rounding"])[1]
         return
-    _require(cfg, ("path",), f"partition kind {kind!r}")
+    _require(cfg, ("path",), f"partition kind {kind!r}", cantor_only)
     if kind == "badic":
         levels, base = _nums(part, "levels", int), _number(part["base"], "base", int)
         sampled = _as_sampled(cfg, lambda: (max(levels), base))
@@ -187,7 +199,7 @@ def _iter_stages(cfg: dict, p: float):
         return
     deltas = _nums(part, "deltas")
     samples_level = _number(part["samples_level"], "samples_level", int)
-    sampled = _as_sampled(cfg, lambda: (samples_level, 2))
+    sampled = _as_sampled(cfg, lambda: (samples_level, 2), ("partition", "samples_level"))
     for delta in deltas:
         yield delta, (sampled, value_grid_partition(sampled, delta, part["mode"]))
 
@@ -208,7 +220,7 @@ def _run_generate_path(cfg: dict):
         grid = _fill(cfg["grid"], "grid", {"base": 2}, ("n",))
         return _num(grid, "n", kind=int), _number(grid["base"], "base", int)
 
-    sampled = _as_sampled(cfg, level)
+    sampled = _as_sampled(cfg, level, ("grid",))
     rows = [[float(t), float(v)] for t, v in zip(sampled.times, sampled.values)]
     return ["t", "value"], rows, None
 
@@ -217,15 +229,16 @@ def _run_variation(cfg: dict):
     from .registry import make_phi
     from .variation import phi_sums
 
-    p = _num(cfg, "p")
     phi = make_phi(cfg["phi"]) if "phi" in cfg else None
+    _require(cfg, ("p",) if phi is None else (), "variation")  # a gauge reads p on Cantor stages
+    p = _num(cfg, "p")
 
     def term(rows):  # the increments, then the phi-sum or pth_variation_partial's p-th power sum
         gauge = phi if phi is not None else real("p", p, lo=0)
         return np.full(len(rows), rows.shape[1] - 1), phi_sums(rows, gauge)
 
     rows = []
-    for label, stage in _iter_stages(cfg, p):
+    for label, stage in _iter_stages(cfg, cantor_only=() if phi is None else ("p",)):
         rows.append([label, *block_sum(_blocks(stage), term)])
     gap = None
     if len(rows) >= 2:
@@ -250,7 +263,7 @@ def _run_ito_check(cfg: dict):
         "follmer_residual",
     ]
     rows = []
-    for label, stage in _iter_stages(cfg, p):
+    for label, stage in _iter_stages(cfg):
         rep = ito_check_blocks(fn, _blocks(stage), p)
         rows.append([label] + [getattr(rep, name) for name in header[1:]])
     r = [abs(row[-1]) for row in rows]
@@ -258,15 +271,25 @@ def _run_ito_check(cfg: dict):
     return header, rows, gap
 
 
+# op -> (the optional keys it reads, with defaults, and the key it needs); another op's
+# key is refused. A power-rule reference is the Caputo derivative's, not RL's or local's
+_OPS = {
+    "rl": ({"a": 0.0}, "alpha"),
+    "caputo": ({"a": 0.0, "reference": None}, "p"),
+    "local": ({"side": 1}, "alpha"),
+}
+
+
 def _run_frac_deriv(cfg: dict):
     from .fracops import FracOrder, caputo, local_frac_derivative, power_rule, rl_integral
     from .registry import make_fn
 
-    op = choice("'op'", cfg["op"], ("rl", "caputo", "local"), error=InvalidConfigError)
-    fn = make_fn(cfg["fn"])
-    xs = _nums(cfg, "xs")
-    a = _num(cfg, "a", 0.0)
-    _require(cfg, ("p",) if op == "caputo" else ("alpha",), f"op {op!r}")
+    op = choice("'op'", cfg["op"], _OPS, error=InvalidConfigError)
+    defaults, needs = _OPS[op]
+    others = [k for d, n in _OPS.values() for k in (*d, n) if k not in (*defaults, needs)]
+    _require(cfg, (needs,), f"op {op!r}", others)
+    cfg = {**defaults, **cfg}
+    fn, xs, a = make_fn(cfg["fn"]), _nums(cfg, "xs"), _num(cfg, "a")
     if op == "caputo":
         order = FracOrder(_num(cfg, "p"))
         values = [caputo(fn, order, a, x) for x in xs]
@@ -274,15 +297,13 @@ def _run_frac_deriv(cfg: dict):
         alpha = _num(cfg, "alpha")
         values = [rl_integral(fn, alpha, a, x) for x in xs]
     else:
-        alpha, side = _num(cfg, "alpha"), _num(cfg, "side", 1, int)
+        alpha, side = _num(cfg, "alpha"), _num(cfg, "side", kind=int)
         values = [local_frac_derivative(fn.fn, alpha, x, side) for x in xs]
     rows = [[x, float(v)] for x, v in zip(xs, values)]
-    if "reference" not in cfg:
+    if cfg.get("reference") is None:
         return ["x", "value"], rows, None
     ref_cfg = _fill(cfg["reference"], "reference", {"k": a}, ("kind", "q"))
     choice("reference 'kind'", ref_cfg["kind"], ("power-rule",), error=InvalidConfigError)
-    # the power rule is the Caputo derivative's; the RL integral and the local derivative differ
-    choice("op of a power-rule reference", op, ("caputo",), error=InvalidConfigError)
     q, k = _num(ref_cfg, "q"), _number(ref_cfg["k"], "k")
     rel_errs = []
     for row, val in zip(rows, values):
@@ -292,41 +313,16 @@ def _run_frac_deriv(cfg: dict):
     return ["x", "value", "reference", "rel_err"], rows, max(rel_errs)
 
 
-def _run_remainder_atoms(cfg: dict, p: float):
-    """Atom-weight table of the bump construction: finite-stage masses next
-    to their closed-form limits, with the kernel of f(x) = |x|^p sampled on
-    both ray families. The atom identity holds for that f only, so any other
-    ``fn`` is refused."""
-    from .experiments import bump_decomposition
-
-    fn_cfg = cfg["fn"]
-    if fn_cfg.get("name") != "abs-power" or fn_cfg.get("q") != p or fn_cfg.get("k", 0.0) != 0.0:
-        raise InvalidConfigError(
-            f"atoms need fn abs-power with q = p and k = 0, got fn {fn_cfg!r} at p = {p!r}"
-        )
-    atoms = _fill(cfg["atoms"], "atoms", {"kind": "cantor-bump"}, ("n",))
-    choice("atoms 'kind'", atoms["kind"], ("cantor-bump",), error=InvalidConfigError)
-    rep = bump_decomposition(p, _num(atoms, "n", kind=int))
-    up, down = rep.up_angles, rep.down_angles
-    columns = np.column_stack(
-        [up, down, rep.atom_weights, rep.atom_weights_limit, rep.g_up, rep.g_down]
-    )
-    header = ["k", "angle_up", "angle_down", "weight_finite", "weight_limit", "g_up", "g_down"]
-    rows = [[k, *cells] for k, cells in enumerate(columns.tolist())]
-    return header, rows, abs(rep.kernel_from_atoms - rep.kernel_from_limit)
-
-
 def _run_remainder(cfg: dict):
     from .follmer import circle_points, remainder_kernel
     from .registry import make_fn
 
     fn = make_fn(cfg["fn"])
     p = _num(cfg, "p")
-    if "atoms" in cfg:
-        return _run_remainder_atoms(cfg, p)
     methods = ("taylor", "integral", "both")
     method = choice("'method'", cfg["method"], methods, error=InvalidConfigError)
     if "pairs" in cfg:
+        _require(cfg, (), "remainder with 'pairs'", ("thetas",))
         pairs = cfg["pairs"]
         if not isinstance(pairs, list) or any(
             not isinstance(ab, list) or len(ab) != 2 for ab in pairs
@@ -339,7 +335,7 @@ def _run_remainder(cfg: dict):
                      error=InvalidConfigError)
         a, b = circle_points((np.arange(count) + 0.5) * (2.0 * np.pi / count))
     else:
-        raise InvalidConfigError("needs 'pairs', 'thetas' or 'atoms'")
+        raise InvalidConfigError("remainder needs 'pairs' or 'thetas'")
     header, columns = ["a", "b"], [a.tolist(), b.tolist()]
     for form in ("taylor", "integral") if method == "both" else (method,):
         header.append(f"g_{form}")
@@ -359,16 +355,10 @@ def _run_isometry(cfg: dict):
 
     phi = make_phi(cfg["phi"])
     fn = make_fn(cfg["fn"])
-    stages = list(_iter_stages(cfg, _num(cfg, "p", phi.p_phi)))
-    if any(isinstance(stage, CantorBlocks) for _, stage in stages):
-        raise InvalidConfigError(
-            "isometry compares every stage on one path, but partition kind"
-            f" {cfg['partition']['kind']!r} builds a new path per stage"
-        )
+    # every stage on one path, so no cantor-crossing stages: each builds its own
+    stages = list(_iter_stages(cfg, ("badic", "value-grid")))
     path = stages[-1][1][0]
-    alpha = _num(cfg, "holder_alpha")
-    if alpha is None:
-        alpha = holder_exponent(path)
+    alpha = _num(cfg, "holder_alpha") if "holder_alpha" in cfg else holder_exponent(path)
     report = isometry_check(phi, fn, path, [part for _, (_, part) in stages], alpha)
     rows = [
         [label, report.lhs[i], report.rhs[i], abs(report.ratios[i] - 1.0)]
@@ -395,7 +385,7 @@ def _run_cantor_sweep(cfg: dict):
     rows = [[getattr(s, name) for name in header] for s in stages]
     # np.max keeps a NaN residual, so it reads "not-converged"
     residuals = np.abs([s.identity_residual for s in stages])
-    return header, rows, float(np.max(residuals)) if stages else None
+    return header, rows, float(np.max(residuals))
 
 
 def _run_bump_decomposition(cfg: dict):
@@ -405,32 +395,46 @@ def _run_bump_decomposition(cfg: dict):
     reports = [bump_decomposition(p, n) for n in _nums(cfg, "ns", int)]
     header = ["n", "n_increments", "compensated", "kernel_from_atoms", "kernel_from_limit", "mass"]
     rows = [[getattr(rep, name) for name in header] for rep in reports]
-    gap = abs(reports[-1].kernel_from_atoms - reports[-1].kernel_from_limit) if reports else None
-    return header, rows, gap
+    return header, rows, abs(reports[-1].kernel_from_atoms - reports[-1].kernel_from_limit)
+
+
+def _run_bump_atoms(cfg: dict):
+    """Atom-weight table of the bump construction: finite-stage masses next
+    to their closed-form limits, with the kernel of f(x) = |x|^p sampled on
+    both ray families."""
+    from .experiments import bump_decomposition
+
+    rep = bump_decomposition(_num(cfg, "p"), _num(cfg, "n", kind=int))
+    fields = ("up_angles", "down_angles", "atom_weights", "atom_weights_limit", "g_up", "g_down")
+    columns = np.column_stack([getattr(rep, name) for name in fields])
+    header = ["k", "angle_up", "angle_down", "weight_finite", "weight_limit", "g_up", "g_down"]
+    rows = [[k, *cells] for k, cells in enumerate(columns.tolist())]
+    return header, rows, abs(rep.kernel_from_atoms - rep.kernel_from_limit)
 
 
 # command -> (runner, optional top-level keys with their defaults, required top-level keys)
 _RUNNERS = {
     "generate-path": (_run_generate_path, {"grid": None}, ("path",)),
-    "variation": (_run_variation, {"path": None, "phi": None}, ("partition", "p")),
+    "variation": (_run_variation, {"path": None, "phi": None, "p": None}, ("partition",)),
     "ito-check": (_run_ito_check, {"path": None, "fn": None}, ("partition", "p")),
     "frac-deriv": (
         _run_frac_deriv,
-        dict.fromkeys(("p", "alpha", "a", "side", "reference")),
+        dict.fromkeys(k for defaults, needs in _OPS.values() for k in (*defaults, needs)),
         ("op", "fn", "xs"),
     ),
     "remainder": (
         _run_remainder,
-        {"pairs": None, "thetas": None, "atoms": None, "method": "taylor"},
+        {"pairs": None, "thetas": None, "method": "taylor"},
         ("fn", "p"),
     ),
     "isometry": (
         _run_isometry,
-        {"path": None, "p": None, "phi": {}, "holder_alpha": None},
+        {"path": None, "phi": {}, "holder_alpha": None},
         ("partition", "fn"),
     ),
-    "cantor-sweep": (_run_cantor_sweep, {"ns": [], "rounding": "floor"}, ("p",)),
-    "bump-decomposition": (_run_bump_decomposition, {"ns": []}, ("p",)),
+    "cantor-sweep": (_run_cantor_sweep, {"rounding": "floor"}, ("p", "ns")),
+    "bump-decomposition": (_run_bump_decomposition, {}, ("p", "ns")),
+    "bump-atoms": (_run_bump_atoms, {}, ("p", "n")),
 }
 
 
@@ -452,7 +456,7 @@ def _execute(command: str | None, cfg_path: Path, out_dir: Path) -> tuple[int, d
         )
     runner, defaults, required = _RUNNERS[command]
     try:
-        cfg = _fill(cfg, command, {**_COMMON_KEYS, **defaults}, required)
+        cfg = _fill(cfg, command, {**_COMMON_KEYS, **defaults}, required, at=())
         expect = choice("'expect'", cfg["expect"], ("any", "converged"), error=InvalidConfigError)
         tol = _num(cfg, "tol", lo=0)
         _require(cfg, ("tol",) if expect == "converged" else (), "expect 'converged'")

@@ -128,13 +128,13 @@ def caputo(fn, order: FracOrder, a: float, x: float, rtol: float = 1e-9) -> floa
         return rl_integral(fm.derivative(1), beta, a, x, rtol)
     fma = float(fm.fn(np.asarray(a, dtype=float)))
     centered = SmoothFn(fn=lambda t: fm.fn(t) - fma, kinks=fm.kinks)
-    h = _FD_REL_STEP * max(1.0, abs(x))
+    # h <= (x - a) / 1e5 keeps x - h past a; x - a below ~1e-318 or ulp(x) leaves no step
+    h = _FD_REL_STEP * min(max(1.0, abs(x)), x - a)
     lo_x, hi_x = x - h, x + h
-    if lo_x <= a:
-        lo_x = a + (hi_x - a) * 0.5
+    step = real(f"the difference step at x - a = {x - a!r}", hi_x - lo_x, lo=0)
     up = rl_integral(centered, beta, a, hi_x, rtol=min(rtol, 1e-11))
     dn = rl_integral(centered, beta, a, lo_x, rtol=min(rtol, 1e-11))
-    return (up - dn) / (hi_x - lo_x)
+    return (up - dn) / step
 
 
 def power_rule(q: float, order: FracOrder, k: float, x: float) -> float:

@@ -93,6 +93,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
         ("variation-cantor.json", ("follmer", "isometry", "experiments", "fracops", "_quad")),
         ("ito-fbm-sin.json", ("isometry", "experiments", "variation", "fracops", "_quad")),
         ("isometry-fbm.json", ("follmer", "experiments", "variation", "fracops", "_quad")),
+        ("bump-atoms.json", ("fracops", "isometry", "_quad")),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(tmp_path, fixture, unloaded):
@@ -166,7 +167,7 @@ def test_rerun_is_byte_identical(tmp_path):
     assert ma["config_sha256"] == mb["config_sha256"]
 
 
-def test_unknown_key_is_line_numbered(tmp_path):
+def test_unknown_key_is_line_numbered(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(
         "{\n"
@@ -180,6 +181,22 @@ def test_unknown_key_is_line_numbered(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {cfg}:3: unknown cantor-sweep key 'bogus_key'; allowed:")
     assert "allowed: command, expect, label, ns, p, rounding, tol\n" in proc.stderr
+    # the key is found at its own depth, not at the path's own "n" a line above
+    topn = tmp_path / "topn.json"
+    topn.write_text(
+        "{\n"
+        '  "command": "generate-path",\n'
+        '  "path": {"kind": "fbm", "hurst": 0.4, "n": 64, "seed": 1},\n'
+        '  "n": 3\n'
+        "}\n"
+    )
+    assert cli.main(["generate-path", "--config", str(topn), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {topn}:4: unknown generate-path key 'n';")
+
+
+def test_readme_lists_every_command():
+    listed = re.search(r"Available commands: (.*?)\. Exit codes", (REPO / "README.md").read_text(), re.S)
+    assert re.findall(r"`([\w-]+)`", listed[1]) == [*cli._RUNNERS, "reproduce-all"]
 
 
 def test_malformed_json_fails_cleanly(tmp_path):
@@ -323,7 +340,7 @@ BAD_CONFIGS = {
     ),
     "remainder-without-points": (
         {"command": "remainder", "fn": SIN, "p": 2.5},
-        "needs 'pairs', 'thetas' or 'atoms'",
+        "remainder needs 'pairs' or 'thetas'",
     ),
     "remainder-no-p": (
         {"command": "remainder", "fn": SIN, "thetas": {"count": 4}},
@@ -346,11 +363,121 @@ BAD_CONFIGS = {
             "op": "rl",
             "fn": {"name": "plus-power", "q": 2.0},
             "alpha": 0.5,
-            "p": 0.5,
             "xs": [1.0],
             "reference": {"kind": "power-rule", "q": 2.0},
         },
-        "op of a power-rule reference must be one of 'caputo', got 'rl'",
+        "bad.json:12: op 'rl' reads no 'reference'",
+    ),
+    # a key the run does not read is refused by its line, where the run decides what it reads
+    "caputo-with-alpha": (
+        {"command": "frac-deriv", "op": "caputo", "fn": SIN, "p": 0.5, "alpha": 123.0, "xs": [1.0]},
+        "bad.json:8: op 'caputo' reads no 'alpha'",
+    ),
+    "caputo-with-side": (
+        {"command": "frac-deriv", "op": "caputo", "fn": SIN, "p": 0.5, "side": -1, "xs": [1.0]},
+        "bad.json:8: op 'caputo' reads no 'side'",
+    ),
+    "local-with-a": (
+        {"command": "frac-deriv", "op": "local", "fn": SIN, "alpha": 0.5, "a": 99.0, "xs": [0.0]},
+        "bad.json:8: op 'local' reads no 'a'",
+    ),
+    "fbm-path-with-grid": (
+        {"command": "generate-path", "path": {"kind": "fbm", "hurst": 0.4, "n": 64}, "grid": {"n": 3}},
+        "bad.json:8: path kind 'fbm' reads no 'grid'",
+    ),
+    "cantor-crossing-with-path": (
+        {
+            "command": "ito-check",
+            "partition": {"kind": "cantor-crossing", "ns": [3]},
+            "path": {"kind": "fbm", "hurst": 0.4, "n": 64},
+            "p": 2.5,
+        },
+        "bad.json:9: partition kind 'cantor-crossing' reads no 'path'",
+    ),
+    "value-grid-on-fbm-with-samples-level": (
+        {
+            "command": "variation",
+            "path": {"kind": "fbm", "hurst": 0.4, "n": 64},
+            "partition": {"kind": "value-grid", "deltas": [0.2], "samples_level": 10},
+            "p": 2.5,
+        },
+        "bad.json:13: path kind 'fbm' reads no 'samples_level'",
+    ),
+    "phi-beside-p-on-badic": (
+        {
+            "command": "variation",
+            "path": {"kind": "fbm", "hurst": 0.4, "n": 64},
+            "partition": {"kind": "badic", "levels": [4, 6]},
+            "p": 1.0,
+            "phi": {"kind": "power", "p_phi": 2.5},
+        },
+        "bad.json:15: partition kind 'badic' reads no 'p'",
+    ),
+    "phi-on-cantor-crossing-without-p": (
+        {
+            "command": "variation",
+            "partition": {"kind": "cantor-crossing", "ns": [3]},
+            "phi": {"kind": "power", "p_phi": 2.5},
+        },
+        "partition kind 'cantor-crossing' needs 'p'",
+    ),
+    "isometry-with-p": (
+        {
+            "command": "isometry",
+            "path": {"kind": "fbm", "hurst": 0.8, "n": 64, "seed": 9},
+            "partition": {"kind": "badic", "levels": [2, 3]},
+            "fn": SIN,
+            "p": 1.25,
+        },
+        "bad.json:19: unknown isometry key 'p'",
+    ),
+    "pairs-beside-thetas": (
+        {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 0.2]], "thetas": {"count": 4}},
+        "bad.json:13: remainder with 'pairs' reads no 'thetas'",
+    ),
+    "cantor-sweep-no-ns": ({"command": "cantor-sweep", "p": 2.5}, "cantor-sweep needs 'ns'"),
+    "bump-decomposition-no-ns": (
+        {"command": "bump-decomposition", "p": 2.25},
+        "bump-decomposition needs 'ns'",
+    ),
+    # null is never a value: a key left out takes its default
+    "a-null": (
+        {"command": "frac-deriv", "op": "caputo", "fn": SIN, "p": 0.5, "a": None, "xs": [1.0]},
+        "bad.json:8: frac-deriv key 'a' must not be null",
+    ),
+    "side-null": (
+        {"command": "frac-deriv", "op": "local", "fn": SIN, "alpha": 0.5, "side": None, "xs": [0.0]},
+        "bad.json:8: frac-deriv key 'side' must not be null",
+    ),
+    "tol-null": (
+        {"command": "cantor-sweep", "p": 2.5, "ns": [2], "tol": None},
+        "bad.json:7: cantor-sweep key 'tol' must not be null",
+    ),
+    "holder-alpha-null": (
+        {
+            "command": "isometry",
+            "path": {"kind": "fbm", "hurst": 0.8, "n": 64, "seed": 9},
+            "partition": {"kind": "badic", "levels": [2, 3]},
+            "fn": SIN,
+            "holder_alpha": None,
+        },
+        "bad.json:19: isometry key 'holder_alpha' must not be null",
+    ),
+    "label-null": (
+        {"command": "cantor-sweep", "label": None, "p": 2.5, "ns": [2]},
+        "bad.json:3: cantor-sweep key 'label' must not be null",
+    ),
+    "partition-kind-null": (
+        {"command": "ito-check", "partition": {"kind": None, "ns": [3]}, "p": 2.5},
+        "bad.json:4: partition needs 'kind'",
+    ),
+    "grid-base-null": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "cantor-distance", "p": 2.5},
+            "grid": {"n": 3, "base": None},
+        },
+        "bad.json:9: grid key 'base' must not be null",
     ),
     "thetas-not-object": (
         {"command": "remainder", "fn": SIN, "p": 2.5, "thetas": 16},
@@ -383,10 +510,9 @@ BAD_CONFIGS = {
             "partition": {"kind": "cantor-crossing", "ns": [3, 5]},
             "fn": SIN,
             "phi": {"kind": "power", "p_phi": 2.5},
-            "p": 2.5,
             "holder_alpha": 0.4,
         },
-        "'cantor-crossing' builds a new path per stage",
+        "partition 'kind' must be one of 'badic', 'value-grid', got 'cantor-crossing'",
     ),
     # huge finite numbers are refused before anything is built
     "grid-n-huge": (
@@ -398,12 +524,7 @@ BAD_CONFIGS = {
         "intervals must lie in [2, 33554432], got inf",
     ),
     "atoms-n-huge": (
-        {
-            "command": "remainder",
-            "fn": {"name": "abs-power", "q": 2.25},
-            "p": 2.25,
-            "atoms": {"n": 1e308},
-        },
+        {"command": "bump-atoms", "p": 2.25, "n": 1e308},
         "n must lie in [1, 26], got 1000000000000000010979",
     ),
     "cantor-bump-knots-depth-huge": (
@@ -421,7 +542,6 @@ BAD_CONFIGS = {
             "partition": {"kind": "badic", "levels": [2, 3]},
             "fn": SIN,
             "phi": {"kind": "power", "p_phi": 2, "custom_fn": 3},
-            "p": 2,
         },
         "custom_fn needs kind 'custom', got kind 'power'",
     ),
@@ -582,19 +702,15 @@ BAD_CONFIGS = {
         },
         "non-finite number Infinity",
     ),
-    # the atom identity holds for f(x) = |x|^p only, with the bump path's own p
-    "atoms-fn-not-abs-power": (
-        {"command": "remainder", "fn": SIN, "p": 2.25, "atoms": {"n": 10}},
-        "atoms need fn abs-power with q = p and k = 0, got fn {'name': 'sin'} at p = 2.25",
+    # the atom table is that of f(x) = |x|^p with the bump path's own p, so it takes no fn,
+    # and the remainder kernel no longer holds it
+    "bump-atoms-takes-no-fn": (
+        {"command": "bump-atoms", "fn": {"name": "abs-power", "q": 2.25}, "p": 2.25, "n": 10},
+        "bad.json:3: unknown bump-atoms key 'fn'; allowed: command, expect, label, n, p, tol",
     ),
-    "atoms-fn-q-not-p": (
-        {
-            "command": "remainder",
-            "fn": {"name": "abs-power", "q": 2.5},
-            "p": 2.25,
-            "atoms": {"n": 10},
-        },
-        "atoms need fn abs-power with q = p and k = 0",
+    "remainder-takes-no-atoms": (
+        {"command": "remainder", "fn": {"name": "abs-power", "q": 2.25}, "p": 2.25, "atoms": {"n": 10}},
+        "bad.json:8: unknown remainder key 'atoms'",
     ),
     # a config holds no callable, so a custom gauge is refused by name
     "isometry-custom-phi-not-callable": (
@@ -1009,3 +1125,48 @@ def test_a_mutated_fixture_is_refused_by_its_path_or_writes_finite_cells(tmp_pat
         for column, cell in zip(header, row, strict=True):
             assert column == "upper_bound" or math.isfinite(float(cell)), (column, cell)
     assert (out / f"{csv.stem}.manifest.json").is_file()
+
+
+# a value for each top-level key some command reads, to add it where a fixture has none
+READ_VALUES = {
+    "side": -1,
+    "pairs": [[0.1, 0.7]],
+    **{k: v for f in sorted(FIXTURES.glob("*.json")) for k, v in json.loads(f.read_text()).items()},
+}
+# the added keys these fixtures' runs read
+READ_IF_ADDED = {
+    ("frac-deriv-local.json", "side"),
+    ("ito-cantor.json", "fn"),
+    ("variation-cantor.json", "phi"),
+}
+# the objects in a config that the config reader fills, beside the top level
+FILLED = ("partition", "grid", "reference", "thetas")
+
+
+def unread_or_null_variants():
+    """(fixture name, command, config) for each fixture with one key its run does not
+    read added, and with one key of the top level or of a filled object set to null."""
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        cfg = json.loads(fixture.read_text())
+        for key in sorted(READ_VALUES.keys() - cfg.keys() - cli._COMMON_KEYS.keys()):
+            if (fixture.name, key) not in READ_IF_ADDED:
+                yield fixture.name, cfg["command"], {**cfg, key: READ_VALUES[key]}
+        places = [(key,) for key in cfg] + [(k, key) for k in FILLED if k in cfg for key in cfg[k]]
+        for *parents, last in places:
+            nulled = copy.deepcopy(cfg)
+            (nulled[parents[0]] if parents else nulled)[last] = None
+            yield fixture.name, cfg["command"], nulled
+
+
+def test_a_fixture_given_a_key_its_run_does_not_read_or_a_null_is_refused_by_its_line(tmp_path):
+    # 286 refusals in about 0.1 s: each names the config path and the key's line
+    read = {k for _, defaults, required in cli._RUNNERS.values() for k in (*defaults, *required)}
+    assert read <= READ_VALUES.keys()
+    variants = list(unread_or_null_variants())
+    for i, (name, command, cfg) in enumerate(variants):
+        path, out = write_config(tmp_path, f"{i}-{name}", cfg), tmp_path / f"o{i}"
+        with pytest.raises(FracpathError) as refused:
+            cli._execute(command, path, out)
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(refused.value)), refused.value
+        assert not out.exists()
+    assert len(variants) > 200

@@ -124,6 +124,22 @@ def test_caputo_without_derivatives_matches_supplied(p):
     assert bare == pytest.approx(caputo(sin_affine(), FracOrder(p), 0.0, 1.3), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+def test_caputo_difference_near_a_is_centered_on_x(p):
+    # the step shrinks with x - a, so the difference stays centered on x
+    def square(t):
+        return t * t
+
+    for x in (1e-9, 1e-6, 5e-6, 1.00001e-5, 2e-5, 1e-3, 1.0, 3.0):
+        want = math.gamma(3.0) / math.gamma(3.0 - p) * x ** (2.0 - p)
+        assert caputo(square, FracOrder(p), 0.0, x) == pytest.approx(want, rel=1e-8, abs=0), x
+    assert caputo(square, FracOrder(p), 0.0, 1e-300) == 0.0  # the true value underflows
+    # x - a too small for any step x can resolve
+    for a, x in ((0.0, 5e-324), (0.0, 1e-320), (1.0, 1.0 + 2.0**-52)):
+        with pytest.raises(InvalidParameterError, match="difference step at x - a = .* positive"):
+            caputo(square, FracOrder(p), a, x)
+
+
 def _sum_fn(f, g):
     """f + g with the derivatives summed and both kink lists kept."""
     return SmoothFn(

@@ -776,7 +776,7 @@ def _run_config(out, invoked, **cfg):
 
 
 _CAPUTO_CFG = {"fn": {"name": "plus-power", "q": 3.2}, "p": 0.7, "xs": [0.5]}
-_ATOMS_CFG = {"fn": {"name": "abs-power", "q": 2.25}, "p": 2.25}
+_REMAINDER_CFG = {"fn": {"name": "abs-power", "q": 2.25}, "p": 2.25}
 _FBM_CFG = {"kind": "fbm", "hurst": 0.8, "n": 16, "seed": 9}
 _BADIC_CFG = {"kind": "badic", "levels": [2, 3]}
 
@@ -839,12 +839,8 @@ CHOICES = {
         ),
         InvalidConfigError, "kind", ("power-rule",),
     ),
-    "config-atoms-kind": (
-        lambda v, out: _run_config(out, "remainder", atoms={"kind": v, "n": 3}, **_ATOMS_CFG),
-        InvalidConfigError, "kind", ("cantor-bump",),
-    ),
     "config-remainder-method": (
-        lambda v, out: _run_config(out, "remainder", method=v, pairs=[[0.2, 0.7]], **_ATOMS_CFG),
+        lambda v, out: _run_config(out, "remainder", method=v, pairs=[[0.2, 0.7]], **_REMAINDER_CFG),
         InvalidConfigError, "method", ("taylor", "integral", "both"),
     ),
     "config-command": (
@@ -867,8 +863,10 @@ CHOICES = {
         InvalidPhiError, "kind", ("power", "log-modulated", "custom"),
     ),
 }
-# a required key at None or [] reads as missing, and is refused as that
-_REQUIRED_CHOICES = {"config-op", "config-reference-kind"}
+# a required key at None or [] reads as missing, and is refused as that; a null at a
+# key of an object the config reader fills is refused as a null
+_REQUIRED_CHOICES = {"config-op", "config-partition-kind", "config-reference-kind"}
+_FILLED_CHOICES = {"config-expect", "config-remainder-method", *_REQUIRED_CHOICES}
 
 
 def _wrong_values(site):
@@ -877,7 +875,7 @@ def _wrong_values(site):
     wrong = ["", 0, {}, True, 1.0] + [o.upper() for o in words] + [f"{o} " for o in words]
     if not site.startswith("config-"):  # an option of the wrong kind: == alone passes it
         wrong += [np.array(options[:1]), np.array((options * 2)[:2])]
-    return wrong + ([] if site in _REQUIRED_CHOICES else [None, []])
+    return wrong + [None] * (site not in _FILLED_CHOICES) + [[]] * (site not in _REQUIRED_CHOICES)
 
 
 CHOICE_CASES = [(site, value) for site in sorted(CHOICES) for value in _wrong_values(site)]
