@@ -195,7 +195,8 @@ def test_unknown_key_is_line_numbered(tmp_path, capsys):
 
 
 def test_readme_lists_every_command():
-    listed = re.search(r"Available commands: (.*?)\. Exit codes", (REPO / "README.md").read_text(), re.S)
+    readme = (REPO / "README.md").read_text()
+    listed = re.search(r"Available commands: (.*?)\. Exit codes", readme, re.S)
     assert re.findall(r"`([\w-]+)`", listed[1]) == [*cli._RUNNERS, "reproduce-all"]
 
 
@@ -382,7 +383,11 @@ BAD_CONFIGS = {
         "bad.json:8: op 'local' reads no 'a'",
     ),
     "fbm-path-with-grid": (
-        {"command": "generate-path", "path": {"kind": "fbm", "hurst": 0.4, "n": 64}, "grid": {"n": 3}},
+        {
+            "command": "generate-path",
+            "path": {"kind": "fbm", "hurst": 0.4, "n": 64},
+            "grid": {"n": 3},
+        },
         "bad.json:8: path kind 'fbm' reads no 'grid'",
     ),
     "cantor-crossing-with-path": (
@@ -432,7 +437,13 @@ BAD_CONFIGS = {
         "bad.json:19: unknown isometry key 'p'",
     ),
     "pairs-beside-thetas": (
-        {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 0.2]], "thetas": {"count": 4}},
+        {
+            "command": "remainder",
+            "fn": SIN,
+            "p": 2.5,
+            "pairs": [[0.1, 0.2]],
+            "thetas": {"count": 4},
+        },
         "bad.json:13: remainder with 'pairs' reads no 'thetas'",
     ),
     "cantor-sweep-no-ns": ({"command": "cantor-sweep", "p": 2.5}, "cantor-sweep needs 'ns'"),
@@ -446,7 +457,14 @@ BAD_CONFIGS = {
         "bad.json:8: frac-deriv key 'a' must not be null",
     ),
     "side-null": (
-        {"command": "frac-deriv", "op": "local", "fn": SIN, "alpha": 0.5, "side": None, "xs": [0.0]},
+        {
+            "command": "frac-deriv",
+            "op": "local",
+            "fn": SIN,
+            "alpha": 0.5,
+            "side": None,
+            "xs": [0.0],
+        },
         "bad.json:8: frac-deriv key 'side' must not be null",
     ),
     "tol-null": (
@@ -709,7 +727,12 @@ BAD_CONFIGS = {
         "bad.json:3: unknown bump-atoms key 'fn'; allowed: command, expect, label, n, p, tol",
     ),
     "remainder-takes-no-atoms": (
-        {"command": "remainder", "fn": {"name": "abs-power", "q": 2.25}, "p": 2.25, "atoms": {"n": 10}},
+        {
+            "command": "remainder",
+            "fn": {"name": "abs-power", "q": 2.25},
+            "p": 2.25,
+            "atoms": {"n": 10},
+        },
         "bad.json:8: unknown remainder key 'atoms'",
     ),
     # a config holds no callable, so a custom gauge is refused by name

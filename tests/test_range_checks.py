@@ -840,7 +840,9 @@ CHOICES = {
         InvalidConfigError, "kind", ("power-rule",),
     ),
     "config-remainder-method": (
-        lambda v, out: _run_config(out, "remainder", method=v, pairs=[[0.2, 0.7]], **_REMAINDER_CFG),
+        lambda v, out: _run_config(
+            out, "remainder", method=v, pairs=[[0.2, 0.7]], **_REMAINDER_CFG
+        ),
         InvalidConfigError, "method", ("taylor", "integral", "both"),
     ),
     "config-command": (
