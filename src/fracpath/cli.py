@@ -13,7 +13,8 @@ top level included, is read by ``_fill``, which refuses an unknown key or a null
 (a key left out takes its default) and fills in defaults; ``_require`` refuses a
 missing or empty key ("<owner> needs '<key>'") and, where the run decides what it
 reads, a key it does not read ("<owner> reads no '<key>'"). ``_execute`` parses
-``expect``, ``tol`` and ``label`` (a file name, never a path) and sets the
+``expect``, ``tol`` and ``label`` (a file name, never a path), refuses ``tol``
+and expect "converged" where ``_RUNNERS`` says no gap comes, and sets the
 verdict: "converged" iff gap <= tol, "unchecked" when the runner reports no
 gap or the config gives no tol, "not-converged" otherwise (a NaN gap
 included). Every config number passes ``errors.real`` and every option
@@ -412,29 +413,33 @@ def _run_bump_atoms(cfg: dict):
     return header, rows, abs(rep.kernel_from_atoms - rep.kernel_from_limit)
 
 
-# command -> (runner, optional top-level keys with their defaults, required top-level keys)
+# command -> (runner, optional top-level keys with their defaults, required top-level keys,
+# whether its run reports a gap: always, never, or as a predicate of the filled config says)
 _RUNNERS = {
-    "generate-path": (_run_generate_path, {"grid": None}, ("path",)),
-    "variation": (_run_variation, {"path": None, "phi": None, "p": None}, ("partition",)),
-    "ito-check": (_run_ito_check, {"path": None, "fn": None}, ("partition", "p")),
+    "generate-path": (_run_generate_path, {"grid": None}, ("path",), False),
+    "variation": (_run_variation, {"path": None, "phi": None, "p": None}, ("partition",), True),
+    "ito-check": (_run_ito_check, {"path": None, "fn": None}, ("partition", "p"), True),
     "frac-deriv": (
         _run_frac_deriv,
         dict.fromkeys(k for defaults, needs in _OPS.values() for k in (*defaults, needs)),
         ("op", "fn", "xs"),
+        lambda cfg: "reference" in cfg,
     ),
     "remainder": (
         _run_remainder,
         {"pairs": None, "thetas": None, "method": "taylor"},
         ("fn", "p"),
+        lambda cfg: cfg["method"] == "both",
     ),
     "isometry": (
         _run_isometry,
         {"path": None, "phi": {}, "holder_alpha": None},
         ("partition", "fn"),
+        True,
     ),
-    "cantor-sweep": (_run_cantor_sweep, {"rounding": "floor"}, ("p", "ns")),
-    "bump-decomposition": (_run_bump_decomposition, {}, ("p", "ns")),
-    "bump-atoms": (_run_bump_atoms, {}, ("p", "n")),
+    "cantor-sweep": (_run_cantor_sweep, {"rounding": "floor"}, ("p", "ns"), True),
+    "bump-decomposition": (_run_bump_decomposition, {}, ("p", "ns"), True),
+    "bump-atoms": (_run_bump_atoms, {}, ("p", "n"), True),
 }
 
 
@@ -454,10 +459,13 @@ def _execute(command: str | None, cfg_path: Path, out_dir: Path) -> tuple[int, d
         raise InvalidConfigError(
             f"{cfg_path}: config declares command {declared!r}, invoked as {command!r}"
         )
-    runner, defaults, required = _RUNNERS[command]
+    runner, defaults, required, gapped = _RUNNERS[command]
     try:
         cfg = _fill(cfg, command, {**_COMMON_KEYS, **defaults}, required, at=())
         expect = choice("'expect'", cfg["expect"], ("any", "converged"), error=InvalidConfigError)
+        gapped = gapped(cfg) if callable(gapped) else gapped
+        unread = () if gapped else ("tol",) + (("expect",) if expect == "converged" else ())
+        _require(cfg, (), command, unread)  # no gap to hold to a tol
         tol = _num(cfg, "tol", lo=0)
         _require(cfg, ("tol",) if expect == "converged" else (), "expect 'converged'")
         stem = cfg.get("label")

@@ -14,9 +14,10 @@ functionals of the whole path prefix (with vertical bumps and horizontal
 flat extensions of a piecewise-constant prefix). Every variant feeds its
 order-j directional terms D^j f(left)[dS^j] to the one Taylor engine,
 ``_taylor_terms``, and takes m from ``taylor_order``; the scalar,
-time-dependent and multi-component checks also split in one place,
-``_split``, one row of sums per row of increments: ``ito_check_blocks`` sums
-a chunk of stacked rows in one pass, and ``ito_check`` is its one-row case.
+time-dependent and multi-component checks also sum in one place, ``_leaf``,
+leaf by leaf along numpy's pairwise tree (``partitions.tree_sum``), and
+split at its top, ``_split``: ``ito_check_blocks`` sums a chunk of stacked
+rows in one pass, and ``ito_check`` is its one-row case.
 Every report also carries the p-th variation sum_i |dS_i|^p: its terms are
 the weights the kernel sum forms, so the one pass gives it too.
 """
@@ -38,7 +39,7 @@ from .errors import (
     entries,
     real,
 )
-from .partitions import Partition, block_sum, osc, partition_values
+from .partitions import Partition, block_sum, osc, partition_values, tree_sum
 from .paths import SampledPath
 from .smooth import SmoothFn
 
@@ -80,27 +81,27 @@ def _require_derivs(count: int, m: int, noun: str = "derivatives") -> None:
 # --------------------------------------------------------------------------- #
 
 
-def _taylor_terms(terms: Iterable[np.ndarray], gap: np.ndarray) -> tuple[float, np.ndarray]:
+def _taylor_terms(terms: Iterable[np.ndarray], gap: np.ndarray) -> tuple[list, np.ndarray]:
     """The one order-m Taylor loop behind every check.
 
     ``terms`` yields, for j = 1..m, the order-j directional derivative
     D^j f(left)[dS^j] per increment, not yet divided by j!, as a fresh
     array the loop may overwrite; ``gap`` starts as f(right) - f(left) and is
-    updated in place. Returns the compensated sums along the last axis (per
-    row, each bit for bit its row's ``np.sum``) and the Taylor gaps. Each
+    updated in place. Returns the order-j sums along the last axis, not yet
+    divided by j! (``_split`` does that), and the Taylor gaps. Each
     order is summed before it is divided by j! and leaves the gaps as term /
     j!, one order at a time; the reported numbers rest on that order. Each
     term is freed before the next one is drawn.
     """
-    comp, fact, j = 0.0, 1.0, 0
+    sums, fact, j = [], 1.0, 0
     for term in terms:  # no enumerate: its reused result tuple would keep the last term alive
         j += 1
         fact *= j
-        comp += np.add.reduce(term, axis=-1) / fact
+        sums.append(np.add.reduce(term, axis=-1))
         term /= fact
         gap -= term
         del term  # free it before the next derivative is evaluated
-    return comp, gap
+    return sums, gap
 
 
 def _power_terms(derivs: Sequence[Callable], inc: np.ndarray, *at: np.ndarray) -> Iterator:
@@ -246,8 +247,8 @@ class ItoReport:
 
 
 def _report(*terms, **time_parts) -> ItoReport:
-    """The ItoReport of ``terms``, each refused by name unless finite."""
-    report = ItoReport(*terms, **time_parts)
+    """The ItoReport of ``terms`` (numbers or 0-d arrays), each refused by name unless finite."""
+    report = ItoReport(*(np.asarray(x).item() for x in terms), **time_parts)
     for name, value in vars(report).items():
         if not math.isfinite(value):  # the message is formed only for a term to refuse
             where = f"on a partition of {report.n_increments} increments"
@@ -255,16 +256,25 @@ def _report(*terms, **time_parts) -> ItoReport:
     return report
 
 
-def _split(value_change, gap, terms, inc: np.ndarray, p: float, norm=None) -> tuple:
-    """Split ``value_change`` into the compensated sums of ``terms`` and the
-    kernel sums of the Taylor gaps left over, one per row of the 2-D ``gap``,
-    |dS| formed only then, as ``norm(inc)`` or as |inc| in inc's buffer:
-    (value change, compensated, kernel sum, increments, increments left out,
-    sum of |dS|^p), the ``ItoReport`` fields in order."""
-    comp, gap = _taylor_terms(terms, gap)
+def _leaf(gap, terms, inc: np.ndarray, p: float, norm=None) -> tuple:
+    """A leaf's sums (``partitions.tree_sum``) along the last axis: those of ``terms``
+    (``_taylor_terms``), then of ``_kernel_sum`` on the gaps left over, |dS| formed
+    only then, as ``norm(inc)`` or as |inc| in inc's buffer."""
+    sums, gap = _taylor_terms(terms, gap)
     size = np.abs(inc, out=inc) if norm is None else norm(inc)
-    kernel_sum, n_zero, variation = _kernel_sum(gap, size, p)
-    return value_change, comp, kernel_sum, np.full(len(gap), gap.shape[-1]), n_zero, variation
+    return (*sums, *_kernel_sum(gap, size, p))
+
+
+def _split(value_change, n, sums: tuple) -> tuple:
+    """Split ``value_change`` along rows of ``n`` increments by the tree sums of ``_leaf``,
+    the order-j sums divided by j! and added in order only now: (value change, compensated,
+    kernel sum, increments, increments left out, sum of |dS|^p), the ItoReport's fields."""
+    *orders, kernel_sum, n_zero, variation = sums
+    comp, fact = 0.0, 1.0
+    for j, total in enumerate(orders, 1):
+        fact *= j
+        comp += total / fact
+    return value_change, comp, kernel_sum, n, n_zero, variation
 
 
 def ito_check(
@@ -276,7 +286,8 @@ def ito_check(
 ) -> ItoReport:
     """Evaluate the order-m identity for f(S) along one partition.
 
-    f is evaluated once on the partition values and each derivative once on
+    f is evaluated once on the partition values, leaf by leaf (once more where
+    two leaves meet and at the row's two ends), and each derivative once on
     the left endpoints. The kernel sum goes through the normalized kernel G
     (divide by |dS|^p, multiply back), so the reported identity residual
     honestly measures the rounding accumulated over all increments instead
@@ -296,11 +307,13 @@ def ito_check_blocks(fn: SmoothFn, blocks, p: float) -> ItoReport:
     _require_derivs(len(fn.derivs), m)
 
     def rows(vals):
-        inc = np.diff(vals)
-        f_vals = fn.fn(vals)
-        lhs, gap = f_vals[:, -1] - f_vals[:, 0], np.diff(f_vals)
-        del f_vals
-        return _split(lhs, gap, _power_terms(fn.derivs[:m], inc, vals[:, :-1]), inc, p)
+        def leaf(lo, hi):
+            v = vals[:, lo : hi + 1]
+            inc, gap = np.diff(v), np.diff(fn.fn(v))
+            return _leaf(gap, _power_terms(fn.derivs[:m], inc, v[:, :-1]), inc, p)
+
+        n, ends = vals.shape[1] - 1, fn.fn(vals[:, [0, -1]])
+        return _split(ends[:, 1] - ends[:, 0], np.full(len(vals), n), tree_sum(n, leaf))
 
     return _report(*block_sum(blocks, rows))
 
@@ -340,25 +353,27 @@ def ito_check_time(
     m = taylor_order(p)
     _require_derivs(len(bundle.dx), m, "space derivatives")
     times, vals = partition_values(path, partition, t)
-    t_l, t_r = times[:-1], times[1:]
-    s_l, s_r = vals[:-1], vals[1:]
-    inc = s_r - s_l
-    f_knots = bundle.fn(times, vals)
-    f_cross = bundle.fn(t_l, s_r)
 
-    # time part: exact differences, frozen at the right-endpoint value
-    time_exact = float(np.sum(f_knots[1:] - f_cross))
-    half = 0.5 * (t_r - t_l)
-    mid = 0.5 * (t_r + t_l)
-    time_gl = 0.0
-    for node, weight in zip(*gauss_legendre(4)):
-        time_gl += float(np.sum(weight * half * bundle.dt(mid + node * half, s_r)))
+    def leaf(lo, hi):
+        ts, ss = times[lo : hi + 1], vals[lo : hi + 1]
+        t_l, t_r, s_l, s_r = ts[:-1], ts[1:], ss[:-1], ss[1:]
+        inc, f_knots, f_cross = s_r - s_l, bundle.fn(ts, ss), bundle.fn(t_l, s_r)
+        # time part: exact differences, frozen at the right-endpoint value, and by Gauss nodes
+        half, mid = 0.5 * (t_r - t_l), 0.5 * (t_r + t_l)
+        time_sums = [np.add.reduce(f_knots[1:] - f_cross)]
+        for node, weight in zip(*gauss_legendre(4)):
+            time_sums.append(np.add.reduce(weight * half * bundle.dt(mid + node * half, s_r)))
+        # space part at the left-endpoint time
+        terms = _power_terms(bundle.dx[:m], inc, t_l, s_l)
+        return (np.array(time_sums), *_leaf(f_cross - f_knots[:-1], terms, inc, p))
 
-    # space part at the left-endpoint time, as one row
-    terms = _power_terms(bundle.dx[:m], inc, t_l, s_l)
-    row = _split(f_knots[-1] - f_knots[0], (f_cross - f_knots[:-1])[None], terms, inc[None], p)
+    time_sums, *sums = tree_sum(times.size - 1, leaf)
+    time_exact, time_gl = float(time_sums[0]), 0.0
+    for total in time_sums[1:]:
+        time_gl += float(total)
+    ends = bundle.fn(times[[0, -1]], vals[[0, -1]])
     time_parts = {"time_integral": time_exact, "time_quadrature_gap": abs(time_exact - time_gl)}
-    return _report(*(np.asarray(x).item() for x in row), **time_parts)
+    return _report(*_split(ends[1] - ends[0], times.size - 1, sums), **time_parts)
 
 
 @dataclass(frozen=True)
@@ -389,18 +404,19 @@ def ito_check_multi(
     same = np.array([np.array_equal(g, grids[0]) for g in grids])
     entries("the times of paths", grids, same, "equal those of paths[0]")
     vals = np.stack([partition_values(q, partition, t)[1] for q in paths], axis=1)  # (N+1, d)
-    left = vals[:-1]
-    inc = np.diff(vals, axis=0)  # (N, d)
     lhs = float(bundle.fn(vals[-1:]).item() - bundle.fn(vals[:1]).item())
 
-    def terms():  # gradient, then Hessian contraction along each increment
+    def terms(left, inc):  # gradient, then Hessian contraction along each increment
         yield np.einsum("nd,nd->n", bundle.grad(left), inc)
         if m == 2:
             yield np.einsum("nd,nde,ne->n", inc, bundle.hess(left), inc)
 
-    gap = (bundle.fn(vals[1:]) - bundle.fn(left))[None]
-    row = _split(lhs, gap, terms(), inc, p, lambda d: np.sqrt(np.einsum("nd,nd->n", d, d))[None])
-    return _report(*(np.asarray(x).item() for x in row))
+    def leaf(lo, hi):
+        left, inc = vals[lo:hi], np.diff(vals[lo : hi + 1], axis=0)  # (n, d)
+        gap = bundle.fn(vals[lo + 1 : hi + 1]) - bundle.fn(left)
+        return _leaf(gap, terms(left, inc), inc, p, lambda d: np.sqrt(np.einsum("nd,nd->n", d, d)))
+
+    return _report(*_split(lhs, len(vals) - 1, tree_sum(len(vals) - 1, leaf)))
 
 
 # --------------------------------------------------------------------------- #
@@ -528,10 +544,10 @@ def ito_check_functional(
         np.array([_vertical(bundle, j, pre, fd_step) for pre in extended]) * ds**j
         for j in range(1, m + 1)
     )
-    comp, gap = _taylor_terms(terms, f_knots[1:] - f_ext)
+    sums, gap = _taylor_terms(terms, f_knots[1:] - f_ext)
     lhs, horizontal = float(f_knots[-1] - f_knots[0]), float(np.sum(f_ext - f_knots[:-1]))
-    variation = float(phi_sums(fam.values, p))
-    return _report(lhs, float(comp), float(np.sum(gap)), n, 0, variation, time_integral=horizontal)
+    row = _split(lhs, n, (*sums, np.sum(gap), 0, phi_sums(fam.values, p)))
+    return _report(*row, time_integral=horizontal)
 
 
 # --------------------------------------------------------------------------- #

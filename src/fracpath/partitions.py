@@ -19,6 +19,7 @@ from .errors import choice, entries, real, time_grid
 from .paths import LN2_OVER_LN3, MAX_KNOTS, TERNARY_UNDERFLOW, SampledPath
 
 _CHUNK = 1 << 18  # values of the Cantor level rows formed and summed together
+_LEAF = 1 << 14  # increments of a long row summed together; at least 128, numpy's unrolled block
 
 __all__ = [
     "Partition",
@@ -27,6 +28,7 @@ __all__ = [
     "CantorBlocks",
     "cantor_blocks",
     "block_sum",
+    "tree_sum",
     "weighted_total",
     "MAX_KNOTS",
     "osc",
@@ -210,6 +212,17 @@ def block_sum(blocks, term) -> tuple:
     rows = [r for w, v in blocks for r in zip(w, *(np.asarray(c).tolist() for c in term(v)))]
     weights, *columns = zip(*rows)
     return tuple(weighted_total(zip(weights, column)) for column in columns)
+
+
+def tree_sum(n: int, leaf, lo: int = 0) -> tuple:
+    """Sums along rows of ``n`` increments from increment ``lo`` on, in O(_LEAF) memory:
+    ``leaf(lo, hi)`` gives a tuple of sums over increments lo..hi-1 (values lo..hi) of a
+    row split where numpy's pairwise sum splits one past ``_LEAF``, at n2 = n // 2 - (n // 2)
+    % 8, and the halves' tuples are added entry by entry: bit for bit the whole row's sums."""
+    if n <= _LEAF:
+        return leaf(lo, lo + n)
+    half = n // 2 - (n // 2) % 8
+    return tuple(map(operator.add, tree_sum(half, leaf, lo), tree_sum(n - half, leaf, lo + half)))
 
 
 # --------------------------------------------------------------------------- #

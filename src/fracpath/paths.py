@@ -68,8 +68,11 @@ class SampledPath:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        times = time_grid("times", self.times)
-        values = np.ascontiguousarray(self.values, dtype=float)
+        self._hold(time_grid("times", self.times), self.values)
+
+    def _hold(self, times: np.ndarray, values) -> None:
+        """Keep ``times``, a checked time grid, and ``values`` once they fit it."""
+        values = np.ascontiguousarray(values, dtype=float)
         if values.shape != times.shape:
             raise InvalidParameterError(f"values must have shape {times.shape}, got {values.shape}")
         entries("values", values, np.isfinite(values), "be finite")
@@ -413,4 +416,6 @@ def sample(path: AnalyticPath, grid: np.ndarray) -> SampledPath:
     grid = time_grid("grid", grid)
     real(f"the grid's end within the path horizon {path.horizon!r}", grid[-1], lo=0,
          hi=path.horizon + 1e-15, open=False)
-    return SampledPath(grid, path(grid))
+    sampled = object.__new__(SampledPath)  # the grid is checked: only the values are
+    sampled._hold(grid, path(grid))
+    return sampled

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidPhiError, entries, real
-from .partitions import Partition, partition_values
+from .partitions import Partition, partition_values, tree_sum
 from .paths import SampledPath
 
 __all__ = [
@@ -26,20 +26,23 @@ __all__ = [
 
 
 def phi_sums(values: np.ndarray, phi: Callable[[np.ndarray], np.ndarray] | float) -> np.ndarray:
-    """sum of phi(|increment|) along the last axis of ``values``, per row of
-    path values (``partitions.block_sum``) bit for bit the row's sum alone;
-    ``phi`` is a gauge, or the exponent p of |increment|**p, refused by name
-    where the power overflows."""
-    with np.errstate(over="ignore"):
-        size = np.abs(np.diff(values))
-        out = phi(size) if callable(phi) else size**phi
-    ok = np.isfinite(out)
-    if callable(phi):
-        ok &= out >= 0.0
-        entries("phi(|dS|)", out, ok, "be finite and nonnegative", error=InvalidPhiError)
-    else:
+    """sum of phi(|increment|) along the last axis of ``values`` by ``partitions.tree_sum``,
+    per row of path values (``partitions.block_sum``) bit for bit the row's sum alone; ``phi``
+    is a gauge, or the exponent p of |increment|**p, refused by name where the power overflows."""
+
+    def leaf(lo, hi, whole=False):
+        with np.errstate(over="ignore"):
+            size = np.abs(np.diff(values if whole else values[..., lo : hi + 1]))
+            out = phi(size) if callable(phi) else size**phi
+        ok = np.isfinite(out) & (out >= 0.0 if callable(phi) else True)
+        if not (whole or ok.all()):  # a refusal names its index in the whole row
+            return leaf(lo, hi, whole=True)
+        if callable(phi):
+            entries("phi(|dS|)", out, ok, "be finite and nonnegative", error=InvalidPhiError)
         entries("|dS|", size, ok, f"keep |dS|^{phi!r} finite")
-    return np.add.reduce(out, axis=-1)
+        return (np.add.reduce(out, axis=-1),)
+
+    return tree_sum(values.shape[-1] - 1, leaf)[0]
 
 
 def phi_variation_partial(

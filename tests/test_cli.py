@@ -873,6 +873,36 @@ BAD_CONFIGS = {
         },
         "both phi-sums are 0 at p_phi = 300 on the stage of 256 increments",
     ),
+    # a run that reports no gap has nothing to hold to a tol
+    "generate-path-converged": (
+        {
+            "command": "generate-path",
+            "path": {"kind": "fbm", "hurst": 0.4, "n": 64},
+            "expect": "converged",
+            "tol": 1e-12,
+        },
+        "generate-path reads no 'tol'",
+    ),
+    "frac-deriv-tol-without-reference": (
+        {"command": "frac-deriv", "op": "rl", "fn": SIN, "alpha": 0.5, "xs": [0.5], "tol": 1e-3},
+        "frac-deriv reads no 'tol'",
+    ),
+    "remainder-taylor-converged": (
+        {
+            "command": "remainder",
+            "fn": SIN,
+            "p": 2.5,
+            "thetas": {"count": 4},
+            "expect": "converged",
+            "tol": 1e-3,
+        },
+        "remainder reads no 'tol'",
+    ),
+    "remainder-integral-converged-without-tol": (
+        {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 0.2]], "method": "integral",
+         "expect": "converged"},
+        "remainder reads no 'expect'",
+    ),
 }
 
 
@@ -1183,7 +1213,7 @@ def unread_or_null_variants():
 
 def test_a_fixture_given_a_key_its_run_does_not_read_or_a_null_is_refused_by_its_line(tmp_path):
     # 286 refusals in about 0.1 s: each names the config path and the key's line
-    read = {k for _, defaults, required in cli._RUNNERS.values() for k in (*defaults, *required)}
+    read = {k for _, defaults, required, _ in cli._RUNNERS.values() for k in (*defaults, *required)}
     assert read <= READ_VALUES.keys()
     variants = list(unread_or_null_variants())
     for i, (name, command, cfg) in enumerate(variants):

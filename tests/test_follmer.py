@@ -35,13 +35,21 @@ from fracpath.follmer import (
     taylor_remainder,
     young_bound_check,
 )
+from fracpath import partitions
 from fracpath.smooth import SmoothFn
 from fracpath.partitions import Partition, badic, osc, value_grid_partition
 from fracpath.paths import GaussianPathSpec, SampledPath, cantor_bump_knots, fbm_path
 from fracpath.registry import abs_power, moving_abs_power, polynomial, product_bundle, sin_affine
-from fracpath.variation import pth_variation_partial
+from fracpath.variation import phi_variation_partial, pth_variation_partial
 
 P = 2.5
+
+
+def cumsum_path(n: int, seed: int) -> SampledPath:
+    """A random walk of ``n`` normal steps of size 1/sqrt(n) on [0, 1]."""
+    steps = np.random.default_rng(seed).standard_normal(n) / math.sqrt(n)
+    return SampledPath(np.linspace(0.0, 1.0, n + 1), np.concatenate([[0.0], np.cumsum(steps)]))
+
 
 # --------------------------------------------------------------------------- #
 # compensated sum and the stage identity
@@ -510,20 +518,22 @@ def test_checks_refuse_a_term_that_is_not_finite():
 
 
 def test_ito_check_on_the_path_grid_transient_memory_is_bounded():
-    # sin at p = 2.5 on the 2**18 knots of the path itself: 40 bytes per
-    # increment (64 with the values copied by the lookup and |dS| held
-    # through the Taylor loop)
-    n = 2**18
-    path = fbm_path(GaussianPathSpec(hurst=0.4, n=n, seed=7))
+    # sin at p = 2.5 on a 2**20-increment walk's own grid, read with no copy and
+    # summed in leaves of partitions._LEAF increments: each check peaks near 1 MiB
+    # (40 and 17 MiB, 40 and 17 bytes per increment, while a row was summed whole)
+    path = cumsum_path(2**20, 11)
     part = Partition(path.times)
-    tracemalloc.start()
-    try:
-        rep = ito_check(sin_affine(), path, part, 2.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.n_increments == n
-    assert peak <= 48 * n, f"{peak / n:.1f} bytes per increment"
+    for check in (
+        lambda: ito_check(sin_affine(), path, part, 2.5),
+        lambda: pth_variation_partial(path, part, 2.5),
+    ):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_sin_affine_holds_one_buffer_per_call():
@@ -696,3 +706,97 @@ def test_young_bound_validation(fbm04):
     message = "the product sum on a partition of 64 increments must be finite, got inf"
     with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
         young_bound_check([big], [P], grid)
+
+
+# --------------------------------------------------------------------------- #
+# long rows summed in leaves
+# --------------------------------------------------------------------------- #
+
+ODD = 3 * 2**14 + 5  # increments of a row of odd length past a leaf
+TIMED = TimeFunctionBundle(
+    fn=lambda t, x: np.sin(x) * (1.0 + t),
+    dt=lambda t, x: np.sin(x),
+    dx=(lambda t, x: np.cos(x) * (1.0 + t), lambda t, x: -np.sin(x) * (1.0 + t)),
+)
+
+
+def leaf_rows():
+    """(name, path, partition, stop time): b-adic fBm rows past a leaf, a row of odd
+    length, value-grid rows in both modes (grid mode holds zero increments), a stop time."""
+    fbm = {n: fbm_path(GaussianPathSpec(hurst=0.4, n=n, seed=5)) for n in (2**15, 2**18)}
+    odd = cumsum_path(ODD, 3)
+    yield "badic 2**15", fbm[2**15], Partition(fbm[2**15].times), None
+    yield "badic 2**18", fbm[2**18], Partition(fbm[2**18].times), None
+    yield "badic 2**17 of 2**18", fbm[2**18], badic(1.0, 17), None
+    yield "odd", odd, Partition(odd.times), None
+    yield "odd stopped", odd, Partition(odd.times), 0.6
+    for mode in ("increment", "grid"):
+        yield f"value-grid {mode}", fbm[2**15], value_grid_partition(fbm[2**15], 5e-3, mode), None
+    yield "value-grid stopped", fbm[2**15], value_grid_partition(fbm[2**15], 5e-3, "grid"), 0.45
+
+
+def leaf_checks(path, part, t):
+    """Every check that reduces a row, as hex strings of its fields."""
+    second = SampledPath(path.times, np.cos(3.0 * path.values))
+    reports = {
+        "sin": ito_check(sin_affine(), path, part, P, t),
+        "abs 2.5 at 0.1": ito_check(abs_power(P, 0.1), path, part, P, t),
+        "abs 1.5": ito_check(abs_power(1.5), path, part, 1.5, t),
+        "time": ito_check_time(TIMED, path, part, P, t),
+        "multi": ito_check_multi(product_bundle(), [path, second], part, P, t),
+    }
+    sums = {
+        "pth": pth_variation_partial(path, part, P, t),
+        "phi": phi_variation_partial(path, part, lambda x: x * x * (1.0 + np.log1p(x)), t),
+    }
+    fields = {
+        name: {k: v.hex() if isinstance(v, float) else v for k, v in vars(rep).items()}
+        for name, rep in reports.items()
+    }
+    return fields | {name: total.hex() for name, total in sums.items()}
+
+
+@pytest.mark.parametrize("row", list(leaf_rows()), ids=lambda row: row[0])
+def test_a_long_row_gives_the_fields_of_one_whole_row_leaf(monkeypatch, row):
+    # one leaf of the whole row, as before rows were split, and leaves of the
+    # default size give every field bit for bit
+    _, path, part, t = row
+    assert part.n_intervals > partitions._LEAF
+    in_leaves = leaf_checks(path, part, t)
+    monkeypatch.setattr(partitions, "_LEAF", 2 * part.n_intervals)
+    assert in_leaves == leaf_checks(path, part, t)
+    assert in_leaves["sin"]["variation"] == in_leaves["pth"]
+    if row[0] == "value-grid grid":  # a level crossed back and forth: zero increments
+        assert in_leaves["sin"]["n_zero_increments"] > 0
+
+
+def test_a_refusal_in_a_later_leaf_names_its_index_in_the_whole_row(monkeypatch):
+    # a jump of 1e200 at increment 40000, in the third leaf: |dS|^2.5 overflows
+    path = cumsum_path(ODD, 4)
+    values = path.values.copy()
+    values[40_001:] += 1e200
+    path, part = SampledPath(path.times, values), Partition(path.times)
+    checks = {
+        "pth": lambda: pth_variation_partial(path, part, P),
+        "phi": lambda: phi_variation_partial(path, part, lambda x: np.where(x > 1e100, -x, x)),
+        "ito": lambda: ito_check(abs_power(P), path, part, P),
+    }
+
+    def refusals():
+        found = {}
+        for name, check in checks.items():
+            with pytest.raises(Exception) as refused:
+                check()
+            found[name] = f"{type(refused.value).__name__}: {refused.value}"
+        return found
+
+    in_leaves = refusals()
+    assert in_leaves["pth"] == (
+        "InvalidParameterError: |dS| at index 40000 must keep |dS|^2.5 finite, got 1e+200"
+    )
+    assert in_leaves["phi"] == (
+        "InvalidPhiError: phi(|dS|) at index 40000 must be finite and nonnegative, got -1e+200"
+    )
+    monkeypatch.setattr(partitions, "_LEAF", 2 * ODD)
+    assert refusals() == in_leaves
+

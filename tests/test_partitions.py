@@ -6,9 +6,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracpath import partitions
 from fracpath.errors import InvalidParameterError
-from fracpath.partitions import Partition, badic, cantor_blocks, osc, value_grid_partition
+from fracpath.partitions import (
+    Partition,
+    badic,
+    cantor_blocks,
+    osc,
+    tree_sum,
+    value_grid_partition,
+)
 from fracpath.paths import SampledPath
 
 
@@ -167,3 +177,39 @@ def test_cantor_value_grid_increment_magnitudes(cantor8):
     gaps = np.min(np.abs(np.unique(inc)[:, None] - rungs[None, :]), axis=1)
     assert np.max(gaps) < 1e-15
     assert part.times[0] == 0.0 and part.times[-1] == 1.0
+
+
+# --------------------------------------------------------------------------- #
+# the leaf tree of long rows
+# --------------------------------------------------------------------------- #
+
+# tree_sum rests on numpy's pairwise summation (split a row past 128 values at
+# n // 2 - (n // 2) % 8), as the CSV hashes in fixtures/expected/sha256.json do,
+# which record the numpy version beside them: a numpy that sums otherwise fails here
+
+
+def leaf_tree_total(rows: np.ndarray, leaf: int) -> np.ndarray:
+    """tree_sum's per-row sums of ``rows`` with leaves of at most ``leaf`` increments."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_LEAF", leaf)
+        (total,) = tree_sum(rows.shape[-1], lambda lo, hi: (np.add.reduce(rows[..., lo:hi], -1),))
+    return total
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(1, 40_000), st.integers(128, 1024), st.integers(0, 2**32 - 1))
+def test_a_leaf_tree_sum_is_bit_for_bit_numpy_pairwise_sum(n_rows, n, leaf, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_rows, n)) * np.exp(rng.uniform(-30.0, 30.0, (n_rows, n)))
+    total, whole = leaf_tree_total(rows, leaf), np.add.reduce(rows, axis=-1)
+    assert [x.hex() for x in total.tolist()] == [x.hex() for x in whole.tolist()]
+    total, whole = leaf_tree_total(rows[0], leaf), np.add.reduce(rows[0])
+    assert total.hex() == whole.hex()
+
+
+@pytest.mark.parametrize("n", [777_777, 1_000_003, 2**20])
+def test_a_long_row_splits_where_numpy_splits_it(n):
+    rng = np.random.default_rng(n)
+    row = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+    for leaf in (1024, partitions._LEAF):
+        assert leaf_tree_total(row, leaf).hex() == np.add.reduce(row).hex()

@@ -89,6 +89,22 @@ def test_analytic_custom_and_sample():
     assert sp.horizon == 2.0
 
 
+def test_sample_checks_its_grid_once_and_its_values(monkeypatch):
+    # the grid is checked as "grid" before the path is evaluated on it, and the
+    # SampledPath it builds does not check it again; the values still are
+    checked = []
+    time_grid = paths_module.time_grid
+    monkeypatch.setattr(
+        paths_module, "time_grid", lambda name, t: checked.append(name) or time_grid(name, t)
+    )
+    sp = sample(AnalyticPath(horizon=1.0, fn=lambda t: 2.0 * t), [0.0, 0.5, 1.0])
+    assert checked == ["grid"]
+    assert sp.times.tolist() == [0.0, 0.5, 1.0] and sp.values.tolist() == [0.0, 1.0, 2.0]
+    assert sp == SampledPath(sp.times, sp.values)
+    with pytest.raises(InvalidParameterError, match=r"^values at index 1 must be finite, got inf$"):
+        sample(AnalyticPath(1.0, lambda t: np.where(t == 0.5, np.inf, t)), [0.0, 0.5, 1.0])
+
+
 # --------------------------------------------------------------------------- #
 # Cantor constructions
 # --------------------------------------------------------------------------- #
