@@ -286,9 +286,8 @@ def ito_check(
 ) -> ItoReport:
     """Evaluate the order-m identity for f(S) along one partition.
 
-    f is evaluated once on the partition values, leaf by leaf (once more where
-    two leaves meet and at the row's two ends), and each derivative once on
-    the left endpoints. The kernel sum goes through the normalized kernel G
+    f is evaluated once on the partition values, leaf by leaf (twice where two
+    leaves meet), and each derivative once on the left endpoints. The kernel sum goes through the normalized kernel G
     (divide by |dS|^p, multiply back), so the reported identity residual
     honestly measures the rounding accumulated over all increments instead
     of being zero by algebra; see ``_kernel_sum``. The one-row case of
@@ -307,13 +306,18 @@ def ito_check_blocks(fn: SmoothFn, blocks, p: float) -> ItoReport:
     _require_derivs(len(fn.derivs), m)
 
     def rows(vals):
+        n, f_at = vals.shape[1] - 1, {}  # f at the leaves' end values, by index
+
         def leaf(lo, hi):
             v = vals[:, lo : hi + 1]
-            inc, gap = np.diff(v), np.diff(fn.fn(v))
+            inc, f_vals = np.diff(v), fn.fn(v)
+            f_at[lo], f_at[hi] = f_vals[:, 0].copy(), f_vals[:, -1].copy()
+            gap = np.diff(f_vals)
+            del f_vals
             return _leaf(gap, _power_terms(fn.derivs[:m], inc, v[:, :-1]), inc, p)
 
-        n, ends = vals.shape[1] - 1, fn.fn(vals[:, [0, -1]])
-        return _split(ends[:, 1] - ends[:, 0], np.full(len(vals), n), tree_sum(n, leaf))
+        sums = tree_sum(n, leaf)
+        return _split(f_at[n] - f_at[0], np.full(len(vals), n), sums)
 
     return _report(*block_sum(blocks, rows))
 
