@@ -10,11 +10,12 @@ top-level keys it allows, with their defaults, and requires, declared in
 ``_RUNNERS``. A runner imports the library modules it calls in its own body,
 so a process loads only what its subcommand runs. Every config object, the
 top level included, is read by ``_fill``, which refuses an unknown key or a null
-(a key left out takes its default) and fills in defaults; ``_require`` refuses a
-missing or empty key ("<owner> needs '<key>'") and, where the run decides what it
-reads, a key it does not read ("<owner> reads no '<key>'"). ``_execute`` parses
-``expect``, ``tol`` and ``label`` (a file name, never a path), refuses ``tol``
-and expect "converged" where ``_RUNNERS`` says no gap comes, and sets the
+(a key left out takes its default) and fills in defaults, except the registry objects
+(``path``, ``fn``, ``phi``): their constructors refuse a null, by its line (``_made``).
+``_require`` refuses a missing or empty key ("<owner> needs '<key>'") and, where the
+run decides what it reads, a key it does not read ("<owner> reads no '<key>'").
+``_execute`` parses ``expect``, ``tol`` and ``label`` (a file name, never a path),
+refuses ``tol`` and expect "converged" where ``_RUNNERS`` says no gap comes, and sets the
 verdict: "converged" iff gap <= tol, "unchecked" when the runner reports no
 gap or the config gives no tol, "not-converged" otherwise (a NaN gap
 included). Every config number passes ``errors.real`` and every option
@@ -121,6 +122,19 @@ def _fill(obj, name: str, defaults: dict, required: tuple = (), at=None) -> dict
     return {**{k: v for k, v in defaults.items() if v is not None}, **obj}
 
 
+def _made(make, cfg: dict, key: str):
+    """``make(cfg[key])``, a registry object. A constructor's refusal names the argument first
+    ("seed must be an integer, got None"): one that names a null gets its key path."""
+    obj = cfg[key]
+    try:
+        return make(obj)
+    except FracpathError as exc:
+        named = re.findall(r"\w+", str(exc).partition(" must ")[0])
+        nulls = [k for k in named if isinstance(obj, dict) and k in obj and obj[k] is None]
+        exc.key = (key, nulls[0]) if nulls else None
+        raise
+
+
 def _number(value, key: str, kind=float, **rules):
     """``value`` as a ``kind``, checked by ``errors.real`` under ``rules`` and named
     by its config ``key``; an int at a float key is cast, so a CSV prints a float."""
@@ -167,7 +181,7 @@ def _as_sampled(cfg: dict, level, keys=()) -> SampledPath:
     read only then. A sampled one reads no key at key path ``keys``, which sets that level."""
     from .registry import make_path
 
-    obj = make_path(cfg["path"])
+    obj = _made(make_path, cfg, "path")
     if isinstance(obj, AnalyticPath):
         return sample(obj, badic(obj.horizon, *level()).times)
     at, key = keys[:-1], keys[-1:]
@@ -230,7 +244,7 @@ def _run_variation(cfg: dict):
     from .registry import make_phi
     from .variation import phi_sums
 
-    phi = make_phi(cfg["phi"]) if "phi" in cfg else None
+    phi = _made(make_phi, cfg, "phi") if "phi" in cfg else None
     _require(cfg, ("p",) if phi is None else (), "variation")  # a gauge reads p on Cantor stages
     p = _num(cfg, "p")
 
@@ -253,7 +267,7 @@ def _run_ito_check(cfg: dict):
     from .registry import abs_power, make_fn
 
     p = _num(cfg, "p")
-    fn = make_fn(cfg["fn"]) if "fn" in cfg else abs_power(p)
+    fn = _made(make_fn, cfg, "fn") if "fn" in cfg else abs_power(p)
     header = [
         "stage",
         "n_increments",
@@ -290,7 +304,7 @@ def _run_frac_deriv(cfg: dict):
     others = [k for d, n in _OPS.values() for k in (*d, n) if k not in (*defaults, needs)]
     _require(cfg, (needs,), f"op {op!r}", others)
     cfg = {**defaults, **cfg}
-    fn, xs, a = make_fn(cfg["fn"]), _nums(cfg, "xs"), _num(cfg, "a")
+    fn, xs, a = _made(make_fn, cfg, "fn"), _nums(cfg, "xs"), _num(cfg, "a")
     if op == "caputo":
         order = FracOrder(_num(cfg, "p"))
         values = [caputo(fn, order, a, x) for x in xs]
@@ -318,7 +332,7 @@ def _run_remainder(cfg: dict):
     from .follmer import circle_points, remainder_kernel
     from .registry import make_fn
 
-    fn = make_fn(cfg["fn"])
+    fn = _made(make_fn, cfg, "fn")
     p = _num(cfg, "p")
     methods = ("taylor", "integral", "both")
     method = choice("'method'", cfg["method"], methods, error=InvalidConfigError)
@@ -354,8 +368,8 @@ def _run_isometry(cfg: dict):
     from .isometry import holder_exponent, isometry_check
     from .registry import make_fn, make_phi
 
-    phi = make_phi(cfg["phi"])
-    fn = make_fn(cfg["fn"])
+    phi = _made(make_phi, cfg, "phi")
+    fn = _made(make_fn, cfg, "fn")
     # every stage on one path, so no cantor-crossing stages: each builds its own
     stages = list(_iter_stages(cfg, ("badic", "value-grid")))
     path = stages[-1][1][0]
@@ -453,14 +467,14 @@ def _execute(command: str | None, cfg_path: Path, out_dir: Path) -> tuple[int, d
     None; returns (exit_code, manifest_fragment)."""
     cfg, raw = _load_config(cfg_path)
     declared = cfg.get("command")
-    if command is None:
-        command = choice(f"{cfg_path}: 'command'", declared, _RUNNERS, error=InvalidConfigError)
-    elif declared is not None and declared != command:
+    if command is not None and declared is not None and declared != command:
         raise InvalidConfigError(
             f"{cfg_path}: config declares command {declared!r}, invoked as {command!r}"
         )
-    runner, defaults, required, gapped = _RUNNERS[command]
     try:
+        if command is None:
+            command = choice("'command'", declared, _RUNNERS, error=InvalidConfigError)
+        runner, defaults, required, gapped = _RUNNERS[command]
         cfg = _fill(cfg, command, {**_COMMON_KEYS, **defaults}, required, at=())
         expect = choice("'expect'", cfg["expect"], ("any", "converged"), error=InvalidConfigError)
         gapped = gapped(cfg) if callable(gapped) else gapped
@@ -477,7 +491,8 @@ def _execute(command: str | None, cfg_path: Path, out_dir: Path) -> tuple[int, d
         header, rows, gap = runner(cfg)
         wall = time.perf_counter() - started
     except FracpathError as exc:
-        raise type(exc)(f"{_locate(cfg_path, raw, getattr(exc, 'key', None))}: {exc}") from None
+        at = ("command",) if command is None else getattr(exc, "key", None)  # the command refused
+        raise type(exc)(f"{_locate(cfg_path, raw, at)}: {exc}") from None
     if gap is None or tol is None:
         verdict = "unchecked"
     else:

@@ -11,14 +11,15 @@ Three analytic families are provided:
 
 Gaussian paths (fractional Brownian motion) are sampled for every n by
 real-FFT circulant embedding (Davies-Harte), whose square-root spectrum is
-computed once per (n, hurst) and reused for every seed.
+computed once per (n, hurst) and reused for every seed while it stays in a
+least-recently-used cache of ``SPECTRUM_BUDGET`` values.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -50,6 +51,9 @@ MAX_KNOTS = 2**25
 # 3.0 ** -679 == 0.0: from this level on a removed interval has no float64
 # length, so no stage this deep has a level-n block of distinct times
 TERNARY_UNDERFLOW = 679
+
+# the most float64 values (32 MiB) the fBm spectrum cache keeps, unless its newest spectrum is more
+SPECTRUM_BUDGET = 2**22
 
 
 # --------------------------------------------------------------------------- #
@@ -352,12 +356,23 @@ def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
     return 0.5 * (pw[1:] - 2.0 * pw[:-1] + np.concatenate([pw[1:2], pw[:-2]]))
 
 
-@functools.lru_cache(maxsize=2)
+_SPECTRA: dict[tuple[int, float], np.ndarray] = {}  # least recently used first
+_SPECTRA_LOCK = threading.Lock()
+
+
 def _circulant_sqrt_spectrum(n: int, hurst: float) -> np.ndarray:
     """Square roots of the n + 1 distinct eigenvalues of the 2n circulant that
-    embeds the fGn covariance (Davies-Harte), read-only and cached per
-    (n, hurst); a failed nonnegative-definiteness check is not cached and
-    raises on every call."""
+    embeds the fGn covariance (Davies-Harte), read-only. Cached per (n, hurst)
+    under one lock, so threads share it: a hit returns the same array, and an
+    insert evicts the least recently used spectra until at most
+    ``SPECTRUM_BUDGET`` values are kept, the newest always (two threads that
+    miss one key at once both compute it, with the same bits). A failed
+    nonnegative-definiteness check is not cached and raises on every call."""
+    key = (n, hurst)
+    with _SPECTRA_LOCK:
+        if key in _SPECTRA:
+            _SPECTRA[key] = root = _SPECTRA.pop(key)
+            return root
     g = _fgn_autocov(n, hurst)
     row = np.concatenate([g, g[-2:0:-1]])  # length 2n, symmetric
     lam = np.fft.rfft(row).real
@@ -367,6 +382,10 @@ def _circulant_sqrt_spectrum(n: int, hurst: float) -> np.ndarray:
                                       f" -1e-8 times the largest = {bound!r}, got {least!r}")
     root = np.sqrt(np.clip(lam, 0.0, None))
     root.flags.writeable = False
+    with _SPECTRA_LOCK:
+        _SPECTRA[key] = root = _SPECTRA.pop(key, root)
+        while len(_SPECTRA) > 1 and sum(kept.size for kept in _SPECTRA.values()) > SPECTRUM_BUDGET:
+            del _SPECTRA[next(iter(_SPECTRA))]
     return root
 
 
@@ -394,7 +413,10 @@ def fbm_path(spec: GaussianPathSpec) -> SampledPath:
     """Sample fractional Brownian motion on the uniform grid with ``spec.n``
     increments over [0, horizon] by circulant embedding, for every n;
     deterministic per seed; the noise is scaled and summed into the values
-    in place and freed before the times are built."""
+    in place and freed before the times are built. The spectrum of each
+    (n, hurst) is computed once while it stays cached: the cache keeps at most
+    ``SPECTRUM_BUDGET`` values, evicting the least recently used spectra but
+    never the newest, and is safe to share between threads."""
     n, hurst = spec.n, spec.hurst
     fgn = _fgn_circulant(n, hurst, np.random.default_rng(spec.seed))
     fgn *= (spec.horizon / n) ** hurst

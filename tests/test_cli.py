@@ -489,6 +489,16 @@ BAD_CONFIGS = {
         {"command": "ito-check", "partition": {"kind": None, "ns": [3]}, "p": 2.5},
         "bad.json:4: partition needs 'kind'",
     ),
+    # a null in a registry object is refused by its constructor, a null command by the
+    # command choice of reproduce-all (the harness runs a config with no command as it does)
+    "path-seed-null": (
+        {"command": "generate-path", "path": {"kind": "fbm", "hurst": 0.4, "n": 64, "seed": None}},
+        "bad.json:7: seed must be an integer, got None",
+    ),
+    "command-null": (
+        {"command": None, "p": 2.5, "ns": [2]},
+        "bad.json:2: 'command' must be one of 'generate-path', 'variation', ",
+    ),
     "grid-base-null": (
         {
             "command": "generate-path",
@@ -927,8 +937,13 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, case):
     # raw text, bytes or no file at all: run as cantor-sweep, which the raw texts name
     command = cfg["command"] if isinstance(cfg, dict) else "cantor-sweep"
     out = tmp_path / "o"
-    code = cli.main([command, "--config", str(path), "--out-dir", str(out)])
-    err = capsys.readouterr().err
+    if command is None:  # as reproduce-all runs a config: by the command it declares
+        with pytest.raises(FracpathError) as refused:
+            cli._execute(None, path, out)
+        code, err = 1, f"error: {refused.value}\n"
+    else:
+        code = cli.main([command, "--config", str(path), "--out-dir", str(out)])
+        err = capsys.readouterr().err
     assert code == 1, err
     assert re.match(rf"error: {re.escape(str(path))}(:\d+)?: ", err), err
     assert message in err
@@ -1192,19 +1207,23 @@ READ_IF_ADDED = {
     ("ito-cantor.json", "fn"),
     ("variation-cantor.json", "phi"),
 }
-# the objects in a config that the config reader fills, beside the top level
+# the objects in a config that the config reader fills, beside the top level, and the
+# registry objects, whose constructors refuse a null
 FILLED = ("partition", "grid", "reference", "thetas")
+REGISTRY = ("path", "fn", "phi")
 
 
 def unread_or_null_variants():
     """(fixture name, command, config) for each fixture with one key its run does not
-    read added, and with one key of the top level or of a filled object set to null."""
+    read added, and with one key of the top level, of a filled object or of a registry
+    object set to null."""
     for fixture in sorted(FIXTURES.glob("*.json")):
         cfg = json.loads(fixture.read_text())
         for key in sorted(READ_VALUES.keys() - cfg.keys() - cli._COMMON_KEYS.keys()):
             if (fixture.name, key) not in READ_IF_ADDED:
                 yield fixture.name, cfg["command"], {**cfg, key: READ_VALUES[key]}
-        places = [(key,) for key in cfg] + [(k, key) for k in FILLED if k in cfg for key in cfg[k]]
+        objects = [k for k in (*FILLED, *REGISTRY) if k in cfg]
+        places = [(key,) for key in cfg] + [(k, key) for k in objects for key in cfg[k]]
         for *parents, last in places:
             nulled = copy.deepcopy(cfg)
             (nulled[parents[0]] if parents else nulled)[last] = None
@@ -1212,7 +1231,7 @@ def unread_or_null_variants():
 
 
 def test_a_fixture_given_a_key_its_run_does_not_read_or_a_null_is_refused_by_its_line(tmp_path):
-    # 286 refusals in about 0.1 s: each names the config path and the key's line
+    # 314 refusals in about 0.15 s: each names the config path and the key's line
     read = {k for _, defaults, required, _ in cli._RUNNERS.values() for k in (*defaults, *required)}
     assert read <= READ_VALUES.keys()
     variants = list(unread_or_null_variants())

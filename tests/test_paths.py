@@ -1,8 +1,11 @@
 """Path constructors: exact values where closed forms exist, statistical
 sanity where they do not."""
 
+import concurrent.futures
 import math
+import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -362,20 +365,40 @@ def test_fbm_transient_memory_is_bounded():
     assert peak <= 40 * n, f"{peak / n:.1f} bytes per increment"
 
 
-def test_circulant_spectrum_is_cached_read_only():
-    _circulant_sqrt_spectrum.cache_clear()
+@pytest.fixture
+def computed(monkeypatch):
+    """An empty spectrum cache for the test, and the (n, hurst) of every spectrum
+    computed from then on, as the calls into its first step, ``_fgn_autocov``."""
+    keys, autocov = [], paths_module._fgn_autocov
+
+    def counted(n, hurst):
+        keys.append((n, hurst))
+        return autocov(n, hurst)
+
+    monkeypatch.setattr(paths_module, "_fgn_autocov", counted)
+    monkeypatch.setattr(paths_module, "_SPECTRA", {})
+    return keys
+
+
+def held(cache: dict) -> int:
+    """The spectrum values a cache keeps."""
+    return sum(root.size for root in cache.values())
+
+
+def test_circulant_spectrum_is_cached_read_only(computed):
     spec = GaussianPathSpec(hurst=0.35, n=2**12, seed=4)
     cold = fbm_path(spec).values
     warm = fbm_path(spec).values
-    assert _circulant_sqrt_spectrum.cache_info().hits == 1
+    assert computed == [(2**12, 0.35)]  # the warm call computes nothing
     assert np.array_equal(cold.view(np.uint64), warm.view(np.uint64))
     root = _circulant_sqrt_spectrum(2**12, 0.35)
+    assert root is paths_module._SPECTRA[2**12, 0.35]
     assert not root.flags.writeable
     with pytest.raises(ValueError):
         root[0] = 0.0
 
 
-def test_circulant_failure_is_not_cached(monkeypatch):
+def test_circulant_failure_is_not_cached(monkeypatch, computed):
     # gamma(0) = 1, gamma(1) = 0.9: circulant eigenvalues 1 + 1.8 cos(theta)
     # go down to -0.8; there is no fallback, so every call must reach the
     # check and raise
@@ -383,12 +406,71 @@ def test_circulant_failure_is_not_cached(monkeypatch):
         return np.concatenate([[1.0, 0.9], np.zeros(n - 1)])
 
     monkeypatch.setattr(paths_module, "_fgn_autocov", not_definite)
-    _circulant_sqrt_spectrum.cache_clear()
     spec = GaussianPathSpec(hurst=0.45, n=2**13, seed=1)
     for _ in range(2):
         with pytest.raises(SamplingInfeasibleError, match="least eigenvalue of the circulant"):
             fbm_path(spec)
-    assert _circulant_sqrt_spectrum.cache_info().currsize == 0
+    assert paths_module._SPECTRA == {}
+
+
+# the (n, hurst) keys of one perfbench fbm-ladder pass, about 1.2M spectrum values in all
+LADDER_KEYS = [(2**20, 0.4), (2**16, 0.4), (2**16, 1 / 3), (2**14, 0.8)]
+
+
+def test_fbm_ladder_keys_sampled_twice_compute_each_spectrum_once(computed):
+    cold = [_circulant_sqrt_spectrum(n, hurst) for n, hurst in LADDER_KEYS]
+    warm = [_circulant_sqrt_spectrum(n, hurst) for n, hurst in LADDER_KEYS]
+    assert computed == LADDER_KEYS
+    assert all(a is b for a, b in zip(cold, warm))
+
+
+def test_spectrum_cache_evicts_the_least_recently_used_within_its_budget(monkeypatch, computed):
+    monkeypatch.setattr(paths_module, "SPECTRUM_BUDGET", 3000)
+    cache = paths_module._SPECTRA
+    for n in (1000, 800, 600):  # 1001 + 801 + 601 values
+        _circulant_sqrt_spectrum(n, 0.4)
+    _circulant_sqrt_spectrum(1000, 0.4)  # a hit: 1000 is now the most recently used
+    _circulant_sqrt_spectrum(900, 0.4)  # 901 more: 800, the least recently used, goes
+    assert list(cache) == [(600, 0.4), (1000, 0.4), (900, 0.4)]
+    _circulant_sqrt_spectrum(2500, 0.4)  # alone within the budget: all the others go
+    assert list(cache) == [(2500, 0.4)]
+    _circulant_sqrt_spectrum(400, 0.4)
+    assert list(cache) == [(2500, 0.4), (400, 0.4)] and held(cache) == 2902
+    assert computed == [(n, 0.4) for n in (1000, 800, 600, 900, 2500, 400)]
+
+
+def test_a_spectrum_over_the_budget_is_kept_alone(monkeypatch, computed):
+    monkeypatch.setattr(paths_module, "SPECTRUM_BUDGET", 1000)
+    _circulant_sqrt_spectrum(500, 0.4)
+    root = _circulant_sqrt_spectrum(4096, 0.4)
+    assert list(paths_module._SPECTRA) == [(4096, 0.4)]
+    assert _circulant_sqrt_spectrum(4096, 0.4) is root
+    assert computed == [(500, 0.4), (4096, 0.4)]
+
+
+def test_threads_sharing_the_spectrum_cache_sample_the_serial_bits(monkeypatch, computed):
+    # 12 keys of 546 spectrum values in all against a budget of 200, each sampled 40
+    # times in a shuffled order by 4 threads switching every microsecond: small keys,
+    # so the cache is read and evicted often (without the lock, a few of these 480
+    # calls raise "dictionary changed size during iteration")
+    monkeypatch.setattr(paths_module, "SPECTRUM_BUDGET", 200)
+    keys = [(n, h) for n in (8, 13, 32, 50, 64, 100) for h in (0.3, 0.7)]
+    specs = [GaussianPathSpec(hurst=h, n=n, seed=i) for i, (n, h) in enumerate(keys * 40)]
+    random.Random(5).shuffle(specs)
+    serial = [fbm_path(spec).values for spec in specs]
+    paths_module._SPECTRA.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fbm_path, spec) for spec in specs]
+            threaded = [future.result(timeout=60).values for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    cache = paths_module._SPECTRA
+    assert len(cache) == 1 or held(cache) <= 200
 
 
 def test_gaussian_spec_validation():

@@ -81,7 +81,6 @@ from fracpath.partitions import (
 from fracpath.paths import (
     GaussianPathSpec,
     SampledPath,
-    _circulant_sqrt_spectrum,
     bump_count,
     cantor_bump_knots,
     cantor_bump_path,
@@ -498,7 +497,7 @@ def test_circulant_refusal_names_its_least_eigenvalue_and_the_bound(monkeypatch)
         return np.concatenate([[1.0, 0.9], np.zeros(n - 1)])
 
     monkeypatch.setattr(paths_module, "_fgn_autocov", not_definite)
-    _circulant_sqrt_spectrum.cache_clear()
+    monkeypatch.setattr(paths_module, "_SPECTRA", {})  # no cached spectrum answers for it
     want = (
         "the least eigenvalue of the circulant embedding must be >= -1e-8 times the largest"
         " = -2.8e-08, got -0.8"
