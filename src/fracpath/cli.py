@@ -8,18 +8,20 @@ but the run's verdict was "not-converged").
 Every subcommand is one runner ``(cfg) -> (header, rows, gap)`` plus the
 top-level keys it allows, with their defaults, and requires, declared in
 ``_RUNNERS``. A runner imports the library modules it calls in its own body,
-so a process loads only what its subcommand runs. Every config object, the
-top level included, is read by ``_fill``, which refuses an unknown key or a null
-(a key left out takes its default) and fills in defaults, except the registry objects
-(``path``, ``fn``, ``phi``): their constructors refuse a null, by its line (``_made``).
+so a process loads only what its subcommand runs. Every config object, the top
+level included, is read by ``_fill``, which refuses an unknown key or a null (a key
+left out takes its default) and fills in defaults. A registry object (``path``, ``fn``,
+``phi``) has its nulls refused by ``_fill`` too, and its other keys, its constructor's
+arguments, checked by that constructor (``_made``).
 ``_require`` refuses a missing or empty key ("<owner> needs '<key>'") and, where the
 run decides what it reads, a key it does not read ("<owner> reads no '<key>'").
-``_execute`` parses ``expect``, ``tol`` and ``label`` (a file name, never a path),
-refuses ``tol`` and expect "converged" where ``_RUNNERS`` says no gap comes, and sets the
-verdict: "converged" iff gap <= tol, "unchecked" when the runner reports no
-gap or the config gives no tol, "not-converged" otherwise (a NaN gap
-included). Every config number passes ``errors.real`` and every option
-``errors.choice``. Every error a run raises names the config file.
+``_execute`` parses ``expect``, ``tol`` and ``label`` (a file name, never a path) and
+refuses a declared ``command`` other than the invoked one. Where the run reports no gap,
+it refuses ``tol`` and expect "converged" after the run and before any file is written.
+It sets the verdict: "converged" iff gap <= tol, "unchecked" when the config gives no
+tol, "not-converged" otherwise (a NaN gap included). Every config number passes
+``errors.real`` and every option ``errors.choice``. Every error a run raises names the
+config file, and every refused key its line.
 
 CSV files are byte-stable across reruns of the same config; the manifest
 records the config digest, package version and wall time (the manifest is
@@ -95,14 +97,19 @@ def _locate(path: Path, raw: str, keys) -> str:
     return str(path)
 
 
+def _refused(message: str, key) -> InvalidConfigError:
+    """A config error at key path ``key``, whose line ``_execute`` puts first (None: no line)."""
+    err = InvalidConfigError(message)
+    err.key = key
+    return err
+
+
 def _require(obj: dict, keys, owner: str, unread=(), at=()) -> None:
     """Refuses a missing or empty key of ``keys`` ("<owner> needs '<key>'") and a set key of
     ``unread`` ("<owner> reads no '<key>'"), by line if ``obj`` (at key path ``at``) holds it."""
     refused = [(k, "needs") for k in keys if obj.get(k) in (None, [])]
     for key, rule in refused + [(k, "reads no") for k in unread if obj.get(k) is not None]:
-        err = InvalidConfigError(f"{owner} {rule} {key!r}")
-        err.key = (*at, key) if key in obj else None
-        raise err
+        raise _refused(f"{owner} {rule} {key!r}", (*at, key) if key in obj else None)
 
 
 def _fill(obj, name: str, defaults: dict, required: tuple = (), at=None) -> dict:
@@ -115,24 +122,17 @@ def _fill(obj, name: str, defaults: dict, required: tuple = (), at=None) -> dict
     allowed = {*defaults, *required}
     for key in (k for k, v in obj.items() if k not in allowed or v is None):
         msg = f"unknown {name} key {key!r}; allowed: {', '.join(sorted(allowed))}"
-        err = InvalidConfigError(f"{name} key {key!r} must not be null" if key in allowed else msg)
-        err.key = (*at, key)
-        raise err
+        null = f"{name} key {key!r} must not be null"
+        raise _refused(null if key in allowed else msg, (*at, key))
     _require(obj, required, name, at=at)
     return {**{k: v for k, v in defaults.items() if v is not None}, **obj}
 
 
 def _made(make, cfg: dict, key: str):
-    """``make(cfg[key])``, a registry object. A constructor's refusal names the argument first
-    ("seed must be an integer, got None"): one that names a null gets its key path."""
+    """``make(cfg[key])``, a registry object: a null at any of its keys is refused by
+    ``_fill`` before the constructor runs, which checks every other argument."""
     obj = cfg[key]
-    try:
-        return make(obj)
-    except FracpathError as exc:
-        named = re.findall(r"\w+", str(exc).partition(" must ")[0])
-        nulls = [k for k in named if isinstance(obj, dict) and k in obj and obj[k] is None]
-        exc.key = (key, nulls[0]) if nulls else None
-        raise
+    return make(_fill(obj, key, dict.fromkeys(obj)) if isinstance(obj, dict) else obj)
 
 
 def _number(value, key: str, kind=float, **rules):
@@ -337,6 +337,7 @@ def _run_remainder(cfg: dict):
     methods = ("taylor", "integral", "both")
     method = choice("'method'", cfg["method"], methods, error=InvalidConfigError)
     if "pairs" in cfg:
+        _require(cfg, ("pairs",), "remainder")
         _require(cfg, (), "remainder with 'pairs'", ("thetas",))
         pairs = cfg["pairs"]
         if not isinstance(pairs, list) or any(
@@ -360,7 +361,7 @@ def _run_remainder(cfg: dict):
         gaps = [abs(t - i) for t, i in zip(*columns[2:])]
         header.append("abs_gap")
         columns.append(gaps)
-        gap = max(gaps, default=None)
+        gap = max(gaps)
     return header, [list(row) for row in zip(*columns)], gap
 
 
@@ -427,33 +428,23 @@ def _run_bump_atoms(cfg: dict):
     return header, rows, abs(rep.kernel_from_atoms - rep.kernel_from_limit)
 
 
-# command -> (runner, optional top-level keys with their defaults, required top-level keys,
-# whether its run reports a gap: always, never, or as a predicate of the filled config says)
+# command -> (runner, optional top-level keys with their defaults, required top-level keys)
 _RUNNERS = {
-    "generate-path": (_run_generate_path, {"grid": None}, ("path",), False),
-    "variation": (_run_variation, {"path": None, "phi": None, "p": None}, ("partition",), True),
-    "ito-check": (_run_ito_check, {"path": None, "fn": None}, ("partition", "p"), True),
+    "generate-path": (_run_generate_path, {"grid": None}, ("path",)),
+    "variation": (_run_variation, {"path": None, "phi": None, "p": None}, ("partition",)),
+    "ito-check": (_run_ito_check, {"path": None, "fn": None}, ("partition", "p")),
     "frac-deriv": (
         _run_frac_deriv,
         dict.fromkeys(k for defaults, needs in _OPS.values() for k in (*defaults, needs)),
         ("op", "fn", "xs"),
-        lambda cfg: "reference" in cfg,
     ),
-    "remainder": (
-        _run_remainder,
-        {"pairs": None, "thetas": None, "method": "taylor"},
-        ("fn", "p"),
-        lambda cfg: cfg["method"] == "both",
-    ),
+    "remainder": (_run_remainder, {"pairs": None, "thetas": None, "method": "taylor"}, ("fn", "p")),
     "isometry": (
-        _run_isometry,
-        {"path": None, "phi": {}, "holder_alpha": None},
-        ("partition", "fn"),
-        True,
+        _run_isometry, {"path": None, "phi": {}, "holder_alpha": None}, ("partition", "fn")
     ),
-    "cantor-sweep": (_run_cantor_sweep, {"rounding": "floor"}, ("p", "ns"), True),
-    "bump-decomposition": (_run_bump_decomposition, {}, ("p", "ns"), True),
-    "bump-atoms": (_run_bump_atoms, {}, ("p", "n"), True),
+    "cantor-sweep": (_run_cantor_sweep, {"rounding": "floor"}, ("p", "ns")),
+    "bump-decomposition": (_run_bump_decomposition, {}, ("p", "ns")),
+    "bump-atoms": (_run_bump_atoms, {}, ("p", "n")),
 }
 
 
@@ -467,21 +458,16 @@ def _execute(command: str | None, cfg_path: Path, out_dir: Path) -> tuple[int, d
     None; returns (exit_code, manifest_fragment)."""
     cfg, raw = _load_config(cfg_path)
     declared = cfg.get("command")
-    if command is not None and declared is not None and declared != command:
-        raise InvalidConfigError(
-            f"{cfg_path}: config declares command {declared!r}, invoked as {command!r}"
-        )
     try:
         if command is None:
             command = choice("'command'", declared, _RUNNERS, error=InvalidConfigError)
-        runner, defaults, required, gapped = _RUNNERS[command]
+        elif declared is not None and declared != command:
+            msg = f"config declares command {declared!r}, invoked as {command!r}"
+            raise _refused(msg, ("command",))
+        runner, defaults, required = _RUNNERS[command]
         cfg = _fill(cfg, command, {**_COMMON_KEYS, **defaults}, required, at=())
         expect = choice("'expect'", cfg["expect"], ("any", "converged"), error=InvalidConfigError)
-        gapped = gapped(cfg) if callable(gapped) else gapped
-        unread = () if gapped else ("tol",) + (("expect",) if expect == "converged" else ())
-        _require(cfg, (), command, unread)  # no gap to hold to a tol
         tol = _num(cfg, "tol", lo=0)
-        _require(cfg, ("tol",) if expect == "converged" else (), "expect 'converged'")
         stem = cfg.get("label")
         if stem is not None and not (isinstance(stem, str) and _LABEL.fullmatch(stem)):
             rule = "1 to 100 letters, digits, '.', '_' or '-', not starting with '.'"
@@ -490,13 +476,14 @@ def _execute(command: str | None, cfg_path: Path, out_dir: Path) -> tuple[int, d
         started = time.perf_counter()
         header, rows, gap = runner(cfg)
         wall = time.perf_counter() - started
+        # no gap to hold to a tol: refused now, before any file is written
+        unread = ("tol",) + (("expect",) if expect == "converged" else ())
+        _require(cfg, (), command, () if gap is not None else unread)
+        _require(cfg, ("tol",) if expect == "converged" else (), "expect 'converged'")
     except FracpathError as exc:
         at = ("command",) if command is None else getattr(exc, "key", None)  # the command refused
         raise type(exc)(f"{_locate(cfg_path, raw, at)}: {exc}") from None
-    if gap is None or tol is None:
-        verdict = "unchecked"
-    else:
-        verdict = "converged" if gap <= tol else "not-converged"
+    verdict = "unchecked" if tol is None else "converged" if gap <= tol else "not-converged"
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
     _write_csv(csv_path, header, rows)
@@ -565,7 +552,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "reproduce-all":
-            return _reproduce_all(args.fixtures, args.out_dir, max(1, args.jobs))
+            jobs = real("--jobs", args.jobs, lo=1, open=False, integer=True)
+            return _reproduce_all(args.fixtures, args.out_dir, jobs)
         code, manifest = _execute(args.command, args.config, args.out_dir)
         print(f"{args.command}: verdict={manifest['verdict']} -> {args.out_dir}")
         return code

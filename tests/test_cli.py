@@ -218,7 +218,8 @@ def test_command_mismatch_rejected(tmp_path):
         cwd=tmp_path,
     )
     assert proc.returncode == 1
-    assert "declares command" in proc.stderr
+    # refused by the line of the command the config declares
+    assert "ito-cantor.json:2: config declares command 'ito-check'" in proc.stderr, proc.stderr
 
 
 def test_unmet_expectation_exits_two(tmp_path):
@@ -489,11 +490,21 @@ BAD_CONFIGS = {
         {"command": "ito-check", "partition": {"kind": None, "ns": [3]}, "p": 2.5},
         "bad.json:4: partition needs 'kind'",
     ),
-    # a null in a registry object is refused by its constructor, a null command by the
-    # command choice of reproduce-all (the harness runs a config with no command as it does)
+    # a null in a registry object is refused as one in any other object, before its
+    # constructor runs; a null command by the command choice of reproduce-all (the harness
+    # runs a config with no command as it does)
     "path-seed-null": (
         {"command": "generate-path", "path": {"kind": "fbm", "hurst": 0.4, "n": 64, "seed": None}},
-        "bad.json:7: seed must be an integer, got None",
+        "bad.json:7: path key 'seed' must not be null",
+    ),
+    "phi-custom-fn-null": (
+        {
+            "command": "variation",
+            "path": {"kind": "takagi", "depth": 12},
+            "partition": {"kind": "badic", "levels": [4, 6]},
+            "phi": {"kind": "power", "p_phi": 1.0, "custom_fn": None},
+        },
+        "bad.json:17: phi key 'custom_fn' must not be null",
     ),
     "command-null": (
         {"command": None, "p": 2.5, "ns": [2]},
@@ -883,7 +894,18 @@ BAD_CONFIGS = {
         },
         "both phi-sums are 0 at p_phi = 300 on the stage of 256 increments",
     ),
-    # a run that reports no gap has nothing to hold to a tol
+    # a run that reports no gap has nothing to hold to a tol: refused after the run, before
+    # any file is written
+    "variation-one-stage-converged": (
+        {
+            "command": "variation",
+            "partition": {"kind": "cantor-crossing", "ns": [6]},
+            "p": 2.5,
+            "expect": "converged",
+            "tol": 0.05,
+        },
+        "bad.json:11: variation reads no 'tol'",
+    ),
     "generate-path-converged": (
         {
             "command": "generate-path",
@@ -912,6 +934,11 @@ BAD_CONFIGS = {
         {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 0.2]], "method": "integral",
          "expect": "converged"},
         "remainder reads no 'expect'",
+    ),
+    # an empty list of pairs reads as missing, as an empty required key does
+    "remainder-pairs-empty": (
+        {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [], "method": "both", "tol": 0.1},
+        "bad.json:7: remainder needs 'pairs'",
     ),
 }
 
@@ -1117,6 +1144,37 @@ def test_reproduce_all_over_no_fixtures_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_reproduce_all_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    argv = ["reproduce-all", "--fixtures", str(FIXTURES), "--out-dir", str(out), "--jobs", jobs]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fixture", sorted(f.name for f in FIXTURES.glob("*.json")))
+def test_a_fixture_held_to_a_tol_on_its_first_stage_is_checked_or_refused_by_its_line(
+    tmp_path, fixture
+):
+    # expect "converged" with a tol is a claim the run must check: cut to one stage, a run
+    # ends converged or not-converged, or is refused by its line, and never ends unchecked
+    cfg = {**json.loads((FIXTURES / fixture).read_text()), "expect": "converged", "tol": 0.05}
+    if "partition" in cfg:
+        stages = cli._PARTITIONS[cfg["partition"]["kind"]][1]
+        cfg["partition"] = {**cfg["partition"], stages: cfg["partition"][stages][:1]}
+    if "ns" in cfg:
+        cfg["ns"] = cfg["ns"][:1]
+    path, out = write_config(tmp_path, fixture, cfg), tmp_path / "o"
+    try:
+        code, manifest = cli._execute(cfg["command"], path, out)
+    except FracpathError as refused:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(refused)), refused
+        assert not out.exists()
+    else:
+        assert manifest["verdict"] == {0: "converged", 2: "not-converged"}[code]
+
+
 def _without_wall_time(manifest):
     if isinstance(manifest, dict):
         return {k: _without_wall_time(v) for k, v in manifest.items() if k != "wall_time_s"}
@@ -1208,7 +1266,7 @@ READ_IF_ADDED = {
     ("variation-cantor.json", "phi"),
 }
 # the objects in a config that the config reader fills, beside the top level, and the
-# registry objects, whose constructors refuse a null
+# registry objects, whose nulls it refuses before their constructors run
 FILLED = ("partition", "grid", "reference", "thetas")
 REGISTRY = ("path", "fn", "phi")
 
@@ -1232,7 +1290,7 @@ def unread_or_null_variants():
 
 def test_a_fixture_given_a_key_its_run_does_not_read_or_a_null_is_refused_by_its_line(tmp_path):
     # 314 refusals in about 0.15 s: each names the config path and the key's line
-    read = {k for _, defaults, required, _ in cli._RUNNERS.values() for k in (*defaults, *required)}
+    read = {k for _, defaults, required in cli._RUNNERS.values() for k in (*defaults, *required)}
     assert read <= READ_VALUES.keys()
     variants = list(unread_or_null_variants())
     for i, (name, command, cfg) in enumerate(variants):

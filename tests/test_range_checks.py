@@ -865,9 +865,12 @@ CHOICES = {
     ),
 }
 # a required key at None or [] reads as missing, and is refused as that; a null at a
-# key of an object the config reader fills is refused as a null
+# key of an object the config reader fills, or of a registry object, is refused as a null
 _REQUIRED_CHOICES = {"config-op", "config-partition-kind", "config-reference-kind"}
-_FILLED_CHOICES = {"config-expect", "config-remainder-method", *_REQUIRED_CHOICES}
+_REGISTRY_CHOICES = {"config-fn-name", "config-path-kind", "config-phi-kind"}
+_FILLED_CHOICES = {
+    "config-expect", "config-remainder-method", *_REQUIRED_CHOICES, *_REGISTRY_CHOICES
+}
 
 
 def _wrong_values(site):
