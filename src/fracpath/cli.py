@@ -7,17 +7,19 @@ but the run's verdict was "not-converged").
 
 Every subcommand is one runner ``(cfg) -> (header, rows, gap)`` plus the
 top-level keys it allows, with their defaults, and requires, declared in
-``_RUNNERS``. A runner imports the library modules it calls in its own body,
-so a process loads only what its subcommand runs. Every config object, the top
-level included, is read by ``_fill``, which refuses an unknown key or a null (a key
-left out takes its default) and fills in defaults. A registry object (``path``, ``fn``,
+``_RUNNERS``. A runner, and each stage helper, imports the library modules it calls
+in its own body, so ``import fracpath.cli`` loads only ``errors`` of the package and a
+process only what its subcommand runs. Every config object, the top level included, is
+read by ``_fill``, which refuses an unknown key or a null (a key left out takes its
+default) and fills in defaults. A registry object (``path``, ``fn``,
 ``phi``) has its nulls refused by ``_fill`` too, and its other keys, its constructor's
 arguments, checked by that constructor (``_made``).
 ``_require`` refuses a missing or empty key ("<owner> needs '<key>'") and, where the
 run decides what it reads, a key it does not read ("<owner> reads no '<key>'").
 ``_execute`` parses ``expect``, ``tol`` and ``label`` (a file name, never a path) and
-refuses a declared ``command`` other than the invoked one. Where the run reports no gap,
-it refuses ``tol`` and expect "converged" after the run and before any file is written.
+refuses a declared ``command`` other than the invoked one. Where the run reports no gap
+(a sequence of one stage has none), it refuses ``tol`` and expect "converged" after the
+run and before any file is written.
 It sets the verdict: "converged" iff gap <= tol, "unchecked" when the config gives no
 tol, "not-converged" otherwise (a NaN gap included). Every config number passes
 ``errors.real`` and every option ``errors.choice``. Every error a run raises names the
@@ -38,25 +40,18 @@ import re
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .errors import FracpathError, InvalidConfigError, choice, real
-from .partitions import MAX_KNOTS, CantorBlocks, badic, block_sum, cantor_blocks
-from .partitions import partition_values, value_grid_partition
-from .paths import AnalyticPath, SampledPath, sample
+
+if TYPE_CHECKING:
+    from .paths import SampledPath
 
 _COMMON_KEYS = {"command": None, "label": None, "expect": "any", "tol": None}
 _LABEL = re.compile(r"[\w-][\w.-]{0,99}", re.ASCII)  # a file name in --out-dir, never a path
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _load_config(path: Path) -> tuple[dict, str]:
@@ -159,7 +154,7 @@ def _nums(obj: dict, key: str, kind=float) -> list:
 def _write_csv(out_path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
-        cells = [_fmt(c) if isinstance(c, float) else str(c) for c in row]
+        cells = [f"{float(c):.17g}" if isinstance(c, float) else str(c) for c in row]
         lines.append(",".join(cells))
     out_path.write_text("\n".join(lines) + "\n")
 
@@ -179,6 +174,8 @@ _PARTITIONS = {
 def _as_sampled(cfg: dict, level, keys=()) -> SampledPath:
     """The config's path; an analytic one sampled on the b-adic ``level()`` = (n, base),
     read only then. A sampled one reads no key at key path ``keys``, which sets that level."""
+    from .partitions import badic
+    from .paths import AnalyticPath, sample
     from .registry import make_path
 
     obj = _made(make_path, cfg, "path")
@@ -193,6 +190,8 @@ def _iter_stages(cfg: dict, kinds=tuple(_PARTITIONS), cantor_only=()):
     """Yield (stage_label, stage) per stage of a partition of ``kinds``: a badic or value-grid
     stage is its (sampled_path, partition), a cantor-crossing stage the level rows of
     ``partitions.cantor_blocks`` (no 2**n grid), the only stages that read ``cantor_only``."""
+    from .partitions import badic, cantor_blocks, value_grid_partition
+
     part = cfg["partition"]
     if not isinstance(part, dict):
         raise InvalidConfigError(f"'partition' must be an object, got {part!r}")
@@ -221,6 +220,8 @@ def _iter_stages(cfg: dict, kinds=tuple(_PARTITIONS), cantor_only=()):
 
 def _blocks(stage):
     """A stage as weighted rows of path values (``partitions.block_sum``)."""
+    from .partitions import CantorBlocks, partition_values
+
     return stage if isinstance(stage, CantorBlocks) else [((1,), partition_values(*stage)[1][None])]
 
 
@@ -241,6 +242,7 @@ def _run_generate_path(cfg: dict):
 
 
 def _run_variation(cfg: dict):
+    from .partitions import block_sum
     from .registry import make_phi
     from .variation import phi_sums
 
@@ -282,7 +284,7 @@ def _run_ito_check(cfg: dict):
         rep = ito_check_blocks(fn, _blocks(stage), p)
         rows.append([label] + [getattr(rep, name) for name in header[1:]])
     r = [abs(row[-1]) for row in rows]
-    gap = r[-1] if len(r) < 3 or r[-1] <= r[-2] <= r[-3] else math.inf
+    gap = None if len(r) < 2 else r[-1] if len(r) < 3 or r[-1] <= r[-2] <= r[-3] else math.inf
     return header, rows, gap
 
 
@@ -330,6 +332,7 @@ def _run_frac_deriv(cfg: dict):
 
 def _run_remainder(cfg: dict):
     from .follmer import circle_points, remainder_kernel
+    from .paths import MAX_KNOTS
     from .registry import make_fn
 
     fn = _made(make_fn, cfg, "fn")
@@ -380,7 +383,7 @@ def _run_isometry(cfg: dict):
         [label, report.lhs[i], report.rhs[i], abs(report.ratios[i] - 1.0)]
         for i, (label, _) in enumerate(stages)
     ]
-    return ["level", "lhs", "rhs", "rel_error"], rows, report.final_gap
+    return ["level", "lhs", "rhs", "rel_error"], rows, report.final_gap if len(rows) > 1 else None
 
 
 def _run_cantor_sweep(cfg: dict):
@@ -490,12 +493,12 @@ def _execute(command: str | None, cfg_path: Path, out_dir: Path) -> tuple[int, d
     manifest = {
         "command": command,
         "config": cfg_path.name,
-        "config_sha256": _sha256_bytes(raw.encode()),
+        "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
         "version": __version__,
         "verdict": verdict,
         "expect": expect,
         "wall_time_s": round(wall, 6),
-        "outputs": {csv_path.name: _sha256_bytes(csv_path.read_bytes())},
+        "outputs": {csv_path.name: hashlib.sha256(csv_path.read_bytes()).hexdigest()},
     }
     manifest_path = out_dir / f"{stem}.manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

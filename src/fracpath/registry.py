@@ -6,7 +6,9 @@ command line uses. Derivatives of kinked powers follow the symmetric
 convention at the kink itself: where the one-sided limits disagree or
 diverge, the value 0 is returned (increments that sit exactly on a kink have
 zero length in every construction used here, so the convention never leaks
-into sums).
+into sums). A constructor imports the module whose type it builds (``follmer``,
+``isometry``, ``paths``) in its own body, so a command that never builds one never
+loads that module.
 """
 
 from __future__ import annotations
@@ -17,24 +19,12 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import FracpathError, InvalidConfigError, choice, real
-from .paths import (
-    MAX_KNOTS,
-    AnalyticPath,
-    GaussianPathSpec,
-    SampledPath,
-    cantor_bump_knots,
-    cantor_bump_path,
-    cantor_distance_path,
-    fbm_path,
-    takagi_path,
-)
 from .smooth import SmoothFn
 
-# the bundle and gauge types load with the constructors that build them, so
-# a command that never builds one never imports follmer or isometry
 if TYPE_CHECKING:
     from .follmer import TensorFunctionBundle, TimeFunctionBundle
     from .isometry import PhiSpec
+    from .paths import AnalyticPath, SampledPath
 
 __all__ = [
     "abs_power",
@@ -173,6 +163,8 @@ def abs_power_series(q: float, count: int = 12) -> SmoothFn:
     """f(x) = sum_j (j+1)^-2 |x - r_j|^q over the first ``count`` canonical
     rationals r_j in (0, 1); a function kinked on a spreading set while still
     summable enough for order-q behaviour at each kink."""
+    from .paths import MAX_KNOTS
+
     (_, g0), *rule = _power_rule(q, "abs")
     count = real("count", count, lo=1, hi=MAX_KNOTS, open=False, integer=True)
     locs = _canonical_rationals(count)
@@ -302,8 +294,11 @@ def make_phi(cfg: dict) -> PhiSpec:
 
 
 def make_path(cfg: dict) -> AnalyticPath | SampledPath:
-    # built per call, so the names resolve to whatever the module holds then
+    # imported per call, so the names resolve to whatever the module holds then
     # (a profiler's wrappers included), as a plain call would
+    from .paths import (GaussianPathSpec, cantor_bump_knots, cantor_bump_path,
+                        cantor_distance_path, fbm_path, takagi_path)
+
     paths = {
         "cantor-distance": cantor_distance_path,
         "cantor-bump": cantor_bump_path,

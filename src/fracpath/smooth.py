@@ -58,7 +58,7 @@ def ratio_limit(ratios: np.ndarray, what: str) -> float:
     geometrically, else NoLimitError with the message ``what``."""
     r = np.asarray(ratios, dtype=float)
     tail = r[-3:]
-    med = float(np.median(tail))
+    med = float(np.mean(np.sort(tail)[(tail.size - 1) // 2 : tail.size // 2 + 1]))  # as np.median
     spread = float(np.max(tail) - np.min(tail))
     if spread <= 0.2 * abs(med):
         return float(np.mean(tail))

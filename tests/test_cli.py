@@ -72,33 +72,41 @@ def loaded_modules(tmp_path, config=None) -> set:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def package_modules(loaded: set) -> set:
+    """The fracpath modules among ``loaded``, without the package prefix."""
+    return {m.partition(".")[2] or m for m in loaded if m.split(".")[0] == "fracpath"}
+
+
+# every process loads fracpath, errors and cli; a fixture run loads exactly these
+# modules of the package besides
+FIXTURE_MODULES = {
+    "generate-cantor-path.json": {"registry", "smooth", "paths", "partitions"},
+    "frac-deriv-caputo.json": {"registry", "smooth", "fracops", "_quad"},
+    "frac-deriv-local.json": {"registry", "smooth", "fracops", "_quad"},
+    "variation-cantor.json": {"registry", "smooth", "paths", "partitions", "variation"},
+    "ito-fbm-sin.json": {"registry", "smooth", "paths", "partitions", "follmer"},
+    "isometry-fbm.json": {"registry", "smooth", "paths", "partitions", "isometry"},
+    "bump-atoms.json": {
+        "registry", "smooth", "paths", "partitions", "follmer", "variation", "experiments"
+    },
+    # the kernel needs no path, but follmer's identity engine loads paths and partitions
+    "remainder-profile.json": {"registry", "smooth", "paths", "partitions", "follmer", "_quad"},
+}
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency; a CLI start must not pay for
-    # scipy, nor for the modules that only some subcommands run
+    # scipy, nor for any module that only some subcommands run
     loaded = loaded_modules(tmp_path)
-    assert "scipy" not in loaded
-    unwanted = {f"fracpath.{m}" for m in ("follmer", "fracops", "isometry", "experiments", "variation")}
-    unwanted |= {"numpy.polynomial", "concurrent.futures"}
-    assert not loaded & unwanted
+    assert package_modules(loaded) == {"fracpath", "errors", "cli"}
+    assert not loaded & {"scipy", "numpy.ma", "numpy.polynomial", "concurrent.futures"}
 
 
-@pytest.mark.parametrize(
-    "fixture, unloaded",
-    [
-        (
-            "generate-cantor-path.json",
-            ("follmer", "isometry", "experiments", "variation", "fracops", "_quad"),
-        ),
-        ("frac-deriv-caputo.json", ("follmer", "isometry", "experiments")),
-        ("variation-cantor.json", ("follmer", "isometry", "experiments", "fracops", "_quad")),
-        ("ito-fbm-sin.json", ("isometry", "experiments", "variation", "fracops", "_quad")),
-        ("isometry-fbm.json", ("follmer", "experiments", "variation", "fracops", "_quad")),
-        ("bump-atoms.json", ("fracops", "isometry", "_quad")),
-    ],
-)
-def test_subcommand_loads_only_what_it_runs(tmp_path, fixture, unloaded):
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_MODULES))
+def test_subcommand_loads_only_what_it_runs(tmp_path, fixture):
     loaded = loaded_modules(tmp_path, FIXTURES / fixture)
-    assert not loaded & {f"fracpath.{m}" for m in unloaded}
+    assert package_modules(loaded) == {"fracpath", "errors", "cli", *FIXTURE_MODULES[fixture]}
+    assert "numpy.ma" not in loaded  # np.median's import, for the middle of three numbers
 
 
 def test_taylor_remainder_run_integrates_nothing(tmp_path):
@@ -929,6 +937,31 @@ BAD_CONFIGS = {
             "tol": 1e-3,
         },
         "remainder reads no 'tol'",
+    ),
+    "ito-check-one-stage-converged": (
+        {
+            "command": "ito-check",
+            "path": {"kind": "fbm", "hurst": 0.4, "n": 65536, "seed": 2},
+            "partition": {"kind": "badic", "levels": [8]},
+            "fn": SIN,
+            "p": 2.5,
+            "expect": "converged",
+            "tol": 0.05,
+        },
+        "bad.json:20: ito-check reads no 'tol'",
+    ),
+    "isometry-one-level-converged": (
+        {
+            "command": "isometry",
+            "path": {"kind": "fbm", "hurst": 0.8, "n": 16384, "seed": 9},
+            "partition": {"kind": "badic", "levels": [8]},
+            "fn": SIN,
+            "phi": {"kind": "power", "p_phi": 1.25},
+            "holder_alpha": 0.79,
+            "expect": "converged",
+            "tol": 0.1,
+        },
+        "bad.json:24: isometry reads no 'tol'",
     ),
     "remainder-integral-converged-without-tol": (
         {"command": "remainder", "fn": SIN, "p": 2.5, "pairs": [[0.1, 0.2]], "method": "integral",

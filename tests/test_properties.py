@@ -5,7 +5,7 @@ against a plain numpy sum, the remainder kernel's two forms, the gauge
 inverse (the float just past the root), the variation profile (and the
 query times it rejects), the level-reduced Cantor profile against the
 materialized grid, the Young bound as an equality for one component, the
-kernel weights of the identity (the quotient measure's mass) as the p-th
+kernel weights of the identity (``ito_check``'s variation) as the p-th
 variation, the lattice form of value-grid partitions, the fBm sampler at
 every size, the stored knot values ``partition_values`` reads on every
 s-th knot (read-only on the path's own grid) and ``osc`` against the
@@ -445,9 +445,9 @@ def test_young_bound_single_component_is_an_equality(case, p):
 
 @PROPS
 @given(path_and_partition(), st.sampled_from([0.7, 1.5, 2.5, 3.5]), st.one_of(st.none(), st.floats(0.0, 40.0)))
-def test_quotient_measure_mass_is_pth_variation(case, p, t):
-    # the weights |dS|^p of the kernel sum are the quotient measure's atoms:
-    # the order-p identity's own variation is their mass, zeros included
+def test_ito_check_variation_is_pth_variation(case, p, t):
+    # the kernel weights |dS|^p sum to the order-p identity's own variation,
+    # zeros included: ito_check's variation is pth_variation_partial's sum
     path, part = case
     want = pth_variation_partial(path, part, p, t)
     if p > 1.0:
